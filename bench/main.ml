@@ -375,7 +375,7 @@ let run_parallel_bench fx =
 
 (* ------------------------------------------------------------------ *)
 (* Resource baseline (ROADMAP item 2's measured starting line):
-   allocation per kernel run for the two gated micros, GC collection
+   allocation per kernel run for the three gated micros, GC collection
    counts, peak heap, per-domain utilization from a pooled run, and the
    posterior cache's accounted-vs-reachable byte cross-check. Runs with
    a Resource monitor installed — but outside the Bechamel timing loop,
@@ -422,11 +422,23 @@ let run_resources fx =
            ~config:{ burn_in = 20; samples = 100 }
            (Prob.Rng.create 7) sampler fx.multi_tuple)
   in
+  (* Algorithm 3's executor on the fig11 micro workload: flat sample
+     bags, in-place Gibbs steps and memo hits that allocate nothing. *)
+  let dag_workload =
+    let sampler = Mrsl.Gibbs.sampler fx.model in
+    fun () ->
+      ignore
+        (Mrsl.Workload.run
+           ~config:{ burn_in = 10; samples = 50 }
+           ~strategy:Mrsl.Workload.Tuple_dag (Prob.Rng.create 7) sampler
+           fx.workload)
+  in
   let measured =
     [
       measure "mrsl/table2/infer-best-averaged"
         (infer_batch ~method_:Mrsl.Voting.best_averaged fx);
       measure "mrsl/fig10/gibbs-run" gibbs_kernel;
+      measure "mrsl/fig11/workload-tuple-dag" dag_workload;
     ]
   in
   (* Per-domain utilization from a saturating pooled run. *)

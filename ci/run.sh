@@ -86,10 +86,24 @@ fi
 # times faster compiled than interpreted AND the differential check to
 # report bit-identical posteriors, and the counter requirements prove
 # the kernel actually compiled and served hits during the bench.  The
-# history file accumulates a one-line summary (key walls, req/s, alloc
-# bytes, git sha) per run and the gate fails on monotone drift across
-# the trailing window.
-GIT_SHA="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+# fig11 tuple-DAG ceiling gates the Algorithm 3 executor's flat sample
+# bags and allocation-free Gibbs steps the same way.  The history file
+# accumulates a one-line summary (key walls, req/s, alloc bytes, source
+# tree) per run and the gate fails on monotone drift across the
+# trailing window.
+#
+# History lines are stamped with the tree hash of HEAD, suffixed
+# "-dirty" when the working tree differs from it, untracked files
+# included: CI runs before the change is committed, so a commit sha
+# would name the parent commit.
+if GIT_SHA="$(git rev-parse 'HEAD^{tree}' 2>/dev/null)"; then
+  if ! git diff --quiet HEAD ||
+    [ -n "$(git status --porcelain --untracked-files=normal)" ]; then
+    GIT_SHA="$GIT_SHA-dirty"
+  fi
+else
+  GIT_SHA=unknown
+fi
 dune exec ci/bench_gate.exe -- \
   ${GATE_BASELINE[@]+"${GATE_BASELINE[@]}"} \
   --current "${MRSL_BENCH_OUT:-BENCH_1.json}" \
@@ -110,6 +124,7 @@ dune exec ci/bench_gate.exe -- \
   --max-alloc-bytes mrsl/table2/infer-best-averaged \
     "${MRSL_ALLOC_INFER_CEIL:-35000}" \
   --max-alloc-bytes mrsl/fig10/gibbs-run "${MRSL_ALLOC_GIBBS_CEIL:-21000}" \
+  --max-alloc-bytes mrsl/fig11/workload-tuple-dag 640000 \
   --min-speedup mrsl/table2/infer-best-averaged \
     "${MRSL_KERNEL_SPEEDUP:-2.0}" \
   --min-speedup mrsl/fig10/gibbs-run "${MRSL_KERNEL_SPEEDUP:-2.0}" \

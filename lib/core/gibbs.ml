@@ -2,6 +2,20 @@ type config = { burn_in : int; samples : int }
 
 let default_config = { burn_in = 100; samples = 1000 }
 
+(* The conditional-CPD memo: monomorphic on its [int] key, so a probe
+   hashes (an inline multiply-xorshift mix, no C call) and compares an
+   immediate without the polymorphic primitives, and a hit ([find],
+   [Not_found] on a miss) allocates nothing. *)
+module Memo = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash k =
+    let h = k * 0x1E3779B97F4A7C15 in
+    (h lxor (h lsr 29)) land max_int
+end)
+
 type sampler = {
   model : Model.t;
   method_ : Voting.method_;
@@ -9,7 +23,7 @@ type sampler = {
   (* Mixed-radix code of a full point (with the resampled attribute zeroed)
      composed with the attribute index; [None] when the schema's domain is
      too large to key safely. *)
-  memo : (int, Prob.Dist.t) Hashtbl.t option;
+  memo : Prob.Dist.t Memo.t option;
   domain_size : int;
   cache : Posterior_cache.t option;
       (* cross-run, cross-sampler evidence-keyed posterior cache; the memo
@@ -42,7 +56,7 @@ let sampler ?(method_ = Voting.best_averaged) ?(memoize = true) ?cache model =
   in
   let memo =
     if memoize && domain_size > 0 && domain_size < 1 lsl 40 then
-      Some (Hashtbl.create 4096)
+      Some (Memo.create 4096)
     else None
   in
   { model; method_; cards; memo; domain_size; cache; hits = 0; misses = 0 }
@@ -58,24 +72,47 @@ let compute_conditional s point a =
   Infer_single.infer ~method_:s.method_ ?cache:s.cache s.model
     (evidence_tuple point a) a
 
-let conditional s point a =
+(* Memo key of [point] for resampling [a]: the mixed-radix code of the
+   point with slot [a] read as 0, composed with [a]. No range checks —
+   callers guarantee [point] has the schema's arity and in-range values
+   ([conditional] checks them; a chain's evidence is checked once in
+   [chain] and its sampled values are in range by construction). *)
+let memo_key s point a =
+  let cards = s.cards in
+  let code = ref 0 in
+  for i = 0 to Array.length cards - 1 do
+    let v = if i = a then 0 else Array.unsafe_get point i in
+    code := (!code * Array.unsafe_get cards i) + v
+  done;
+  (a * s.domain_size) + !code
+
+let conditional_unchecked s point a =
   match s.memo with
   | None -> compute_conditional s point a
-  | Some memo ->
-      let saved = point.(a) in
-      point.(a) <- 0;
-      let code = Relation.Domain.encode s.cards point in
-      point.(a) <- saved;
-      let key = (a * s.domain_size) + code in
-      (match Hashtbl.find_opt memo key with
-      | Some d ->
+  | Some memo -> (
+      let key = memo_key s point a in
+      match Memo.find memo key with
+      | d ->
           s.hits <- s.hits + 1;
           d
-      | None ->
+      | exception Not_found ->
           s.misses <- s.misses + 1;
           let d = compute_conditional s point a in
-          Hashtbl.add memo key d;
+          Memo.add memo key d;
           d)
+
+let conditional s point a =
+  let arity = Array.length s.cards in
+  if Array.length point <> arity then
+    invalid_arg "Gibbs.conditional: point arity does not match model schema";
+  if a < 0 || a >= arity then
+    invalid_arg "Gibbs.conditional: attribute index out of range";
+  Array.iteri
+    (fun i v ->
+      if i <> a && (v < 0 || v >= s.cards.(i)) then
+        invalid_arg "Gibbs.conditional: value out of range")
+    point;
+  conditional_unchecked s point a
 
 let cache_stats s = (s.hits, s.misses)
 
@@ -108,6 +145,15 @@ let chain ?(telemetry = Telemetry.global) rng s tup =
   let missing = Array.of_list (Relation.Tuple.missing tup) in
   if Array.length missing = 0 then
     invalid_arg "Gibbs.chain: tuple is complete";
+  (* Validate the evidence once: every later memo key of this chain is
+     computed without range checks. *)
+  Array.iteri
+    (fun i v ->
+      match v with
+      | Some x when x < 0 || x >= s.cards.(i) ->
+          invalid_arg "Gibbs.chain: evidence value out of range"
+      | _ -> ())
+    tup;
   (* Ensemble-health denominator: chains started, so nonconvergence and
      degradation counts can be read as shares of sampling activity. *)
   Telemetry.incr telemetry "gibbs.chains";
@@ -129,12 +175,17 @@ let chain ?(telemetry = Telemetry.global) rng s tup =
     missing;
   { sampler = s; tuple = tup; missing; state }
 
+let step rng c =
+  let s = c.sampler and state = c.state and missing = c.missing in
+  for k = 0 to Array.length missing - 1 do
+    let a = missing.(k) in
+    state.(a) <- Prob.Dist.sample rng (conditional_unchecked s state a)
+  done
+
+let current c = c.state
+
 let sweep rng c =
-  Array.iter
-    (fun a ->
-      let d = conditional c.sampler c.state a in
-      c.state.(a) <- Prob.Dist.sample rng d)
-    c.missing;
+  step rng c;
   Array.copy c.state
 
 type estimate = {
@@ -144,6 +195,16 @@ type estimate = {
   joint : Prob.Dist.t;
   samples_used : int;
 }
+
+let estimate_of_counts tup missing cards counts n =
+  let freq = Array.map (fun c -> c /. float_of_int n) counts in
+  {
+    tuple = tup;
+    missing;
+    cards;
+    joint = Prob.Dist.smooth freq;
+    samples_used = n;
+  }
 
 let estimate_of_points (s : sampler) tup points =
   if points = [] then invalid_arg "Gibbs.estimate_of_points: no samples";
@@ -161,14 +222,7 @@ let estimate_of_points (s : sampler) tup points =
       counts.(code) <- counts.(code) +. 1.;
       incr n)
     points;
-  let freq = Array.map (fun c -> c /. float_of_int !n) counts in
-  {
-    tuple = tup;
-    missing;
-    cards;
-    joint = Prob.Dist.smooth freq;
-    samples_used = !n;
-  }
+  estimate_of_counts tup missing cards counts !n
 
 let marginal est a =
   let missing_arr = Array.of_list est.missing in
@@ -187,7 +241,7 @@ let run ?(config = default_config) rng s tup =
     invalid_arg "Gibbs.run: bad burn-in or sample count";
   let c = chain rng s tup in
   for _ = 1 to config.burn_in do
-    ignore (sweep rng c)
+    step rng c
   done;
   let points = List.init config.samples (fun _ -> sweep rng c) in
   estimate_of_points s tup points

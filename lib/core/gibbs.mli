@@ -56,7 +56,11 @@ val posterior_cache : sampler -> Posterior_cache.t option
 
 val conditional : sampler -> int array -> int -> Prob.Dist.t
 (** [conditional s point a] — memoized MRSL estimate of attribute [a]
-    given the values of all other attributes in [point]. *)
+    given the values of all other attributes in [point]. Raises
+    [Invalid_argument] when [point] does not have the schema's arity, [a]
+    is not an attribute, or a value other than [point.(a)] is out of
+    range. (Chains skip these checks on their hot path: their evidence is
+    checked once by {!chain}.) *)
 
 val cache_stats : sampler -> int * int
 (** (hits, misses) of the conditional-CPD memo table. *)
@@ -79,14 +83,27 @@ val chain : ?telemetry:Telemetry.t -> Prob.Rng.t -> sampler ->
   Relation.Tuple.t -> chain
 (** Start a chain for an incomplete tuple: missing attributes are
     initialized by sampling their single-attribute MRSL estimates given
-    the evidence. Raises [Invalid_argument] on a complete tuple.
+    the evidence. Raises [Invalid_argument] on a complete tuple, on an
+    arity mismatch, and on an evidence value outside its attribute's
+    domain.
     Counts [gibbs.chains] in [telemetry] (default {!Telemetry.global}) —
     the denominator the {!Quality} ensemble-health report uses to turn
     [degrade.*] counts into shares. *)
 
+val step : Prob.Rng.t -> chain -> unit
+(** Resample every missing attribute once, in attribute order, in place:
+    the chain's {!current} point is updated and nothing is copied. On a
+    memo hit a step allocates nothing beyond the RNG's output. *)
+
+val current : chain -> int array
+(** The chain's live complete point (evidence slots fixed, missing slots
+    as of the last {!step}). Not a copy: it changes on the next step and
+    must not be mutated by the caller. *)
+
 val sweep : Prob.Rng.t -> chain -> int array
-(** Resample every missing attribute once, in attribute order; returns the
-    resulting complete point (a fresh copy). *)
+(** [sweep rng c] is [step rng c] followed by a copy of [current c]: the
+    resulting complete point as a fresh array. Draws exactly the same
+    random numbers as [step]. *)
 
 type estimate = {
   tuple : Relation.Tuple.t;
@@ -95,6 +112,15 @@ type estimate = {
   joint : Prob.Dist.t;  (** joint distribution in mixed-radix code order *)
   samples_used : int;
 }
+
+val estimate_of_counts : Relation.Tuple.t -> int list -> int array ->
+  float array -> int -> estimate
+(** [estimate_of_counts tup missing cards counts n] is the estimate from
+    [counts], a dense array indexed by the mixed-radix code of the values
+    of [missing] (ascending, with cardinalities [cards]) and summing to
+    [n > 0] samples: frequencies [c /. n], then {!Prob.Dist.smooth}. The
+    one estimate rule shared by {!estimate_of_points} and
+    {!Sample_bag.estimate}; the arrays are taken, not copied. *)
 
 val estimate_of_points : sampler -> Relation.Tuple.t -> int array list ->
   estimate

@@ -151,10 +151,20 @@ let of_string text =
                       in
                       if Array.length raw <> head_card then
                         fail "CPD size does not match attribute cardinality";
-                      (* Stored CPDs are already smoothed: normalize only,
-                         so the round trip is exact. *)
+                      (* Stored CPDs are already smoothed and normalized:
+                         adopt them unchanged, so the round trip is exact.
+                         Dividing by their sum again would move about one
+                         line in sixteen by an ulp. *)
+                      let cpd =
+                        match Prob.Dist.of_probs raw with
+                        | d -> d
+                        | exception Invalid_argument _ ->
+                            fail
+                              "CPD is not a distribution (finite, \
+                               non-negative, summing to 1 within 1e-9)"
+                      in
                       Meta_rule.of_distribution ~body ~head_attr:attr ~weight
-                        (Prob.Dist.of_weights raw)
+                        cpd
                   | _ -> fail "expected meta line")
             in
             let root, rest =

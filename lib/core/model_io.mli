@@ -11,7 +11,11 @@
 val to_string : Model.t -> string
 
 val of_string : string -> Model.t
-(** Raises [Failure] with a line-numbered message on malformed input, and
+(** Stored CPDs are adopted exactly as written, so
+    [to_string (of_string s) = s] for any [s] produced by {!to_string}.
+    Raises [Failure] with a line-numbered message on malformed input —
+    including a CPD that is not a distribution (an entry negative or not
+    finite, or entries not summing to 1 within 1e-9) — and
     [Invalid_argument] if the decoded parts are inconsistent. *)
 
 val save : string -> Model.t -> unit

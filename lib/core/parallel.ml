@@ -97,9 +97,7 @@ type contained = {
 }
 
 type node = {
-  tuple : Relation.Tuple.t;
-  mutable samples : int array list;  (* newest first *)
-  mutable count : int;
+  bag : Sample_bag.t;
   mutable pending : int;  (* parents not yet completed *)
   mutable completed : bool;
   mutable failed : Error.t option;  (* Skip_and_report containment *)
@@ -198,12 +196,14 @@ let run_contained ?(config = Gibbs.default_config)
         let use_dag = strategy = Workload.Tuple_dag in
         let parents i = if use_dag then Tuple_dag.parents dag i else [] in
         let children i = if use_dag then Tuple_dag.children dag i else [] in
+        let target = config.Gibbs.samples in
+        let schema = Model.schema model in
         let nodes =
           Array.init n (fun i ->
               {
-                tuple = Tuple_dag.tuple dag i;
-                samples = [];
-                count = 0;
+                bag =
+                  Sample_bag.create schema ~capacity:target
+                    (Tuple_dag.tuple dag i);
                 pending = List.length (parents i);
                 completed = false;
                 failed = None;
@@ -211,12 +211,11 @@ let run_contained ?(config = Gibbs.default_config)
                 donors = [];
               })
         in
-        let target = config.Gibbs.samples in
         let coord = Mutex.create () in
         let remaining = Atomic.make n in
         let abort = Atomic.make false in
         let failure = ref None in
-        let shared = ref 0 and donated = ref 0 in
+        let shared = ref 0 in
         let deques = Array.init workers (fun _ -> Wsdeque.create ()) in
         let initial =
           if use_dag then Tuple_dag.roots dag else List.init n Fun.id
@@ -263,28 +262,17 @@ let run_contained ?(config = Gibbs.default_config)
               else begin
                 List.iter
                   (fun p ->
-                    let before = cj.count in
-                    List.iter
-                      (fun point ->
-                        if
-                          cj.count < target
-                          && Relation.Tuple.matches ~point cj.tuple
-                        then begin
-                          cj.samples <- point :: cj.samples;
-                          cj.count <- cj.count + 1;
-                          incr donated;
-                          incr shared
-                        end)
-                      (List.rev nodes.(p).samples);
-                    if cj.count > before then begin
+                    let given = Sample_bag.share ~donor:nodes.(p).bag cj.bag in
+                    shared := !shared + given;
+                    if given > 0 then begin
                       cj.donors <- p :: cj.donors;
                       Trace.flow_start ~cat:"share"
-                        ~args:[ ("samples", Trace.Int (cj.count - before)) ]
+                        ~args:[ ("samples", Trace.Int given) ]
                         ~id:(Trace.share_flow_id ~seed ~parent:p ~child:j)
                         "share.donate"
                     end)
                   (parents j);
-                if cj.count >= target then begin
+                if Sample_bag.is_full cj.bag then begin
                   end_share_flows j;
                   complete j newly
                 end
@@ -325,23 +313,24 @@ let run_contained ?(config = Gibbs.default_config)
               (Error.make Error.Scheduler ~code:"fault_inject.task"
                  ~context:[ ("node", string_of_int i) ]
                  "injected task fault");
-          if st.count < target then begin
+          let bag = st.bag in
+          if not (Sample_bag.is_full bag) then begin
             let rng = Prob.Rng.create (task_seed ~seed i) in
-            let c = Gibbs.chain ~telemetry rng sampler st.tuple in
+            let c = Gibbs.chain ~telemetry rng sampler (Sample_bag.tuple bag) in
             for _ = 1 to config.Gibbs.burn_in do
-              ignore (Gibbs.sweep rng c);
+              Gibbs.step rng c;
               log.sweeps <- log.sweeps + 1
             done;
             let stride = max 8 (target / 8) in
-            while st.count < target do
-              st.samples <- Gibbs.sweep rng c :: st.samples;
-              st.count <- st.count + 1;
+            while not (Sample_bag.is_full bag) do
+              Sample_bag.sweep bag rng c;
               log.sweeps <- log.sweeps + 1;
               log.recorded <- log.recorded + 1;
-              if st.count mod stride = 0 && Trace.enabled () then begin
+              if Sample_bag.count bag mod stride = 0 && Trace.enabled () then
+              begin
                 let rhat, ess =
-                  Diagnostics.convergence_snapshot sampler st.tuple
-                    (List.rev st.samples)
+                  Diagnostics.convergence_snapshot sampler
+                    (Sample_bag.tuple bag) (Sample_bag.points bag)
                 in
                 Trace.counter ~id:i ~cat:"gibbs" "gibbs.convergence"
                   [
@@ -484,9 +473,6 @@ let run_contained ?(config = Gibbs.default_config)
         (* Merge: node order (first-seen workload order), exactly like the
            sequential strategies. Failed/skipped nodes are excluded from
            the estimates and reported in [faults] instead. *)
-        let est_sampler =
-          Sampler_cache.get ?method_ ?memoize ?pcache:cache model
-        in
         let estimates = ref [] and faults = ref [] in
         for i = n - 1 downto 0 do
           let st = nodes.(i) in
@@ -495,15 +481,14 @@ let run_contained ?(config = Gibbs.default_config)
               faults :=
                 {
                   node = i;
-                  tuple = st.tuple;
+                  tuple = Sample_bag.tuple st.bag;
                   error;
                   upstream = st.failed_upstream;
                 }
                 :: !faults
           | None ->
               estimates :=
-                ( st.tuple,
-                  Gibbs.estimate_of_points est_sampler st.tuple st.samples )
+                (Sample_bag.tuple st.bag, Sample_bag.estimate st.bag)
                 :: !estimates
         done;
         let estimates = !estimates and faults = !faults in
@@ -514,7 +499,7 @@ let run_contained ?(config = Gibbs.default_config)
         end;
         let sum f = Array.fold_left (fun acc l -> acc + f l) 0 logs in
         let sweeps = sum (fun l -> l.sweeps) in
-        let recorded = sum (fun l -> l.recorded) + !donated in
+        let recorded = sum (fun l -> l.recorded) + !shared in
         Telemetry.add telemetry "parallel.tasks" (sum (fun l -> l.tasks));
         Telemetry.add telemetry "parallel.steals" (sum (fun l -> l.steals));
         Telemetry.add telemetry "parallel.sweeps" sweeps;

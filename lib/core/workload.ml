@@ -19,24 +19,24 @@ type result = {
   stats : stats;
 }
 
-(* Mutable per-node sampling state shared by the strategies. *)
+(* Mutable per-node sampling state shared by the strategies; samples
+   live in the node's flat bag. *)
 type node_state = {
-  tuple : Relation.Tuple.t;
-  mutable samples : int array list;  (* newest first *)
-  mutable count : int;
+  bag : Sample_bag.t;
   mutable chain : Gibbs.chain option;
   mutable completed : bool;
 }
 
-let fresh_state tup =
-  { tuple = tup; samples = []; count = 0; chain = None; completed = false }
-
-let record st point =
-  st.samples <- point :: st.samples;
-  st.count <- st.count + 1
-
-let estimate_of_state sampler st =
-  Gibbs.estimate_of_points sampler st.tuple st.samples
+let fresh_states config sampler dag =
+  let schema = Model.schema (Gibbs.model sampler) in
+  Array.init (Tuple_dag.node_count dag) (fun i ->
+      {
+        bag =
+          Sample_bag.create schema ~capacity:config.Gibbs.samples
+            (Tuple_dag.tuple dag i);
+        chain = None;
+        completed = false;
+      })
 
 (* Convergence timeline: one [gibbs.convergence] counter event per
    [convergence_stride target] recorded sweeps, carrying the running
@@ -44,10 +44,11 @@ let estimate_of_state sampler st =
    so untraced runs never pay the O(n · cardinality) snapshot. *)
 let convergence_stride target = max 8 (target / 8)
 
-let trace_convergence sampler st node =
+let trace_convergence sampler bag node =
   if Trace.enabled () then begin
     let rhat, ess =
-      Diagnostics.convergence_snapshot sampler st.tuple (List.rev st.samples)
+      Diagnostics.convergence_snapshot sampler (Sample_bag.tuple bag)
+        (Sample_bag.points bag)
     in
     Trace.counter ~id:node ~cat:"gibbs" "gibbs.convergence"
       [
@@ -57,9 +58,14 @@ let trace_convergence sampler st node =
       ]
   end
 
+let burn_in config rng c sweeps =
+  for _ = 1 to config.Gibbs.burn_in do
+    Gibbs.step rng c;
+    incr sweeps
+  done
+
 let tuple_at_a_time config telemetry rng sampler dag sweeps recorded =
-  let n = Tuple_dag.node_count dag in
-  let states = Array.init n (fun i -> fresh_state (Tuple_dag.tuple dag i)) in
+  let states = fresh_states config sampler dag in
   let stride = convergence_stride config.Gibbs.samples in
   Array.iteri
     (fun i st ->
@@ -67,16 +73,15 @@ let tuple_at_a_time config telemetry rng sampler dag sweeps recorded =
         ~args:[ ("node", Trace.Int i) ]
         "workload.node"
       @@ fun () ->
-      let c = Gibbs.chain ~telemetry rng sampler st.tuple in
-      for _ = 1 to config.Gibbs.burn_in do
-        ignore (Gibbs.sweep rng c);
-        incr sweeps
-      done;
+      let bag = st.bag in
+      let c = Gibbs.chain ~telemetry rng sampler (Sample_bag.tuple bag) in
+      burn_in config rng c sweeps;
       for _ = 1 to config.Gibbs.samples do
-        record st (Gibbs.sweep rng c);
+        Sample_bag.sweep bag rng c;
         incr sweeps;
         incr recorded;
-        if st.count mod stride = 0 then trace_convergence sampler st i
+        if Sample_bag.count bag mod stride = 0 then
+          trace_convergence sampler bag i
       done;
       st.completed <- true)
     states;
@@ -87,10 +92,8 @@ let tuple_at_a_time config telemetry rng sampler dag sweeps recorded =
    shares onward immediately. *)
 let tuple_dag_strategy config telemetry rng sampler dag sweeps recorded
     shared =
-  let n = Tuple_dag.node_count dag in
-  let states = Array.init n (fun i -> fresh_state (Tuple_dag.tuple dag i)) in
-  let target = config.Gibbs.samples in
-  let stride = convergence_stride target in
+  let states = fresh_states config sampler dag in
+  let stride = convergence_stride config.Gibbs.samples in
   let frontier = Queue.create () in
   List.iter (fun i -> Queue.add i frontier) (Tuple_dag.roots dag);
   let all_parents_done i =
@@ -103,19 +106,11 @@ let tuple_dag_strategy config telemetry rng sampler dag sweeps recorded
       (fun j ->
         let sj = states.(j) in
         if not sj.completed then begin
-          (* ShareSamples(r, s): donate matching samples, oldest first so
-             reruns are deterministic, up to the target. *)
-          List.iter
-            (fun point ->
-              if sj.count < target
-                 && Relation.Tuple.matches ~point sj.tuple
-              then begin
-                record sj point;
-                incr recorded;
-                incr shared
-              end)
-            (List.rev st.samples);
-          if sj.count >= target then complete j
+          (* ShareSamples(i, j) *)
+          let donated = Sample_bag.share ~donor:st.bag sj.bag in
+          recorded := !recorded + donated;
+          shared := !shared + donated;
+          if Sample_bag.is_full sj.bag then complete j
           else if all_parents_done j then Queue.add j frontier
         end)
       (Tuple_dag.children dag i)
@@ -128,50 +123,43 @@ let tuple_dag_strategy config telemetry rng sampler dag sweeps recorded
         match st.chain with
         | Some c -> c
         | None ->
-            let c = Gibbs.chain ~telemetry rng sampler st.tuple in
-            for _ = 1 to config.Gibbs.burn_in do
-              ignore (Gibbs.sweep rng c);
-              incr sweeps
-            done;
+            let c =
+              Gibbs.chain ~telemetry rng sampler (Sample_bag.tuple st.bag)
+            in
+            burn_in config rng c sweeps;
             st.chain <- Some c;
             c
       in
-      record st (Gibbs.sweep rng c);
+      Sample_bag.sweep st.bag rng c;
       incr sweeps;
       incr recorded;
-      if st.count mod stride = 0 then trace_convergence sampler st i;
-      if st.count >= target then complete i else Queue.add i frontier
+      if Sample_bag.count st.bag mod stride = 0 then
+        trace_convergence sampler st.bag i;
+      if Sample_bag.is_full st.bag then complete i else Queue.add i frontier
     end
   done;
   states
 
 let all_at_a_time config telemetry rng sampler dag max_draws sweeps recorded =
-  let n = Tuple_dag.node_count dag in
-  let states = Array.init n (fun i -> fresh_state (Tuple_dag.tuple dag i)) in
+  let states = fresh_states config sampler dag in
+  let n = Array.length states in
   if n > 0 then begin
     let arity = Array.length (Tuple_dag.tuple dag 0) in
     let star = Array.make arity None in
     let c = Gibbs.chain ~telemetry rng sampler star in
-    for _ = 1 to config.Gibbs.burn_in do
-      ignore (Gibbs.sweep rng c);
-      incr sweeps
-    done;
-    let target = config.Gibbs.samples in
+    burn_in config rng c sweeps;
     let remaining = ref n in
     let draws = ref 0 in
     while !remaining > 0 && !draws < max_draws do
-      let point = Gibbs.sweep rng c in
+      Gibbs.step rng c;
+      let point = Gibbs.current c in
       incr sweeps;
       incr draws;
       Array.iter
         (fun st ->
-          if (not st.completed)
-             && st.count < target
-             && Relation.Tuple.matches ~point st.tuple
-          then begin
-            record st point;
+          if (not st.completed) && Sample_bag.offer st.bag point then begin
             incr recorded;
-            if st.count >= target then begin
+            if Sample_bag.is_full st.bag then begin
               st.completed <- true;
               decr remaining
             end
@@ -182,14 +170,13 @@ let all_at_a_time config telemetry rng sampler dag max_draws sweeps recorded =
        chain so every workload member still receives an estimate. *)
     Array.iter
       (fun st ->
-        if st.count = 0 then begin
-          let c = Gibbs.chain ~telemetry rng sampler st.tuple in
-          for _ = 1 to config.Gibbs.burn_in do
-            ignore (Gibbs.sweep rng c);
-            incr sweeps
-          done;
-          for _ = 1 to target do
-            record st (Gibbs.sweep rng c);
+        if Sample_bag.count st.bag = 0 then begin
+          let c =
+            Gibbs.chain ~telemetry rng sampler (Sample_bag.tuple st.bag)
+          in
+          burn_in config rng c sweeps;
+          for _ = 1 to config.Gibbs.samples do
+            Sample_bag.sweep st.bag rng c;
             incr sweeps;
             incr recorded
           done
@@ -257,7 +244,9 @@ let run ?(config = Gibbs.default_config) ?(strategy = Tuple_dag)
         !sweeps !recorded !shared wall);
   let estimates =
     Array.to_list
-      (Array.map (fun st -> (st.tuple, estimate_of_state sampler st)) states)
+      (Array.map
+         (fun st -> (Sample_bag.tuple st.bag, Sample_bag.estimate st.bag))
+         states)
   in
   (* Quality hook: observation only, after every sample has been drawn —
      the monitor never touches the sampler or the inference RNG. *)

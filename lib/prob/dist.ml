@@ -18,6 +18,12 @@ let of_weights w =
   if s <= 0. then invalid_arg "Dist.of_weights: all weights are zero";
   Array.map (fun x -> x /. s) w
 
+let of_probs p =
+  check_weights "Dist.of_probs" p;
+  if Float.abs (total p -. 1.) > 1e-9 then
+    invalid_arg "Dist.of_probs: probabilities must sum to 1 within 1e-9";
+  Array.copy p
+
 let smooth ?(floor = smoothing_floor) w =
   check_weights "Dist.smooth" w;
   let n = Array.length w in
@@ -43,16 +49,19 @@ let size = Array.length
 let prob d i = d.(i)
 let to_array d = Array.copy d
 
+(* Inverse-CDF walk as a plain loop: the cumulative sum stays an unboxed
+   local and no closure is built, so a draw allocates nothing beyond the
+   RNG's own output. The accumulation runs left to right exactly as a
+   recursive walk would, and the last index is taken without a compare. *)
 let sample rng d =
   let u = Rng.float rng in
-  let n = Array.length d in
-  let rec walk i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. d.(i) in
-      if u < acc then i else walk (i + 1) acc
-  in
-  walk 0 0.
+  let last = Array.length d - 1 in
+  if last < 0 then invalid_arg "Dist.sample: empty distribution";
+  let i = ref 0 and acc = ref 0. in
+  while !i < last && (acc := !acc +. d.(!i); not (u < !acc)) do
+    incr i
+  done;
+  !i
 
 let mode d =
   let best = ref 0 in

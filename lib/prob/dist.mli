@@ -19,6 +19,13 @@ val of_weights : float array -> t
     or non-finite, or all weights are zero. No smoothing is applied beyond
     normalization; use {!smooth} for the paper's flooring. *)
 
+val of_probs : float array -> t
+(** [of_probs p] adopts [p] unchanged (as a copy) when it already is a
+    distribution: every entry finite and non-negative, entries summing to
+    1 within 1e-9. Unlike {!of_weights} it never divides, so a
+    distribution written out with full precision reads back bit for bit.
+    Raises [Invalid_argument] otherwise. *)
+
 val smooth : ?floor:float -> float array -> t
 (** [smooth w] implements the paper's CPD repair: treat [w] as partial
     probability mass (entries in [0, 1], summing to at most ~1), distribute

@@ -1,26 +1,35 @@
 (* splitmix64: state advances by the golden-gamma constant; the output
    function is a 64-bit finalizer (variant 13 of Stafford's mixers). *)
 
-type t = { mutable state : int64 }
+(* The state lives in an 8-byte buffer rather than a mutable [int64]
+   field: reads and writes go through unboxed primitives, so advancing
+   the generator allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed))
+
+let[@inline] bits64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
 
 let split t =
   let seed = bits64 t in
-  { state = mix64 seed }
+  of_state (mix64 seed)
 
-let copy t = { state = t.state }
+let copy t = Bytes.copy t
 
 (* Uniform int in [0, bound) by rejection on the top 62 bits, avoiding the
    modulo bias that a plain [mod] would introduce. *)
@@ -35,7 +44,7 @@ let int t bound =
   in
   draw ()
 
-let float t =
+let[@inline] float t =
   (* 53 random bits scaled into [0, 1). *)
   let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
   float_of_int r *. 0x1p-53

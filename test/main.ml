@@ -26,4 +26,5 @@ let () =
       ("quality", Test_quality.suite);
       ("resource", Test_resource.suite);
       ("kernel", Test_kernel.suite);
+      ("sample-bag", Test_sample_bag.suite);
     ]

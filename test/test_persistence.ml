@@ -103,6 +103,43 @@ let test_of_string_rejects_garbage () =
        false
      with Failure _ -> true)
 
+let test_roundtrip_exact_bn7 () =
+  (* Stored CPDs are adopted as written: re-dividing them by their sum,
+     which is 1 only to within an ulp, used to rewrite about one line in
+     sixteen of a learned BN7 model. *)
+  let entry = Bayesnet.Catalog.find "BN7" in
+  let r = rng () in
+  let net = Bayesnet.Network.generate r entry.topology in
+  let model =
+    Mrsl.Model.learn
+      ~params:{ Mrsl.Model.default_params with support_threshold = 0.01 }
+      (Bayesnet.Network.sample_instance r net 5000)
+  in
+  let text = Mrsl.Model_io.to_string model in
+  let again = Mrsl.Model_io.to_string (Mrsl.Model_io.of_string text) in
+  Alcotest.(check bool) "to_string (of_string s) = s" true (again = text)
+
+let test_of_string_rejects_unnormalized_cpd () =
+  let model = Mrsl.Model.learn_points dependent_schema (dependent_points 100) in
+  let lines = String.split_on_char '\n' (Mrsl.Model_io.to_string model) in
+  let first_meta = ref true in
+  let text =
+    String.concat "\n"
+      (List.map
+         (fun line ->
+           match String.split_on_char '\t' line with
+           | [ "meta"; w; body; _ ] when !first_meta ->
+               first_meta := false;
+               String.concat "\t" [ "meta"; w; body; "0.5;0.6" ]
+           | _ -> line)
+         lines)
+  in
+  match Mrsl.Model_io.of_string text with
+  | _ -> Alcotest.fail "a CPD summing to 1.1 was accepted"
+  | exception Failure msg ->
+      Alcotest.(check bool) ("line-numbered: " ^ msg) true
+        (String.starts_with ~prefix:"Model_io line " msg)
+
 (* --- Discretize --- *)
 
 let test_cut_points_equal_width () =
@@ -193,6 +230,10 @@ let suite =
      test_restored_model_infers_identically);
     ("model file roundtrip", `Quick, test_file_roundtrip);
     ("deserialization rejects garbage", `Quick, test_of_string_rejects_garbage);
+    ("learned BN7 model round-trips byte for byte", `Quick,
+     test_roundtrip_exact_bn7);
+    ("deserialization rejects an unnormalized CPD", `Quick,
+     test_of_string_rejects_unnormalized_cpd);
     ("equal-width cut points", `Quick, test_cut_points_equal_width);
     ("equal-frequency cut points", `Quick, test_cut_points_equal_frequency);
     ("bucket_of", `Quick, test_bucket_of);

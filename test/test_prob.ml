@@ -188,6 +188,67 @@ let test_sample_distribution () =
         (float_of_int c /. float_of_int n))
     counts
 
+(* [Dist.sample] was once this recursive inverse-CDF walk; the loop that
+   replaced it must return the same index for every distribution and RNG
+   state. *)
+let recursive_sample rng (d : Prob.Dist.t) =
+  let u = Prob.Rng.float rng in
+  let d = (d :> float array) in
+  let n = Array.length d in
+  let rec walk i acc =
+    if i = n - 1 then i
+    else
+      let acc = acc +. d.(i) in
+      if u < acc then i else walk (i + 1) acc
+  in
+  walk 0 0.
+
+let test_sample_edge_cases () =
+  let r = rng () in
+  (* [probs] and [expected] see the next draw u, known in advance (from a
+     copy of the generator) so cumulative sums can be made to hit it. *)
+  let check msg probs expected =
+    let u = Prob.Rng.float (Prob.Rng.copy r) in
+    let d = Prob.Dist.of_probs (probs u) in
+    Alcotest.(check int)
+      (msg ^ " (reference)")
+      (expected u)
+      (recursive_sample (Prob.Rng.copy r) d);
+    Alcotest.(check int) msg (expected u) (Prob.Dist.sample r d)
+  in
+  for _ = 1 to 50 do
+    check "n = 1" (fun _ -> [| 1. |]) (fun _ -> 0);
+    (* Cumulative mass equal to u is not enough: the walk moves on. *)
+    check "boundary, then a later index"
+      (fun u -> [| u; (1. -. u) /. 2.; (1. -. u) /. 2. |])
+      (fun u -> if u < u +. ((1. -. u) /. 2.) then 1 else 2);
+    check "boundary before the last index"
+      (fun u -> [| u /. 2.; u /. 2.; 1. -. u |])
+      (fun _ -> 2);
+    (* The last index is taken without comparing u to the total. *)
+    check "last index" (fun _ -> [| 0.; 0.; 1. |]) (fun _ -> 2);
+    check "last index below u"
+      (fun u -> [| u /. 4.; u /. 4.; 1. -. (u /. 2.) |])
+      (fun _ -> 2)
+  done
+
+let test_of_probs () =
+  let p = [| 0.25; 0.5; 0.25 |] in
+  Alcotest.(check bool) "adopted unchanged" true
+    ((Prob.Dist.of_probs p :> float array) = p);
+  List.iter
+    (fun (msg, bad) ->
+      match Prob.Dist.of_probs bad with
+      | _ -> Alcotest.failf "%s: accepted" msg
+      | exception Invalid_argument _ -> ())
+    [
+      ("sum above 1", [| 0.5; 0.6 |]);
+      ("sum below 1", [| 0.5; 0.4 |]);
+      ("negative", [| -0.1; 1.1 |]);
+      ("nan", [| Float.nan; 1. |]);
+      ("empty", [||]);
+    ]
+
 let test_mode_tie_break () =
   let d = Prob.Dist.of_weights [| 0.4; 0.4; 0.2 |] in
   Alcotest.(check int) "ties to smaller index" 0 (Prob.Dist.mode d)
@@ -384,6 +445,15 @@ let prop_dist_normalized =
         (Array.fold_left ( +. ) 0. (Prob.Dist.to_array d))
         1.0)
 
+let prop_sample_matches_walk =
+  qcheck "sample = recursive walk"
+    QCheck2.Gen.(tup2 dist_gen int)
+    (fun (d, seed) ->
+      let r = Prob.Rng.create seed and r_ref = Prob.Rng.create seed in
+      List.for_all
+        (fun _ -> Prob.Dist.sample r d = recursive_sample r_ref d)
+        (List.init 20 Fun.id))
+
 let prop_kl_nonneg =
   qcheck "KL is non-negative"
     QCheck2.Gen.(tup2 dist_gen dist_gen)
@@ -436,6 +506,8 @@ let suite =
     ("uniform", `Quick, test_uniform);
     ("point distribution", `Quick, test_point_dist);
     ("sample matches distribution", `Quick, test_sample_distribution);
+    ("sample edge cases = recursive walk", `Quick, test_sample_edge_cases);
+    ("of_probs adopts or rejects", `Quick, test_of_probs);
     ("mode tie-break", `Quick, test_mode_tie_break);
     ("average", `Quick, test_average);
     ("weighted average", `Quick, test_weighted_average);
@@ -458,6 +530,7 @@ let suite =
     ("dirichlet mean", `Quick, test_dirichlet_mean);
     ("dirichlet rejects", `Quick, test_dirichlet_rejects);
     prop_dist_normalized;
+    prop_sample_matches_walk;
     prop_kl_nonneg;
     prop_tv_bounded;
     prop_smooth_positive;
