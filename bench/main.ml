@@ -268,8 +268,8 @@ let run_parallel_bench fx =
       (fun domains ->
         let telemetry = Mrsl.Telemetry.create () in
         (* Double-accounting guard: the per-run registry is fresh, but
-           the domain pool — and the per-domain DLS sampler caches in it
-           — persists across sections. Record both facts: a [pool.reused]
+           the domain pool and the model's conditional tables persist
+           across sections. Record both facts: a [pool.reused]
            marker event when warm domains are reused, and whether this
            run's counters really start from zero (the gate fails the run
            otherwise). *)
@@ -558,7 +558,7 @@ let run_kernel () =
   let gibbs_run () =
     (* A fresh unmemoized sampler per run: every sweep pays the full
        voting cost, which is exactly what the kernel compiles away —
-       a shared memo would hide both paths behind hash probes. *)
+       a shared table would hide both paths behind table reads. *)
     let sampler = Mrsl.Gibbs.sampler ~memoize:false fx.model in
     ignore
       (Mrsl.Gibbs.run ~config:gibbs_config (Prob.Rng.create 7) sampler
@@ -942,25 +942,25 @@ let render_quality rng =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Posterior-cache artifact: the evidence-keyed cache on the serving hot
-   path, measured on a workload built to have high signature sharing.
+(* Conditional-table artifact: the model epoch's per-attribute
+   conditional tables (Kernel), measured on a workload built to have high
+   context sharing.
 
    The schema pairs chain-correlated attributes (the miner turns these
    into meta-rules) with high-cardinality iid noise attributes whose
    pairs with any head fall below the support threshold — so the noise
    never reaches a rule body, is lattice-irrelevant, and distinct tuples
-   that differ only in noise share one evidence signature. The workload
+   that differ only in noise share one evidence context. The workload
    is [patterns] evidence patterns x [variants] noise variants: the
    tuple DAG sees distinct incomparable tuples (no sample sharing), but
-   the cache collapses their posterior computations.
+   the tables collapse their conditional computations.
 
-   Three sequential runs from identical RNG seeds: uncached, cached with
-   a cold cache, cached again with the same (now warm) cache — each on a
-   fresh sampler so the per-sampler CPD memo starts empty and the cache
-   is the only carried state. Estimates must be bit-identical across all
-   three; walls, hit rate, and dedup fan-out land in BENCH_1.json, and
-   the cache.* counters (global registry) feed ci/bench_gate
-   --require-counter. Fixed sizes, independent of MRSL_SCALE. *)
+   Three runs of one Workload.run from identical RNG seeds on a freshly
+   learned model: memoize:false (every conditional recomputed), then
+   memoized on the cold tables, then memoized again on the tables the
+   second run filled. Estimates must be bit-identical across all three;
+   walls and table probe counts land in BENCH_1.json. Fixed sizes,
+   independent of MRSL_SCALE. *)
 
 let render_cache rng =
   let buf = Buffer.create 512 in
@@ -1016,15 +1016,16 @@ let render_cache rng =
                t)))
   in
   let config = { Mrsl.Gibbs.burn_in = 5; samples = 30 } in
-  let run_with sampler =
-    Mrsl.Workload.run ~config (Prob.Rng.create (seed + 17)) sampler workload
+  let run_with memoize =
+    let sampler = Mrsl.Gibbs.sampler ~memoize model in
+    let result =
+      Mrsl.Workload.run ~config (Prob.Rng.create (seed + 17)) sampler workload
+    in
+    (result, Mrsl.Gibbs.cache_stats sampler)
   in
-  let uncached = run_with (Mrsl.Gibbs.sampler model) in
-  let cache = Mrsl.Posterior_cache.create () in
-  let cold = run_with (Mrsl.Gibbs.sampler ~cache model) in
-  let cold_stats = Mrsl.Posterior_cache.stats cache in
-  let warm = run_with (Mrsl.Gibbs.sampler ~cache model) in
-  let stats = Mrsl.Posterior_cache.stats cache in
+  let off, _ = run_with false in
+  let cold, (cold_hits, cold_misses) = run_with true in
+  let warm, (warm_hits, warm_misses) = run_with true in
   let identical (a : Mrsl.Workload.result) (b : Mrsl.Workload.result) =
     List.length a.estimates = List.length b.estimates
     && List.for_all2
@@ -1032,25 +1033,26 @@ let render_cache rng =
            ta = tb && (ea.joint :> float array) = (eb.joint :> float array))
          a.estimates b.estimates
   in
-  let bit_identical = identical uncached cold && identical uncached warm in
+  let bit_identical = identical off cold && identical off warm in
   let wall (r : Mrsl.Workload.result) = r.stats.wall_seconds in
   let speedup denom num = if num > 0. then denom /. num else Float.nan in
+  let rate hits misses =
+    if hits + misses = 0 then 0.
+    else float_of_int hits /. float_of_int (hits + misses)
+  in
   out "workload: %d tuples (%d evidence patterns x %d noise variants)"
     (List.length workload) patterns variants;
-  out "uncached:    %.3fs (%d sweeps)" (wall uncached) uncached.stats.sweeps;
-  out "cached cold: %.3fs  speedup %.2fx  (%d hits / %d misses, fanout %d)"
-    (wall cold)
-    (speedup (wall uncached) (wall cold))
-    cold_stats.hits cold_stats.misses cold_stats.dedup_fanout;
-  out "cached warm: %.3fs  speedup %.2fx  (hit rate %.3f over both runs)"
+  out "memoize off: %.3fs (%d sweeps)" (wall off) off.stats.sweeps;
+  out "cold table:  %.3fs  speedup %.2fx  (%d hits / %d misses)" (wall cold)
+    (speedup (wall off) (wall cold))
+    cold_hits cold_misses;
+  out "warm table:  %.3fs  speedup %.2fx  (%d hits / %d misses, hit rate %.3f)"
     (wall warm)
-    (speedup (wall uncached) (wall warm))
-    (Mrsl.Posterior_cache.hit_rate cache);
-  out "cache: %d entries, %d bytes, %d evictions" stats.entries stats.bytes
-    stats.evictions;
+    (speedup (wall off) (wall warm))
+    warm_hits warm_misses (rate warm_hits warm_misses);
   out "estimates bit-identical across all three runs: %b" bit_identical;
   if not bit_identical then
-    failwith "posterior cache changed sampling output (bit-identity broken)";
+    failwith "conditional table changed sampling output (bit-identity broken)";
   cache_block :=
     Some
       (Json.Obj
@@ -1060,20 +1062,16 @@ let render_cache rng =
            ("noise_variants", Json.Int variants);
            ("samples_per_tuple", Json.Int config.samples);
            ("burn_in", Json.Int config.burn_in);
-           ("uncached_wall_seconds", Json.Float (wall uncached));
+           ("off_wall_seconds", Json.Float (wall off));
            ("cold_wall_seconds", Json.Float (wall cold));
            ("warm_wall_seconds", Json.Float (wall warm));
-           ("speedup_cold", Json.Float (speedup (wall uncached) (wall cold)));
-           ("speedup_warm", Json.Float (speedup (wall uncached) (wall warm)));
-           ("cold_hits", Json.Int cold_stats.hits);
-           ("cold_misses", Json.Int cold_stats.misses);
-           ("hits", Json.Int stats.hits);
-           ("misses", Json.Int stats.misses);
-           ("hit_rate", Json.Float (Mrsl.Posterior_cache.hit_rate cache));
-           ("dedup_fanout", Json.Int stats.dedup_fanout);
-           ("evictions", Json.Int stats.evictions);
-           ("entries", Json.Int stats.entries);
-           ("bytes", Json.Int stats.bytes);
+           ("speedup_cold", Json.Float (speedup (wall off) (wall cold)));
+           ("speedup_warm", Json.Float (speedup (wall off) (wall warm)));
+           ("cold_hits", Json.Int cold_hits);
+           ("cold_misses", Json.Int cold_misses);
+           ("warm_hits", Json.Int warm_hits);
+           ("warm_misses", Json.Int warm_misses);
+           ("warm_hit_rate", Json.Float (rate warm_hits warm_misses));
            ("bit_identical", Json.Bool bit_identical);
          ]);
   Buffer.contents buf
@@ -1696,7 +1694,7 @@ let artifacts =
       "Quality: shadow-mask calibration, drift, ensemble health",
       render_quality );
     ( "cache",
-      "Posterior cache: hit rate, dedup fan-out, cached-vs-uncached speedup",
+      "Conditional tables: memoize off vs cold vs warm, hit counts, speedup",
       render_cache );
     ( "serve",
       "Serving daemon: request latency, throughput, dedup, hot swap",

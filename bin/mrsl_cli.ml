@@ -345,20 +345,18 @@ let infer_cmd =
     let on =
       Arg.info [ "cache" ]
         ~doc:
-          "Memoize single-missing-value posteriors by evidence signature \
-           (model epoch + attribute + lattice-relevant known cells) and \
-           dedup identical inference requests across the workload. Cached \
-           output is bit-identical to uncached output. Enabled by default."
+          "Memoize Gibbs conditionals in the model's per-epoch conditional \
+           tables, keyed by attribute and lattice-relevant evidence \
+           context. Output is bit-identical to unmemoized output. Enabled \
+           by default."
     in
     let off =
       Arg.info [ "no-cache" ]
-        ~doc:"Disable the evidence-keyed posterior cache."
+        ~doc:
+          "Recompute every Gibbs conditional (the paper prototype's cost \
+           model)."
     in
     Arg.(value & vflag true [ (true, on); (false, off) ])
-  in
-  let cache_mb_arg =
-    let doc = "Posterior-cache byte budget, in MiB (LRU-evicted beyond it)." in
-    Arg.(value & opt positive_int 64 & info [ "cache-mb" ] ~doc ~docv:"MB")
   in
   let print_estimate schema top (tup, est) =
     let block = Probdb.Block.of_estimate est in
@@ -376,8 +374,8 @@ let infer_cmd =
         (Probdb.Block.alternative_count block - top)
   in
   let run input support max_itemsets method_ strategy samples burn_in top
-      model_path lenient domains on_fault retry use_cache cache_mb use_kernel
-      trace prometheus seed =
+      model_path lenient domains on_fault retry memoize use_kernel trace
+      prometheus seed =
     Mrsl.Kernel.set_enabled use_kernel;
     with_trace trace @@ fun () ->
     Fun.protect ~finally:(fun () -> write_prometheus prometheus) @@ fun () ->
@@ -418,19 +416,11 @@ let infer_cmd =
     if incomplete = [] then print_endline "no incomplete tuples to infer"
     else begin
       let config = { Mrsl.Gibbs.burn_in; samples } in
-      let cache =
-        if use_cache then
-          Some
-            (Mrsl.Posterior_cache.create
-               ~max_bytes:(cache_mb * 1024 * 1024)
-               ())
-        else None
-      in
       if retry then begin
         (* Convergence-checked sequential path: one chain per distinct
            tuple, retried with doubled draws while split R-hat exceeds
            the threshold and the budget lasts. *)
-        let sampler = Mrsl.Gibbs.sampler ~method_ ?cache model in
+        let sampler = Mrsl.Gibbs.sampler ~method_ ~memoize model in
         let rng = Prob.Rng.create seed in
         let distinct = List.sort_uniq compare incomplete in
         Printf.printf
@@ -460,7 +450,7 @@ let infer_cmd =
               | `Skip -> Mrsl.Parallel.Skip_and_report
             in
             let contained =
-              Mrsl.Parallel.run_contained ~config ~strategy ~method_ ?cache
+              Mrsl.Parallel.run_contained ~config ~strategy ~method_ ~memoize
                 ~domains:d ~policy ~seed model incomplete
             in
             let result = contained.result in
@@ -481,7 +471,7 @@ let infer_cmd =
               Printf.eprintf "%d tuples skipped by fault containment\n"
                 (List.length contained.faults)
         | None ->
-            let sampler = Mrsl.Gibbs.sampler ~method_ ?cache model in
+            let sampler = Mrsl.Gibbs.sampler ~method_ ~memoize model in
             let result =
               Mrsl.Workload.run ~config ~strategy
                 (Prob.Rng.create seed)
@@ -506,7 +496,7 @@ let infer_cmd =
       const run $ input_arg $ support_arg $ max_itemsets_arg $ method_arg
       $ strategy_arg $ samples_arg $ burn_in_arg $ top_arg $ model_arg
       $ lenient_arg $ domains_arg $ on_fault_arg $ retry_arg $ cache_arg
-      $ cache_mb_arg $ kernel_arg $ trace_arg $ prometheus_arg $ seed_arg)
+      $ kernel_arg $ trace_arg $ prometheus_arg $ seed_arg)
 
 (* ---------------- profile ---------------- *)
 
@@ -1515,12 +1505,16 @@ let resources_cmd =
     in
     let config = { Mrsl.Gibbs.burn_in; samples } in
     (* Monitor exactly the inference run (learning stays outside), so the
-       registry deltas below read as "what this workload cost". *)
+       registry deltas below read as "what this workload cost". The cache
+       is filled as [Engine] fills it for a batch of single-missing tasks. *)
     let report =
       Mrsl.Resource.monitored @@ fun () ->
+      ignore
+        (Mrsl.Posterior_cache.prewarm cache model ~method_
+           ~compute:(fun tup a -> Mrsl.Infer_single.infer ~method_ model tup a)
+           incomplete);
       let _ =
-        Mrsl.Parallel.run ~config ~method_ ~cache ~domains ~seed model
-          incomplete
+        Mrsl.Parallel.run ~config ~method_ ~domains ~seed model incomplete
       in
       Mrsl.Resource.sample_current ();
       Mrsl.Resource.report ~cache ()

@@ -74,7 +74,7 @@
    Double-accounting guard: when the current report carries a
    "parallel" block, every run in it must have counters_start_zero =
    true — per-run registries must begin empty even though the domain
-   pool (and its DLS memo caches) persists across sections. *)
+   pool (and the model's conditional tables) persists across sections. *)
 
 module Json = Mrsl.Telemetry.Json
 
@@ -484,8 +484,8 @@ let check_history_drift entries window =
 
 (* Double-accounting guard over the parallel block: the bench runs each
    domain-count configuration against a fresh registry, but the domain
-   pool — and the per-domain DLS sampler/memo caches inside it — is
-   reused across sections. Every run therefore records whether its
+   pool — and the model's conditional tables — are reused across
+   sections. Every run therefore records whether its
    per-section counters really started from zero; a [false] here means
    some section's counts leaked into another's. *)
 let check_counters_start_zero json =

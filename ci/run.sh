@@ -479,12 +479,13 @@ else
 fi
 
 echo "== cache pass =="
-# Dedicated cache suite: hit/miss/eviction accounting, epoch
-# invalidation, dedup fan-out, cached-vs-uncached bit-identity.
+# Dedicated cache suite: posterior-cache hit/miss/eviction accounting,
+# epoch invalidation, dedup fan-out; conditional tables on = off at
+# 1/2/4 domains, both table representations, and their bypasses.
 dune exec test/main.exe -- test cache
 
-# Negative check: disabling the cache must not change anything the CLI
-# prints — estimates are bit-identical with and without the cache, and
+# Negative check: turning the conditional tables off (--no-cache) must
+# not change anything the CLI prints — estimates are bit-identical, and
 # the CLI deliberately emits no cache statistics. The header's wall
 # seconds are timing noise, not output: normalize them before diffing.
 dune exec bin/mrsl_cli.exe -- infer -i examples/example.csv \

@@ -2,103 +2,53 @@ type config = { burn_in : int; samples : int }
 
 let default_config = { burn_in = 100; samples = 1000 }
 
-(* The conditional-CPD memo: monomorphic on its [int] key, so a probe
-   hashes (an inline multiply-xorshift mix, no C call) and compares an
-   immediate without the polymorphic primitives, and a hit ([find],
-   [Not_found] on a miss) allocates nothing. *)
-module Memo = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  let hash k =
-    let h = k * 0x1E3779B97F4A7C15 in
-    (h lxor (h lsr 29)) land max_int
-end)
-
 type sampler = {
   model : Model.t;
   method_ : Voting.method_;
+  memoize : bool;
   cards : int array;
-  (* Mixed-radix code of a full point (with the resampled attribute zeroed)
-     composed with the attribute index; [None] when the schema's domain is
-     too large to key safely. *)
-  memo : Prob.Dist.t Memo.t option;
-  domain_size : int;
-  cache : Posterior_cache.t option;
-      (* cross-run, cross-sampler evidence-keyed posterior cache; the memo
-         above remains the per-sampler full-point fast path *)
   mutable hits : int;
   mutable misses : int;
 }
 
-(* Distinguish "the joint domain is too large to key the memo" (an
-   [int] overflow — expected for wide schemas, and merely disables
-   memoization) from a malformed schema (cardinality < 1 — a real
-   programming error). The seed implementation folded both into a [-1]
-   sentinel, silently masking the latter. *)
-let memo_domain_size cards =
-  Array.iter
-    (fun c ->
-      if c < 1 then
-        invalid_arg "Gibbs.sampler: schema cardinality must be >= 1")
-    cards;
-  match Relation.Domain.count cards with
-  | n -> Some n
-  | exception Invalid_argument _ -> None (* overflow only: cards validated *)
-
-let sampler ?(method_ = Voting.best_averaged) ?(memoize = true) ?cache model =
+let sampler ?(method_ = Voting.best_averaged) ?(memoize = true) model =
   let schema = Model.schema model in
-  let arity = Relation.Schema.arity schema in
-  let cards = Array.init arity (Relation.Schema.cardinality schema) in
-  let domain_size =
-    match memo_domain_size cards with Some n -> n | None -> -1
+  let cards =
+    Array.init (Relation.Schema.arity schema)
+      (Relation.Schema.cardinality schema)
   in
-  let memo =
-    if memoize && domain_size > 0 && domain_size < 1 lsl 40 then
-      Some (Memo.create 4096)
-    else None
-  in
-  { model; method_; cards; memo; domain_size; cache; hits = 0; misses = 0 }
+  if Array.exists (fun c -> c < 1) cards then
+    invalid_arg "Gibbs.sampler: schema cardinality must be >= 1";
+  { model; method_; memoize; cards; hits = 0; misses = 0 }
 
 let model s = s.model
-let voting_method s = s.method_
-let posterior_cache s = s.cache
 
-let evidence_tuple point a =
-  Array.mapi (fun i v -> if i = a then None else Some v) point
+(* [x] is a point whose [-1] cells are missing; its slot [a] is ignored. *)
+let infer s x a =
+  Infer_single.infer ~method_:s.method_ s.model
+    (Array.mapi (fun i v -> if i = a || v < 0 then None else Some v) x)
+    a
 
-let compute_conditional s point a =
-  Infer_single.infer ~method_:s.method_ ?cache:s.cache s.model
-    (evidence_tuple point a) a
-
-(* Memo key of [point] for resampling [a]: the mixed-radix code of the
-   point with slot [a] read as 0, composed with [a]. No range checks —
-   callers guarantee [point] has the schema's arity and in-range values
-   ([conditional] checks them; a chain's evidence is checked once in
-   [chain] and its sampled values are in range by construction). *)
-let memo_key s point a =
-  let cards = s.cards in
-  let code = ref 0 in
-  for i = 0 to Array.length cards - 1 do
-    let v = if i = a then 0 else Array.unsafe_get point i in
-    code := (!code * Array.unsafe_get cards i) + v
-  done;
-  (a * s.domain_size) + !code
-
-let conditional_unchecked s point a =
-  match s.memo with
-  | None -> compute_conditional s point a
-  | Some memo -> (
-      let key = memo_key s point a in
-      match Memo.find memo key with
+(* One probe of the epoch's conditional table; a hit allocates nothing.
+   No range checks: callers guarantee [x] has the schema's arity and
+   in-range values ([conditional] checks them; a chain's evidence is
+   checked once in [chain] and its sampled values are in range by
+   construction). *)
+let conditional_unchecked s x a =
+  match
+    if s.memoize then Kernel.table ~method_:s.method_ s.model a else None
+  with
+  | None -> infer s x a
+  | Some tb -> (
+      let code = Kernel.context_code tb x in
+      match Kernel.find tb code with
       | d ->
           s.hits <- s.hits + 1;
           d
       | exception Not_found ->
           s.misses <- s.misses + 1;
-          let d = compute_conditional s point a in
-          Memo.add memo key d;
+          let d = infer s x a in
+          Kernel.store tb code d;
           d)
 
 let conditional s point a =
@@ -145,8 +95,8 @@ let chain ?(telemetry = Telemetry.global) rng s tup =
   let missing = Array.of_list (Relation.Tuple.missing tup) in
   if Array.length missing = 0 then
     invalid_arg "Gibbs.chain: tuple is complete";
-  (* Validate the evidence once: every later memo key of this chain is
-     computed without range checks. *)
+  (* Validate the evidence once: every later context code of this chain
+     is computed without range checks. *)
   Array.iteri
     (fun i v ->
       match v with
@@ -157,22 +107,17 @@ let chain ?(telemetry = Telemetry.global) rng s tup =
   (* Ensemble-health denominator: chains started, so nonconvergence and
      degradation counts can be read as shares of sampling activity. *)
   Telemetry.incr telemetry "gibbs.chains";
-  let state = Array.map (function Some v -> v | None -> 0) tup in
-  (* Initialize each missing attribute from its single-attribute estimate
-     given the evidence only — a valid positive starting state. This is
-     where the ensemble-voting layer runs un-memoized, so it carries the
-     [voting] trace slice for the chain. *)
+  let state = Array.map (function Some v -> v | None -> -1) tup in
+  (* Initialize each missing attribute (-1 until then) from its
+     single-attribute estimate given the evidence only — a valid positive
+     starting state. These are the chain's only votes with missing cells
+     in their context, so they carry the [voting] trace slice. *)
   Trace.complete ~cat:"voting"
     ~args:[ ("missing", Trace.Int (Array.length missing)) ]
     "gibbs.chain_init"
   @@ fun () ->
-  Array.iter
-    (fun a ->
-      let d =
-        Infer_single.infer ~method_:s.method_ ?cache:s.cache s.model tup a
-      in
-      state.(a) <- Prob.Dist.sample rng d)
-    missing;
+  let init = Array.map (conditional_unchecked s state) missing in
+  Array.iteri (fun k a -> state.(a) <- Prob.Dist.sample rng init.(k)) missing;
   { sampler = s; tuple = tup; missing; state }
 
 let step rng c =

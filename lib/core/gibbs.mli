@@ -8,10 +8,13 @@
     Smoothed meta-rule CPDs are strictly positive, so the chain is ergodic
     on the evidence-consistent slice of the space.
 
-    Conditional CPDs are memoized across sweeps *and across tuples* keyed
-    by (attribute, full evidence assignment): revisited chain states cost a
-    hash probe instead of a lattice match — the "caching the results of
-    partial computations" of Section I-B. *)
+    Conditional CPDs are memoized across sweeps, tuples, samplers, runs
+    and domains in the model epoch's conditional tables ({!Kernel}'s
+    "Conditional tables"), keyed by (voting method, attribute, evidence
+    context over the attribute's [body_attrs]): a revisited context costs
+    an array read instead of a lattice match — the "caching the results
+    of partial computations" of Section I-B. Chain initialisation reads
+    the same tables. *)
 
 type config = {
   burn_in : int;  (** B — discarded leading sweeps per chain *)
@@ -23,39 +26,25 @@ val default_config : config
     of the {!sampler}. *)
 
 type sampler
-(** A model wrapped with the conditional-CPD memo table. *)
+(** A model, a voting method, and this sampler's table probe counts. *)
 
-val memo_domain_size : int array -> int option
-(** [memo_domain_size cards] — the joint domain size used to key the
-    conditional-CPD memo, or [None] when the product overflows [int]
-    (memoization is then disabled). Raises [Invalid_argument] when any
-    cardinality is [< 1] — a malformed schema is a programming error,
-    not a reason to silently disable the memo. Exposed for tests. *)
-
-val sampler : ?method_:Voting.method_ -> ?memoize:bool ->
-  ?cache:Posterior_cache.t -> Model.t -> sampler
-(** [memoize] (default [true]) controls the conditional-CPD cache. Turning
-    it off reproduces the cost model of the paper's prototype, where every
-    Gibbs sweep pays the full ensemble-voting cost — used by the Fig 11
-    harness so sampling counts and wall time stay proportional, and ablated
-    in the benchmarks.
-
-    [?cache] attaches an evidence-keyed {!Posterior_cache}: chain
-    initialization and memo-missed conditionals consult it before paying
-    the lattice-match + vote, and fill it afterwards. Because cached
-    posteriors are bit-identical to the uncached computation, attaching a
-    cache never changes sampling output — only wall time. *)
+val sampler : ?method_:Voting.method_ -> ?memoize:bool -> Model.t -> sampler
+(** [memoize] (default [true]) makes the sampler read and fill the
+    epoch's conditional tables. Turning it off reproduces the cost model
+    of the paper's prototype, where every Gibbs sweep pays the full
+    ensemble-voting cost — used by the Fig 11 harness so sampling counts
+    and wall time stay proportional, and ablated in the benchmarks. The
+    tables are also bypassed, and every conditional recomputed, while the
+    kernel is disabled, while voter-drop injection is active, and for an
+    attribute the kernel could not compile. Stored posteriors are
+    bit-identical to recomputed ones, so [memoize] never changes sampling
+    output — only wall time. Raises [Invalid_argument] when a schema
+    cardinality is [< 1]. *)
 
 val model : sampler -> Model.t
 
-val voting_method : sampler -> Voting.method_
-(** The voting method the sampler's inference calls use. *)
-
-val posterior_cache : sampler -> Posterior_cache.t option
-(** The attached evidence-keyed posterior cache, if any. *)
-
 val conditional : sampler -> int array -> int -> Prob.Dist.t
-(** [conditional s point a] — memoized MRSL estimate of attribute [a]
+(** [conditional s point a] — the MRSL estimate of attribute [a]
     given the values of all other attributes in [point]. Raises
     [Invalid_argument] when [point] does not have the schema's arity, [a]
     is not an attribute, or a value other than [point.(a)] is out of
@@ -63,14 +52,16 @@ val conditional : sampler -> int array -> int -> Prob.Dist.t
     checked once by {!chain}.) *)
 
 val cache_stats : sampler -> int * int
-(** (hits, misses) of the conditional-CPD memo table. *)
+(** (hits, misses) of this sampler's conditional-table probes: its
+    conditionals and chain initialisations. A bypassed probe counts as
+    neither. *)
 
 val hit_rate : sampler -> float
-(** hits / (hits + misses), or [0.] before any probe (or when the memo
-    is disabled). *)
+(** hits / (hits + misses), or [0.] before any probe (or when the tables
+    are bypassed). *)
 
 val publish_cache_stats : ?telemetry:Telemetry.t -> sampler -> unit
-(** Record the memo counters into [telemetry] (default
+(** Record the probe counters into [telemetry] (default
     {!Telemetry.global}): counters [gibbs.memo_hits] /
     [gibbs.memo_misses] and one [gibbs.memo_hit_rate] histogram
     observation (skipped when the sampler was never probed). *)
@@ -93,7 +84,7 @@ val chain : ?telemetry:Telemetry.t -> Prob.Rng.t -> sampler ->
 val step : Prob.Rng.t -> chain -> unit
 (** Resample every missing attribute once, in attribute order, in place:
     the chain's {!current} point is updated and nothing is copied. On a
-    memo hit a step allocates nothing beyond the RNG's output. *)
+    table hit a step allocates nothing beyond the RNG's output. *)
 
 val current : chain -> int array
 (** The chain's live complete point (evidence slots fixed, missing slots

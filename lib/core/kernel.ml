@@ -30,7 +30,62 @@ type attr_kernel = {
   ok : bool;  (* false → fallback attribute (code wider than 62 bits) *)
 }
 
-type t = { epoch : int; attrs : attr_kernel array }
+(* --- per-epoch conditional tables --------------------------------------- *)
+
+(* Context spaces up to this many codes get a dense slot array. *)
+let dense_max_slots = 1 lsl 16
+
+(* Byte bound of one hashed table; once full, misses are not stored. *)
+let hashed_max_bytes = 16 * 1024 * 1024
+
+type store =
+  | Dense of int * Prob.Dist.t array Atomic.t
+      (* slot count; [||] until the first probe *)
+  | Hashed of {
+      lock : Mutex.t;
+      entries : (int, Prob.Dist.t) Hashtbl.t;
+      mutable bytes : int;
+    }
+
+type table = {
+  tattrs : int array;  (* the lattice's body_attrs *)
+  place : int array;  (* mixed-radix place value (radix card + 1) *)
+  store : store;
+}
+
+(* A vacant dense slot, told apart by physical equality: every stored
+   distribution is a fresh allocation. *)
+let vacant = Prob.Dist.uniform 1
+
+let method_index (m : Voting.method_) =
+  (match m.choice with Voting.All -> 0 | Voting.Best -> 2)
+  + match m.scheme with Voting.Averaged -> 0 | Voting.Weighted -> 1
+
+let make_table ~cards ba =
+  let place = Array.make (Array.length ba) 1 in
+  for p = 1 to Array.length ba - 1 do
+    place.(p) <- place.(p - 1) * (cards.(ba.(p - 1)) + 1)
+  done;
+  (* A compiled attribute's codes fit 62 bits, but the slot count can
+     reach 2^62, so it is only counted up to the dense ceiling. *)
+  let slots =
+    Array.fold_left
+      (fun n b -> if n > dense_max_slots then n else n * (cards.(b) + 1))
+      1 ba
+  in
+  let store =
+    if slots <= dense_max_slots then Dense (slots, Atomic.make [||])
+    else
+      Hashed { lock = Mutex.create (); entries = Hashtbl.create 64; bytes = 0 }
+  in
+  { tattrs = ba; place; store }
+
+type t = {
+  epoch : int;
+  attrs : attr_kernel array;
+  tables : table option array;
+      (* method index × arity + attribute; [None] for fallback attributes *)
+}
 
 let attr_compiled t a = t.attrs.(a).ok
 
@@ -139,10 +194,15 @@ let compile model =
   let schema = Model.schema model in
   let arity = Relation.Schema.arity schema in
   let cards = Array.init arity (Relation.Schema.cardinality schema) in
-  {
-    epoch = Model.epoch model;
-    attrs = Array.init arity (fun a -> compile_attr ~cards (Model.lattice model a));
-  }
+  let attrs =
+    Array.init arity (fun a -> compile_attr ~cards (Model.lattice model a))
+  in
+  let tables =
+    Array.init (4 * arity) (fun i ->
+        let ak = attrs.(i mod arity) in
+        if ak.ok then Some (make_table ~cards ak.body_attrs) else None)
+  in
+  { epoch = Model.epoch model; attrs; tables }
 
 (* --- registry ---------------------------------------------------------- *)
 
@@ -161,12 +221,17 @@ let rec take n = function
   | _ when n = 0 -> []
   | x :: tl -> x :: take (n - 1) tl
 
+(* A closure-free scan: [table] runs it on every Gibbs probe. *)
+let rec find_epoch epoch = function
+  | [] -> raise Not_found
+  | k :: tl -> if k.epoch = epoch then k else find_epoch epoch tl
+
 let rec ensure ?(telemetry = Telemetry.global) model =
   let epoch = Model.epoch model in
   let cur = Atomic.get registry in
-  match List.find_opt (fun k -> k.epoch = epoch) cur with
-  | Some k -> k
-  | None ->
+  match find_epoch epoch cur with
+  | k -> k
+  | exception Not_found ->
       let k =
         Trace.complete ~cat:"kernel"
           ~args:[ ("epoch", Trace.Int epoch) ]
@@ -192,6 +257,64 @@ let rec invalidate_stale ~current =
    while it is active the kernel steps aside (like Posterior_cache). *)
 let bypassed () =
   (Fault_inject.current ()).Fault_inject.voter_drop_rate > 0.
+
+(* --- conditional-table probes -------------------------------------------- *)
+
+let table ~method_ model a =
+  if (not (enabled ())) || bypassed () then None
+  else
+    let k = ensure model in
+    Array.unsafe_get k.tables
+      ((method_index method_ * Array.length k.attrs) + a)
+
+(* Digit v + 1, so a missing cell's -1 is digit 0. Callers pass in-range
+   values of the schema's arity; no checks here. *)
+let context_code tb x =
+  let code = ref 0 in
+  for p = 0 to Array.length tb.tattrs - 1 do
+    code :=
+      !code
+      + ((Array.unsafe_get x (Array.unsafe_get tb.tattrs p) + 1)
+        * Array.unsafe_get tb.place p)
+  done;
+  !code
+
+(* Dense slots are read and written without a lock. Several domains may
+   fill the same slot; they all store bit-identical immutable
+   distributions computed from the same epoch's kernel. Under the OCaml 5
+   memory model a racy read of a slot returns its initial value or a
+   value some domain wrote to it, and a block is seen fully initialised by
+   any domain that reads a pointer to it. So a reader sees [vacant] (and
+   recomputes) or a complete, correct distribution. The slot array is
+   published with a CAS, so no filled array is lost to a racing first
+   probe. *)
+let rec dense_slots n cell =
+  let slots = Atomic.get cell in
+  if Array.length slots > 0 then slots
+  else
+    let fresh = Array.make n vacant in
+    if Atomic.compare_and_set cell slots fresh then fresh
+    else dense_slots n cell
+
+let find tb code =
+  match tb.store with
+  | Dense (n, cell) ->
+      let d = Array.unsafe_get (dense_slots n cell) code in
+      if d == vacant then raise Not_found else d
+  | Hashed h -> Mutex.protect h.lock (fun () -> Hashtbl.find h.entries code)
+
+let store tb code d =
+  match tb.store with
+  | Dense (n, cell) -> Array.unsafe_set (dense_slots n cell) code d
+  | Hashed h ->
+      (* Bucket cell (4 words), the distribution (size + 1 words) and
+         about two words of bucket array. *)
+      let bytes = 8 * (Prob.Dist.size d + 7) in
+      Mutex.protect h.lock (fun () ->
+          if h.bytes + bytes <= hashed_max_bytes then begin
+            Hashtbl.replace h.entries code d;
+            h.bytes <- h.bytes + bytes
+          end)
 
 (* --- the compiled vote ------------------------------------------------- *)
 

@@ -62,6 +62,20 @@
     kernel. While {!Fault_inject} voter drops are active the kernel
     steps aside entirely, exactly like {!Posterior_cache}.
 
+    {2 Conditional tables}
+
+    Each kernel also carries one conditional table per voting method and
+    attribute: "posterior of [a] given this evidence context" for the
+    epoch, read and filled by every {!Gibbs} sampler of the model. The
+    key is the exact context over [body_attrs] as a mixed-radix code
+    (radix [card + 1], the digits above), so a stored entry is exactly
+    what the computation would return. A context space of at most [2^16]
+    codes is a dense array indexed by the code, allocated on the first
+    probe and read without a lock; a larger one is a locked hash table
+    bounded to 16 MiB, which stops storing once full. {!table} declines
+    whenever {!posterior} would: kernel disabled, voter drops active, or
+    a fallback attribute. A new epoch starts with empty tables.
+
     Counters: [kernel.compiles], [kernel.hits], [kernel.fallback]
     (catalogued in METRICS.md). *)
 
@@ -120,3 +134,25 @@ val cache_code : Model.t -> Relation.Tuple.t -> int -> int option
     attribute's [body_attrs] — the coded posterior-cache key. [None]
     whenever {!posterior} would decline (so cache keys and compute path
     always agree on a namespace). *)
+
+type table
+(** One conditional table (see above). *)
+
+val table : method_:Voting.method_ -> Model.t -> int -> table option
+(** The table of attribute [a] under [method_] in the kernel of the
+    model's epoch (compiled on first use, like {!ensure}), or [None]
+    when the kernel is disabled, voter drops are active, or [a] did not
+    compile. Allocates nothing once the kernel exists. *)
+
+val context_code : table -> int array -> int
+(** The context code of [x], a point whose [-1] cells are missing.
+    Unchecked: [x] must have the schema's arity and values in
+    [-1 .. card - 1]. *)
+
+val find : table -> int -> Prob.Dist.t
+(** The stored posterior of a context code; raises [Not_found]. A dense
+    probe allocates nothing. *)
+
+val store : table -> int -> Prob.Dist.t -> unit
+(** Store the posterior {!Infer_single.infer} computes for a context
+    code under the table's method. It must not be mutated afterwards. *)

@@ -23,63 +23,6 @@ let task_seed ~seed node =
      or bucket positions. *)
   seed + ((node + 1) * 0x2545F4914F6CDD1D)
 
-(* --- per-domain sampler cache --------------------------------------- *)
-
-(* Conditional-CPD memo tables are the dominant inference cache (the
-   per-ensemble caching of Section I-B); rebuilding them cold per run was
-   the seed's biggest waste. Samplers live in domain-local storage keyed
-   by the model's physical identity, so a pool domain reuses its memo —
-   hit/miss counters included — across tasks and across Parallel.run
-   calls against the same model. *)
-module Sampler_cache = struct
-  type entry = {
-    model : Model.t;
-    method_ : Voting.method_ option;
-    memoize : bool option;
-    pcache : Posterior_cache.t option;
-    kernel : bool;  (* Kernel.enabled at creation: a sampler whose memo
-                       was filled under one engine setting is never
-                       reused under the other, so toggling --kernel
-                       between runs cannot blur benchmarks *)
-    sampler : Gibbs.sampler;
-  }
-
-  let max_entries = 4
-
-  let key : entry list ref Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> ref [])
-
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: tl -> x :: take (n - 1) tl
-
-  let same_pcache a b =
-    match (a, b) with
-    | None, None -> true
-    | Some x, Some y -> x == y
-    | _ -> false
-
-  let get ?method_ ?memoize ?pcache model =
-    let cache = Domain.DLS.get key in
-    let kernel = Kernel.enabled () in
-    match
-      List.find_opt
-        (fun e ->
-          e.model == model && e.method_ = method_ && e.memoize = memoize
-          && e.kernel = kernel
-          && same_pcache e.pcache pcache)
-        !cache
-    with
-    | Some e -> e.sampler
-    | None ->
-        let sampler = Gibbs.sampler ?method_ ?memoize ?cache:pcache model in
-        cache :=
-          { model; method_; memoize; pcache; kernel; sampler }
-          :: take (max_entries - 1) !cache;
-        sampler
-end
-
 (* --- scheduler ------------------------------------------------------ *)
 
 type fault_policy = Fail_fast | Skip_and_report
@@ -111,8 +54,6 @@ type worker_log = {
   mutable tasks : int;
   mutable steals : int;
   mutable max_depth : int;
-  mutable memo_hits : int;
-  mutable memo_misses : int;
   mutable busy_ns : int;  (* time inside task execution *)
   mutable wall_ns : int;  (* the worker body's total wall *)
 }
@@ -124,8 +65,6 @@ let fresh_log () =
     tasks = 0;
     steals = 0;
     max_depth = 0;
-    memo_hits = 0;
-    memo_misses = 0;
     busy_ns = 0;
     wall_ns = 0;
   }
@@ -137,7 +76,7 @@ let empty_result () =
   }
 
 let run_contained ?(config = Gibbs.default_config)
-    ?(strategy = Workload.Tuple_dag) ?method_ ?memoize ?cache ?domains
+    ?(strategy = Workload.Tuple_dag) ?method_ ?memoize ?domains
     ?(telemetry = Telemetry.global) ?(policy = Fail_fast) ?quality
     ?request_flow ~seed model workload =
   let requested =
@@ -153,9 +92,8 @@ let run_contained ?(config = Gibbs.default_config)
   | Workload.All_at_a_time ->
       (* One chain over the fully unknown tuple: inherently sequential.
          Run it on the calling domain with the caller-visible seed.
-         Per-task containment does not apply — there is one task.
-         [Workload.run] performs the posterior-cache prewarm itself. *)
-      let sampler = Sampler_cache.get ?method_ ?memoize ?pcache:cache model in
+         Per-task containment does not apply — there is one task. *)
+      let sampler = Gibbs.sampler ?method_ ?memoize model in
       let result =
         Workload.run ~config ~strategy ~telemetry ?quality
           (Prob.Rng.create seed)
@@ -177,22 +115,6 @@ let run_contained ?(config = Gibbs.default_config)
       else begin
         let workers = max 1 (min requested n) in
         Telemetry.gauge telemetry "parallel.domains" (float_of_int workers);
-        (* Request dedup: compute each distinct evidence-signature
-           posterior once on the orchestrating domain before any task is
-           dealt; workers' chain inits then hit the shared cache. Over the
-           raw workload (repeated client tuples count toward fan-out), on
-           top of — not replacing — the tuple-DAG sample sharing below.
-           Observation-only for sampling: cached posteriors are
-           bit-identical, and per-task RNG streams are untouched. *)
-        (match cache with
-        | None -> ()
-        | Some c ->
-            let method_v = Option.value method_ ~default:Voting.best_averaged in
-            ignore
-              (Posterior_cache.prewarm c model ~method_:method_v
-                 ~compute:(fun tup a ->
-                   Infer_single.infer ~method_:method_v ~telemetry model tup a)
-                 workload));
         let use_dag = strategy = Workload.Tuple_dag in
         let parents i = if use_dag then Tuple_dag.parents dag i else [] in
         let children i = if use_dag then Tuple_dag.children dag i else [] in
@@ -393,10 +315,12 @@ let run_contained ?(config = Gibbs.default_config)
               log.max_depth <- max log.max_depth (Wsdeque.length dq)
         in
         let logs = Array.init workers (fun _ -> fresh_log ()) in
+        let samplers =
+          Array.init workers (fun _ -> Gibbs.sampler ?method_ ?memoize model)
+        in
         let worker_body wid =
           tracks.(wid) <- (Domain.self () :> int);
-          let sampler = Sampler_cache.get ?method_ ?memoize ?pcache:cache model in
-          let h0, m0 = Gibbs.cache_stats sampler in
+          let sampler = samplers.(wid) in
           let log = logs.(wid) in
           let dq = deques.(wid) in
           let next_task () =
@@ -460,10 +384,7 @@ let run_contained ?(config = Gibbs.default_config)
              if !failure = None then failure := Some e;
              Mutex.unlock coord;
              Atomic.set abort true);
-          log.wall_ns <- Clock.duration_ns ~start:w0 ~stop:(Clock.now_ns ());
-          let h1, m1 = Gibbs.cache_stats sampler in
-          log.memo_hits <- h1 - h0;
-          log.memo_misses <- m1 - m0
+          log.wall_ns <- Clock.duration_ns ~start:w0 ~stop:(Clock.now_ns ())
         in
         let t0 = Clock.now () in
         if workers = 1 then worker_body 0
@@ -504,15 +425,14 @@ let run_contained ?(config = Gibbs.default_config)
         Telemetry.add telemetry "parallel.steals" (sum (fun l -> l.steals));
         Telemetry.add telemetry "parallel.sweeps" sweeps;
         Telemetry.add telemetry "parallel.shared" !shared;
-        Array.iter
-          (fun l ->
+        Array.iter2
+          (fun l sampler ->
             Telemetry.observe telemetry "parallel.queue_depth.max"
               (float_of_int l.max_depth);
-            let probes = l.memo_hits + l.memo_misses in
-            if probes > 0 then
+            if Gibbs.cache_stats sampler <> (0, 0) then
               Telemetry.observe telemetry "gibbs.memo_hit_rate"
-                (float_of_int l.memo_hits /. float_of_int probes))
-          logs;
+                (Gibbs.hit_rate sampler))
+          logs samplers;
         (* Per-worker busy-vs-idle utilization from the task stamps:
            busy time is a subset of the worker body's wall, so each
            slot's ratio is ≤ 1 by construction. The snapshot also feeds
@@ -555,9 +475,9 @@ let run_contained ?(config = Gibbs.default_config)
         }
       end
 
-let run ?config ?strategy ?method_ ?memoize ?cache ?domains ?telemetry
-    ?quality ~seed model workload =
-  (run_contained ?config ?strategy ?method_ ?memoize ?cache ?domains
+let run ?config ?strategy ?method_ ?memoize ?domains ?telemetry ?quality
+    ~seed model workload =
+  (run_contained ?config ?strategy ?method_ ?memoize ?domains
      ?telemetry ~policy:Fail_fast ?quality ~seed model workload)
     .result
 

@@ -8,9 +8,10 @@
     per-worker deques ({!Wsdeque}): roots are dealt round-robin in task
     order, and when a node completes, subsumees whose parents have all
     finished either complete outright on donated samples or re-enter the
-    deques. Domains come from the process-wide {!Domain_pool} and keep
-    their conditional-CPD memo tables (with hit/miss counters) in
-    domain-local storage across tasks and across runs.
+    deques. Domains come from the process-wide {!Domain_pool}. Each
+    worker samples with its own {!Gibbs.sampler} (its own probe
+    counters), and all of them read and fill the model epoch's shared
+    conditional tables ({!Kernel}), which outlive the run.
 
     {b Determinism.} Each task draws from an RNG stream seeded by its
     node index in the deterministic tuple DAG — a stable task identity —
@@ -49,8 +50,8 @@ type contained = {
 }
 
 val run_contained : ?config:Gibbs.config -> ?strategy:Workload.strategy ->
-  ?method_:Voting.method_ -> ?memoize:bool -> ?cache:Posterior_cache.t ->
-  ?domains:int -> ?telemetry:Telemetry.t -> ?policy:fault_policy ->
+  ?method_:Voting.method_ -> ?memoize:bool -> ?domains:int ->
+  ?telemetry:Telemetry.t -> ?policy:fault_policy ->
   ?quality:Quality.t -> ?request_flow:int -> seed:int -> Model.t ->
   Relation.Tuple.t list -> contained
 (** [domains] defaults to [Domain.recommended_domain_count ()], capped
@@ -61,15 +62,11 @@ val run_contained : ?config:Gibbs.config -> ?strategy:Workload.strategy ->
     [parallel.domains], histograms [parallel.queue_depth.max] and
     [gibbs.memo_hit_rate], and span [parallel.run].
 
-    [cache], when given, is the evidence-keyed {!Posterior_cache} shared
-    by every worker's sampler: before any task is dealt, the orchestrator
-    groups the raw workload's [(tuple, missing attribute)] tasks by
-    evidence signature and computes each distinct posterior once (request
-    dedup — counted as [cache.dedup_fanout]); workers' chain inits and
-    memo-missed conditionals then hit the cache. Cached posteriors are
-    bit-identical to the uncached computation and per-task RNG streams
-    are untouched, so a cached run's estimates equal an uncached run's at
-    any [domains] count (asserted by the test suite).
+    [memoize] (default [true]) is {!Gibbs.sampler}'s: whether workers
+    read and fill the conditional tables. Stored posteriors are
+    bit-identical to recomputed ones and per-task RNG streams are
+    untouched, so a memoized run's estimates equal an unmemoized run's
+    at any [domains] count (asserted by the test suite).
 
     [strategy] defaults to [Tuple_dag]. [Tuple_at_a_time] uses the same
     scheduler with no sharing edges. [All_at_a_time] is a single global
@@ -104,8 +101,8 @@ val run_contained : ?config:Gibbs.config -> ?strategy:Workload.strategy ->
     task arrow. Pure observation — no effect on scheduling or output. *)
 
 val run : ?config:Gibbs.config -> ?strategy:Workload.strategy ->
-  ?method_:Voting.method_ -> ?memoize:bool -> ?cache:Posterior_cache.t ->
-  ?domains:int -> ?telemetry:Telemetry.t -> ?quality:Quality.t ->
+  ?method_:Voting.method_ -> ?memoize:bool -> ?domains:int ->
+  ?telemetry:Telemetry.t -> ?quality:Quality.t ->
   seed:int -> Model.t -> Relation.Tuple.t list -> Workload.result
 (** [run_contained] under [Fail_fast], returning only the result — the
     pre-containment interface, unchanged. *)

@@ -7,8 +7,10 @@
     one rule body ({!Lattice.body_attrs}) can change it. Real workloads
     contain many tuples sharing identical known-value contexts, so every
     repeated signature re-pays the lattice match + vote for nothing.
-    This module memoizes those posteriors across tuples, samplers, runs
-    and domains.
+    This module memoizes those posteriors across requests, batches and
+    domains of the serving path ({!Infer_single.infer}'s [?cache]).
+    Gibbs samplers do not use it: their conditionals go through the
+    model epoch's conditional tables ({!Kernel}).
 
     {2 Key derivation}
 

@@ -193,24 +193,6 @@ let run ?(config = Gibbs.default_config) ?(strategy = Tuple_dag)
   let dag =
     Trace.complete ~cat:"dag" "dag.build" (fun () -> Tuple_dag.build workload)
   in
-  (* Request dedup: when the sampler carries a posterior cache, group the
-     raw workload's (tuple, missing attribute) tasks by evidence signature
-     and compute each distinct posterior once up front — chain inits then
-     hit the cache instead of re-running lattice matching + voting. Runs
-     over the raw workload (not the deduplicated DAG) so repeated client
-     tuples count toward the fan-out. Purely a wall-time move: cached
-     posteriors are bit-identical to the uncached computation, and the
-     inference RNG is untouched. *)
-  (match Gibbs.posterior_cache sampler with
-  | None -> ()
-  | Some cache ->
-      let model = Gibbs.model sampler in
-      let method_ = Gibbs.voting_method sampler in
-      ignore
-        (Posterior_cache.prewarm cache model ~method_
-           ~compute:(fun tup a ->
-             Infer_single.infer ~method_ ~telemetry model tup a)
-           workload));
   let sweeps = ref 0 and recorded = ref 0 and shared = ref 0 in
   let memo_hits0, memo_misses0 = Gibbs.cache_stats sampler in
   let t0 = Clock.now () in

@@ -55,10 +55,8 @@ val run : ?config:Gibbs.config -> ?strategy:strategy -> ?max_draws:int ->
     outside the sampling loops, so a monitored run is bit-identical to
     an unmonitored one.
 
-    When the sampler carries a {!Posterior_cache}
-    ([Gibbs.sampler ~cache]), the run first dedups the raw workload's
-    [(tuple, missing attribute)] tasks by evidence signature and computes
-    each distinct posterior once ([cache.dedup_fanout]); chain inits then
-    hit the cache. Cached posteriors are bit-identical to the uncached
-    computation and the inference RNG is untouched, so cached and
-    uncached runs produce identical estimates. *)
+    The sampler's conditionals and chain initialisations read and fill
+    the model epoch's conditional tables (see {!Gibbs.sampler}), so a
+    run starts warm from every earlier run on the same model, sequential
+    or {!Parallel}. Stored posteriors are bit-identical to recomputed
+    ones: warm and cold runs produce identical estimates. *)

@@ -52,8 +52,9 @@ type memo_row = {
 }
 
 val memoization : Prob.Rng.t -> Scale.t -> memo_row list
-(** This repo's own addition on top of the paper: the conditional-CPD memo
-    table. Measures a fixed workload with the cache on and off. *)
+(** This repo's own addition on top of the paper: the per-epoch
+    conditional tables Gibbs reads. Measures a fixed workload with
+    memoization on and off. *)
 
 type parallel_row = {
   domains : int;  (** 0 encodes the sequential tuple-DAG reference run *)

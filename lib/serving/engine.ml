@@ -358,7 +358,7 @@ let run_multi t ~pressure responses tasks =
                  | None -> ());
                  let contained =
                    Mrsl.Parallel.run_contained ~config:gibbs ~method_
-                     ~cache:t.cache ?domains ~telemetry:t.telemetry
+                     ?domains ~telemetry:t.telemetry
                      ~policy:Mrsl.Parallel.Skip_and_report ?request_flow
                      ~seed model [ tuple ]
                  in

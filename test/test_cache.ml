@@ -1,8 +1,11 @@
 (* Posterior_cache: evidence keys, signature restriction to the
    lattice-relevant context, hit/miss/eviction accounting, model-epoch
-   invalidation, prewarm request dedup, fault-injection bypass, and the
-   headline guarantee — cached runs are bit-identical to uncached runs
-   at any domain count. *)
+   invalidation, prewarm request dedup and fault-injection bypass. Then
+   the per-epoch conditional tables Gibbs reads (Kernel): memoized runs
+   are bit-identical to unmemoized runs at any domain count, on both
+   table representations; the tables outlive a derivation, start empty
+   at a new epoch, and are neither read nor written while the kernel is
+   off or voter drops are injected. *)
 
 open Helpers
 
@@ -197,7 +200,8 @@ let test_epoch_invalidation () =
 
 let test_prewarm_dedup_fanout () =
   let model = fixture_model () in
-  let cache = Mrsl.Posterior_cache.create ~telemetry:(registry ()) () in
+  let telemetry = registry () in
+  let cache = Mrsl.Posterior_cache.create ~telemetry () in
   let method_ = Mrsl.Voting.best_averaged in
   let calls = ref 0 in
   (* Four tuples, five (tuple, attr) tasks; t1/t2/t4 share the a0 task's
@@ -224,6 +228,8 @@ let test_prewarm_dedup_fanout () =
   Alcotest.(check int) "compute once per signature" 3 !calls;
   let st = Mrsl.Posterior_cache.stats cache in
   Alcotest.(check int) "dedup_fanout accumulated" 2 st.dedup_fanout;
+  Alcotest.(check int) "telemetry fanout counter matches" 2
+    (Mrsl.Telemetry.counter telemetry "cache.dedup_fanout");
   Alcotest.(check int) "entries stored" 3 st.entries;
   (* The run's own lookups are now all hits. *)
   List.iter
@@ -235,25 +241,6 @@ let test_prewarm_dedup_fanout () =
                (fun () -> Alcotest.fail "prewarmed lookup recomputed")))
         (Relation.Tuple.missing tup))
     workload
-
-let test_workload_run_counts_fanout () =
-  let model = fixture_model () in
-  let telemetry = registry () in
-  let cache = Mrsl.Posterior_cache.create ~telemetry () in
-  let workload =
-    List.init 12 (fun i -> [| None; Some (i land 1); Some (i mod 8) |])
-  in
-  ignore
-    (Mrsl.Workload.run
-       ~config:{ Mrsl.Gibbs.burn_in = 5; samples = 20 }
-       ~telemetry (rng ())
-       (Mrsl.Gibbs.sampler ~cache model)
-       workload);
-  let st = Mrsl.Posterior_cache.stats cache in
-  Alcotest.(check bool) "workload prewarm deduped" true (st.dedup_fanout > 0);
-  Alcotest.(check bool) "sampling hit the cache" true (st.hits > 0);
-  Alcotest.(check int) "telemetry fanout counter matches" st.dedup_fanout
-    (Mrsl.Telemetry.counter telemetry "cache.dedup_fanout")
 
 (* --- fault-injection bypass ------------------------------------------ *)
 
@@ -293,7 +280,7 @@ let test_voter_drop_bypasses_cache () =
     1
     (Mrsl.Posterior_cache.stats cache).entries
 
-(* --- bit-identity ------------------------------------------------------ *)
+(* --- conditional tables ------------------------------------------------ *)
 
 let test_sequential_cached_uncached_identical () =
   let model = fixture_model () in
@@ -304,20 +291,23 @@ let test_sequential_cached_uncached_identical () =
   in
   let config = { Mrsl.Gibbs.burn_in = 5; samples = 25 } in
   let run sampler =
-    (Mrsl.Workload.run ~config ~telemetry:(registry ())
-       (Prob.Rng.create 11) sampler workload)
-      .estimates
+    let result =
+      Mrsl.Workload.run ~config ~telemetry:(registry ()) (Prob.Rng.create 11)
+        sampler workload
+    in
+    (result.estimates, Mrsl.Gibbs.cache_stats sampler)
   in
-  let plain = run (Mrsl.Gibbs.sampler model) in
-  let cache = Mrsl.Posterior_cache.create ~telemetry:(registry ()) () in
-  let cached = run (Mrsl.Gibbs.sampler ~cache model) in
-  let rewarmed = run (Mrsl.Gibbs.sampler ~cache model) in
-  Alcotest.(check bool) "cache produced hits" true
-    ((Mrsl.Posterior_cache.stats cache).hits > 0);
-  Alcotest.(check bool) "cold cache bit-identical" true
-    (estimates_equal plain cached);
-  Alcotest.(check bool) "warm cache bit-identical" true
-    (estimates_equal plain rewarmed)
+  let plain, off_stats = run (Mrsl.Gibbs.sampler ~memoize:false model) in
+  let cold, (cold_hits, _) = run (Mrsl.Gibbs.sampler model) in
+  let warm, (warm_hits, warm_misses) = run (Mrsl.Gibbs.sampler model) in
+  Alcotest.(check (pair int int)) "memoize:false never probes" (0, 0) off_stats;
+  Alcotest.(check bool) "cold table produced hits" true (cold_hits > 0);
+  Alcotest.(check int) "warm table never misses" 0 warm_misses;
+  Alcotest.(check bool) "warm table produced hits" true (warm_hits > 0);
+  Alcotest.(check bool) "cold table bit-identical" true
+    (estimates_equal plain cold);
+  Alcotest.(check bool) "warm table bit-identical" true
+    (estimates_equal plain warm)
 
 let test_parallel_cached_uncached_identical_across_domains () =
   let model = fixture_model () in
@@ -327,28 +317,161 @@ let test_parallel_cached_uncached_identical_across_domains () =
         else [| None; Some (i land 1); Some (i mod 8) |])
   in
   let config = { Mrsl.Gibbs.burn_in = 5; samples = 25 } in
-  let baseline =
-    (Mrsl.Parallel.run ~config ~domains:1 ~telemetry:(registry ()) ~seed:5
-       model workload)
+  let run ~memoize ~telemetry domains =
+    (Mrsl.Parallel.run ~config ~memoize ~domains ~telemetry ~seed:5 model
+       workload)
       .estimates
   in
+  let baseline = run ~memoize:false ~telemetry:(registry ()) 1 in
   List.iter
     (fun domains ->
-      let cache = Mrsl.Posterior_cache.create ~telemetry:(registry ()) () in
-      let cached =
-        (Mrsl.Parallel.run ~config ~cache ~domains ~telemetry:(registry ())
-           ~seed:5 model workload)
-          .estimates
+      let telemetry = registry () in
+      let off = run ~memoize:false ~telemetry:(registry ()) domains in
+      let on = run ~memoize:true ~telemetry domains in
+      let hit_rate =
+        match Mrsl.Telemetry.histogram telemetry "gibbs.memo_hit_rate" with
+        | Some s -> s.max
+        | None -> 0.
       in
       Alcotest.(check bool)
-        (Printf.sprintf "cache.hits > 0 at domains=%d" domains)
-        true
-        ((Mrsl.Posterior_cache.stats cache).hits > 0);
+        (Printf.sprintf "table hits > 0 at domains=%d" domains)
+        true (hit_rate > 0.);
       Alcotest.(check bool)
-        (Printf.sprintf "bit-identical at domains=%d" domains)
+        (Printf.sprintf "off bit-identical at domains=%d" domains)
         true
-        (estimates_equal baseline cached))
+        (estimates_equal baseline off);
+      Alcotest.(check bool)
+        (Printf.sprintf "on bit-identical at domains=%d" domains)
+        true
+        (estimates_equal baseline on))
     [ 1; 2; 4 ]
+
+(* Every table miss is one compiled vote, so [kernel.hits] in the global
+   registry (where Pdb.derive's inference counts) measures a derivation's
+   misses. *)
+let test_table_outlives_derive () =
+  let entry = Bayesnet.Catalog.find "BN10" in
+  let r = Prob.Rng.create 2011 in
+  let net = Bayesnet.Network.generate r entry.topology in
+  let data = Bayesnet.Network.sample_instance r net 600 in
+  let learn () =
+    Mrsl.Model.learn
+      ~params:{ Mrsl.Model.default_params with support_threshold = 0.02 }
+      data
+  in
+  let model = learn () in
+  let arity = Relation.Schema.arity (Mrsl.Model.schema model) in
+  let inst =
+    Relation.Instance.make (Mrsl.Model.schema model)
+      (List.init 30 (fun i ->
+           let tup =
+             Relation.Tuple.of_point (Bayesnet.Network.sample_point r net)
+           in
+           tup.(i mod arity) <- None;
+           tup.((i + 1 + (i / arity)) mod arity) <- None;
+           tup))
+  in
+  let config = { Mrsl.Gibbs.burn_in = 10; samples = 50 } in
+  let derive m =
+    let before = Mrsl.Telemetry.counter Mrsl.Telemetry.global "kernel.hits" in
+    let db = Probdb.Pdb.derive ~config (Prob.Rng.create 3) m inst in
+    ( Probdb.Pdb.blocks db,
+      Mrsl.Telemetry.counter Mrsl.Telemetry.global "kernel.hits" - before )
+  in
+  let first, first_misses = derive model in
+  let second, second_misses = derive model in
+  let fresh, fresh_misses = derive (learn ()) in
+  Alcotest.(check bool) "first derivation misses" true (first_misses > 0);
+  Alcotest.(check bool) "second derivation misses less" true
+    (second_misses < first_misses);
+  Alcotest.(check int) "a new epoch starts empty" first_misses fresh_misses;
+  Alcotest.(check bool) "warm derivation bit-identical" true (first = second);
+  Alcotest.(check bool) "new-epoch derivation bit-identical" true
+    (first = fresh)
+
+(* Number of evidence contexts of attribute [a]: ∏ (card + 1) over the
+   lattice's body attributes. *)
+let context_slots model a =
+  let schema = Mrsl.Model.schema model in
+  Array.fold_left
+    (fun n b -> n * (Relation.Schema.cardinality schema b + 1))
+    1
+    (Mrsl.Lattice.body_attrs (Mrsl.Model.lattice model a))
+
+let test_dense_and_hashed_tables_identical () =
+  let check name ~rows ~theta ~want_hashed =
+    let entry = Bayesnet.Catalog.find name in
+    let r = Prob.Rng.create 2011 in
+    let net = Bayesnet.Network.generate r entry.topology in
+    let model =
+      Mrsl.Model.learn
+        ~params:{ Mrsl.Model.default_params with support_threshold = theta }
+        (Bayesnet.Network.sample_instance r net rows)
+    in
+    let arity = Relation.Schema.arity (Mrsl.Model.schema model) in
+    let slots = List.init arity (context_slots model) in
+    Alcotest.(check bool)
+      (name ^ ": has a hashed (> 2^16 contexts) attribute")
+      want_hashed
+      (List.exists (fun n -> n > 1 lsl 16) slots);
+    let workload =
+      List.init 24 (fun i ->
+          let tup =
+            Relation.Tuple.of_point (Bayesnet.Network.sample_point r net)
+          in
+          tup.(i mod arity) <- None;
+          tup.((i + 3) mod arity) <- None;
+          tup)
+    in
+    let config = { Mrsl.Gibbs.burn_in = 10; samples = 40 } in
+    let run memoize =
+      let sampler = Mrsl.Gibbs.sampler ~memoize model in
+      let est =
+        (Mrsl.Workload.run ~config ~telemetry:(registry ())
+           (Prob.Rng.create 9) sampler workload)
+          .estimates
+      in
+      (est, fst (Mrsl.Gibbs.cache_stats sampler))
+    in
+    let off, _ = run false in
+    let cold, _ = run true in
+    let warm, warm_hits = run true in
+    Alcotest.(check bool) (name ^ ": warm table hits") true (warm_hits > 0);
+    Alcotest.(check bool) (name ^ ": cold table = off") true
+      (estimates_equal off cold);
+    Alcotest.(check bool) (name ^ ": warm table = off") true
+      (estimates_equal off warm)
+  in
+  check "BN10" ~rows:600 ~theta:0.02 ~want_hashed:false;
+  check "BN7" ~rows:2000 ~theta:0.01 ~want_hashed:true
+
+(* With the kernel off or voter drops injected, a sampler neither reads
+   nor writes the tables: it counts no probe, and a clean sampler
+   afterwards still misses on the very same conditionals. *)
+let test_table_bypassed_when_kernel_off_or_voters_dropped () =
+  let point = [| 1; 0; 3 |] in
+  let probe_all s =
+    ignore (Mrsl.Gibbs.conditional s point 0);
+    ignore (Mrsl.Gibbs.conditional s point 1)
+  in
+  let bypassed name scope =
+    let model = fixture_model () in
+    let s = Mrsl.Gibbs.sampler model in
+    scope (fun () -> probe_all s);
+    Alcotest.(check (pair int int)) (name ^ ": no probe") (0, 0)
+      (Mrsl.Gibbs.cache_stats s);
+    let clean = Mrsl.Gibbs.sampler model in
+    probe_all clean;
+    Alcotest.(check (pair int int)) (name ^ ": nothing was written") (0, 2)
+      (Mrsl.Gibbs.cache_stats clean)
+  in
+  bypassed "kernel off" (fun f ->
+      let prev = Mrsl.Kernel.enabled () in
+      Mrsl.Kernel.set_enabled false;
+      Fun.protect ~finally:(fun () -> Mrsl.Kernel.set_enabled prev) f);
+  bypassed "voter drop"
+    (Mrsl.Fault_inject.with_config
+       { Mrsl.Fault_inject.disabled with seed = 7; voter_drop_rate = 1.0 })
 
 let suite =
   [
@@ -361,10 +484,15 @@ let suite =
     ("LRU eviction under byte budget", `Quick, test_lru_eviction_under_budget);
     ("model-epoch invalidation", `Quick, test_epoch_invalidation);
     ("prewarm dedup fanout", `Quick, test_prewarm_dedup_fanout);
-    ("workload run counts fanout", `Quick, test_workload_run_counts_fanout);
     ("voter drops bypass the cache", `Quick, test_voter_drop_bypasses_cache);
     ("sequential cached = uncached", `Quick,
      test_sequential_cached_uncached_identical);
     ("parallel cached = uncached at 1/2/4 domains", `Quick,
      test_parallel_cached_uncached_identical_across_domains);
+    ("table outlives derive, new epoch empty", `Quick,
+     test_table_outlives_derive);
+    ("dense and hashed tables: on = off", `Quick,
+     test_dense_and_hashed_tables_identical);
+    ("table bypassed: kernel off, voter drop", `Quick,
+     test_table_bypassed_when_kernel_off_or_voters_dropped);
   ]

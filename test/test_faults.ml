@@ -210,20 +210,6 @@ let test_csv_injected_corruption_contained () =
         (List.map (fun (e : Relation.Csv_io.row_error) -> e.line) errs))
 
 (* ------------------------------------------------------------------ *)
-(* Gibbs domain-size memo guard (the old -1 sentinel masked real
-   Invalid_argument failures) *)
-
-let test_memo_domain_size () =
-  Alcotest.(check (option int)) "small" (Some 24)
-    (Mrsl.Gibbs.memo_domain_size [| 2; 3; 4 |]);
-  (* Overflow no longer masquerades as an error sentinel: it is None. *)
-  Alcotest.(check (option int)) "overflow" None
-    (Mrsl.Gibbs.memo_domain_size [| max_int; max_int |]);
-  Alcotest.check_raises "invalid cardinality"
-    (Invalid_argument "Gibbs.sampler: schema cardinality must be >= 1")
-    (fun () -> ignore (Mrsl.Gibbs.memo_domain_size [| 2; 0 |]))
-
-(* ------------------------------------------------------------------ *)
 (* Degradation ladder *)
 
 let trained_model () =
@@ -490,6 +476,49 @@ let test_run_wrapper_unchanged () =
         (Prob.Dist.prob eb.joint 0))
     a.estimates b.result.estimates
 
+(* A degraded conditional computed while voter drops are active must not
+   outlive the fault window: a clean run after it has to equal a clean
+   run on an identically learned model that never saw the fault. *)
+let test_voter_drop_does_not_leak_into_clean_runs () =
+  let entry = Bayesnet.Catalog.find "BN10" in
+  let r = Prob.Rng.create 2011 in
+  let net = Bayesnet.Network.generate r entry.topology in
+  let data = Bayesnet.Network.sample_instance r net 5000 in
+  let learn () =
+    Mrsl.Model.learn
+      ~params:{ Mrsl.Model.default_params with support_threshold = 0.01 }
+      data
+  in
+  let model = learn () and twin = learn () in
+  let arity = Relation.Schema.arity (Mrsl.Model.schema model) in
+  let workload =
+    List.init 40 (fun _ ->
+        let tup = Relation.Tuple.of_point (Bayesnet.Network.sample_point r net) in
+        let missing = 1 + Prob.Rng.int r (arity - 1) in
+        List.iter
+          (fun a -> tup.(a) <- None)
+          (Prob.Rng.sample_without_replacement r missing arity);
+        tup)
+  in
+  let run m =
+    (Mrsl.Parallel.run ~config:run_config ~domains:1
+       ~telemetry:(Mrsl.Telemetry.create ()) ~seed:7 m workload)
+      .estimates
+  in
+  ignore
+    (Mrsl.Fault_inject.with_config
+       { Mrsl.Fault_inject.disabled with seed = 7; voter_drop_rate = 1.0 }
+       (fun () -> run model));
+  let after = run model and clean = run twin in
+  Alcotest.(check int) "same tuples" (List.length clean) (List.length after);
+  List.iter2
+    (fun (t, (ea : Mrsl.Gibbs.estimate)) (_, (eb : Mrsl.Gibbs.estimate)) ->
+      if (ea.joint :> float array) <> (eb.joint :> float array) then
+        Alcotest.failf "%s: post-fault estimate differs (TV %.3f)"
+          (Relation.Tuple.to_string (Mrsl.Model.schema model) t)
+          (Prob.Divergence.total_variation ea.joint eb.joint))
+    after clean
+
 (* ------------------------------------------------------------------ *)
 (* Convergence-driven retries *)
 
@@ -598,7 +627,6 @@ let suite =
     ( "csv injected corruption contained",
       `Quick,
       test_csv_injected_corruption_contained );
-    ("gibbs memo_domain_size", `Quick, test_memo_domain_size);
     ("ladder degrade rungs", `Quick, test_degrade_rungs);
     ("ladder marginal prior is root CPD", `Quick, test_marginal_prior_is_root_cpd);
     ( "ladder voter drop degrades not raises",
@@ -615,6 +643,9 @@ let suite =
     ("containment telemetry", `Quick, test_containment_counts_telemetry);
     ("fail-fast policy raises", `Quick, test_fail_fast_policy_raises);
     ("run wrapper unchanged", `Quick, test_run_wrapper_unchanged);
+    ( "voter drops do not leak into clean runs",
+      `Quick,
+      test_voter_drop_does_not_leak_into_clean_runs );
     ("retry success single attempt", `Quick, test_retry_success_single_attempt);
     ("retry budget exhaustion", `Quick, test_retry_budget_exhaustion);
     ( "retry sweep budget caps attempts",

@@ -129,19 +129,16 @@ let test_gibbs_seed_identity () =
   let tups = [ [| None; None; Some 1 |]; [| Some 0; None; None |] ] in
   List.iter
     (fun tup ->
-      let joint kernel cache =
+      let joint kernel memoize =
         with_kernel kernel (fun () ->
-            let cache =
-              if cache then Some (Mrsl.Posterior_cache.create ()) else None
-            in
-            let s = Mrsl.Gibbs.sampler ?cache model in
+            let s = Mrsl.Gibbs.sampler ~memoize model in
             let e =
               Mrsl.Gibbs.run ~config:gibbs_config (Prob.Rng.create 11) s tup
             in
             floats e.Mrsl.Gibbs.joint)
       in
-      check_bits "gibbs uncached" (joint false false) (joint true false);
-      check_bits "gibbs cached" (joint false true) (joint true true))
+      check_bits "gibbs unmemoized" (joint false false) (joint true false);
+      check_bits "gibbs memoized" (joint false true) (joint true true))
     tups
 
 (* --- parallel --------------------------------------------------------- *)
@@ -330,6 +327,16 @@ let check_fallback_model name model arity ~known =
     (T.counter reg "kernel.fallback" > 0);
   Alcotest.(check int) (name ^ ": no kernel hit") 0
     (T.counter reg "kernel.hits");
+  (* …and Gibbs never memoizes it: a chain's initialisation probes the
+     conditional tables for every other missing attribute, not for it *)
+  with_kernel true (fun () ->
+      let s = Mrsl.Gibbs.sampler model in
+      ignore (Mrsl.Gibbs.chain (Prob.Rng.create 1) s tup);
+      let hits, misses = Mrsl.Gibbs.cache_stats s in
+      Alcotest.(check int)
+        (name ^ ": fallback attribute not probed")
+        (Relation.Tuple.missing_count tup - 1)
+        (hits + misses));
   (* caching still works through the ns=0 (interpreted-signature) keys *)
   let cache = Mrsl.Posterior_cache.create () in
   with_kernel true (fun () ->
