@@ -202,6 +202,14 @@ echo "$RAW_RESP" | grep -q 'protocol.parse'
 RAW_RESP="$(mrsl_client raw --socket "$SERVE_SOCK" '{"op":"no-such-op"}')"
 echo "$RAW_RESP" | grep -q 'protocol.bad_request'
 mrsl_client ping --socket "$SERVE_SOCK" | grep -q '"ok":true'
+# A frame nested 100,000 levels deep (under the 128 KiB single-argument
+# limit) is refused at the protocol's depth bound, and the daemon keeps
+# answering.
+DEEP_FRAME="$(head -c 100000 /dev/zero | tr '\0' '[')"
+RAW_RESP="$(mrsl_client raw --socket "$SERVE_SOCK" "$DEEP_FRAME")"
+echo "$RAW_RESP" | grep -q '"ok":false'
+echo "$RAW_RESP" | grep -q 'protocol.parse'
+mrsl_client ping --socket "$SERVE_SOCK" | grep -q '"ok":true'
 
 # Bit-identity: every incomplete tuple of the CSV is served and compared
 # against local inference through the same entry points; a hot model

@@ -90,7 +90,7 @@ let infer_rung ~count ?(method_ = Voting.best_averaged) ?telemetry model tup a =
       | _ -> fallback ()
       | exception Invalid_argument _ -> fallback ())
 
-let infer ?method_ ?telemetry ?cache model tup a =
+let infer ?method_ ?telemetry ?cache ?segment model tup a =
   (* Allocation accounting (ROADMAP item 2 baseline): one atomic load
      when no Resource monitor is installed; observation only either
      way. *)
@@ -114,10 +114,10 @@ let infer ?method_ ?telemetry ?cache model tup a =
       (* Validate up front: a cache hit must not skip the structural
          checks a miss would have performed. *)
       check_task model tup a;
-      Posterior_cache.find_or_compute c model ~method_ tup a compute
+      Posterior_cache.find_or_compute ?segment c model ~method_ tup a compute
 
-let infer_result ?method_ ?telemetry ?cache model tup a =
-  match infer ?method_ ?telemetry ?cache model tup a with
+let infer_result ?method_ ?telemetry ?cache ?segment model tup a =
+  match infer ?method_ ?telemetry ?cache ?segment model tup a with
   | d -> Ok d
   | exception Invalid_argument msg ->
       Result.Error (Error.make Error.Input ~code:"infer.bad_task" msg)

@@ -102,14 +102,26 @@ val find : t -> Model.t -> method_:Voting.method_ ->
     counted) while voter-drop fault injection is active, so a degraded
     generation can never satisfy a pressure probe. *)
 
-val find_or_compute : t -> Model.t -> method_:Voting.method_ ->
-  Relation.Tuple.t -> int -> (unit -> Prob.Dist.t) -> Prob.Dist.t
+val find_or_compute : ?segment:int -> t -> Model.t ->
+  method_:Voting.method_ -> Relation.Tuple.t -> int ->
+  (unit -> Prob.Dist.t) -> Prob.Dist.t
 (** [find_or_compute t model ~method_ tup a f] — the cached posterior for
-    the task's evidence signature, or [f ()] computed once and stored.
-    Counts [cache.hits] / [cache.misses] and observes
-    [cache.lookup_seconds]; bypasses the cache (straight to [f ()],
-    nothing counted or stored) while voter-drop fault injection is
-    active. *)
+    the task's evidence signature, or [f ()] computed once and stored:
+    one probe, and on a miss one store. Counts [cache.hits] /
+    [cache.misses] and observes [cache.lookup_seconds]; bypasses the
+    cache (straight to [f ()], nothing counted or stored) while
+    voter-drop fault injection is active.
+
+    [segment] (a {!new_segment} token) groups the lookups of one batch
+    segment, and makes request dedup cost nothing beyond the probe
+    itself: a lookup whose evidence signature an earlier lookup of the
+    same segment already asked for (which computed it, or found it
+    cached) is a repeat, answered by that posterior, and adds one to
+    [cache.dedup_fanout] — the count {!prewarm} reports for the same
+    tasks. The entry carries the token of its last lookup. *)
+
+val new_segment : t -> int
+(** A token no earlier call returned, for [find_or_compute ?segment]. *)
 
 val prewarm : t -> Model.t -> method_:Voting.method_ ->
   compute:(Relation.Tuple.t -> int -> Prob.Dist.t) ->

@@ -30,27 +30,150 @@ module Json = struct
       s;
     Buffer.add_char buf '"'
 
-  let float_repr f =
-    if Float.is_integer f && Float.abs f < 1e15 then
-      (* keep a fraction marker so it re-parses as Float *)
-      Printf.sprintf "%.1f" f
+  (* ---- floats ----
+
+     The printed form of a float is fixed: "%.1f" for an integer below
+     1e15 (the fraction marker makes it re-parse as [Float]); otherwise
+     "%.15g" when that parses back to the same double, else "%.17g".
+     [printf_repr] computes it with the C formatter and a parse-back.
+     [add_float_repr] produces the same bytes without either on the
+     common paths: integers go through [string_of_int], and
+     2^-24 <= |f| < 1 (every posterior probability above 6e-8) gets
+     its digits from exact integer arithmetic below. *)
+
+  let printf_repr f =
+    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
     else
-      (* shortest representation that round-trips *)
       let s = Printf.sprintf "%.15g" f in
       if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
-  let to_string ?(pretty = true) v =
-    let buf = Buffer.create 1024 in
+  let powers base n =
+    let a = Array.make n 1 in
+    for k = 1 to n - 1 do
+      a.(k) <- a.(k - 1) * base
+    done;
+    a
+
+  let pow5 = powers 5 25
+  let pow10 = powers 10 18
+  let mask31 = (1 lsl 31) - 1
+
+  (* For f = m * 2^e and k, s with s = -(e + k): the integer part of
+     f * 10^k = m * 5^k / 2^s and the remainder m * 5^k mod 2^s, both
+     exact. m < 2^53 and 5^k < 2^56 are split into 31-bit limbs so every
+     partial product fits an OCaml int; the product is hi * 2^62 + lo
+     with lo < 2^62. Needs 0 < s < 62 and a quotient below 2^62. *)
+  let scaled m k s =
+    let a = pow5.(k) in
+    let m0 = m land mask31 and m1 = m lsr 31 in
+    let a0 = a land mask31 and a1 = a lsr 31 in
+    let p00 = m0 * a0 and p01 = (m0 * a1) + (m1 * a0) in
+    let t1 = (p01 land mask31) + (p00 lsr 31) in
+    let lo = ((t1 land mask31) lsl 31) lor (p00 land mask31) in
+    let hi = (m1 * a1) + (p01 lsr 31) + (t1 lsr 31) in
+    ((hi lsl (62 - s)) lor (lo lsr s), lo land ((1 lsl s) - 1))
+
+  (* The [p]-digit decimal nearest to f = m * 2^e (ties to even, as the
+     C formatter rounds the exact binary value) for 2^-24 <= f < 1: the
+     digits [q] (exactly [p] of them), the decimal exponent [x] of the
+     leading digit, and whether the decimal parses back to f. The
+     parse-back is decided exactly: the decimal lies [dist] units of
+     10^-k / 2^s from f, and f's rounding interval reaches 5^k / 2
+     units up and down, or 5^k / 4 units down when m is a power of two
+     (the next double below is half as far away). 5^k is odd, so the
+     decimal never sits on a boundary and the parse's tie rule never
+     matters. *)
+  let decimal m e p =
+    (* floor ((e + 52) log10 2) = floor (log10 2^(e+52)) <= floor (log10 f),
+       and the first guess is at most one too small. *)
+    let rec go x =
+      let k = p - 1 - x in
+      let s = -(e + k) in
+      let q, r = scaled m k s in
+      if q >= pow10.(p) then go (x + 1)
+      else
+        let half = 1 lsl (s - 1) in
+        let up = r > half || (r = half && q land 1 = 1) in
+        let dist = if up then (1 lsl s) - r else r in
+        let reach =
+          if m = 1 lsl 52 && not up then pow5.(k) lsr 2 else pow5.(k) lsr 1
+        in
+        let q = if up then q + 1 else q in
+        if q = pow10.(p) then (pow10.(p - 1), x + 1, dist <= reach)
+        else (q, x, dist <= reach)
+    in
+    go (((e + 52) * 78913) asr 18)
+
+  (* "%.{p}g" of the decimal q * 10^(x - p + 1), q with exactly [p]
+     digits: trailing zeros dropped, exponent form below 1e-4. Only
+     x <= 0 occurs (x = 0 only as q = 10^(p-1), the round-up to 1). *)
+  let add_g buf q x p =
+    let q = ref q and n = ref p in
+    while !q mod 10 = 0 && !n > 1 do
+      q := !q / 10;
+      decr n
+    done;
+    let digits = Bytes.create !n in
+    for i = !n - 1 downto 0 do
+      Bytes.unsafe_set digits i (Char.unsafe_chr (48 + (!q mod 10)));
+      q := !q / 10
+    done;
+    if x >= 0 then Buffer.add_bytes buf digits
+    else if x >= -4 then begin
+      Buffer.add_string buf "0.";
+      for _ = 2 to -x do
+        Buffer.add_char buf '0'
+      done;
+      Buffer.add_bytes buf digits
+    end
+    else begin
+      Buffer.add_char buf (Bytes.get digits 0);
+      if !n > 1 then begin
+        Buffer.add_char buf '.';
+        Buffer.add_subbytes buf digits 1 (!n - 1)
+      end;
+      Buffer.add_string buf "e-0";
+      Buffer.add_char buf (Char.unsafe_chr (48 - x))
+    end
+
+  let add_float_repr buf f =
+    if Float.is_integer f && Float.abs f < 1e15 then begin
+      if Float.sign_bit f && f = 0. then Buffer.add_char buf '-';
+      Buffer.add_string buf (string_of_int (Float.to_int f));
+      Buffer.add_string buf ".0"
+    end
+    else
+      let a = Float.abs f in
+      if a >= 0x1p-24 && a < 1. then begin
+        if f < 0. then Buffer.add_char buf '-';
+        let fr, ex = Float.frexp a in
+        let m = Float.to_int (Float.ldexp fr 53) and e = ex - 53 in
+        match decimal m e 15 with
+        | q, x, true -> add_g buf q x 15
+        | _ ->
+            let q, x, _ = decimal m e 17 in
+            add_g buf q x 17
+      end
+      else Buffer.add_string buf (printf_repr f)
+
+  let float_repr f =
+    let buf = Buffer.create 24 in
+    add_float_repr buf f;
+    Buffer.contents buf
+
+  let add_float buf f =
+    if Float.is_nan f || f = infinity || f = neg_infinity then
+      Buffer.add_string buf "null"
+    else add_float_repr buf f
+
+  let to_buffer ?(pretty = true) buf v =
     let indent n = if pretty then Buffer.add_string buf (String.make n ' ') in
     let newline () = if pretty then Buffer.add_char buf '\n' in
     let rec emit depth = function
       | Null -> Buffer.add_string buf "null"
       | Bool b -> Buffer.add_string buf (string_of_bool b)
       | Int n -> Buffer.add_string buf (string_of_int n)
-      | Float f ->
-          if Float.is_nan f || f = infinity || f = neg_infinity then
-            Buffer.add_string buf "null"
-          else Buffer.add_string buf (float_repr f)
+      | Float f -> add_float buf f
       | String s -> escape_string buf s
       | List [] -> Buffer.add_string buf "[]"
       | List items ->
@@ -87,12 +210,21 @@ module Json = struct
           indent (depth * 2);
           Buffer.add_char buf '}'
     in
-    emit 0 v;
+    emit 0 v
+
+  let to_string ?pretty v =
+    let buf = Buffer.create 1024 in
+    to_buffer ?pretty buf v;
     Buffer.contents buf
 
   (* ---- parser: recursive descent ---- *)
 
-  type parser_state = { src : string; mutable pos : int }
+  type parser_state = {
+    src : string;
+    mutable pos : int;
+    max_depth : int;
+    mutable depth : int;  (* arrays and objects open around [pos] *)
+  }
 
   let fail st msg =
     raise (Parse_error (Printf.sprintf "%s at offset %d" msg st.pos))
@@ -192,6 +324,19 @@ module Json = struct
           | Some f -> Float f
           | None -> fail st "malformed number")
 
+  (* Step over an opening bracket, refusing one level too many before
+     the recursion below takes another stack frame for it. *)
+  let enter st =
+    if st.depth >= st.max_depth then
+      fail st (Printf.sprintf "nesting deeper than %d levels" st.max_depth);
+    st.depth <- st.depth + 1;
+    advance st
+
+  (* Step over a closing bracket. *)
+  let leave st =
+    st.depth <- st.depth - 1;
+    advance st
+
   let rec parse_value st =
     skip_ws st;
     match peek st with
@@ -201,10 +346,10 @@ module Json = struct
     | Some 'f' -> literal st "false" (Bool false)
     | Some '"' -> String (parse_string st)
     | Some '[' ->
-        advance st;
+        enter st;
         skip_ws st;
         if peek st = Some ']' then begin
-          advance st;
+          leave st;
           List []
         end
         else
@@ -216,16 +361,16 @@ module Json = struct
                 advance st;
                 items (v :: acc)
             | Some ']' ->
-                advance st;
+                leave st;
                 List (List.rev (v :: acc))
             | _ -> fail st "expected ',' or ']'"
           in
           items []
     | Some '{' ->
-        advance st;
+        enter st;
         skip_ws st;
         if peek st = Some '}' then begin
-          advance st;
+          leave st;
           Obj []
         end
         else
@@ -245,15 +390,15 @@ module Json = struct
                 advance st;
                 fields (f :: acc)
             | Some '}' ->
-                advance st;
+                leave st;
                 Obj (List.rev (f :: acc))
             | _ -> fail st "expected ',' or '}'"
           in
           fields []
     | Some _ -> parse_number st
 
-  let of_string s =
-    let st = { src = s; pos = 0 } in
+  let of_string ?(max_depth = max_int) s =
+    let st = { src = s; pos = 0; max_depth; depth = 0 } in
     let v = parse_value st in
     skip_ws st;
     if st.pos <> String.length s then fail st "trailing garbage";

@@ -37,8 +37,27 @@ module Json : sig
   val to_string : ?pretty:bool -> t -> string
   (** [pretty] (default [true]) indents objects and lists. *)
 
-  val of_string : string -> t
-  (** Raises {!Parse_error} on malformed input. Numbers with a fraction
+  val to_buffer : ?pretty:bool -> Buffer.t -> t -> unit
+  (** [to_string], appended to a buffer. *)
+
+  val float_repr : float -> string
+  (** The printed form of a finite float: ["%.1f"] for an integer below
+      1e15, otherwise ["%.15g"] when that parses back to the same
+      double, else ["%.17g"]. Integers and 2^-24 <= |f| < 1 (posterior
+      probabilities) are printed without the C formatter: the digits
+      come from exact integer arithmetic and the parse-back is decided
+      against the double's rounding interval, byte-identical to the
+      rule above. Other values go through [Printf]. *)
+
+  val add_float : Buffer.t -> float -> unit
+  (** Append a float as {!to_string} prints [Float f]: {!float_repr}, or
+      [null] for NaN and infinities. *)
+
+  val of_string : ?max_depth:int -> string -> t
+  (** Raises {!Parse_error} on malformed input, and on arrays and
+      objects nested deeper than [max_depth] (default: unbounded) — the
+      bound is checked before descending, so a hostile frame is refused
+      after [max_depth + 1] bytes of brackets. Numbers with a fraction
       or exponent parse as [Float], others as [Int]. *)
 
   val member : string -> t -> t option

@@ -1,9 +1,17 @@
 exception Timeout
 
+(* Received bytes live in [inbuf.[start .. stop)]; no newline occurs in
+   [inbuf.[start .. scanned)]. A line is taken by moving [start], and
+   each byte is scanned once, so a window of pipelined responses costs
+   one pass over its bytes (taking a line used to copy the whole
+   receive buffer). *)
 type t = {
   endpoint : Protocol.endpoint;
   mutable fd : Unix.file_descr;
-  inbuf : Buffer.t;
+  mutable inbuf : Bytes.t;
+  mutable start : int;
+  mutable scanned : int;
+  mutable stop : int;
   recv_timeout : float option;
 }
 
@@ -51,7 +59,10 @@ let connect ?timeout endpoint =
   {
     endpoint;
     fd = connect_fd endpoint;
-    inbuf = Buffer.create 4096;
+    inbuf = Bytes.create 8192;
+    start = 0;
+    scanned = 0;
+    stop = 0;
     recv_timeout = timeout;
   }
 
@@ -71,9 +82,14 @@ let connect_retry ?(attempts = 100) ?(delay = 0.05) ?(max_delay = 1.0)
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
+let clear_input t =
+  t.start <- 0;
+  t.scanned <- 0;
+  t.stop <- 0
+
 let reconnect t =
   close t;
-  Buffer.clear t.inbuf;
+  clear_input t;
   t.fd <- connect_fd t.endpoint
 
 let write_all fd s =
@@ -95,21 +111,48 @@ let send_raw t line =
 let send t req = send_raw t (Protocol.request_to_line req)
 let send_partial t s = write_all t.fd s
 
-(* Take one complete line out of the receive buffer, or [None]. *)
-let take_line buf =
-  let data = Buffer.contents buf in
-  match String.index_opt data '\n' with
-  | None -> None
+(* Take one complete line (without its "\n" or "\r\n") out of the
+   receive buffer, or [None]. *)
+let take_line t =
+  let rec newline i =
+    if i >= t.stop then None
+    else if Bytes.unsafe_get t.inbuf i = '\n' then Some i
+    else newline (i + 1)
+  in
+  match newline t.scanned with
+  | None ->
+      t.scanned <- t.stop;
+      None
   | Some nl ->
-      let line =
-        if nl > 0 && data.[nl - 1] = '\r' then String.sub data 0 (nl - 1)
-        else String.sub data 0 nl
+      let stop =
+        if nl > t.start && Bytes.get t.inbuf (nl - 1) = '\r' then nl - 1
+        else nl
       in
-      Buffer.clear buf;
-      Buffer.add_substring buf data (nl + 1) (String.length data - nl - 1);
+      let line = Bytes.sub_string t.inbuf t.start (stop - t.start) in
+      t.start <- nl + 1;
+      t.scanned <- nl + 1;
       Some line
 
 let read_chunk_size = 4096
+
+(* Make room for one chunk after [stop]: when the tail is too short,
+   move the pending bytes to the front, into a buffer of twice the
+   needed size when they would not leave room there either. A byte is
+   moved without growing the buffer only after a line before it was
+   taken, so a long line costs amortised linear copying. *)
+let make_room t =
+  if t.stop + read_chunk_size > Bytes.length t.inbuf then begin
+    let pending = t.stop - t.start in
+    let buf =
+      if pending + read_chunk_size <= Bytes.length t.inbuf then t.inbuf
+      else Bytes.create (2 * (pending + read_chunk_size))
+    in
+    Bytes.blit t.inbuf t.start buf 0 pending;
+    t.inbuf <- buf;
+    t.scanned <- t.scanned - t.start;
+    t.start <- 0;
+    t.stop <- pending
+  end
 
 (* One bounded read into [t.inbuf]; [false] at EOF. Raises [Timeout]
    once [deadline] (monotonic, [infinity] = none) passes — the whole
@@ -126,13 +169,13 @@ let fill ~deadline t =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
   in
   wait ();
-  let chunk = Bytes.create read_chunk_size in
+  make_room t;
   let rec read () =
-    match Unix.read t.fd chunk 0 read_chunk_size with
+    match Unix.read t.fd t.inbuf t.stop read_chunk_size with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> read ()
     | 0 -> false
     | n ->
-        Buffer.add_subbytes t.inbuf chunk 0 n;
+        t.stop <- t.stop + n;
         true
   in
   read ()
@@ -145,7 +188,7 @@ let op_deadline t =
 let recv t =
   let deadline = op_deadline t in
   let rec go () =
-    match take_line t.inbuf with
+    match take_line t with
     | Some line -> line
     | None -> if fill ~deadline t then go () else raise End_of_file
   in
@@ -212,4 +255,4 @@ let scrape_metrics ?timeout endpoint =
       while fill ~deadline t do
         ()
       done;
-      Buffer.contents t.inbuf)
+      Bytes.sub_string t.inbuf t.start (t.stop - t.start))

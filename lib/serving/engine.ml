@@ -17,9 +17,50 @@ let default_config =
     cache_bytes = Mrsl.Posterior_cache.default_max_bytes;
   }
 
+(* The fixed bytes of a served model epoch's [posterior] lines: the
+   fields after the id up to the attrs array, per mode, and per
+   attribute its [{"attr":…,"index":…,"posterior":{] opener and each
+   value's ["label":] key (with its separating comma after the first).
+   Built with {!Json.to_string}, so escaping is the reference's. *)
+type wire = {
+  exact : string;
+  gibbs : string;
+  openers : string array;
+  keys : string array array;
+}
+
+let wire_of model =
+  let schema = Mrsl.Model.schema model in
+  let str s = Json.to_string (Json.String s) in
+  let head mode =
+    Printf.sprintf {|"ok":true,"kind":"posterior","epoch":%d,"mode":%s,"attrs":[|}
+      (Mrsl.Model.epoch model) (str mode)
+  in
+  let attrs = Array.init (Relation.Schema.arity schema) (Relation.Schema.attribute schema) in
+  {
+    exact = head "exact";
+    gibbs = head "gibbs";
+    openers =
+      Array.mapi
+        (fun a attr ->
+          Printf.sprintf {|{"attr":%s,"index":%d,"posterior":{|}
+            (str (Relation.Attribute.name attr)) a)
+        attrs;
+    keys =
+      Array.map
+        (fun attr ->
+          Array.init (Relation.Attribute.cardinality attr) (fun v ->
+              (if v > 0 then "," else "")
+              ^ str (Relation.Attribute.value_label attr v)
+              ^ ":"))
+        attrs;
+  }
+
 type t = {
   mutable model : Mrsl.Model.t;
   mutable model_path : string;
+  mutable wire : wire;  (** of [model]'s epoch *)
+  out : Buffer.t;  (** reused for every posterior line *)
   config : config;
   telemetry : Mrsl.Telemetry.t;
   cache : Mrsl.Posterior_cache.t;
@@ -34,7 +75,17 @@ let of_model ?(telemetry = Mrsl.Telemetry.global) ~config
   let cache =
     Mrsl.Posterior_cache.create ~max_bytes:config.cache_bytes ~telemetry ()
   in
-  let t = { model; model_path; config; telemetry; cache } in
+  let t =
+    {
+      model;
+      model_path;
+      wire = wire_of model;
+      out = Buffer.create 512;
+      config;
+      telemetry;
+      cache;
+    }
+  in
   (* Precompile the inference kernel so the first request never pays the
      build; a no-op when the compiled path is disabled. *)
   if Mrsl.Kernel.enabled () then
@@ -91,6 +142,7 @@ let reload ?path t =
                  e.message)
         | Ok () ->
         t.model <- fresh;
+        t.wire <- wire_of fresh;
         t.model_path <- path;
         Mrsl.Posterior_cache.invalidate_stale t.cache ~current:fresh;
         if Mrsl.Kernel.enabled () then
@@ -142,33 +194,50 @@ let decode_tuple model (labels : string option array) :
 (* ------------------------------------------------------------------ *)
 (* Response payloads *)
 
-let dist_json attr dist =
-  Json.Obj
-    (List.init (Prob.Dist.size dist) (fun v ->
-         (Relation.Attribute.value_label attr v, Json.Float (Prob.Dist.prob dist v))))
+(* A [posterior] line is written straight into [t.out]: the same bytes
+   as {!Protocol.ok_line} over a [Json.t] tree of the payload (the tests
+   hold the two equal), without building the tree. *)
+let posterior_line t ?id ~head ?samples_used add_attrs =
+  let buf = t.out in
+  Buffer.clear buf;
+  Buffer.add_char buf '{';
+  (match id with
+  | Some id ->
+      Buffer.add_string buf {|"id":|};
+      Json.to_buffer ~pretty:false buf id;
+      Buffer.add_char buf ','
+  | None -> ());
+  Buffer.add_string buf head;
+  add_attrs buf;
+  Buffer.add_char buf ']';
+  (match samples_used with
+  | Some n ->
+      Buffer.add_string buf {|,"samples_used":|};
+      Buffer.add_string buf (string_of_int n)
+  | None -> ());
+  Buffer.add_string buf "}\n";
+  Buffer.contents buf
 
-let attr_json schema a dist =
-  let attr = Relation.Schema.attribute schema a in
-  Json.Obj
-    [
-      ("attr", Json.String (Relation.Attribute.name attr));
-      ("index", Json.Int a);
-      ("posterior", dist_json attr dist);
-    ]
+let add_attr wire buf a dist =
+  Buffer.add_string buf wire.openers.(a);
+  let keys = wire.keys.(a) in
+  for v = 0 to Prob.Dist.size dist - 1 do
+    Buffer.add_string buf keys.(v);
+    Json.add_float buf (Prob.Dist.prob dist v)
+  done;
+  Buffer.add_string buf "}}"
 
-let posterior_line t ?id ~mode ?samples_used attrs =
-  let fields =
-    [
-      ("epoch", Json.Int (epoch t));
-      ("mode", Json.String mode);
-      ("attrs", Json.List attrs);
-    ]
-    @
-    match samples_used with
-    | None -> []
-    | Some n -> [ ("samples_used", Json.Int n) ]
-  in
-  Protocol.ok_line ?id ~kind:"posterior" fields
+let exact_line t ?id a dist =
+  posterior_line t ?id ~head:t.wire.exact (fun buf -> add_attr t.wire buf a dist)
+
+let gibbs_line t ?id (est : Mrsl.Gibbs.estimate) =
+  posterior_line t ?id ~head:t.wire.gibbs ~samples_used:est.samples_used
+    (fun buf ->
+      List.iteri
+        (fun i a ->
+          if i > 0 then Buffer.add_char buf ',';
+          add_attr t.wire buf a (Mrsl.Gibbs.marginal est a))
+        est.missing)
 
 (* ------------------------------------------------------------------ *)
 (* Outcomes *)
@@ -270,58 +339,36 @@ let shed_response t ?id () =
   { line = Protocol.error_line ?id shed_error; outcome = Shed }
 
 let run_single t ~pressure responses tasks =
-  match tasks with
-  | [] -> ()
-  | _ ->
-      let { method_; _ } = t.config in
-      let telemetry = t.telemetry in
-      let model = t.model in
-      (match pressure with
-      | Cache_only -> ()
-      | Normal ->
-          (* Workload-level dedup: identical concurrent requests (same
-             evidence signature) pay one posterior computation; the
-             per-task lookups below fan it out (cache.dedup_fanout). *)
-          ignore
-            (Mrsl.Posterior_cache.prewarm t.cache model ~method_
-               ~compute:(fun tup a ->
-                 Mrsl.Infer_single.infer ~method_ ~telemetry model tup a)
-               (List.map (fun task -> task.tuple) tasks)));
-      List.iter
-        (fun { slot; req_id = id; tuple; _ } ->
-          let a =
-            match Relation.Tuple.missing tuple with
-            | [ a ] -> a
-            | _ -> assert false
-          in
-          responses.(slot) <-
-            (match pressure with
-            | Cache_only -> (
-                (* Degraded rung: answer for free from the cache —
-                   payload identical to the uncontended path — or shed.
-                   Never compute under pressure. *)
-                match
-                  Mrsl.Posterior_cache.find t.cache model ~method_ tuple a
-                with
-                | Some dist ->
-                    {
-                      line =
-                        posterior_line t ?id ~mode:"exact"
-                          [ attr_json (Mrsl.Model.schema model) a dist ];
-                      outcome = Cache_hit;
-                    }
-                | None -> shed_response t ?id ())
-            | Normal -> (
-                match
-                  Mrsl.Infer_single.infer_result ~method_ ~telemetry
-                    ~cache:t.cache model tuple a
-                with
-                | Ok dist ->
-                    served
-                      (posterior_line t ?id ~mode:"exact"
-                         [ attr_json (Mrsl.Model.schema model) a dist ])
-                | Error e -> error_response t ?id e)))
-        tasks
+  let { method_; _ } = t.config in
+  let telemetry = t.telemetry in
+  let model = t.model in
+  (* One probe per task, and a miss computes and stores. Identical
+     concurrent requests (same evidence signature) pay one computation:
+     the first probe of the segment computes (or finds) the posterior,
+     the repeats hit it and count as cache.dedup_fanout. *)
+  let segment = Mrsl.Posterior_cache.new_segment t.cache in
+  List.iter
+    (fun { slot; req_id = id; tuple; _ } ->
+      let a =
+        match Relation.Tuple.missing tuple with [ a ] -> a | _ -> assert false
+      in
+      responses.(slot) <-
+        (match pressure with
+        | Cache_only -> (
+            (* Degraded rung: answer for free from the cache — payload
+               identical to the uncontended path — or shed. Never
+               compute under pressure. *)
+            match Mrsl.Posterior_cache.find t.cache model ~method_ tuple a with
+            | Some dist -> { line = exact_line t ?id a dist; outcome = Cache_hit }
+            | None -> shed_response t ?id ())
+        | Normal -> (
+            match
+              Mrsl.Infer_single.infer_result ~method_ ~telemetry ~cache:t.cache
+                ~segment model tuple a
+            with
+            | Ok dist -> served (exact_line t ?id a dist)
+            | Error e -> error_response t ?id e)))
+    tasks
 
 let run_multi t ~pressure responses tasks =
   match (tasks, pressure) with
@@ -337,7 +384,6 @@ let run_multi t ~pressure responses tasks =
   | _, Normal ->
       let { seed; method_; gibbs; domains; _ } = t.config in
       let model = t.model in
-      let schema = Mrsl.Model.schema model in
       (* Compute once per distinct tuple; identical requests in the
          batch share the result. Each tuple is its own one-element
          workload so its estimate is independent of batch composition
@@ -377,15 +423,7 @@ let run_multi t ~pressure responses tasks =
         (fun { slot; req_id = id; tuple; _ } ->
           responses.(slot) <-
             (match Lazy.force (Relation.Tuple.Table.find distinct tuple) with
-            | Ok (est : Mrsl.Gibbs.estimate) ->
-                let attrs =
-                  List.map
-                    (fun a -> attr_json schema a (Mrsl.Gibbs.marginal est a))
-                    est.missing
-                in
-                served
-                  (posterior_line t ?id ~mode:"gibbs"
-                     ~samples_used:est.samples_used attrs)
+            | Ok est -> served (gibbs_line t ?id est)
             | Error e -> error_response t ?id e))
         tasks
 

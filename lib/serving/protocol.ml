@@ -56,8 +56,10 @@ let parse_tuple ?id cells =
   if n = 0 then bad_request ?id "tuple must be a non-empty array"
   else fill 0 cells
 
+let max_depth = 8
+
 let parse_request line =
-  match Json.of_string line with
+  match Json.of_string ~max_depth line with
   | exception Json.Parse_error msg ->
       Error (Mrsl.Error.make Mrsl.Error.Input ~code:"protocol.parse" msg)
   | Json.Obj _ as obj -> (

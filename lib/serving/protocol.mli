@@ -67,8 +67,15 @@ val op_name : op -> string
 (** The wire name of an op ([ping], [stats], [reload], [shutdown],
     [infer]) — the ["op"] field value; used by the access log. *)
 
+val max_depth : int
+(** 8: the deepest nesting of arrays and objects {!parse_request}
+    accepts. A request takes two levels (the object and its ["tuple"]
+    array), which leaves six for a structured ["id"]. *)
+
 val parse_request : string -> (request, Mrsl.Error.t) result
-(** Parse one request line. Malformed JSON comes back as
+(** Parse one request line. Malformed JSON, and JSON nested deeper than
+    {!max_depth} (refused before the parser descends past the bound, so
+    a frame of a million [\[] costs a few bytes of work), come back as
     [Input/protocol.parse]; a structurally valid object with an unknown
     or missing ["op"], a malformed ["tuple"], or a negative or
     non-integer ["deadline_ms"], as [Input/protocol.bad_request]. When

@@ -188,6 +188,35 @@ let test_admission () =
   Alcotest.(check (list string))
     "empty drain" [] (Serving.Admission.drain ~max:10 q)
 
+let nested_frame n = String.make n '['
+
+let test_protocol_depth_bound () =
+  let t0 = Mrsl.Clock.now () in
+  (match P.parse_request (nested_frame (1 lsl 20)) with
+  | Ok _ -> Alcotest.fail "1 MiB of [ parsed"
+  | Error e ->
+      Alcotest.(check string) "code" "protocol.parse" e.Mrsl.Error.code;
+      Alcotest.(check bool)
+        (Printf.sprintf "message names the limit: %s" e.Mrsl.Error.message)
+        true
+        (Astring_like.contains e.Mrsl.Error.message
+           (Printf.sprintf "deeper than %d levels" P.max_depth)));
+  let dt = Mrsl.Clock.now () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "refused in %.3f s" dt)
+    true (dt < 0.05);
+  (* an id may nest up to the bound, less the object it sits in *)
+  let with_id depth =
+    Printf.sprintf {|{"id":%s1%s,"op":"ping"}|}
+      (String.make depth '[') (String.make depth ']')
+  in
+  (match P.parse_request (with_id (P.max_depth - 1)) with
+  | Ok r -> Alcotest.(check bool) "deep id kept" true (r.P.id <> None)
+  | Error e -> Alcotest.failf "id at the bound refused: %s" e.Mrsl.Error.message);
+  match P.parse_request (with_id P.max_depth) with
+  | Ok _ -> Alcotest.fail "id past the bound accepted"
+  | Error e -> Alcotest.(check string) "past the bound" "protocol.parse" e.Mrsl.Error.code
+
 (* --- engine ---------------------------------------------------------- *)
 
 let test_engine_batch_dedup () =
@@ -351,6 +380,236 @@ let test_engine_batch_reload_segments () =
         "epochs straddle the swap" true
         (response_epoch r0 <> response_epoch r2)
   | rs -> Alcotest.failf "expected 3 responses, got %d" (List.length rs)
+
+(* --- wire bytes against the Json.t reference --------------------------- *)
+
+(* The engine writes posterior lines directly; the reference builds the
+   same line the way it always was: a [Json.t] tree through
+   [Protocol.ok_line]. The schema's names and labels need escaping, so
+   the engine's precomputed keys are checked too. *)
+let escaped_schema =
+  Relation.Schema.make
+    [
+      Relation.Attribute.make "col \"a\"" [ "x\\y"; "tab\there"; "plain" ];
+      Relation.Attribute.make "b/\001" [ "0"; "1" ];
+      Relation.Attribute.make "c" [ "\"q\""; "r" ];
+    ]
+
+let escaped_model =
+  lazy
+    (Mrsl.Model.learn_points
+       ~params:{ Mrsl.Model.default_params with support_threshold = 0.01 }
+       escaped_schema
+       (Array.init 300 (fun i -> [| i mod 3; i mod 3 mod 2; i / 3 mod 2 |])))
+
+let reference_attr schema a dist =
+  let attr = Relation.Schema.attribute schema a in
+  Json.Obj
+    [
+      ("attr", Json.String (Relation.Attribute.name attr));
+      ("index", Json.Int a);
+      ( "posterior",
+        Json.Obj
+          (List.init (Prob.Dist.size dist) (fun v ->
+               ( Relation.Attribute.value_label attr v,
+                 Json.Float (Prob.Dist.prob dist v) ))) );
+    ]
+
+let reference_line ?id ~epoch ~mode ?samples_used attrs =
+  P.ok_line ?id ~kind:"posterior"
+    ([
+       ("epoch", Json.Int epoch);
+       ("mode", Json.String mode);
+       ("attrs", Json.List attrs);
+     ]
+    @
+    match samples_used with
+    | Some n -> [ ("samples_used", Json.Int n) ]
+    | None -> [])
+
+(* The reference answer to an infer request at [epoch]: exact for one
+   missing cell, the engine's one-tuple Gibbs run for more. *)
+let reference_answer model ?id ~epoch labels =
+  let schema = Mrsl.Model.schema model in
+  let tuple =
+    Array.mapi
+      (fun i cell ->
+        Option.map
+          (Relation.Attribute.value_index (Relation.Schema.attribute schema i))
+          cell)
+      labels
+  in
+  match Relation.Tuple.missing tuple with
+  | [ a ] ->
+      reference_line ?id ~epoch ~mode:"exact"
+        [ reference_attr schema a (Mrsl.Infer_single.infer model tuple a) ]
+  | _ -> (
+      let contained =
+        Mrsl.Parallel.run_contained ~config:engine_config.gibbs
+          ~method_:engine_config.method_ ~telemetry:(T.create ())
+          ~policy:Mrsl.Parallel.Skip_and_report ~seed:engine_config.seed model
+          [ tuple ]
+      in
+      match contained.result.estimates with
+      | [ (_, (est : Mrsl.Gibbs.estimate)) ] ->
+          reference_line ?id ~epoch ~mode:"gibbs"
+            ~samples_used:est.samples_used
+            (List.map
+               (fun a -> reference_attr schema a (Mrsl.Gibbs.marginal est a))
+               est.missing)
+      | _ -> Alcotest.fail "reference Gibbs run produced no estimate")
+
+let test_engine_lines_match_reference () =
+  let model = Lazy.force escaped_model in
+  let path = Filename.temp_file "mrsl_serving_wire" ".mrsl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  Mrsl.Model_io.save path model;
+  let engine =
+    Serving.Engine.of_model ~telemetry:(T.create ()) ~config:engine_config
+      ~model_path:path model
+  in
+  let ids =
+    [
+      Some (Json.Int 7);
+      Some (Json.Int (-3));
+      Some (Json.String "q\"uote\\ \n\t\001 é");
+      Some Json.Null;
+      Some (Json.Obj [ ("k", Json.List [ Json.Int 1; Json.String "x" ]); ("e", Json.Obj []) ]);
+      Some (Json.Float 2.5);
+      Some (Json.Bool true);
+      Some (Json.List []);
+      None;
+    ]
+  in
+  let tuples =
+    [
+      [| None; Some "1"; Some "r" |];
+      [| Some "tab\there"; None; Some "\"q\"" |];
+      [| Some "x\\y"; Some "0"; None |];
+      [| None; Some "1"; Some "r" |];
+      [| None; None; Some "r" |];
+      [| Some "plain"; None; None |];
+    ]
+  in
+  let requests =
+    List.concat_map (fun id -> List.map (fun t -> (id, t)) tuples) ids
+  in
+  let check_lines what ~epoch_of pairs answers =
+    List.iteri
+      (fun i ((id, labels), (a : Serving.Engine.answer)) ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s: line %d" what i)
+          (reference_answer (Serving.Engine.model engine) ?id
+             ~epoch:(epoch_of i) labels)
+          a.line)
+      (List.combine pairs answers)
+  in
+  let infer_req (id, labels) = infer ?id labels in
+  (* cold (misses) then warm (hits), one segment each *)
+  let e0 = Serving.Engine.epoch engine in
+  for pass = 1 to 2 do
+    check_lines
+      (Printf.sprintf "pass %d" pass)
+      ~epoch_of:(fun _ -> e0)
+      requests
+      (Serving.Engine.handle_batch engine (List.map infer_req requests))
+  done;
+  (* Cache_only: single-missing hits are served, the rest shed *)
+  let pressured =
+    Serving.Engine.handle_batch ~pressure:Serving.Engine.Cache_only engine
+      (List.map infer_req requests)
+  in
+  List.iter2
+    (fun (id, labels) (a : Serving.Engine.answer) ->
+      let singles =
+        Array.fold_left (fun n c -> if c = None then n + 1 else n) 0 labels
+      in
+      if singles = 1 then begin
+        Alcotest.(check bool) "cache hit outcome" true
+          (a.outcome = Serving.Engine.Cache_hit);
+        Alcotest.(check string) "cache-only hit line"
+          (reference_answer model ?id ~epoch:e0 labels)
+          a.line
+      end
+      else begin
+        Alcotest.(check string) "gibbs shed" "serve.shed"
+          (response_error_code a.line);
+        Alcotest.(check bool) "shed echoes the id" true
+          (List.assoc_opt "id" (response_json a.line) = id)
+      end)
+    requests pressured;
+  (* Cache_only misses shed after a reload emptied the cache *)
+  (* a reload between two segments of one batch *)
+  let before = List.filteri (fun i _ -> i mod 2 = 0) requests in
+  let after = List.filteri (fun i _ -> i mod 2 = 1) requests in
+  let answers =
+    Serving.Engine.handle_batch engine
+      (List.map infer_req before
+      @ [ P.req ~id:(Json.Int 99) (P.Reload None) ]
+      @ List.map infer_req after)
+  in
+  let e1 = Serving.Engine.epoch engine in
+  Alcotest.(check bool) "reload moved the epoch" true (e1 <> e0);
+  let nb = List.length before in
+  let answers_before = List.filteri (fun i _ -> i < nb) answers in
+  let answers_after = List.filteri (fun i _ -> i > nb) answers in
+  check_lines "before reload" ~epoch_of:(fun _ -> e0) before answers_before;
+  check_lines "after reload" ~epoch_of:(fun _ -> e1) after answers_after;
+  match
+    Serving.Engine.handle_batch ~pressure:Serving.Engine.Cache_only engine
+      [ infer ~id:(Json.Int 5) [| Some "x\\y"; None; Some "r" |] ]
+  with
+  | [ a ] ->
+      Alcotest.(check string) "cold cache-only miss shed" "serve.shed"
+        (response_error_code a.line)
+  | _ -> Alcotest.fail "expected one answer"
+
+(* --- one cache probe per request ------------------------------------- *)
+
+let test_engine_one_probe () =
+  let engine, telemetry = fresh_engine () in
+  let cache = Serving.Engine.cache engine in
+  let probes () =
+    let s = Mrsl.Posterior_cache.stats cache in
+    s.Mrsl.Posterior_cache.hits + s.Mrsl.Posterior_cache.misses
+  in
+  let other = [| Some "v1"; None; Some "v0" |] in
+  let batches =
+    [
+      (None, [ single ]);
+      (None, [ single; single; other; other; single ]);
+      (Some Serving.Engine.Cache_only, [ single; other ]);
+      (Some Serving.Engine.Cache_only, [ [| Some "v0"; Some "v0"; None |] ]);
+      (None, [ single; [| None; None; Some "v1" |]; other ]);
+    ]
+  in
+  List.iter
+    (fun (pressure, tuples) ->
+      let singles =
+        List.length
+          (List.filter
+             (fun t -> Array.fold_left (fun n c -> if c = None then n + 1 else n) 0 t = 1)
+             tuples)
+      in
+      let p0 = probes () in
+      ignore (batch_lines ?pressure engine (List.map (fun t -> infer t) tuples));
+      Alcotest.(check int) "one probe per single-missing request" singles
+        (probes () - p0))
+    batches;
+  let s = Mrsl.Posterior_cache.stats cache in
+  (* [single] and [other] computed once each; the Cache_only miss is the
+     third signature, shed *)
+  Alcotest.(check int) "misses" 3 s.Mrsl.Posterior_cache.misses;
+  Alcotest.(check int) "hits" 8 s.Mrsl.Posterior_cache.hits;
+  (* repeats within one segment fan out, whether the first lookup of
+     the segment computed the posterior or found it cached: [single]
+     twice more and [other] once more in the second batch. Cache_only
+     lookups do not dedup. *)
+  Alcotest.(check int) "dedup fan-out" 3 s.Mrsl.Posterior_cache.dedup_fanout;
+  Alcotest.(check int) "fan-out counter" 3
+    (counter telemetry "cache.dedup_fanout")
 
 (* --- protocol deadlines ---------------------------------------------- *)
 
@@ -573,6 +832,97 @@ let test_server_truncated_frame () =
   Alcotest.(check int)
     "truncated frame counted" 1
     (counter telemetry "serve.errors")
+
+let test_server_deep_frame () =
+  let telemetry =
+    with_server @@ fun endpoint ->
+    let c = Serving.Client.connect ~timeout:5. endpoint in
+    Fun.protect
+      ~finally:(fun () -> Serving.Client.close c)
+      (fun () ->
+        let t0 = Mrsl.Clock.now () in
+        Serving.Client.send_partial c (nested_frame (1 lsl 20) ^ "\n");
+        let reply = Serving.Client.recv c in
+        let dt = Mrsl.Clock.now () -. t0 in
+        Alcotest.(check string) "deep frame refused" "protocol.parse"
+          (response_error_code reply);
+        Alcotest.(check bool)
+          (Printf.sprintf "answered in %.3f s" dt)
+          true (dt < 0.25);
+        Alcotest.(check bool)
+          "next request answered" true
+          (response_ok (Serving.Client.rpc c (P.req P.Ping))))
+  in
+  Alcotest.(check int) "refusal counted" 1 (counter telemetry "serve.errors")
+
+(* A one-shot peer on a fresh Unix socket: [serve fd] writes whatever
+   the test needs to the accepted connection, which is then closed. *)
+let with_peer serve f =
+  let path = Filename.temp_file "mrsl-client-test" ".sock" in
+  Sys.remove path;
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      raw_close listener;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Unix.bind listener (Unix.ADDR_UNIX path);
+      Unix.listen listener 1;
+      let peer =
+        Domain.spawn (fun () ->
+            let fd, _ = Unix.accept listener in
+            Fun.protect ~finally:(fun () -> raw_close fd) (fun () -> serve fd))
+      in
+      Fun.protect
+        ~finally:(fun () -> Domain.join peer)
+        (fun () -> f (P.Unix_socket path)))
+
+let write_string fd s =
+  let off = ref 0 in
+  while !off < String.length s do
+    off := !off + Unix.write_substring fd s !off (String.length s - !off)
+  done
+
+let test_client_line_framing () =
+  (* Lines that straddle the client's 4096-byte reads, a CRLF whose CR
+     ends one read and whose LF starts the next, a line longer than two
+     reads, and an unterminated tail. *)
+  let lines =
+    List.init 60 (fun i -> String.make (1 + (i * 37 mod 211)) (Char.chr (97 + (i mod 26))))
+  in
+  let body = String.concat "\n" lines ^ "\n" in
+  let cr_line = String.make (4095 - (String.length body mod 4096)) 'c' in
+  let long = String.make 9000 'L' in
+  let expected = lines @ [ cr_line; long; "crlf"; "" ; "last" ] in
+  let stream =
+    body ^ cr_line ^ "\r\n" ^ long ^ "\n" ^ "crlf\r\n" ^ "\r\n" ^ "last\n"
+    ^ "no newline at the end"
+  in
+  Alcotest.(check int) "CR ends a 4096-byte read" 4095
+    ((String.length body + String.length cr_line) mod 4096);
+  with_peer (fun fd -> write_string fd stream) @@ fun endpoint ->
+  let c = Serving.Client.connect ~timeout:5. endpoint in
+  Fun.protect
+    ~finally:(fun () -> Serving.Client.close c)
+    (fun () ->
+      List.iteri
+        (fun i want ->
+          Alcotest.(check string) (Printf.sprintf "line %d" i) want
+            (Serving.Client.recv c))
+        expected;
+      Alcotest.check_raises "unterminated tail is not a line" End_of_file
+        (fun () -> ignore (Serving.Client.recv c)))
+
+let test_client_scrape_keeps_tail () =
+  let body = String.concat "\n" (List.init 500 (fun i -> Printf.sprintf "m_%d %d" i i)) in
+  with_peer
+    (fun fd ->
+      let buf = Bytes.create 512 in
+      ignore (Unix.read fd buf 0 512);
+      write_string fd ("HTTP/1.0 200 OK\r\nContent-Type: text/plain\r\n\r\n" ^ body))
+  @@ fun endpoint ->
+  Alcotest.(check string) "body, unterminated last line included" body
+    (Serving.Client.scrape_metrics ~timeout:5. endpoint)
 
 let test_server_idle_kill () =
   let telemetry =
@@ -1060,6 +1410,12 @@ let suite =
     ("reload failures keep serving", `Quick, test_engine_reload_failures);
     ("reload splits a batch", `Quick, test_engine_batch_reload_segments);
     ("cache-only pressure rung", `Quick, test_engine_cache_only);
+    ("engine lines = ok_line reference", `Quick, test_engine_lines_match_reference);
+    ("engine one probe per request", `Quick, test_engine_one_probe);
+    ("protocol depth bound", `Quick, test_protocol_depth_bound);
+    ("server refuses a deep frame", `Quick, test_server_deep_frame);
+    ("client line framing", `Quick, test_client_line_framing);
+    ("client scrape keeps the tail", `Quick, test_client_scrape_keeps_tail);
     ("client backoff deterministic", `Quick, test_client_backoff);
     ("server half-close flushes", `Quick, test_server_half_close);
     ("server counts truncated frames", `Quick, test_server_truncated_frame);

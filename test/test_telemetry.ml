@@ -153,6 +153,118 @@ let test_json_deep_nesting () =
   (* unbalanced nesting is rejected *)
   Alcotest.(check bool) "unbalanced rejected" true (parse_fails "[[1]")
 
+let test_json_depth_bound () =
+  let nested n = String.make n '[' ^ "1" ^ String.make n ']' in
+  Alcotest.(check bool) "depth 4 under a bound of 4" true
+    (Json.equal (Json.of_string ~max_depth:4 (nested 4))
+       (Json.of_string (nested 4)));
+  Alcotest.check_raises "depth 5 over a bound of 4"
+    (Json.Parse_error "nesting deeper than 4 levels at offset 4") (fun () ->
+      ignore (Json.of_string ~max_depth:4 (nested 5)));
+  Alcotest.check_raises "objects count as levels"
+    (Json.Parse_error "nesting deeper than 1 levels at offset 5") (fun () ->
+      ignore (Json.of_string ~max_depth:1 {|{"a":{}}|}));
+  (* siblings do not add up: depth is nesting, not count *)
+  Alcotest.(check bool) "siblings" true
+    (Json.equal (Json.of_string ~max_depth:2 "[[],[1],{}]")
+       (Json.List [ Json.List []; Json.List [ Json.Int 1 ]; Json.Obj [] ]))
+
+(* --- the float printer ------------------------------------------------ *)
+
+(* The printing rule [Json.float_repr] must keep, computed the way it
+   always was: the C formatter plus a parse-back. *)
+let reference_repr f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else
+    let s = Printf.sprintf "%.15g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+let same_repr f =
+  let got = Json.float_repr f and want = reference_repr f in
+  if got <> want then
+    QCheck2.Test.fail_reportf "%h: float_repr %S, reference %S" f got want;
+  true
+
+(* Doubles m * 2^-e with m odd are exact decimals with as many
+   significant digits as m * 5^e; those with 16 (18) digits sit exactly
+   halfway between two 15-digit (17-digit) decimals. *)
+let decimal_ties digits =
+  List.concat_map
+    (fun e ->
+      List.filter_map
+        (fun m ->
+          let f = Float.ldexp (float_of_int m) (-e) in
+          let exact = Printf.sprintf "%.40e" f in
+          (* significant digits of the exact expansion *)
+          let mant = String.sub exact 0 (String.index exact 'e') in
+          let mant =
+            String.concat "" (String.split_on_char '.' mant)
+          in
+          let len = ref (String.length mant) in
+          while !len > 1 && mant.[!len - 1] = '0' do decr len done;
+          if !len = digits then Some f else None)
+        (List.init 200 (fun i -> (2 * i) + 1)))
+    (List.init 40 (fun i -> i + 15))
+
+let float_edge_cases =
+  let around f = [ Float.pred f; f; Float.succ f ] in
+  let neg l = l @ List.map Float.neg l in
+  neg
+    (List.concat
+       [
+         [ Float.nan; Float.infinity; 0.; Float.min_float; 4.9e-324; Float.pred Float.min_float;
+           Float.max_float; Float.epsilon; 0.1; 0.2; 0.3; 1. /. 3.; 2. /. 3. ];
+         List.concat_map (fun k -> around (10. ** float_of_int k))
+           (List.init 41 (fun i -> i - 25));
+         List.concat_map around
+           [ 1e15; 1e15 -. 1.; 1e15 +. 2.; 999999999999999.5; 1e16; 2. ** 53. ];
+         List.concat_map around
+           [ 1e-7; 2. ** -24.; 2. ** -23.; 1e-4; 1.; 0.5; 9.5e-5;
+             0.000099999999999999995; 0.99999999999999995 ];
+         List.init 60 (fun i -> 2. ** float_of_int (-i));
+         decimal_ties 16;
+         decimal_ties 18;
+       ])
+
+let test_float_repr_edge_cases () =
+  Alcotest.(check bool) "15-digit ties present" true (decimal_ties 16 <> []);
+  Alcotest.(check bool) "17-digit ties present" true (decimal_ties 18 <> []);
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (Printf.sprintf "%h" f) (reference_repr f)
+        (Json.float_repr f))
+    float_edge_cases;
+  (* a few fixed points of the rule, spelled out *)
+  List.iter
+    (fun (f, want) -> Alcotest.(check string) want want (Json.float_repr f))
+    [ (0.1, "0.1"); (-0., "-0.0"); (3., "3.0"); (1e15, "1e+15");
+      (1. /. 3., "0.33333333333333331"); (0.7, "0.7");
+      (0.1 +. 0.2, "0.30000000000000004"); (2.5e-5, "2.5e-05");
+      (Float.pred 1., "0.99999999999999989") ];
+  List.iter
+    (fun f ->
+      Alcotest.(check string) "non-finite prints null" "null"
+        (Json.to_string (Json.Float f)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+let float_gen =
+  let open QCheck2.Gen in
+  let scaled (m, e) = Float.ldexp (float_of_int (m lor (1 lsl 52))) (e - 53) in
+  frequency
+    [
+      (3, map Int64.float_of_bits int64);
+      (4, map scaled (pair (int_range 0 ((1 lsl 52) - 1)) (int_range (-26) 1)));
+      ( 2,
+        map
+          (fun (a, b) -> float_of_int a /. float_of_int (a + b))
+          (pair (int_range 0 5000) (int_range 1 5000)) );
+      (1, oneofl float_edge_cases);
+    ]
+
+let test_float_repr_property =
+  Helpers.qcheck ~count:100_000 "JSON float_repr = printf rule" float_gen
+    same_repr
+
 let test_json_nonfinite_in_structures () =
   (* non-finite floats degrade to null even when nested, so any emitted
      document (e.g. a Perfetto trace with a nan counter) stays parseable *)
@@ -228,6 +340,9 @@ let suite =
     ("JSON floats survive", `Quick, test_json_floats_survive);
     ("JSON unicode escapes", `Quick, test_json_unicode_escapes);
     ("JSON deep nesting", `Quick, test_json_deep_nesting);
+    ("JSON depth bound", `Quick, test_json_depth_bound);
+    ("JSON float_repr edge cases", `Quick, test_float_repr_edge_cases);
+    test_float_repr_property;
     ("JSON non-finite in structures", `Quick, test_json_nonfinite_in_structures);
     ("reservoir deterministic", `Quick, test_reservoir_deterministic);
     ("reservoir unbiased (Algorithm R)", `Quick, test_reservoir_unbiased);
