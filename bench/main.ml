@@ -1214,7 +1214,7 @@ let render_serve rng =
           let pipe_wall = Mrsl.Clock.now () -. t0 in
           let pipe_rps = float_of_int n_pipe /. pipe_wall in
           (* Dedup fan-out: a burst of identical requests must collapse
-             to (at most) one posterior computation via prewarm. *)
+             to (at most) one posterior computation per batch segment. *)
           let fanout_before =
             (Mrsl.Posterior_cache.stats (Serving.Engine.cache engine))
               .dedup_fanout

@@ -34,8 +34,8 @@ val rung_name : rung -> string
     used in machine-readable output. *)
 
 val infer : ?method_:Voting.method_ -> ?telemetry:Telemetry.t ->
-  ?cache:Posterior_cache.t -> ?segment:int -> Model.t -> Relation.Tuple.t ->
-  int -> Prob.Dist.t
+  ?cache:Posterior_cache.t -> ?segment:Posterior_cache.segment -> Model.t ->
+  Relation.Tuple.t -> int -> Prob.Dist.t
 (** [infer model t a] — estimated distribution of the missing attribute [a]
     in [t]. The method defaults to best-averaged (the paper's most accurate
     setting). Raises [Invalid_argument] when [a] is not missing in [t] or
@@ -53,8 +53,8 @@ val infer : ?method_:Voting.method_ -> ?telemetry:Telemetry.t ->
     passed to {!Posterior_cache.find_or_compute}. *)
 
 val infer_result : ?method_:Voting.method_ -> ?telemetry:Telemetry.t ->
-  ?cache:Posterior_cache.t -> ?segment:int -> Model.t -> Relation.Tuple.t ->
-  int -> (Prob.Dist.t, Error.t) result
+  ?cache:Posterior_cache.t -> ?segment:Posterior_cache.segment -> Model.t ->
+  Relation.Tuple.t -> int -> (Prob.Dist.t, Error.t) result
 (** Non-raising boundary variant of {!infer}: structural misuse comes back
     as [Error Input/infer.bad_task] instead of [Invalid_argument]. *)
 

@@ -129,7 +129,6 @@ type node = {
   nkey : key;
   dist : Prob.Dist.t;
   nbytes : int;
-  mutable stamp : int;  (* segment token of its last lookup; -1 = none *)
   mutable prev : node;  (* toward MRU / sentinel *)
   mutable next : node;  (* toward LRU / sentinel *)
 }
@@ -147,7 +146,7 @@ let dummy_key =
 
 let make_shard () =
   let rec sentinel =
-    { nkey = dummy_key; dist = Prob.Dist.uniform 1; nbytes = 0; stamp = -1;
+    { nkey = dummy_key; dist = Prob.Dist.uniform 1; nbytes = 0;
       prev = sentinel; next = sentinel }
   in
   { lock = Mutex.create (); table = Table.create 256; sentinel; bytes = 0;
@@ -186,7 +185,6 @@ type t = {
   misses : int Atomic.t;
   evictions : int Atomic.t;
   dedup_fanout : int Atomic.t;
-  segments : int Atomic.t;
 }
 
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
@@ -206,20 +204,17 @@ let create ?(shards = default_shards) ?(max_bytes = default_max_bytes)
     misses = Atomic.make 0;
     evictions = Atomic.make 0;
     dedup_fanout = Atomic.make 0;
-    segments = Atomic.make 0;
   }
-
-let new_segment t = Atomic.fetch_and_add t.segments 1
 
 let shard_of t key = t.shards.(key.khash land t.shard_mask)
 
 (* Per-entry footprint on a 64-bit heap, kept at or above the true cost
    so the byte budget never under-counts (the [Obj.reachable_words]
    cross-check in the resources report and test suite holds it honest):
-   node record (7 words), key record (6 words), signature int array
+   node record (6 words), key record (6 words), signature int array
    (len + 1 words), distribution float array (len + 1 words), hashtable
    bucket cell (4 words), plus amortized slot-array and resize slack.
-   56 + 48 + 32 + 16 = 152 structural bytes, padded to 208 for the
+   48 + 48 + 32 + 16 = 144 structural bytes, padded to 208 for the
    array headers and table slack. *)
 let entry_bytes key dist =
   208 + (8 * Array.length key.sig_) + (8 * Prob.Dist.size dist)
@@ -240,23 +235,15 @@ let count_fanout t n =
     Telemetry.incr ~by:n t.telemetry "cache.dedup_fanout"
   end
 
-(* A hit under segment token [segment] that finds the entry already
-   stamped with it is a repeat: an earlier lookup of the same segment
-   asked for the same posterior. *)
-let find_node ?(segment = -1) t key =
+let find_key t key =
   let sh = shard_of t key in
-  let repeat = ref false in
   let found =
     with_lock sh (fun () ->
         match Table.find_opt sh.table key with
         | Some n ->
             detach n;
             push_front sh n;
-            if segment >= 0 then begin
-              repeat := n.stamp = segment;
-              n.stamp <- segment
-            end;
-            Some n
+            Some n.dist
         | None -> None)
   in
   (match found with
@@ -266,19 +253,16 @@ let find_node ?(segment = -1) t key =
   | None ->
       Atomic.incr t.misses;
       Telemetry.incr t.telemetry "cache.misses");
-  if !repeat then count_fanout t 1;
   found
 
-let find_key t key = Option.map (fun n -> n.dist) (find_node t key)
-
-let add_key ?(stamp = -1) t key dist =
+let add_key t key dist =
   let sh = shard_of t key in
   let evicted =
     with_lock sh (fun () ->
         if Table.mem sh.table key then 0
         else begin
           let n =
-            { nkey = key; dist; nbytes = entry_bytes key dist; stamp;
+            { nkey = key; dist; nbytes = entry_bytes key dist;
               prev = sh.sentinel; next = sh.sentinel }
           in
           Table.replace sh.table key n;
@@ -325,19 +309,28 @@ let find t model ~method_ tup a =
     found
   end
 
+type segment = unit Table.t
+
+let new_segment () = Table.create 64
+
 let find_or_compute ?segment t model ~method_ tup a f =
   if bypassed () then f ()
   else begin
     let key = make_key model ~method_ tup a in
+    (match segment with
+    | Some seen ->
+        if Table.mem seen key then count_fanout t 1
+        else Table.replace seen key ()
+    | None -> ());
     let t0 = Clock.now () in
-    let found = find_node ?segment t key in
+    let found = find_key t key in
     Telemetry.observe t.telemetry "cache.lookup_seconds"
       (Clock.now () -. t0);
     match found with
-    | Some n -> n.dist
+    | Some d -> d
     | None ->
         let d = f () in
-        add_key ?stamp:segment t key d;
+        add_key t key d;
         d
   end
 

@@ -102,7 +102,13 @@ val find : t -> Model.t -> method_:Voting.method_ ->
     counted) while voter-drop fault injection is active, so a degraded
     generation can never satisfy a pressure probe. *)
 
-val find_or_compute : ?segment:int -> t -> Model.t ->
+type segment
+(** The lookups of one batch segment, for request dedup. *)
+
+val new_segment : unit -> segment
+(** An empty segment. *)
+
+val find_or_compute : ?segment:segment -> t -> Model.t ->
   method_:Voting.method_ -> Relation.Tuple.t -> int ->
   (unit -> Prob.Dist.t) -> Prob.Dist.t
 (** [find_or_compute t model ~method_ tup a f] — the cached posterior for
@@ -112,16 +118,13 @@ val find_or_compute : ?segment:int -> t -> Model.t ->
     cache (straight to [f ()], nothing counted or stored) while
     voter-drop fault injection is active.
 
-    [segment] (a {!new_segment} token) groups the lookups of one batch
-    segment, and makes request dedup cost nothing beyond the probe
-    itself: a lookup whose evidence signature an earlier lookup of the
-    same segment already asked for (which computed it, or found it
-    cached) is a repeat, answered by that posterior, and adds one to
+    [segment] makes request dedup cost nothing beyond the probe: a
+    lookup whose evidence signature an earlier lookup of the same
+    segment already asked for (which computed it, or found it cached)
+    is a repeat, answered by that posterior, and adds one to
     [cache.dedup_fanout] — the count {!prewarm} reports for the same
-    tasks. The entry carries the token of its last lookup. *)
-
-val new_segment : t -> int
-(** A token no earlier call returned, for [find_or_compute ?segment]. *)
+    tasks. The segment remembers the keys it has seen; it lives as long
+    as the caller keeps it, and belongs to one domain. *)
 
 val prewarm : t -> Model.t -> method_:Voting.method_ ->
   compute:(Relation.Tuple.t -> int -> Prob.Dist.t) ->

@@ -346,7 +346,7 @@ let run_single t ~pressure responses tasks =
      concurrent requests (same evidence signature) pay one computation:
      the first probe of the segment computes (or finds) the posterior,
      the repeats hit it and count as cache.dedup_fanout. *)
-  let segment = Mrsl.Posterior_cache.new_segment t.cache in
+  let segment = Mrsl.Posterior_cache.new_segment () in
   List.iter
     (fun { slot; req_id = id; tuple; _ } ->
       let a =

@@ -21,15 +21,27 @@
 
     {2 Batching}
 
-    {!handle_batch} answers a drained batch as a unit: the
-    single-missing tasks of each batch segment are prewarmed through
-    {!Mrsl.Posterior_cache.prewarm}, so identical concurrent requests
-    from different clients pay one posterior computation
-    ([cache.dedup_fanout]) and multi-missing requests are computed once
-    per distinct tuple per segment. A [reload] request splits the batch
-    into segments: requests ahead of it are answered by the old model,
-    requests behind it by the new one — in-flight requests are never
-    dropped by a swap.
+    {!handle_batch} answers a drained batch as a unit. Each
+    single-missing request makes exactly one posterior-cache probe
+    ({!Mrsl.Posterior_cache.find_or_compute}, with one
+    {!Mrsl.Posterior_cache.segment} per batch segment); a miss computes
+    and stores. Identical concurrent requests from different clients
+    therefore pay one posterior computation, and every repeat of an
+    evidence signature within a segment counts [cache.dedup_fanout].
+    Multi-missing requests are computed once per distinct tuple per
+    segment. A [reload] request splits the batch into segments:
+    requests ahead of it are answered by the old model, requests behind
+    it by the new one — in-flight requests are never dropped by a swap.
+
+    {2 Response lines}
+
+    [posterior] lines are written straight into one buffer the engine
+    reuses, from per-epoch precomputed bytes (each attribute's
+    [{"attr":…,"index":…,"posterior":{] opener and its values' label
+    keys) and {!Mrsl.Telemetry.Json.add_float}. They are byte-identical
+    to {!Protocol.ok_line} over the equivalent [Json.t] payload, which
+    the tests hold as the reference. The buffer makes an engine
+    single-threaded: one {!handle_batch} at a time.
 
     {2 Hot swap}
 

@@ -6,9 +6,10 @@
     reassemble line frames per connection ({!Protocol.Framing}), push
     parsed requests through the bounded {!Admission} queue, and — once
     per loop iteration — drain up to [batch_max] of them into one
-    {!Engine.handle_batch} call. Batching is what lets the posterior
-    cache's prewarm dedup identical concurrent requests from different
-    clients into one computation.
+    {!Engine.handle_batch} call. Batching is what lets identical
+    concurrent requests from different clients share one posterior
+    computation: the first one's cache probe computes it, the rest
+    hit it.
 
     {2 Hostile-traffic defenses}
 
