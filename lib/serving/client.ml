@@ -82,14 +82,11 @@ let connect_retry ?(attempts = 100) ?(delay = 0.05) ?(max_delay = 1.0)
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
-let clear_input t =
-  t.start <- 0;
-  t.scanned <- 0;
-  t.stop <- 0
-
 let reconnect t =
   close t;
-  clear_input t;
+  t.start <- 0;
+  t.scanned <- 0;
+  t.stop <- 0;
   t.fd <- connect_fd t.endpoint
 
 let write_all fd s =
