@@ -80,7 +80,8 @@ module Json = struct
      parse-back is decided exactly: the decimal lies [dist] units of
      10^-k / 2^s from f, and f's rounding interval reaches 5^k / 2
      units up and down, or 5^k / 4 units down when m is a power of two
-     (the next double below is half as far away). 5^k is odd, so the
+     (the next double below is half as far away; the tests print every
+     power of two in the range). 5^k is odd, so the
      decimal never sits on a boundary and the parse's tie rule never
      matters. *)
   let decimal m e p =
