@@ -81,9 +81,8 @@ module Json = struct
      10^-k / 2^s from f, and f's rounding interval reaches 5^k / 2
      units up and down, or 5^k / 4 units down when m is a power of two
      (the next double below is half as far away; the tests print every
-     power of two in the range). 5^k is odd, so the
-     decimal never sits on a boundary and the parse's tie rule never
-     matters. *)
+     power of two in the range). 5^k is odd, so the decimal never sits
+     on a boundary and the parse's tie rule never matters. *)
   let decimal m e p =
     (* floor ((e + 52) log10 2) = floor (log10 2^(e+52)) <= floor (log10 f),
        and the first guess is at most one too small. *)
@@ -333,7 +332,6 @@ module Json = struct
     st.depth <- st.depth + 1;
     advance st
 
-  (* Step over a closing bracket. *)
   let leave st =
     st.depth <- st.depth - 1;
     advance st

@@ -3,8 +3,7 @@ exception Timeout
 (* Received bytes live in [inbuf.[start .. stop)]; no newline occurs in
    [inbuf.[start .. scanned)]. A line is taken by moving [start], and
    each byte is scanned once, so a window of pipelined responses costs
-   one pass over its bytes (taking a line used to copy the whole
-   receive buffer). *)
+   one pass over its bytes. *)
 type t = {
   endpoint : Protocol.endpoint;
   mutable fd : Unix.file_descr;
