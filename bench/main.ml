@@ -433,8 +433,17 @@ let run_resources fx =
            ~strategy:Mrsl.Workload.Tuple_dag (Prob.Rng.create 7) sampler
            fx.workload)
   in
+  (* Fig 4's miner on the fixture's rows: only the frequent 1-items'
+     bitsets and per-level rows should allocate. *)
+  let apriori_mine () =
+    ignore
+      (Mining.Apriori.mine
+         ~config:{ threshold = 0.02; max_itemsets = 1000 }
+         ~cards:fx.cards fx.points)
+  in
   let measured =
     [
+      measure "mrsl/fig4/apriori-mine" apriori_mine;
       measure "mrsl/table2/infer-best-averaged"
         (infer_batch ~method_:Mrsl.Voting.best_averaged fx);
       measure "mrsl/fig10/gibbs-run" gibbs_kernel;

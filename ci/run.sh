@@ -125,6 +125,7 @@ dune exec ci/bench_gate.exe -- \
     "${MRSL_ALLOC_INFER_CEIL:-35000}" \
   --max-alloc-bytes mrsl/fig10/gibbs-run "${MRSL_ALLOC_GIBBS_CEIL:-21000}" \
   --max-alloc-bytes mrsl/fig11/workload-tuple-dag 640000 \
+  --max-alloc-bytes mrsl/fig4/apriori-mine 700000 \
   --min-speedup mrsl/table2/infer-best-averaged \
     "${MRSL_KERNEL_SPEEDUP:-2.0}" \
   --min-speedup mrsl/fig10/gibbs-run "${MRSL_KERNEL_SPEEDUP:-2.0}" \

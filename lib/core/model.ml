@@ -82,15 +82,14 @@ let learn_points ?(params = default_params) schema points =
     "model.learn"
   @@ fun () ->
   let t0 = Clock.now () in
-  let apriori =
+  let miner_name =
+    match params.miner with Apriori -> "apriori" | Fp_growth -> "fp-growth"
+  in
+  let mined =
     Trace.complete ~cat:"mine"
       ~args:
         [
-          ( "miner",
-            Trace.Str
-              (match params.miner with
-              | Apriori -> "apriori"
-              | Fp_growth -> "fp-growth") );
+          ("miner", Trace.Str miner_name);
           ("points", Trace.Int (Array.length points));
         ]
       "mine.frequent_itemsets"
@@ -100,12 +99,15 @@ let learn_points ?(params = default_params) schema points =
         | Fp_growth -> Mining.Fp_growth.mine ~config ~cards points)
   in
   Log.debug (fun m ->
-      m "apriori: %d frequent itemsets in %d rounds%s (%.3fs, θ=%g, %d points)"
-        (Mining.Apriori.count apriori)
-        (Mining.Apriori.rounds apriori)
-        (if Mining.Apriori.truncated apriori then " [truncated]" else "")
+      m "%s: %d frequent itemsets in %d rounds%s (%.3fs, θ=%g, %d points)"
+        miner_name
+        (Mining.Apriori.count mined)
+        (Mining.Apriori.rounds mined)
+        (if Mining.Apriori.truncated mined then " [truncated]" else "")
         (Clock.now () -. t0)
         params.support_threshold (Array.length points));
+  (* Sorted once here, not once per head attribute. *)
+  let frequent = Mining.Apriori.frequent mined in
   let lattice_of_attr attr =
     Trace.complete ~cat:"lattice"
       ~args:[ ("attr", Trace.Int attr) ]
@@ -115,7 +117,7 @@ let learn_points ?(params = default_params) schema points =
     let root =
       root_meta_rule ~floor:params.smoothing_floor schema points attr
     in
-    let rules = Mining.Assoc_rule.mine_for_attr apriori attr in
+    let rules = Mining.Assoc_rule.mine_for_attr ~frequent mined attr in
     let groups = group_rules_by_body rules in
     let metas =
       Mining.Itemset.Table.fold
@@ -139,8 +141,8 @@ let learn_points ?(params = default_params) schema points =
     schema;
     lattices;
     params;
-    frequent_itemsets = Mining.Apriori.count apriori;
-    truncated = Mining.Apriori.truncated apriori;
+    frequent_itemsets = Mining.Apriori.count mined;
+    truncated = Mining.Apriori.truncated mined;
     epoch = next_epoch ();
   }
 

@@ -29,124 +29,171 @@ let count t = Itemset.Table.length t.supports - 1
 let rounds t = t.rounds
 let truncated t = t.truncated
 
-(* Level-1 counting: one pass, a dense counter per (attribute, value). *)
-let level1 cards points threshold =
-  let n_points = Array.length points in
-  let counters = Array.map (fun c -> Array.make c 0) cards in
-  Array.iter
-    (fun p ->
-      if Array.length p <> Array.length cards then
-        invalid_arg "Apriori.mine: tuple arity mismatch";
-      Array.iteri
-        (fun a v ->
-          if v < 0 || v >= cards.(a) then
-            invalid_arg "Apriori.mine: value out of range";
-          counters.(a).(v) <- counters.(a).(v) + 1)
-        p)
-    points;
-  let min_count =
-    int_of_float (Float.ceil (threshold *. float_of_int n_points))
-  in
-  let frequent = ref [] in
-  Array.iteri
-    (fun a row ->
-      Array.iteri
-        (fun v c ->
-          if c >= min_count && c > 0 then
-            frequent :=
-              ( Itemset.of_list [ (a, v) ],
-                float_of_int c /. float_of_int n_points )
-              :: !frequent)
-        row)
-    counters;
-  List.rev !frequent
+(* Vertical counting. Every frequent 1-item gets a tid-bitset over the
+   points, [bits] rows to a word; a candidate's count is the popcount of
+   the AND of its items' bitsets. 62 bits keep every word non-negative,
+   so the SWAR popcount below needs no 64-bit constants. *)
+let bits = 62
 
-(* Candidate generation: join two frequent (k−1)-itemsets sharing their
-   first k−2 items; the two trailing items must be on distinct attributes.
-   Then prune candidates with an infrequent (k−1)-subset. *)
-let candidates prev_level prev_table =
-  let arr = Array.of_list prev_level in
-  let n = Array.length arr in
-  let out = ref [] in
-  let prefix s =
-    let items = Itemset.to_list s in
-    match List.rev items with
-    | [] -> ([], (0, 0))
-    | last :: rev_front -> (List.rev rev_front, last)
+let popcount x =
+  let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  let x =
+    (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333)
   in
-  for i = 0 to n - 1 do
-    let pi, (ai, vi) = prefix (fst arr.(i)) in
-    for j = i + 1 to n - 1 do
-      let pj, (aj, vj) = prefix (fst arr.(j)) in
-      if pi = pj && ai <> aj then begin
-        let cand = Itemset.of_list ((ai, vi) :: (aj, vj) :: pi) in
-        (* Downward-closure prune. *)
-        let all_subsets_frequent =
-          List.for_all
-            (fun a ->
-              Itemset.Table.mem prev_table (Itemset.remove_attr cand a))
-            (Itemset.attrs cand)
-        in
-        if all_subsets_frequent then out := cand :: !out
-      end
-    done
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (x * 0x0101_0101_0101_0101) lsr 56
+
+let and_into dst a b =
+  for w = 0 to Array.length dst - 1 do
+    Array.unsafe_set dst w (Array.unsafe_get a w land Array.unsafe_get b w)
+  done
+
+let count_and a b =
+  let c = ref 0 in
+  for w = 0 to Array.length a - 1 do
+    c := !c + popcount (Array.unsafe_get a w land Array.unsafe_get b w)
   done;
-  !out
+  !c
 
-(* Count candidate supports with one data pass. For each point we probe the
-   candidate table with the point's k-subsets when that is cheaper than
-   testing every candidate against the point. *)
-let count_candidates cands points k =
-  let table = Itemset.Table.create (List.length cands * 2) in
-  List.iter (fun c -> Itemset.Table.replace table c 0) cands;
-  let n_cands = List.length cands in
-  let arity = if Array.length points = 0 then 0 else Array.length points.(0) in
-  let choose n r =
-    let rec go n r acc =
-      if r = 0 then acc
-      else if n <= 0 then max_int
-      else if acc > 1_000_000 then max_int
-      else go (n - 1) (r - 1) (acc * n / (max 1 r))
-    in
-    go n r 1
-  in
-  let subsets_per_point = choose arity k in
-  if subsets_per_point <= 4 * max 1 n_cands then begin
-    (* Enumerate each point's k-subsets of attributes and probe. *)
-    let idx = Array.make k 0 in
-    let probe point =
-      let rec enum pos start =
-        if pos = k then begin
-          let items =
-            Array.to_list (Array.map (fun a -> (a, point.(a))) idx)
-          in
-          let s = Itemset.of_list items in
-          match Itemset.Table.find_opt table s with
-          | Some c -> Itemset.Table.replace table s (c + 1)
-          | None -> ()
-        end
-        else
-          for a = start to arity - (k - pos) do
-            idx.(pos) <- a;
-            enum (pos + 1) (a + 1)
-          done
+(* A level is [n] itemsets of [k] items each, stored row after row in one
+   flat array of item indices; rows are ascending and the level is in
+   lexicographic order, so itemsets sharing a (k−1)-prefix are
+   contiguous. *)
+type level = { k : int; rows : int array; n : int }
+
+let hash_row a off k =
+  let h = ref 0 in
+  for i = off to off + k - 1 do
+    h := (!h * 1_000_003) lxor Array.unsafe_get a i
+  done;
+  !h lxor (!h lsr 17)
+
+(* The previous level as an open-addressing hash set of row indices, for
+   the downward-closure prune. *)
+let row_set lv =
+  let size = ref 16 in
+  while !size < 2 * lv.n do
+    size := 2 * !size
+  done;
+  let slots = Array.make !size (-1) in
+  let mask = !size - 1 in
+  for r = 0 to lv.n - 1 do
+    let s = ref (hash_row lv.rows (r * lv.k) lv.k land mask) in
+    while slots.(!s) >= 0 do
+      s := (!s + 1) land mask
+    done;
+    slots.(!s) <- r
+  done;
+  fun probe ->
+    let rec find s =
+      let r = slots.(s) in
+      r >= 0
+      &&
+      let rec same i =
+        i = lv.k || (lv.rows.((r * lv.k) + i) = probe.(i) && same (i + 1))
       in
-      enum 0 0
+      same 0 || find ((s + 1) land mask)
     in
-    Array.iter probe points
-  end
-  else
-    (* Scan candidates per point. *)
-    Array.iter
-      (fun point ->
-        List.iter
-          (fun c ->
-            if Itemset.matches_point c point then
-              Itemset.Table.replace table c
-                (Itemset.Table.find table c + 1))
-          cands)
-      points;
-  table
+    find (hash_row probe 0 lv.k land mask)
+
+(* Growable flat storage for the next level's rows and counts. *)
+type out = { mutable o_rows : int array; mutable o_counts : int array;
+             mutable o_n : int }
+
+let push out k prefix prefix_off li lj count =
+  let cap = Array.length out.o_counts in
+  if out.o_n = cap then begin
+    let cap = max 64 (2 * cap) in
+    let rows = Array.make (cap * k) 0 and counts = Array.make cap 0 in
+    Array.blit out.o_rows 0 rows 0 (out.o_n * k);
+    Array.blit out.o_counts 0 counts 0 out.o_n;
+    out.o_rows <- rows;
+    out.o_counts <- counts
+  end;
+  let off = out.o_n * k in
+  Array.blit prefix prefix_off out.o_rows off (k - 2);
+  out.o_rows.(off + k - 2) <- li;
+  out.o_rows.(off + k - 1) <- lj;
+  out.o_counts.(out.o_n) <- count;
+  out.o_n <- out.o_n + 1
+
+(* Join level [lv] into its frequent (k+1)-itemsets. Within each prefix
+   group, rows i < j whose last items sit on distinct attributes make the
+   candidate prefix + last(i) + last(j); it is kept when every k-subset
+   is in [lv] and its count reaches [min_count]. Pairs are visited in
+   lexicographic order, so the result is a level again. *)
+let join ~bitsets ~attr_of ~words ~min_count lv =
+  let k = lv.k and rows = lv.rows in
+  let k1 = k + 1 in
+  let mem = row_set lv in
+  let probe = Array.make k 0 in
+  let prefix_and = Array.make words 0 and pair_and = Array.make words 0 in
+  let out = { o_rows = [||]; o_counts = [||]; o_n = 0 } in
+  let last r = rows.((r * k) + k - 1) in
+  let same_prefix r s =
+    let rec go i = i = k - 1 || (rows.((r * k) + i) = rows.((s * k) + i) && go (i + 1)) in
+    go 0
+  in
+  (* Every k-subset that drops a prefix item is in [lv]; dropping either
+     last item gives rows i and j themselves. *)
+  let closed r li lj =
+    let base = r * k in
+    let rec drop d =
+      d = k - 1
+      || begin
+           let p = ref 0 in
+           for i = 0 to k - 2 do
+             if i <> d then begin
+               probe.(!p) <- rows.(base + i);
+               incr p
+             end
+           done;
+           probe.(k - 2) <- li;
+           probe.(k - 1) <- lj;
+           mem probe && drop (d + 1)
+         end
+    in
+    drop 0
+  in
+  (* The AND of a group's k−1 prefix items, then of prefix and last(i). *)
+  let prefix_bits base =
+    if k = 2 then bitsets.(rows.(base))
+    else begin
+      and_into prefix_and bitsets.(rows.(base)) bitsets.(rows.(base + 1));
+      for t = 2 to k - 2 do
+        and_into prefix_and prefix_and bitsets.(rows.(base + t))
+      done;
+      prefix_and
+    end
+  in
+  let g = ref 0 in
+  while !g < lv.n do
+    let stop = ref (!g + 1) in
+    while !stop < lv.n && same_prefix !g !stop do
+      incr stop
+    done;
+    let prefix = lazy (prefix_bits (!g * k)) in
+    for i = !g to !stop - 2 do
+      let li = last i in
+      let pair =
+        lazy
+          (if k = 1 then bitsets.(li)
+           else begin
+             and_into pair_and (Lazy.force prefix) bitsets.(li);
+             pair_and
+           end)
+      in
+      for j = i + 1 to !stop - 1 do
+        let lj = last j in
+        if attr_of.(li) <> attr_of.(lj) && closed i li lj then begin
+          let c = count_and (Lazy.force pair) bitsets.(lj) in
+          if c >= min_count then push out k1 rows (i * k) li lj c
+        end
+      done
+    done;
+    g := !stop
+  done;
+  ({ k = k1; rows = out.o_rows; n = out.o_n }, out.o_counts)
 
 let mine ?(config = default_config) ~cards points =
   if config.threshold < 0. || config.threshold > 1. then
@@ -158,41 +205,88 @@ let mine ?(config = default_config) ~cards points =
   let n_points = Array.length points in
   if n_points = 0 then { supports; rounds = 0; truncated = false }
   else begin
+    let arity = Array.length cards in
+    (* Item (a, v) has global id offset.(a) + v. *)
+    let offset = Array.make (arity + 1) 0 in
+    for a = 0 to arity - 1 do
+      offset.(a + 1) <- offset.(a) + cards.(a)
+    done;
+    (* Level-1 counting: one pass, a dense counter per item. *)
+    let counts = Array.make offset.(arity) 0 in
+    Array.iter
+      (fun p ->
+        if Array.length p <> arity then
+          invalid_arg "Apriori.mine: tuple arity mismatch";
+        Array.iteri
+          (fun a v ->
+            if v < 0 || v >= cards.(a) then
+              invalid_arg "Apriori.mine: value out of range";
+            let id = offset.(a) + v in
+            counts.(id) <- counts.(id) + 1)
+          p)
+      points;
     let min_count =
       max 1 (int_of_float (Float.ceil (config.threshold *. float_of_int n_points)))
     in
-    let l1 = level1 cards points config.threshold in
-    List.iter (fun (s, supp) -> Itemset.Table.replace supports s supp) l1;
-    let rec loop level prev rounds =
-      match prev with
-      | [] -> (rounds, false)
-      | _ ->
-          if List.length prev > config.max_itemsets then (rounds, true)
-          else begin
-            let prev_table = Itemset.Table.create (List.length prev * 2) in
-            List.iter (fun (s, _) -> Itemset.Table.replace prev_table s ()) prev;
-            let cands = candidates prev prev_table in
-            if cands = [] then (rounds, false)
-            else begin
-              let counts = count_candidates cands points level in
-              let freq =
-                Itemset.Table.fold
-                  (fun s c acc ->
-                    if c >= min_count then
-                      (s, float_of_int c /. float_of_int n_points) :: acc
-                    else acc)
-                  counts []
-              in
-              if freq = [] then (rounds, false)
-              else begin
-                List.iter
-                  (fun (s, supp) -> Itemset.Table.replace supports s supp)
-                  freq;
-                loop (level + 1) freq (rounds + 1)
-              end
-            end
-          end
+    let support c = float_of_int c /. float_of_int n_points in
+    (* Frequent items get dense indices in global-id order, i.e. by
+       attribute then value. *)
+    let index = Array.make offset.(arity) (-1) in
+    let attr_l = ref [] and value_l = ref [] and n_items = ref 0 in
+    for a = 0 to arity - 1 do
+      for v = 0 to cards.(a) - 1 do
+        if counts.(offset.(a) + v) >= min_count then begin
+          index.(offset.(a) + v) <- !n_items;
+          incr n_items;
+          attr_l := a :: !attr_l;
+          value_l := v :: !value_l
+        end
+      done
+    done;
+    let attr_of = Array.of_list (List.rev !attr_l) in
+    let value_of = Array.of_list (List.rev !value_l) in
+    let n_items = !n_items in
+    Array.iteri
+      (fun i a ->
+        Itemset.Table.replace supports
+          (Itemset.of_list [ (a, value_of.(i)) ])
+          (support counts.(offset.(a) + value_of.(i))))
+      attr_of;
+    let words = (n_points + bits - 1) / bits in
+    let bitsets = Array.init n_items (fun _ -> Array.make words 0) in
+    Array.iteri
+      (fun r p ->
+        let w = r / bits and bit = 1 lsl (r mod bits) in
+        Array.iteri
+          (fun a v ->
+            let i = index.(offset.(a) + v) in
+            if i >= 0 then bitsets.(i).(w) <- bitsets.(i).(w) lor bit)
+          p)
+      points;
+    let itemset lv r =
+      Itemset.of_list
+        (List.init lv.k (fun t ->
+             let i = lv.rows.((r * lv.k) + t) in
+             (attr_of.(i), value_of.(i))))
     in
-    let rounds, truncated = loop 2 l1 (if l1 = [] then 0 else 1) in
+    let rec loop lv rounds =
+      if lv.n = 0 then (rounds, false)
+      else if lv.n > config.max_itemsets then (rounds, true)
+      else begin
+        let next, next_counts =
+          join ~bitsets ~attr_of ~words ~min_count lv
+        in
+        if next.n = 0 then (rounds, false)
+        else begin
+          for r = 0 to next.n - 1 do
+            Itemset.Table.replace supports (itemset next r)
+              (support next_counts.(r))
+          done;
+          loop next (rounds + 1)
+        end
+      end
+    in
+    let l1 = { k = 1; rows = Array.init n_items Fun.id; n = n_items } in
+    let rounds, truncated = loop l1 (if n_items = 0 then 0 else 1) in
     { supports; rounds; truncated }
   end

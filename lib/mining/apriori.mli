@@ -6,7 +6,20 @@
     closure, then counted against the data. Two termination conditions, per
     the paper: a round finds no frequent itemsets, or a round finds more
     than [max_itemsets] (the paper sets 1000), which bounds the quadratic
-    candidate join. *)
+    candidate join.
+
+    Counting is vertical and exact. One pass over the points gives every
+    frequent 1-item a tid-bitset over the rows (62 rows to a word); a
+    candidate's count is the popcount of the AND of its items' bitsets,
+    with the AND of each join prefix computed once for the candidates
+    that share it. Levels are kept as sorted item-id rows in lexicographic
+    order, so candidates are joined only within a prefix group, and
+    [Itemset.t] values are built only for the itemsets that are kept.
+
+    Memory: bitsets exist only for frequent 1-items, so beyond the result
+    and the current and next levels, mining holds
+    (#frequent 1-items + 2) × 8⌈n/62⌉ bytes for [n] points, about n/8
+    bytes per frequent item. *)
 
 type config = { threshold : float; max_itemsets : int }
 (** [threshold] — minimum support (fraction of points), in [0, 1].

@@ -7,7 +7,10 @@ type t = {
   rule_support : float;
 }
 
-let mine_for_attr apriori attr =
+let mine_for_attr ?frequent apriori attr =
+  let frequent =
+    match frequent with Some l -> l | None -> Apriori.frequent apriori
+  in
   List.filter_map
     (fun (itemset, rule_support) ->
       match Itemset.value_of itemset attr with
@@ -29,10 +32,11 @@ let mine_for_attr apriori attr =
               body_support;
               rule_support;
             })
-    (Apriori.frequent apriori)
+    frequent
 
 let mine apriori ~arity =
-  List.concat_map (mine_for_attr apriori) (List.init arity Fun.id)
+  let frequent = Apriori.frequent apriori in
+  List.concat_map (mine_for_attr ~frequent apriori) (List.init arity Fun.id)
 
 let pp ppf r =
   Format.fprintf ppf "%a => a%d=%d (conf %.3f, supp %.3f)" Itemset.pp r.body

@@ -15,10 +15,14 @@ type t = {
   rule_support : float;  (** supp(body ∪ head) *)
 }
 
-val mine_for_attr : Apriori.t -> int -> t list
+val mine_for_attr :
+  ?frequent:(Itemset.t * float) list -> Apriori.t -> int -> t list
 (** All rules with the given head attribute, derived from every frequent
     itemset that assigns it. Bodies may be empty (rules feeding the
-    top-level meta-rule P(a)). *)
+    top-level meta-rule P(a)). Rules come in the order of [frequent],
+    which defaults to [Apriori.frequent apriori]; a caller deriving rules
+    for several heads passes that list once instead of re-sorting it per
+    head. *)
 
 val mine : Apriori.t -> arity:int -> t list
 (** Rules for every head attribute [0 .. arity-1]. *)

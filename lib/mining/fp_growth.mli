@@ -3,15 +3,17 @@
     Section III: "the essence of our method is not dependent on which
     frequent itemset mining algorithm is used." This second miner makes
     that claim executable: it produces exactly the same frequent itemsets
-    and supports as {!Apriori} (a property checked in the test suite), via
-    a compressed FP-tree and recursive conditional-tree projection instead
-    of level-wise candidate generation — typically faster at low support
-    thresholds, where Apriori's candidate sets explode.
+    and supports as {!Apriori}, via a compressed FP-tree and recursive
+    conditional-tree projection instead of level-wise candidate
+    generation, and the test suite uses it as Apriori's oracle.
 
-    The [max_itemsets] cap is honored in spirit: mining stops growing
-    *longer* patterns once a size class exceeds the cap, mirroring
-    Apriori's per-round termination (results up to and including the
-    offending size are kept, and the result is marked truncated). *)
+    The [max_itemsets] cap gives Apriori's result exactly: mining keeps
+    every size class up to and including the first one larger than the
+    cap, drops longer patterns, and reports the same [rounds] and
+    [truncated]. The tests check this equality, bit-equal supports
+    included, on BN7 and BN10 at 5000 rows for θ ∈ {0.005, 0.01, 0.05}
+    and caps 100 and 1000, and on random data with caps that fire
+    mid-level. *)
 
 val mine : ?config:Apriori.config -> cards:int array -> int array array ->
   Apriori.t

@@ -60,6 +60,17 @@ let dependent_points n =
       let a0 = i mod 2 in
       [| a0; a0; i / 2 mod 2 |])
 
+(* Brute-force support for cross-checking the miners: the same
+   [count / n] division they use, so supports compare exactly. *)
+let brute_support points s =
+  let n = Array.length points in
+  let hits =
+    Array.fold_left
+      (fun acc p -> if Mining.Itemset.matches_point s p then acc + 1 else acc)
+      0 points
+  in
+  float_of_int hits /. float_of_int n
+
 let qcheck ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name gen prop)

@@ -103,6 +103,86 @@ let test_cap_semantics () =
   Alcotest.(check bool) "cap reduces output" true
     (Mining.Apriori.count f < Mining.Apriori.count free)
 
+(* Exact agreement, the cap included: the same itemsets with bit-equal
+   supports, the same [rounds] and the same [truncated]. *)
+let check_same_result msg a f =
+  let exact r =
+    List.sort compare
+      (List.map
+         (fun (s, supp) -> (Mining.Itemset.to_list s, supp))
+         (Mining.Apriori.frequent r))
+  in
+  Alcotest.(check bool) (msg ^ ": itemsets and supports") true
+    (exact a = exact f);
+  Alcotest.(check int) (msg ^ ": rounds") (Mining.Apriori.rounds a)
+    (Mining.Apriori.rounds f);
+  Alcotest.(check bool) (msg ^ ": truncated") (Mining.Apriori.truncated a)
+    (Mining.Apriori.truncated f)
+
+let test_capped_catalog () =
+  (* The paper's regime: 5000 rows, θ from 0.005 to 0.05, and caps that
+     fire at level 1, mid-way or not at all. *)
+  List.iter
+    (fun id ->
+      let topology = (Bayesnet.Catalog.find id).topology in
+      let r = rng () in
+      let net = Bayesnet.Network.generate r topology in
+      let points =
+        Array.init 5000 (fun _ -> Bayesnet.Network.sample_point r net)
+      in
+      let cards = Bayesnet.Topology.cardinalities topology in
+      List.iter
+        (fun threshold ->
+          List.iter
+            (fun max_itemsets ->
+              let config : Mining.Apriori.config = { threshold; max_itemsets } in
+              check_same_result
+                (Printf.sprintf "%s θ=%g cap=%d" id threshold max_itemsets)
+                (Mining.Apriori.mine ~config ~cards points)
+                (Mining.Fp_growth.mine ~config ~cards points))
+            [ 100; 1000 ])
+        [ 0.005; 0.01; 0.05 ])
+    [ "BN7"; "BN10" ]
+
+(* Rows copied from a few prototypes with noise, so deep itemsets are
+   frequent and a small cap can fire at any level. *)
+let prop_capped_random =
+  qcheck ~count:150 "Apriori ≡ FP-Growth ≡ brute force under small caps"
+    QCheck2.Gen.(
+      tup4 (int_range 0 1_000_000) (int_range 1 8) (int_range 5 80)
+        (int_range 1 40))
+    (fun (seed, arity, n, max_itemsets) ->
+      let r = Prob.Rng.create seed in
+      let cards = Array.init arity (fun _ -> 2 + Prob.Rng.int r 5) in
+      let prototypes =
+        Array.init 3 (fun _ -> Array.map (fun c -> Prob.Rng.int r c) cards)
+      in
+      let points =
+        Array.init n (fun _ ->
+            let proto = prototypes.(Prob.Rng.int r 3) in
+            Array.mapi
+              (fun a c ->
+                if Prob.Rng.float r < 0.75 then proto.(a) else Prob.Rng.int r c)
+              cards)
+      in
+      let config : Mining.Apriori.config =
+        { threshold = 0.02 +. (0.3 *. Prob.Rng.float r); max_itemsets }
+      in
+      let a = Mining.Apriori.mine ~config ~cards points in
+      let f = Mining.Fp_growth.mine ~config ~cards points in
+      let exact res =
+        List.sort compare
+          (List.map
+             (fun (s, supp) -> (Mining.Itemset.to_list s, supp))
+             (Mining.Apriori.frequent res))
+      in
+      exact a = exact f
+      && Mining.Apriori.rounds a = Mining.Apriori.rounds f
+      && Mining.Apriori.truncated a = Mining.Apriori.truncated f
+      && List.for_all
+           (fun (s, supp) -> brute_support points s = supp)
+           (Mining.Apriori.frequent a))
+
 let suite =
   [
     ("equivalence on small data", `Quick, test_equivalence_small);
@@ -114,4 +194,7 @@ let suite =
     prop_equivalence_random;
     ("deep correlated patterns", `Quick, test_low_support_deep_patterns);
     ("cap semantics", `Quick, test_cap_semantics);
+    ("capped catalog networks: Apriori ≡ FP-Growth", `Quick,
+     test_capped_catalog);
+    prop_capped_random;
   ]

@@ -82,16 +82,6 @@ let test_itemset_tuple_roundtrip () =
   Alcotest.(check bool) "roundtrip" true
     (Relation.Tuple.equal tup (Mining.Itemset.to_tuple ~arity:3 s))
 
-(* Brute-force support for cross-checking Apriori. *)
-let brute_support points s =
-  let n = Array.length points in
-  let hits =
-    Array.fold_left
-      (fun acc p -> if Mining.Itemset.matches_point s p then acc + 1 else acc)
-      0 points
-  in
-  float_of_int hits /. float_of_int n
-
 let small_points =
   [|
     [| 0; 0; 0 |]; [| 0; 0; 1 |]; [| 0; 1; 0 |]; [| 1; 1; 1 |];
@@ -197,7 +187,17 @@ let test_apriori_rejects () =
            ~cards:[| 2 |] [| [| 0 |] |]));
   Alcotest.check_raises "value out of range"
     (Invalid_argument "Apriori.mine: value out of range") (fun () ->
-      ignore (Mining.Apriori.mine ~cards:[| 2 |] [| [| 5 |] |]))
+      ignore (Mining.Apriori.mine ~cards:[| 2 |] [| [| 5 |] |]));
+  Alcotest.check_raises "cap"
+    (Invalid_argument "Apriori.mine: max_itemsets must be positive")
+    (fun () ->
+      ignore
+        (Mining.Apriori.mine
+           ~config:{ threshold = 0.1; max_itemsets = 0 }
+           ~cards:[| 2 |] [| [| 0 |] |]));
+  Alcotest.check_raises "tuple arity mismatch"
+    (Invalid_argument "Apriori.mine: tuple arity mismatch") (fun () ->
+      ignore (Mining.Apriori.mine ~cards:[| 2; 2 |] [| [| 0; 1 |]; [| 0 |] |]))
 
 (* Association rules *)
 

@@ -119,6 +119,61 @@ let test_roundtrip_exact_bn7 () =
   let again = Mrsl.Model_io.to_string (Mrsl.Model_io.of_string text) in
   Alcotest.(check bool) "to_string (of_string s) = s" true (again = text)
 
+(* Saved models pinned byte for byte: MD5 digests of [Model_io.to_string]
+   recorded at commit 4e513f1, before Apriori switched to vertical
+   counting. The network and its 5000 rows come from seed 42; the cap is
+   1000. *)
+let golden_models =
+  [
+    ("BN7", 0.005, "e3b971d54b19858cb26e9a0fe4b8dac1");
+    ("BN7", 0.01, "cdd75e0e9293a0eaa79e3dd31718b020");
+    ("BN7", 0.05, "38c132b20bac42ec9e1bd6a9e2378dd2");
+    ("BN10", 0.005, "d1bc2d74b106b96fc9daadb5a587a42b");
+    ("BN10", 0.01, "2a45260dbc99bf44aa0b5b4bd57ed17d");
+    ("BN10", 0.05, "c2f143fb8d09442f501e03bb70401875");
+  ]
+
+let golden_instance id =
+  let r = rng () in
+  let net = Bayesnet.Network.generate r (Bayesnet.Catalog.find id).topology in
+  Bayesnet.Network.sample_instance r net 5000
+
+let test_golden_model_bytes () =
+  List.iter
+    (fun (id, theta, digest) ->
+      let model =
+        Mrsl.Model.learn
+          ~params:
+            {
+              Mrsl.Model.default_params with
+              support_threshold = theta;
+              max_itemsets = 1000;
+            }
+          (golden_instance id)
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s θ=%g" id theta)
+        digest
+        (Digest.to_hex (Digest.string (Mrsl.Model_io.to_string model))))
+    golden_models
+
+let test_golden_truncated_mine () =
+  (* BN7 at θ = 0.01: level 3 exceeds the cap, so mining stops there. *)
+  let inst = golden_instance "BN7" in
+  let schema = Relation.Instance.schema inst in
+  let cards =
+    Array.init (Relation.Schema.arity schema) (Relation.Schema.cardinality schema)
+  in
+  let mined =
+    Mining.Apriori.mine
+      ~config:{ threshold = 0.01; max_itemsets = 1000 }
+      ~cards
+      (Relation.Instance.complete_part inst)
+  in
+  Alcotest.(check bool) "truncated" true (Mining.Apriori.truncated mined);
+  Alcotest.(check int) "rounds" 3 (Mining.Apriori.rounds mined);
+  Alcotest.(check int) "itemsets" 3574 (Mining.Apriori.count mined)
+
 let test_of_string_rejects_unnormalized_cpd () =
   let model = Mrsl.Model.learn_points dependent_schema (dependent_points 100) in
   let lines = String.split_on_char '\n' (Mrsl.Model_io.to_string model) in
@@ -232,6 +287,8 @@ let suite =
     ("deserialization rejects garbage", `Quick, test_of_string_rejects_garbage);
     ("learned BN7 model round-trips byte for byte", `Quick,
      test_roundtrip_exact_bn7);
+    ("learned models match golden digests", `Quick, test_golden_model_bytes);
+    ("BN7 at θ=0.01 truncates at size 3", `Quick, test_golden_truncated_mine);
     ("deserialization rejects an unnormalized CPD", `Quick,
      test_of_string_rejects_unnormalized_cpd);
     ("equal-width cut points", `Quick, test_cut_points_equal_width);
