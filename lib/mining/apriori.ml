@@ -55,145 +55,79 @@ let count_and a b =
   done;
   !c
 
-(* A level is [n] itemsets of [k] items each, stored row after row in one
-   flat array of item indices; rows are ascending and the level is in
-   lexicographic order, so itemsets sharing a (k−1)-prefix are
-   contiguous. *)
-type level = { k : int; rows : int array; n : int }
+(* Levels hold itemsets as rows of ascending item indices, in
+   lexicographic order, so rows sharing a (k−1)-prefix are contiguous.
+   Each join emits its pairs in that order again, so no level needs a
+   sort. *)
+module Rows = Hashtbl.Make (struct
+  type t = int array
 
-let hash_row a off k =
-  let h = ref 0 in
-  for i = off to off + k - 1 do
-    h := (!h * 1_000_003) lxor Array.unsafe_get a i
-  done;
-  !h lxor (!h lsr 17)
+  let equal (a : t) b = a = b
+  let hash a = Array.fold_left (fun h x -> (h * 1_000_003) lxor x) 0 a
+end)
 
-(* The previous level as an open-addressing hash set of row indices, for
-   the downward-closure prune. *)
-let row_set lv =
-  let size = ref 16 in
-  while !size < 2 * lv.n do
-    size := 2 * !size
-  done;
-  let slots = Array.make !size (-1) in
-  let mask = !size - 1 in
-  for r = 0 to lv.n - 1 do
-    let s = ref (hash_row lv.rows (r * lv.k) lv.k land mask) in
-    while slots.(!s) >= 0 do
-      s := (!s + 1) land mask
-    done;
-    slots.(!s) <- r
-  done;
-  fun probe ->
-    let rec find s =
-      let r = slots.(s) in
-      r >= 0
-      &&
-      let rec same i =
-        i = lv.k || (lv.rows.((r * lv.k) + i) = probe.(i) && same (i + 1))
-      in
-      same 0 || find ((s + 1) land mask)
-    in
-    find (hash_row probe 0 lv.k land mask)
-
-(* Growable flat storage for the next level's rows and counts. *)
-type out = { mutable o_rows : int array; mutable o_counts : int array;
-             mutable o_n : int }
-
-let push out k prefix prefix_off li lj count =
-  let cap = Array.length out.o_counts in
-  if out.o_n = cap then begin
-    let cap = max 64 (2 * cap) in
-    let rows = Array.make (cap * k) 0 and counts = Array.make cap 0 in
-    Array.blit out.o_rows 0 rows 0 (out.o_n * k);
-    Array.blit out.o_counts 0 counts 0 out.o_n;
-    out.o_rows <- rows;
-    out.o_counts <- counts
-  end;
-  let off = out.o_n * k in
-  Array.blit prefix prefix_off out.o_rows off (k - 2);
-  out.o_rows.(off + k - 2) <- li;
-  out.o_rows.(off + k - 1) <- lj;
-  out.o_counts.(out.o_n) <- count;
-  out.o_n <- out.o_n + 1
-
-(* Join level [lv] into its frequent (k+1)-itemsets. Within each prefix
-   group, rows i < j whose last items sit on distinct attributes make the
-   candidate prefix + last(i) + last(j); it is kept when every k-subset
-   is in [lv] and its count reaches [min_count]. Pairs are visited in
-   lexicographic order, so the result is a level again. *)
-let join ~bitsets ~attr_of ~words ~min_count lv =
-  let k = lv.k and rows = lv.rows in
-  let k1 = k + 1 in
-  let mem = row_set lv in
+(* Join the frequent k-itemsets [level] into the frequent (k+1)-itemsets,
+   with their counts. Within a prefix group, rows i < j whose last items
+   sit on distinct attributes make the candidate row(i) + last(j); it is
+   kept when every k-subset is in [level] and its count reaches
+   [min_count]. *)
+let join ~bitsets ~attr_of ~min_count level =
+  let k = Array.length level.(0) in
+  let prev = Rows.create (2 * Array.length level) in
+  Array.iter (fun row -> Rows.replace prev row ()) level;
   let probe = Array.make k 0 in
-  let prefix_and = Array.make words 0 and pair_and = Array.make words 0 in
-  let out = { o_rows = [||]; o_counts = [||]; o_n = 0 } in
-  let last r = rows.((r * k) + k - 1) in
-  let same_prefix r s =
-    let rec go i = i = k - 1 || (rows.((r * k) + i) = rows.((s * k) + i) && go (i + 1)) in
-    go 0
-  in
-  (* Every k-subset that drops a prefix item is in [lv]; dropping either
-     last item gives rows i and j themselves. *)
-  let closed r li lj =
-    let base = r * k in
+  (* Dropping either last item gives row i or row j; check the subsets
+     that drop a prefix item. *)
+  let closed row lj =
     let rec drop d =
       d = k - 1
       || begin
-           let p = ref 0 in
-           for i = 0 to k - 2 do
-             if i <> d then begin
-               probe.(!p) <- rows.(base + i);
-               incr p
-             end
-           done;
-           probe.(k - 2) <- li;
+           Array.blit row 0 probe 0 d;
+           Array.blit row (d + 1) probe d (k - 1 - d);
            probe.(k - 1) <- lj;
-           mem probe && drop (d + 1)
+           Rows.mem prev probe && drop (d + 1)
          end
     in
     drop 0
   in
-  (* The AND of a group's k−1 prefix items, then of prefix and last(i). *)
-  let prefix_bits base =
-    if k = 2 then bitsets.(rows.(base))
+  let same_prefix a b =
+    let rec go i = i = k - 1 || (a.(i) = b.(i) && go (i + 1)) in
+    go 0
+  in
+  (* The AND of a row's item bitsets. *)
+  let row_and = Array.make (Array.length bitsets.(0)) 0 in
+  let bits_of row =
+    if k = 1 then bitsets.(row.(0))
     else begin
-      and_into prefix_and bitsets.(rows.(base)) bitsets.(rows.(base + 1));
-      for t = 2 to k - 2 do
-        and_into prefix_and prefix_and bitsets.(rows.(base + t))
+      and_into row_and bitsets.(row.(0)) bitsets.(row.(1));
+      for t = 2 to k - 1 do
+        and_into row_and row_and bitsets.(row.(t))
       done;
-      prefix_and
+      row_and
     end
   in
-  let g = ref 0 in
-  while !g < lv.n do
+  let kept = ref [] in
+  let n = Array.length level and g = ref 0 in
+  while !g < n do
     let stop = ref (!g + 1) in
-    while !stop < lv.n && same_prefix !g !stop do
+    while !stop < n && same_prefix level.(!g) level.(!stop) do
       incr stop
     done;
-    let prefix = lazy (prefix_bits (!g * k)) in
     for i = !g to !stop - 2 do
-      let li = last i in
-      let pair =
-        lazy
-          (if k = 1 then bitsets.(li)
-           else begin
-             and_into pair_and (Lazy.force prefix) bitsets.(li);
-             pair_and
-           end)
-      in
+      let row = level.(i) in
+      let li = row.(k - 1) and bits = bits_of row in
       for j = i + 1 to !stop - 1 do
-        let lj = last j in
-        if attr_of.(li) <> attr_of.(lj) && closed i li lj then begin
-          let c = count_and (Lazy.force pair) bitsets.(lj) in
-          if c >= min_count then push out k1 rows (i * k) li lj c
+        let lj = level.(j).(k - 1) in
+        if attr_of.(li) <> attr_of.(lj) && closed row lj then begin
+          let c = count_and bits bitsets.(lj) in
+          if c >= min_count then
+            kept := (Array.append row [| lj |], c) :: !kept
         end
       done
     done;
     g := !stop
   done;
-  ({ k = k1; rows = out.o_rows; n = out.o_n }, out.o_counts)
+  List.rev !kept
 
 let mine ?(config = default_config) ~cards points =
   if config.threshold < 0. || config.threshold > 1. then
@@ -205,88 +139,70 @@ let mine ?(config = default_config) ~cards points =
   let n_points = Array.length points in
   if n_points = 0 then { supports; rounds = 0; truncated = false }
   else begin
-    let arity = Array.length cards in
-    (* Item (a, v) has global id offset.(a) + v. *)
-    let offset = Array.make (arity + 1) 0 in
-    for a = 0 to arity - 1 do
-      offset.(a + 1) <- offset.(a) + cards.(a)
-    done;
-    (* Level-1 counting: one pass, a dense counter per item. *)
-    let counts = Array.make offset.(arity) 0 in
+    (* Level-1 counting: one pass, a dense counter per (attribute, value). *)
+    let counters = Array.map (fun c -> Array.make c 0) cards in
     Array.iter
       (fun p ->
-        if Array.length p <> arity then
+        if Array.length p <> Array.length cards then
           invalid_arg "Apriori.mine: tuple arity mismatch";
         Array.iteri
           (fun a v ->
             if v < 0 || v >= cards.(a) then
               invalid_arg "Apriori.mine: value out of range";
-            let id = offset.(a) + v in
-            counts.(id) <- counts.(id) + 1)
+            counters.(a).(v) <- counters.(a).(v) + 1)
           p)
       points;
     let min_count =
       max 1 (int_of_float (Float.ceil (config.threshold *. float_of_int n_points)))
     in
     let support c = float_of_int c /. float_of_int n_points in
-    (* Frequent items get dense indices in global-id order, i.e. by
-       attribute then value. *)
-    let index = Array.make offset.(arity) (-1) in
-    let attr_l = ref [] and value_l = ref [] and n_items = ref 0 in
-    for a = 0 to arity - 1 do
-      for v = 0 to cards.(a) - 1 do
-        if counts.(offset.(a) + v) >= min_count then begin
-          index.(offset.(a) + v) <- !n_items;
-          incr n_items;
-          attr_l := a :: !attr_l;
-          value_l := v :: !value_l
-        end
+    (* The frequent items, indexed in (attribute, value) order. *)
+    let items = ref [] in
+    for a = Array.length cards - 1 downto 0 do
+      for v = cards.(a) - 1 downto 0 do
+        if counters.(a).(v) >= min_count then items := (a, v) :: !items
       done
     done;
-    let attr_of = Array.of_list (List.rev !attr_l) in
-    let value_of = Array.of_list (List.rev !value_l) in
-    let n_items = !n_items in
+    let item = Array.of_list !items in
+    let attr_of = Array.map fst item in
+    let index = Array.map (fun c -> Array.make c (-1)) cards in
     Array.iteri
-      (fun i a ->
+      (fun i (a, v) ->
+        index.(a).(v) <- i;
         Itemset.Table.replace supports
-          (Itemset.of_list [ (a, value_of.(i)) ])
-          (support counts.(offset.(a) + value_of.(i))))
-      attr_of;
+          (Itemset.of_list [ (a, v) ])
+          (support counters.(a).(v)))
+      item;
     let words = (n_points + bits - 1) / bits in
-    let bitsets = Array.init n_items (fun _ -> Array.make words 0) in
+    let bitsets = Array.map (fun _ -> Array.make words 0) item in
     Array.iteri
       (fun r p ->
         let w = r / bits and bit = 1 lsl (r mod bits) in
         Array.iteri
           (fun a v ->
-            let i = index.(offset.(a) + v) in
+            let i = index.(a).(v) in
             if i >= 0 then bitsets.(i).(w) <- bitsets.(i).(w) lor bit)
           p)
       points;
-    let itemset lv r =
-      Itemset.of_list
-        (List.init lv.k (fun t ->
-             let i = lv.rows.((r * lv.k) + t) in
-             (attr_of.(i), value_of.(i))))
+    let rec loop level rounds =
+      if Array.length level = 0 then (rounds, false)
+      else if Array.length level > config.max_itemsets then (rounds, true)
+      else
+        match join ~bitsets ~attr_of ~min_count level with
+        | [] -> (rounds, false)
+        | next ->
+            List.iter
+              (fun (row, c) ->
+                Itemset.Table.replace supports
+                  (Itemset.of_list
+                     (Array.fold_right (fun i l -> item.(i) :: l) row []))
+                  (support c))
+              next;
+            loop (Array.of_list (List.map fst next)) (rounds + 1)
     in
-    let rec loop lv rounds =
-      if lv.n = 0 then (rounds, false)
-      else if lv.n > config.max_itemsets then (rounds, true)
-      else begin
-        let next, next_counts =
-          join ~bitsets ~attr_of ~words ~min_count lv
-        in
-        if next.n = 0 then (rounds, false)
-        else begin
-          for r = 0 to next.n - 1 do
-            Itemset.Table.replace supports (itemset next r)
-              (support next_counts.(r))
-          done;
-          loop next (rounds + 1)
-        end
-      end
+    let n_items = Array.length item in
+    let rounds, truncated =
+      loop (Array.init n_items (fun i -> [| i |])) (min 1 n_items)
     in
-    let l1 = { k = 1; rows = Array.init n_items Fun.id; n = n_items } in
-    let rounds, truncated = loop l1 (if n_items = 0 then 0 else 1) in
     { supports; rounds; truncated }
   end

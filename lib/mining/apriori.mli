@@ -11,14 +11,15 @@
     Counting is vertical and exact. One pass over the points gives every
     frequent 1-item a tid-bitset over the rows (62 rows to a word); a
     candidate's count is the popcount of the AND of its items' bitsets,
-    with the AND of each join prefix computed once for the candidates
-    that share it. Levels are kept as sorted item-id rows in lexicographic
-    order, so candidates are joined only within a prefix group, and
-    [Itemset.t] values are built only for the itemsets that are kept.
+    and the AND of a joined itemset's own items is taken once for all the
+    candidates it forms. Levels are kept as sorted item-id rows in
+    lexicographic order, so candidates are joined only within a prefix
+    group, and [Itemset.t] values are built only for the itemsets that
+    are kept.
 
-    Memory: bitsets exist only for frequent 1-items, so beyond the result
-    and the current and next levels, mining holds
-    (#frequent 1-items + 2) × 8⌈n/62⌉ bytes for [n] points, about n/8
+    Memory: bitsets exist only for frequent 1-items. Beyond the result and
+    the current and next levels, mining holds
+    (#frequent 1-items + 1) × 8⌈n/62⌉ bytes for [n] points, about n/8
     bytes per frequent item. *)
 
 type config = { threshold : float; max_itemsets : int }

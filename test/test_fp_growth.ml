@@ -135,7 +135,9 @@ let test_capped_catalog () =
         (fun threshold ->
           List.iter
             (fun max_itemsets ->
-              let config : Mining.Apriori.config = { threshold; max_itemsets } in
+              let config : Mining.Apriori.config =
+                { threshold; max_itemsets }
+              in
               check_same_result
                 (Printf.sprintf "%s θ=%g cap=%d" id threshold max_itemsets)
                 (Mining.Apriori.mine ~config ~cards points)

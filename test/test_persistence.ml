@@ -162,7 +162,8 @@ let test_golden_truncated_mine () =
   let inst = golden_instance "BN7" in
   let schema = Relation.Instance.schema inst in
   let cards =
-    Array.init (Relation.Schema.arity schema) (Relation.Schema.cardinality schema)
+    Array.init (Relation.Schema.arity schema)
+      (Relation.Schema.cardinality schema)
   in
   let mined =
     Mining.Apriori.mine
