@@ -433,8 +433,8 @@ let run_resources fx =
            ~strategy:Mrsl.Workload.Tuple_dag (Prob.Rng.create 7) sampler
            fx.workload)
   in
-  (* Fig 4's miner on the fixture's rows: only the frequent 1-items'
-     bitsets and per-level rows should allocate. *)
+  (* Fig 4's miner on the fixture's rows: the bitsets, the level rows
+     and the result table. *)
   let apriori_mine () =
     ignore
       (Mining.Apriori.mine

@@ -31,8 +31,10 @@ let truncated t = t.truncated
 
 (* Vertical counting. Every frequent 1-item gets a tid-bitset over the
    points, [bits] rows to a word; a candidate's count is the popcount of
-   the AND of its items' bitsets. 62 bits keep every word non-negative,
-   so the SWAR popcount below needs no 64-bit constants. *)
+   the AND of its items' bitsets. With 62 bits a word is non-negative, so
+   the SWAR popcount below needs no 64-bit constants, and its count
+   (at most 62) fits in bits 56–62, which the final multiply leaves it
+   in. All bitsets of one mining run have the same length. *)
 let bits = 62
 
 let popcount x =

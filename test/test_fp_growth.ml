@@ -105,13 +105,13 @@ let test_cap_semantics () =
 
 (* Exact agreement, the cap included: the same itemsets with bit-equal
    supports, the same [rounds] and the same [truncated]. *)
+let exact result =
+  List.sort compare
+    (List.map
+       (fun (s, supp) -> (Mining.Itemset.to_list s, supp))
+       (Mining.Apriori.frequent result))
+
 let check_same_result msg a f =
-  let exact r =
-    List.sort compare
-      (List.map
-         (fun (s, supp) -> (Mining.Itemset.to_list s, supp))
-         (Mining.Apriori.frequent r))
-  in
   Alcotest.(check bool) (msg ^ ": itemsets and supports") true
     (exact a = exact f);
   Alcotest.(check int) (msg ^ ": rounds") (Mining.Apriori.rounds a)
@@ -172,12 +172,6 @@ let prop_capped_random =
       in
       let a = Mining.Apriori.mine ~config ~cards points in
       let f = Mining.Fp_growth.mine ~config ~cards points in
-      let exact res =
-        List.sort compare
-          (List.map
-             (fun (s, supp) -> (Mining.Itemset.to_list s, supp))
-             (Mining.Apriori.frequent res))
-      in
       exact a = exact f
       && Mining.Apriori.rounds a = Mining.Apriori.rounds f
       && Mining.Apriori.truncated a = Mining.Apriori.truncated f

@@ -1,13 +1,12 @@
-(* Stress and alternate-path tests: wide schemas (candidate-scan Apriori,
-   Gibbs over a huge joint domain), the full 20-network catalog
+(* Stress and alternate-path tests: wide schemas (Apriori over 24
+   attributes, Gibbs over a huge joint domain), the full 20-network catalog
    end-to-end, deep subsumption chains, and CSV fuzzing. *)
 
 open Helpers
 
 let test_apriori_wide_arity_candidate_scan () =
-  (* 24 attributes: enumerating C(24, k) subsets per point is costlier than
-     scanning candidates, forcing the candidate-scan branch. Supports must
-     still match brute force. *)
+  (* 24 attributes, so C(24, k) attribute subsets per point: supports
+     must still match brute force. *)
   let r = rng () in
   let arity = 24 in
   let points =
@@ -18,17 +17,10 @@ let test_apriori_wide_arity_candidate_scan () =
       ~config:{ threshold = 0.35; max_itemsets = 2000 }
       ~cards:(Array.make arity 2) points
   in
-  let brute s =
-    let hits =
-      Array.fold_left
-        (fun acc p -> if Mining.Itemset.matches_point s p then acc + 1 else acc)
-        0 points
-    in
-    float_of_int hits /. float_of_int (Array.length points)
-  in
   Alcotest.(check bool) "found itemsets" true (Mining.Apriori.count result > 0);
   List.iter
-    (fun (s, supp) -> check_float "wide-arity support" (brute s) supp)
+    (fun (s, supp) ->
+      check_float "wide-arity support" (brute_support points s) supp)
     (Mining.Apriori.frequent result)
 
 let test_gibbs_memo_on_huge_domain () =
