@@ -377,7 +377,7 @@ let run_parallel_bench fx =
 (* Resource baseline (ROADMAP item 2's measured starting line):
    allocation per kernel run for the three gated micros, GC collection
    counts, peak heap, per-domain utilization from a pooled run, and the
-   posterior cache's accounted-vs-reachable byte cross-check. Runs with
+   hashed conditional tables' accounted-vs-reachable byte cross-check. Runs with
    a Resource monitor installed — but outside the Bechamel timing loop,
    so the gated ns/run numbers are unaffected. *)
 
@@ -457,25 +457,38 @@ let run_resources fx =
       ~domains:4 ~seed fx.model fx.workload
   in
   let util = Mrsl.Resource.utilization () in
-  (* Cache accounted-vs-reachable cross-check over the micro workload.
-     The empty-cache footprint (shard array, empty hashtables, LRU
-     sentinels) is measured first and subtracted, so the ratio compares
-     the budget's per-entry cost model against what entries actually
-     cost on the heap — accounted/growth < 1 means under-counting. *)
-  let cache = Mrsl.Posterior_cache.create ~max_bytes:(8 * 1024 * 1024) () in
-  let reachable_empty = Mrsl.Posterior_cache.reachable_bytes cache in
-  Array.iter
-    (fun tup ->
-      match Relation.Tuple.missing tup with
-      | a :: _ -> ignore (Mrsl.Infer_single.infer ~cache fx.model tup a)
-      | [] -> ())
-    fx.masked_tuples;
-  let cs = Mrsl.Posterior_cache.stats cache in
-  let reachable = Mrsl.Posterior_cache.reachable_bytes cache in
+  (* Conditional-table accounted-vs-reachable cross-check. The budget
+     counts hashed tables only, and the BN8 fixture's contexts all fit
+     dense arrays, so the check runs on a BN7 model (2 000 rows,
+     θ = 0.01), whose wide lattices give hashed tables, over 256
+     single-missing tuples. The empty hashed tables' footprint is
+     measured first and subtracted, so the ratio compares the budget's
+     per-entry cost model against what entries actually cost on the
+     heap — accounted/growth < 1 means under-counting. *)
+  let rng = Prob.Rng.create seed in
+  let bn7 =
+    Bayesnet.Network.generate rng (Bayesnet.Catalog.find "BN7").topology
+  in
+  let model =
+    Mrsl.Model.learn
+      ~params:{ Mrsl.Model.default_params with support_threshold = 0.01 }
+      (Bayesnet.Network.sample_instance rng bn7 2000)
+  in
+  let epoch = Mrsl.Model.epoch model in
+  ignore (Mrsl.Kernel.ensure model : Mrsl.Kernel.t);
+  let reachable_empty = Mrsl.Kernel.reachable_bytes epoch in
+  let cache = Mrsl.Posterior_cache.create () in
+  let arity = Relation.Schema.arity (Mrsl.Model.schema model) in
+  for i = 0 to 255 do
+    let tup = Relation.Tuple.of_point (Bayesnet.Network.sample_point rng bn7) in
+    tup.(i mod arity) <- None;
+    ignore (Mrsl.Infer_single.infer ~cache model tup (i mod arity))
+  done;
+  let accounted = (Mrsl.Kernel.usage epoch).bytes in
+  let reachable = Mrsl.Kernel.reachable_bytes epoch in
   let growth = max 0 (reachable - reachable_empty) in
   let ratio =
-    if growth = 0 then 1.
-    else float_of_int cs.Mrsl.Posterior_cache.bytes /. float_of_int growth
+    if growth = 0 then 1. else float_of_int accounted /. float_of_int growth
   in
   (* A forced major + sample guarantees the gc.* counters land in the
      global telemetry snapshot the gate's --require-counter reads. *)
@@ -508,7 +521,7 @@ let run_resources fx =
            ( "cache",
              Json.Obj
                [
-                 ("accounted_bytes", Json.Int cs.Mrsl.Posterior_cache.bytes);
+                 ("accounted_bytes", Json.Int accounted);
                  ("reachable_bytes", Json.Int reachable);
                  ("reachable_growth_bytes", Json.Int growth);
                  ("accounted_per_growth", Json.Float ratio);
@@ -521,10 +534,10 @@ let run_resources fx =
          (fun (name, alloc, _) -> Experiments.Report.[ S name; F alloc ])
          measured)
     ^ Printf.sprintf
-        "peak heap %.1f MiB; cache accounted %d vs reachable growth %d \
+        "peak heap %.1f MiB; tables accounted %d vs reachable growth %d \
          bytes (x%.2f); utilization %s\n"
         (float_of_int (s.Gc.top_heap_words * 8) /. 1048576.)
-        cs.Mrsl.Posterior_cache.bytes growth ratio
+        accounted growth ratio
         (String.concat " "
            (List.map (fun (d, u) -> Printf.sprintf "%d=%.2f" d u) util))
   in

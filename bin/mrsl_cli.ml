@@ -947,17 +947,12 @@ let serve_domains_arg =
   in
   Arg.(value & opt (some int) None & info [ "domains" ] ~doc ~docv:"N")
 
-let serve_cache_mb_arg =
-  let doc = "Posterior-cache byte budget, in MiB." in
-  Arg.(value & opt positive_int 64 & info [ "cache-mb" ] ~doc ~docv:"MB")
-
-let engine_config_of seed method_ samples burn_in domains cache_mb =
+let engine_config_of seed method_ samples burn_in domains =
   {
     Serving.Engine.seed;
     method_;
     gibbs = { Mrsl.Gibbs.burn_in; samples };
     domains;
-    cache_bytes = cache_mb * 1024 * 1024;
   }
 
 let serve_cmd =
@@ -1054,7 +1049,7 @@ let serve_cmd =
     in
     Arg.(value & opt float 1.0 & info [ "log-sample" ] ~doc ~docv:"FRAC")
   in
-  let run model_path endpoint seed method_ samples burn_in domains cache_mb
+  let run model_path endpoint seed method_ samples burn_in domains
       use_kernel batch_max queue_capacity max_conns idle_timeout deadline_ms
       out_buf_max out_buf_total trace access_log slow_ms log_sample =
     Mrsl.Kernel.set_enabled use_kernel;
@@ -1069,7 +1064,7 @@ let serve_cmd =
     let request_stop _ = Atomic.set stop true in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
     Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
-    let config = engine_config_of seed method_ samples burn_in domains cache_mb in
+    let config = engine_config_of seed method_ samples burn_in domains in
     let engine = Serving.Engine.create ~config ~model_path () in
     let log_oc =
       match access_log with
@@ -1115,7 +1110,7 @@ let serve_cmd =
   Cmd.v info
     Term.(
       const run $ model_arg $ endpoint_term $ seed_arg $ method_arg
-      $ samples_arg $ burn_in_arg $ serve_domains_arg $ serve_cache_mb_arg
+      $ samples_arg $ burn_in_arg $ serve_domains_arg
       $ kernel_arg $ batch_max_arg $ queue_arg $ max_conns_arg $ idle_timeout_arg
       $ deadline_ms_arg $ out_buf_max_arg $ out_buf_total_arg $ trace_arg
       $ access_log_arg $ slow_ms_arg $ log_sample_arg)
@@ -1346,7 +1341,7 @@ let client_cmd =
         required & opt (some file) None & info [ "model" ] ~doc ~docv:"FILE")
     in
     let run endpoint model_path input seed method_ samples burn_in domains
-        cache_mb use_kernel window =
+        use_kernel window =
       (* Controls only the LOCAL reference engine; the daemon's kernel
          setting is its own. `--no-kernel' makes the reference run the
          interpreted oracle, so verify cross-checks a kernel-enabled
@@ -1354,7 +1349,7 @@ let client_cmd =
       Mrsl.Kernel.set_enabled use_kernel;
       let inst = Relation.Csv_io.read_file input in
       let config =
-        engine_config_of seed method_ samples burn_in domains cache_mb
+        engine_config_of seed method_ samples burn_in domains
       in
       (* A private registry keeps the reference engine's serve.* metrics
          out of the process-global registry. *)
@@ -1450,7 +1445,7 @@ let client_cmd =
       Term.(
         const run $ endpoint_term $ model_arg $ input_arg $ seed_arg
         $ method_arg $ samples_arg $ burn_in_arg $ serve_domains_arg
-        $ serve_cache_mb_arg $ kernel_arg $ window_arg)
+        $ kernel_arg $ window_arg)
   in
   let info =
     Cmd.info "client"
@@ -1477,15 +1472,11 @@ let resources_cmd =
     in
     Arg.(value & opt positive_int 2 & info [ "domains" ] ~doc ~docv:"N")
   in
-  let cache_mb_arg =
-    let doc = "Posterior-cache byte budget, in MiB." in
-    Arg.(value & opt positive_int 64 & info [ "cache-mb" ] ~doc ~docv:"MB")
-  in
   let json_arg =
     let doc = "Emit the machine-readable JSON report instead of text." in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
-  let run input support max_itemsets method_ samples burn_in domains cache_mb
+  let run input support max_itemsets method_ samples burn_in domains
       use_kernel json trace seed =
     let module Json = Mrsl.Telemetry.Json in
     Mrsl.Kernel.set_enabled use_kernel;
@@ -1500,24 +1491,25 @@ let resources_cmd =
          workload\n";
       exit 1
     end;
-    let cache =
-      Mrsl.Posterior_cache.create ~max_bytes:(cache_mb * 1024 * 1024) ()
-    in
     let config = { Mrsl.Gibbs.burn_in; samples } in
     (* Monitor exactly the inference run (learning stays outside), so the
-       registry deltas below read as "what this workload cost". The cache
-       is filled as [Engine] fills it for a batch of single-missing tasks. *)
+       registry deltas below read as "what this workload cost". The
+       conditional tables are filled as [Engine] fills them: one cached
+       single-missing inference per (tuple, missing attribute). *)
     let report =
       Mrsl.Resource.monitored @@ fun () ->
-      ignore
-        (Mrsl.Posterior_cache.prewarm cache model ~method_
-           ~compute:(fun tup a -> Mrsl.Infer_single.infer ~method_ model tup a)
-           incomplete);
+      let cache = Mrsl.Posterior_cache.create () in
+      List.iter
+        (fun tup ->
+          List.iter
+            (fun a -> ignore (Mrsl.Infer_single.infer ~method_ ~cache model tup a))
+            (Relation.Tuple.missing tup))
+        incomplete;
       let _ =
         Mrsl.Parallel.run ~config ~method_ ~domains ~seed model incomplete
       in
       Mrsl.Resource.sample_current ();
-      Mrsl.Resource.report ~cache ()
+      Mrsl.Resource.report ~model ()
     in
     if json then print_endline (Json.to_string report)
     else begin
@@ -1561,12 +1553,12 @@ let resources_cmd =
           Printf.printf "utilization:";
           List.iter (fun (d, u) -> Printf.printf " %d=%.2f" d u) util;
           print_newline ());
-      let st = Mrsl.Posterior_cache.stats cache in
-      let reach = Mrsl.Posterior_cache.reachable_bytes cache in
-      Printf.printf "cache:       accounted %s vs reachable %s (x%.2f)\n"
-        (mb st.bytes) (mb reach)
-        (if reach > 0 then float_of_int st.bytes /. float_of_int reach
-         else 1.)
+      let epoch = Mrsl.Model.epoch model in
+      let bytes = (Mrsl.Kernel.usage epoch).bytes in
+      let reach = Mrsl.Kernel.reachable_bytes epoch in
+      Printf.printf "tables:      accounted %s vs reachable %s (x%.2f)\n"
+        (mb bytes) (mb reach)
+        (if reach > 0 then float_of_int bytes /. float_of_int reach else 1.)
     end
   in
   let info =
@@ -1574,14 +1566,14 @@ let resources_cmd =
       ~doc:
         "Run a resource-monitored inference over a CSV's incomplete \
          tuples and report GC counts, heap footprint, allocation per \
-         task, per-domain utilization, and the posterior cache's \
-         accounted-vs-reachable bytes — the measured baseline for \
+         task, per-domain utilization, and the hashed conditional \
+         tables' accounted-vs-reachable bytes — the measured baseline for \
          ROADMAP item 2's allocation-free kernels."
   in
   Cmd.v info
     Term.(
       const run $ input_arg $ support_arg $ max_itemsets_arg $ method_arg
-      $ samples_arg $ burn_in_arg $ domains_arg $ cache_mb_arg $ kernel_arg
+      $ samples_arg $ burn_in_arg $ domains_arg $ kernel_arg
       $ json_arg $ trace_arg $ seed_arg)
 
 let setup_logging () =

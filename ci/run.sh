@@ -185,6 +185,13 @@ mrsl_client infer --socket "$SERVE_SOCK" --tuple "$SINGLE_TUPLE" \
   | grep -q '"mode":"exact"'
 mrsl_client infer --socket "$SERVE_SOCK" --tuple "$SINGLE_TUPLE" \
   | grep -q '"mode":"exact"'
+SERVE_STATS="$(mrsl_client stats --socket "$SERVE_SOCK")"
+SERVE_HITS="$(echo "$SERVE_STATS" | tr -d ' \n' \
+  | grep -o '"cache":{"hits":[0-9]*' | grep -o '[0-9]*$')"
+if [ -z "$SERVE_HITS" ] || [ "$SERVE_HITS" -lt 1 ]; then
+  echo "repeated exact request did not hit the cache (hits '${SERVE_HITS:-none}')" >&2
+  exit 1
+fi
 
 # Gibbs inference: a tuple with two missing values.
 GIBBS_TUPLE="$(awk -F, 'NR>1 { n=0
@@ -488,9 +495,11 @@ else
 fi
 
 echo "== cache pass =="
-# Dedicated cache suite: posterior-cache hit/miss/eviction accounting,
-# epoch invalidation, dedup fan-out; conditional tables on = off at
-# 1/2/4 domains, both table representations, and their bypasses.
+# Dedicated cache suite over the per-epoch conditional tables, the one
+# posterior store: hit/miss accounting, stores declined by a full budget
+# (counted as evictions), epoch isolation, dedup fan-out, requests that
+# are never stored; tables on = off at 1/2/4 domains, both table
+# representations, and their bypasses.
 dune exec test/main.exe -- test cache
 
 # Negative check: turning the conditional tables off (--no-cache) must

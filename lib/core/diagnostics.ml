@@ -229,7 +229,7 @@ let run_with_retries ?(config = Gibbs.default_config)
         (Relation.Schema.cardinality schema)
     in
     Fault_inject.should_force_nonconvergence
-      ~key:(Posterior_cache.tuple_code ~cards tup)
+      ~key:(Fault_inject.tuple_code ~cards tup)
   in
   (* Ensemble-health denominator: convergence-checked runs, so
      [degrade.nonconverged] reads as a nonconvergence *share*. *)

@@ -83,6 +83,33 @@ let hash ~seed ~site ~key =
           (Int64.mul (Int64.of_int site) 0xC2B2AE3D27D4EB4FL)
           (Int64.of_int key)))
 
+(* Wrapping full-traversal mixed-radix codes for the per-task keys. The
+   finalizer is folded in after every digit so high-order digits survive
+   the 2^64 wrap even when the radices are powers of two: pure
+   left-shifting accumulation would push early cells' bits off the top
+   on wide schemas. *)
+let fold_digit h ~radix ~digit =
+  mix64 (Int64.add (Int64.mul h (Int64.of_int radix)) (Int64.of_int digit))
+
+let tuple_code64 ~cards (tup : int option array) =
+  if Array.length cards <> Array.length tup then
+    invalid_arg "Fault_inject.tuple_code: cards/tuple arity mismatch";
+  let h = ref 1L in
+  Array.iteri
+    (fun i cell ->
+      let digit = match cell with None -> 0 | Some v -> v + 1 in
+      h := fold_digit !h ~radix:(cards.(i) + 1) ~digit)
+    tup;
+  !h
+
+let tuple_code ~cards tup = Int64.to_int (tuple_code64 ~cards tup)
+
+let evidence_key ~cards tup a =
+  Int64.to_int
+    (fold_digit (tuple_code64 ~cards tup)
+       ~radix:(Array.length cards + 1)
+       ~digit:(a + 1))
+
 let two_pow_53 = 9007199254740992.0
 
 let unit_float ~seed ~site ~key =

@@ -88,6 +88,24 @@ val should_drop_conn : key:int -> bool
 (** Serving chaos: this connection dies between batch execution and
     response delivery — exercises the closed-connection guards. *)
 
+(** {1 Task keys}
+
+    Wrapping full-traversal mixed-radix codes: the stable keys of the
+    voter-drop and forced-nonconvergence sites. ([Stdlib.Hashtbl.hash]'s
+    bounded traversal ignored the tail of wide tuples, so tuples that
+    differ only in late cells shared one decision.) *)
+
+val tuple_code : cards:int array -> int option array -> int
+(** Mixed-radix code of every cell of the tuple — digit [0] for a
+    missing cell, [v + 1] for value [v], radix [cards.(i) + 1] — folded
+    through a splitmix64 finalizer per cell so {e every} cell influences
+    the result even when the exact code would overflow. Raises
+    [Invalid_argument] on a [cards]/tuple arity mismatch. *)
+
+val evidence_key : cards:int array -> int option array -> int -> int
+(** [tuple_code] further combined with the target attribute index — the
+    per-task key of the voter-drop and forced-nonconvergence sites. *)
+
 val unit_float : seed:int -> site:int -> key:int -> float
 (** The raw deterministic uniform draw in [0, 1) behind every decision
     point — exposed so callers needing reproducible randomness outside a

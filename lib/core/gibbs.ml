@@ -48,7 +48,7 @@ let conditional_unchecked s x a =
       | exception Not_found ->
           s.misses <- s.misses + 1;
           let d = infer s x a in
-          Kernel.store tb code d;
+          ignore (Kernel.store tb code d : bool);
           d)
 
 let conditional s point a =

@@ -1,9 +1,20 @@
 let check_task model tup a =
-  let arity = Relation.Schema.arity (Model.schema model) in
+  let schema = Model.schema model in
+  let arity = Relation.Schema.arity schema in
   if Array.length tup <> arity then
     invalid_arg "Infer_single: tuple arity does not match model schema";
   if a < 0 || a >= arity then
     invalid_arg "Infer_single: attribute index out of range";
+  (* An out-of-range value would carry into the next digit of a
+     conditional table's context code (another context's posterior) or
+     index past the end of a dense table. *)
+  Array.iteri
+    (fun i cell ->
+      match cell with
+      | Some v when v < 0 || v >= Relation.Schema.cardinality schema i ->
+          invalid_arg "Infer_single: value out of range"
+      | _ -> ())
+    tup;
   match tup.(a) with
   | Some _ ->
       invalid_arg "Infer_single: attribute is not missing in the tuple"
@@ -58,7 +69,7 @@ let apply_voter_drop model tup a selected =
     in
     if
       Fault_inject.should_drop_voters
-        ~key:(Posterior_cache.evidence_key ~cards tup a)
+        ~key:(Fault_inject.evidence_key ~cards tup a)
     then []
     else selected
   end
@@ -91,29 +102,27 @@ let infer_rung ~count ?(method_ = Voting.best_averaged) ?telemetry model tup a =
       | exception Invalid_argument _ -> fallback ())
 
 let infer ?method_ ?telemetry ?cache ?segment model tup a =
-  (* Allocation accounting (ROADMAP item 2 baseline): one atomic load
-     when no Resource monitor is installed; observation only either
-     way. *)
-  Resource.alloc_span ?telemetry "mem.alloc_per_infer_bytes" @@ fun () ->
   let method_ = Option.value method_ ~default:Voting.best_averaged in
   (* Compiled fast path first; the kernel returns None (and the
      interpreted oracle below runs, degradation telemetry included)
-     whenever it cannot guarantee a bit-identical posterior. *)
+     whenever it cannot guarantee a bit-identical posterior. Allocation
+     is accounted per computed posterior, not per probe: one atomic load
+     when no Resource monitor is installed, observation only either
+     way. *)
   let compute () =
+    Resource.alloc_span ?telemetry "mem.alloc_per_infer_bytes" @@ fun () ->
     match Kernel.posterior ?telemetry ~method_ model tup a with
     | Some d -> d
     | None ->
         let d, _, _ = infer_rung ~count:true ~method_ ?telemetry model tup a in
         d
   in
+  (* Validate up front: a stored posterior must not skip the structural
+     checks a computation would have performed. *)
+  check_task model tup a;
   match cache with
-  | None ->
-      check_task model tup a;
-      compute ()
+  | None -> compute ()
   | Some c ->
-      (* Validate up front: a cache hit must not skip the structural
-         checks a miss would have performed. *)
-      check_task model tup a;
       Posterior_cache.find_or_compute ?segment c model ~method_ tup a compute
 
 let infer_result ?method_ ?telemetry ?cache ?segment model tup a =

@@ -18,8 +18,8 @@
       as [degrade.uniform], when even the root CPD is unavailable or
       non-finite.
 
-    Structural misuse (wrong arity, attribute not missing, index out of
-    range) still raises [Invalid_argument] from {!infer} — or comes back
+    Structural misuse (wrong arity, attribute not missing, index or
+    value out of range) still raises [Invalid_argument] from {!infer} — or comes back
     as an [Error.Input] from {!infer_result}. *)
 
 type rung = Voters | Marginal_prior | Uniform
@@ -39,18 +39,23 @@ val infer : ?method_:Voting.method_ -> ?telemetry:Telemetry.t ->
 (** [infer model t a] — estimated distribution of the missing attribute [a]
     in [t]. The method defaults to best-averaged (the paper's most accurate
     setting). Raises [Invalid_argument] when [a] is not missing in [t] or
-    out of range. Values of other missing attributes are simply absent
+    out of range, or a known value of [t] is out of its attribute's
+    range. Values of other missing attributes are simply absent
     evidence — the matching meta-rules condition only on known values.
     Degraded rungs are counted in [telemetry] (default
     {!Telemetry.global}); see the ladder above.
 
-    [?cache] memoizes the result by evidence signature (see
-    {!Posterior_cache}): a hit returns the bit-identical distribution the
-    uncached computation would have produced, without re-running lattice
-    matching or voting. On a hit the [degrade.*] telemetry of the original
-    computation is {e not} re-counted — degradations are counted once per
-    distinct evidence signature, not once per request. [?segment] is
-    passed to {!Posterior_cache.find_or_compute}. *)
+    [?cache] serves the result from the model epoch's conditional
+    table and stores it there on a miss (see {!Posterior_cache}): a hit
+    returns the bit-identical distribution the uncached computation
+    would have produced, without re-running lattice matching or voting.
+    On a hit the [degrade.*] telemetry of the original computation is
+    {e not} re-counted — degradations are counted once per distinct
+    evidence context, not once per request. Without [?cache] nothing is
+    probed or stored. [?segment] is passed to
+    {!Posterior_cache.find_or_compute}. While a {!Resource} monitor is
+    installed, each computed posterior (not a hit) is observed in
+    [mem.alloc_per_infer_bytes]. *)
 
 val infer_result : ?method_:Voting.method_ -> ?telemetry:Telemetry.t ->
   ?cache:Posterior_cache.t -> ?segment:Posterior_cache.segment -> Model.t ->

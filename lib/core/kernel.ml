@@ -35,22 +35,22 @@ type attr_kernel = {
 (* Context spaces up to this many codes get a dense slot array. *)
 let dense_max_slots = 1 lsl 16
 
-(* Byte bound of one hashed table; once full, misses are not stored. *)
-let hashed_max_bytes = 16 * 1024 * 1024
+let budget_bytes = 64 * 1024 * 1024
 
 type store =
   | Dense of int * Prob.Dist.t array Atomic.t
       (* slot count; [||] until the first probe *)
-  | Hashed of {
-      lock : Mutex.t;
-      entries : (int, Prob.Dist.t) Hashtbl.t;
-      mutable bytes : int;
-    }
+  | Hashed of { lock : Mutex.t; entries : (int, Prob.Dist.t) Hashtbl.t }
+
+(* What one kernel's tables hold together: [bytes] is the hashed tables'
+   share of [budget], [entries] counts stores in every table. *)
+type usage_cells = { budget : int; bytes : int Atomic.t; entries : int Atomic.t }
 
 type table = {
   tattrs : int array;  (* the lattice's body_attrs *)
   place : int array;  (* mixed-radix place value (radix card + 1) *)
   store : store;
+  usage : usage_cells;  (* shared by the kernel's tables *)
 }
 
 (* A vacant dense slot, told apart by physical equality: every stored
@@ -61,7 +61,7 @@ let method_index (m : Voting.method_) =
   (match m.choice with Voting.All -> 0 | Voting.Best -> 2)
   + match m.scheme with Voting.Averaged -> 0 | Voting.Weighted -> 1
 
-let make_table ~cards ba =
+let make_table ~usage ~cards ba =
   let place = Array.make (Array.length ba) 1 in
   for p = 1 to Array.length ba - 1 do
     place.(p) <- place.(p - 1) * (cards.(ba.(p - 1)) + 1)
@@ -75,16 +75,16 @@ let make_table ~cards ba =
   in
   let store =
     if slots <= dense_max_slots then Dense (slots, Atomic.make [||])
-    else
-      Hashed { lock = Mutex.create (); entries = Hashtbl.create 64; bytes = 0 }
+    else Hashed { lock = Mutex.create (); entries = Hashtbl.create 64 }
   in
-  { tattrs = ba; place; store }
+  { tattrs = ba; place; store; usage }
 
 type t = {
   epoch : int;
   attrs : attr_kernel array;
   tables : table option array;
       (* method index × arity + attribute; [None] for fallback attributes *)
+  usage : usage_cells;
 }
 
 let attr_compiled t a = t.attrs.(a).ok
@@ -190,19 +190,22 @@ let compile_attr ~cards lattice =
     ok;
   }
 
-let compile model =
+let compile ?(budget_bytes = budget_bytes) model =
   let schema = Model.schema model in
   let arity = Relation.Schema.arity schema in
   let cards = Array.init arity (Relation.Schema.cardinality schema) in
   let attrs =
     Array.init arity (fun a -> compile_attr ~cards (Model.lattice model a))
   in
+  let usage =
+    { budget = budget_bytes; bytes = Atomic.make 0; entries = Atomic.make 0 }
+  in
   let tables =
     Array.init (4 * arity) (fun i ->
         let ak = attrs.(i mod arity) in
-        if ak.ok then Some (make_table ~cards ak.body_attrs) else None)
+        if ak.ok then Some (make_table ~usage ~cards ak.body_attrs) else None)
   in
-  { epoch = Model.epoch model; attrs; tables }
+  { epoch = Model.epoch model; attrs; tables; usage }
 
 (* --- registry ---------------------------------------------------------- *)
 
@@ -226,7 +229,7 @@ let rec find_epoch epoch = function
   | [] -> raise Not_found
   | k :: tl -> if k.epoch = epoch then k else find_epoch epoch tl
 
-let rec ensure ?(telemetry = Telemetry.global) model =
+let rec ensure ?(telemetry = Telemetry.global) ?budget_bytes model =
   let epoch = Model.epoch model in
   let cur = Atomic.get registry in
   match find_epoch epoch cur with
@@ -236,14 +239,14 @@ let rec ensure ?(telemetry = Telemetry.global) model =
         Trace.complete ~cat:"kernel"
           ~args:[ ("epoch", Trace.Int epoch) ]
           "kernel.compile"
-          (fun () -> compile model)
+          (fun () -> compile ?budget_bytes model)
       in
       if Atomic.compare_and_set registry cur (k :: take (max_entries - 1) cur)
       then begin
         Telemetry.incr telemetry "kernel.compiles";
         k
       end
-      else ensure ~telemetry model
+      else ensure ~telemetry ?budget_bytes model
 
 let rec invalidate_stale ~current =
   let epoch = Model.epoch current in
@@ -254,7 +257,7 @@ let rec invalidate_stale ~current =
 
 (* Degraded posteriors must come from the interpreted ladder: voter-drop
    fault injection changes infer's output without an epoch change, so
-   while it is active the kernel steps aside (like Posterior_cache). *)
+   while it is active the kernel and its tables step aside. *)
 let bypassed () =
   (Fault_inject.current ()).Fault_inject.voter_drop_rate > 0.
 
@@ -276,6 +279,16 @@ let context_code tb x =
       !code
       + ((Array.unsafe_get x (Array.unsafe_get tb.tattrs p) + 1)
         * Array.unsafe_get tb.place p)
+  done;
+  !code
+
+(* The same code for a tuple: a missing cell is digit 0. *)
+let tuple_context_code tb (tup : Relation.Tuple.t) =
+  let code = ref 0 in
+  for p = 0 to Array.length tb.tattrs - 1 do
+    match tup.(Array.unsafe_get tb.tattrs p) with
+    | Some v -> code := !code + ((v + 1) * Array.unsafe_get tb.place p)
+    | None -> ()
   done;
   !code
 
@@ -303,18 +316,60 @@ let find tb code =
       if d == vacant then raise Not_found else d
   | Hashed h -> Mutex.protect h.lock (fun () -> Hashtbl.find h.entries code)
 
+(* Reserve [bytes] of the kernel's budget, or decline once it is full. *)
+let rec reserve u bytes =
+  let used = Atomic.get u.bytes in
+  used + bytes <= u.budget
+  && (Atomic.compare_and_set u.bytes used (used + bytes) || reserve u bytes)
+
 let store tb code d =
   match tb.store with
-  | Dense (n, cell) -> Array.unsafe_set (dense_slots n cell) code d
+  | Dense (n, cell) ->
+      let slots = dense_slots n cell in
+      if Array.unsafe_get slots code == vacant then Atomic.incr tb.usage.entries;
+      Array.unsafe_set slots code d;
+      true
   | Hashed h ->
       (* Bucket cell (4 words), the distribution (size + 1 words) and
          about two words of bucket array. *)
       let bytes = 8 * (Prob.Dist.size d + 7) in
       Mutex.protect h.lock (fun () ->
-          if h.bytes + bytes <= hashed_max_bytes then begin
-            Hashtbl.replace h.entries code d;
-            h.bytes <- h.bytes + bytes
-          end)
+          Hashtbl.mem h.entries code
+          || reserve tb.usage bytes
+             && begin
+                  Hashtbl.replace h.entries code d;
+                  Atomic.incr tb.usage.entries;
+                  true
+                end)
+
+type usage = { entries : int; bytes : int }
+
+let registered epoch =
+  match find_epoch epoch (Atomic.get registry) with
+  | k -> Some k
+  | exception Not_found -> None
+
+let usage epoch =
+  match registered epoch with
+  | Some k ->
+      { entries = Atomic.get k.usage.entries; bytes = Atomic.get k.usage.bytes }
+  | None -> { entries = 0; bytes = 0 }
+
+(* Every entry, bucket and the bucket array of a hashed table is
+   reachable from its [Hashtbl.t]; each walk holds the table's lock. *)
+let reachable_bytes epoch =
+  match registered epoch with
+  | None -> 0
+  | Some k ->
+      Array.fold_left
+        (fun acc -> function
+          | Some { store = Hashed h; _ } ->
+              acc
+              + Mutex.protect h.lock (fun () ->
+                    Obj.reachable_words (Obj.repr h.entries))
+          | Some { store = Dense _; _ } | None -> acc)
+        0 k.tables
+      * (Sys.word_size / 8)
 
 (* --- the compiled vote ------------------------------------------------- *)
 
@@ -445,16 +500,3 @@ let posterior ?(telemetry = Telemetry.global) ~method_ model tup a =
           Telemetry.incr telemetry "kernel.fallback";
           None
   end
-
-(* --- coded cache keys --------------------------------------------------- *)
-
-(* The packed evidence vector doubles as the cache context code: it is
-   a mixed-radix code with power-of-two place values, injective over
-   the lattice-relevant evidence contexts whenever the attribute
-   compiled ([ok]). *)
-let cache_code model tup a =
-  if (not (enabled ())) || bypassed () then None
-  else
-    let k = ensure model in
-    let ak = k.attrs.(a) in
-    if ak.ok then Some (tuple_vector ak tup) else None

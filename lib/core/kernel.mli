@@ -11,10 +11,7 @@
     - the evidence context as an {e exact} packed code over
       [body_attrs] digits — one bit field per attribute, digit [0] for
       a missing cell, [v + 1] for value [v]: a mixed-radix code with
-      power-of-two place values, the same digit string
-      {!Posterior_cache} keys on, but un-hashed, so equal codes mean
-      equal evidence. {!Posterior_cache} uses it as a cheap coded key
-      ([ns = 1]) in place of the allocated signature array;
+      power-of-two place values, so equal codes mean equal evidence;
     - every meta-rule body as a {e (mask, bits)} pair over those same
       fields, so a rule matches iff [code land mask = bits] — one
       [land] and one compare per rule, covering known-ness and value
@@ -47,10 +44,9 @@
     over large cardinalities (the digit fields sum past 62 bits).
     Overflow is detected at {e compile} time from the schema's
     cardinalities; an overflowing attribute is marked fallback, served
-    by the interpreted path, counted on [kernel.fallback], and keyed in
-    the posterior cache under the interpreted namespace ([ns = 0]) —
-    distinct from coded keys, so the two key schemes can never
-    collide.
+    by the interpreted path, counted on [kernel.fallback], and has no
+    conditional table: its posteriors are computed on every request and
+    never stored.
 
     {2 Lifecycle}
 
@@ -60,21 +56,26 @@
     {e before} mutating any serving state, so a failed reload leaves the
     old kernel serving and a successful one can never serve a stale
     kernel. While {!Fault_inject} voter drops are active the kernel
-    steps aside entirely, exactly like {!Posterior_cache}.
+    steps aside entirely, tables included.
 
     {2 Conditional tables}
 
     Each kernel also carries one conditional table per voting method and
     attribute: "posterior of [a] given this evidence context" for the
-    epoch, read and filled by every {!Gibbs} sampler of the model. The
-    key is the exact context over [body_attrs] as a mixed-radix code
-    (radix [card + 1], the digits above), so a stored entry is exactly
-    what the computation would return. A context space of at most [2^16]
-    codes is a dense array indexed by the code, allocated on the first
-    probe and read without a lock; a larger one is a locked hash table
-    bounded to 16 MiB, which stops storing once full. {!table} declines
-    whenever {!posterior} would: kernel disabled, voter drops active, or
-    a fallback attribute. A new epoch starts with empty tables.
+    epoch. It is the model's only posterior store: every {!Gibbs}
+    sampler of the model and {!Infer_single.infer}[ ~cache] (single-
+    missing inference and the serving engine, through
+    {!Posterior_cache}) read and fill it. The key is the exact context
+    over [body_attrs] as a mixed-radix code (radix [card + 1], the
+    digits above), so a stored entry is exactly what the computation
+    would return. A context space of at most [2^16] codes is a dense
+    array indexed by the code, allocated on the first probe and read
+    without a lock; a larger one is a locked hash table. The hashed
+    tables of one kernel share one byte budget ({!budget_bytes}); once
+    it is full, further stores are declined, never evicted. {!table}
+    declines whenever {!posterior} would: kernel disabled, voter drops
+    active, or a fallback attribute. A new epoch starts with empty
+    tables.
 
     Counters: [kernel.compiles], [kernel.hits], [kernel.fallback]
     (catalogued in METRICS.md). *)
@@ -84,30 +85,36 @@ type t
 
 val set_enabled : bool -> unit
 (** Process-global switch (CLI [--kernel] / [--no-kernel]); default
-    enabled. Disabling makes {!posterior} and {!cache_code} return
-    [None] unconditionally, restoring the pure interpreted path. *)
+    enabled. Disabling makes {!posterior} and {!table} return [None]
+    unconditionally, restoring the pure interpreted path. *)
 
 val enabled : unit -> bool
 (** One atomic load. *)
 
-val compile : Model.t -> t
-(** Compile every attribute's lattice. Pure construction: no registry
-    interaction, no telemetry. Exposed for tests and benchmarks;
-    normal callers want {!ensure}. *)
+val budget_bytes : int
+(** 64 MiB: what the hashed conditional tables of one kernel epoch may
+    hold together, at 8·(card + 7) accounted bytes per entry. *)
 
-val ensure : ?telemetry:Telemetry.t -> Model.t -> t
+val compile : ?budget_bytes:int -> Model.t -> t
+(** Compile every attribute's lattice. Pure construction: no registry
+    interaction, no telemetry. [budget_bytes] (default {!budget_bytes})
+    bounds the hashed tables. Exposed for tests and benchmarks; normal
+    callers want {!ensure}. *)
+
+val ensure : ?telemetry:Telemetry.t -> ?budget_bytes:int -> Model.t -> t
 (** The registry's kernel for the model's epoch, compiling (and
     counting [kernel.compiles], with a [kernel.compile] trace slice) on
-    first use. Thread-safe: concurrent callers race on a CAS and one
-    compilation wins. Works whether or not the kernel is {!enabled} —
-    the serving engine precompiles at load/reload time so the first
-    request never pays the build. *)
+    first use. [budget_bytes] only applies when this call compiles.
+    Thread-safe: concurrent callers race on a CAS and one compilation
+    wins. Works whether or not the kernel is {!enabled} — the serving
+    engine precompiles at load/reload time so the first request never
+    pays the build. *)
 
 val invalidate_stale : current:Model.t -> unit
 (** Drop every registry entry whose epoch differs from [current]'s.
     Correctness never depends on this — epochs are process-unique and
     part of the registry key — it only releases memory earlier than the
-    registry's LRU cap would. *)
+    registry's cap of eight kernels would. *)
 
 val attr_compiled : t -> int -> bool
 (** Whether the attribute's lattice compiled without fallback (its
@@ -129,12 +136,6 @@ val posterior :
     [kernel.fallback]; successes counted on [kernel.hits]). The caller
     must have validated the task ({!Infer_single} does). *)
 
-val cache_code : Model.t -> Relation.Tuple.t -> int -> int option
-(** The exact packed context code of the tuple's evidence over the
-    attribute's [body_attrs] — the coded posterior-cache key. [None]
-    whenever {!posterior} would decline (so cache keys and compute path
-    always agree on a namespace). *)
-
 type table
 (** One conditional table (see above). *)
 
@@ -149,10 +150,34 @@ val context_code : table -> int array -> int
     Unchecked: [x] must have the schema's arity and values in
     [-1 .. card - 1]. *)
 
+val tuple_context_code : table -> Relation.Tuple.t -> int
+(** The same code for a tuple: equal to {!context_code} of the point
+    with [-1] for each missing cell. The tuple must have the schema's
+    arity and in-range values. *)
+
 val find : table -> int -> Prob.Dist.t
 (** The stored posterior of a context code; raises [Not_found]. A dense
     probe allocates nothing. *)
 
-val store : table -> int -> Prob.Dist.t -> unit
+val store : table -> int -> Prob.Dist.t -> bool
 (** Store the posterior {!Infer_single.infer} computes for a context
-    code under the table's method. It must not be mutated afterwards. *)
+    code under the table's method. It must not be mutated afterwards.
+    [false] when a hashed table declined it because the kernel's budget
+    is full; the table is then unchanged. *)
+
+type usage = {
+  entries : int;  (** stores across every table of the kernel *)
+  bytes : int;  (** accounted bytes of its hashed tables *)
+}
+
+val usage : int -> usage
+(** [usage epoch] — what the registry's kernel of that epoch holds;
+    zero when no kernel of the epoch is registered (never compiled, or
+    dropped by {!invalidate_stale}). Compiles nothing. *)
+
+val reachable_bytes : int -> int
+(** [reachable_bytes epoch] — the measured heap footprint of that
+    kernel's hashed tables ([Obj.reachable_words], each walked under its
+    lock), in bytes; [0] when none is registered. {!usage}[.bytes] must
+    stay at or above its growth, so the budget is a true upper bound.
+    O(entries): for report paths, not the hot path. *)

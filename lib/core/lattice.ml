@@ -7,7 +7,7 @@ type t = {
       (* Sorted, duplicate-free union of the attributes mentioned by any
          rule body in the lattice — the only attributes whose observed
          values can influence [matching], and therefore the only cells a
-         posterior-cache key needs to encode. *)
+         conditional-table context code needs to encode. *)
 }
 
 let create ~head_attr ~head_card ~root rules =

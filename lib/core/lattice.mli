@@ -33,8 +33,9 @@ val body_attrs : t -> int array
 (** Sorted, duplicate-free attribute indices mentioned by at least one rule
     body in the lattice (never includes the head attribute). Only these
     attributes' observed values can change the outcome of {!matching} — the
-    lattice-relevant evidence context used by {!Posterior_cache} keys. The
-    returned array is owned by the lattice; do not mutate. *)
+    lattice-relevant evidence context that keys the conditional tables of
+    {!Kernel}, the one posterior store. The returned array is owned by the
+    lattice; do not mutate. *)
 
 val matching : t -> Relation.Tuple.t -> Meta_rule.t list
 (** All meta-rules whose body holds in the tuple's known values — the

@@ -9,7 +9,7 @@ let make ?floor ~body ~head_attr ~weight ~raw_cpd () =
   if head_attr < 0 then invalid_arg "Meta_rule.make: negative head attribute";
   if Mining.Itemset.mem_attr body head_attr then
     invalid_arg "Meta_rule.make: head attribute appears in the body";
-  if weight < 0. || weight > 1. +. 1e-9 then
+  if not (weight >= 0. && weight <= 1. +. 1e-9) then
     invalid_arg "Meta_rule.make: weight must be a support in [0, 1]";
   { body; head_attr; cpd = Prob.Dist.smooth ?floor raw_cpd; weight }
 
@@ -18,7 +18,7 @@ let of_distribution ~body ~head_attr ~weight cpd =
     invalid_arg "Meta_rule.of_distribution: negative head attribute";
   if Mining.Itemset.mem_attr body head_attr then
     invalid_arg "Meta_rule.of_distribution: head attribute appears in the body";
-  if weight < 0. || weight > 1. +. 1e-9 then
+  if not (weight >= 0. && weight <= 1. +. 1e-9) then
     invalid_arg "Meta_rule.of_distribution: weight must be a support in [0, 1]";
   { body; head_attr; cpd; weight }
 

@@ -27,9 +27,10 @@ type t = {
   truncated : bool;
   epoch : int;
       (* Process-unique model generation, assigned at construction from a
-         global atomic counter. Two models never share an epoch, so a
-         posterior cache keyed by epoch can never serve results computed
-         against a different (e.g. retrained or reloaded) model. *)
+         global atomic counter. Two models never share an epoch, so the
+         kernel and conditional tables keyed by epoch can never serve
+         results computed against a different (e.g. retrained or
+         reloaded) model. *)
 }
 
 let epoch_counter = Atomic.make 0

@@ -58,8 +58,9 @@ val truncated : t -> bool
 val epoch : t -> int
 (** Process-unique model generation, assigned at construction. Every call
     to {!learn}, {!learn_points} or {!of_parts} (and therefore every
-    {!Model_io.load}) yields a fresh epoch, so caches keyed by it —
-    {!Posterior_cache} — can never serve entries computed against a
-    different model, including a retrained one over the same schema. *)
+    {!Model_io.load}) yields a fresh epoch, so state keyed by it — the
+    compiled {!Kernel} and its conditional tables, the posterior store —
+    can never serve entries computed against a different model,
+    including a retrained one over the same schema. *)
 
 val pp : Format.formatter -> t -> unit

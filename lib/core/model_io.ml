@@ -38,16 +38,17 @@ let body_to_string body =
       String.concat ","
         (List.map (fun (a, v) -> Printf.sprintf "%d=%d" a v) items)
 
-let body_of_string s =
-  if s = "-" then Mining.Itemset.empty
+(* The [(attribute, value)] items of a body; raises [Failure] on a
+   malformed item. *)
+let body_items_of_string s =
+  if s = "-" then []
   else
-    Mining.Itemset.of_list
-      (List.map
-         (fun item ->
-           match String.split_on_char '=' item with
-           | [ a; v ] -> (int_of_string a, int_of_string v)
-           | _ -> failwith "Model_io: bad body item")
-         (String.split_on_char ',' s))
+    List.map
+      (fun item ->
+        match String.split_on_char '=' item with
+        | [ a; v ] -> (int_of_string a, int_of_string v)
+        | _ -> failwith "bad body item")
+      (String.split_on_char ',' s)
 
 let cpd_to_string cpd =
   String.concat ";"
@@ -87,15 +88,26 @@ let to_string model =
   Buffer.contents buf
 
 let of_string text =
-  let lines = String.split_on_char '\n' text in
-  let lines = List.filteri (fun _ l -> String.trim l <> "") lines in
-  let lines = Array.of_list lines in
+  (* Blank lines are skipped, but errors name the line of the text. *)
+  let lines =
+    String.split_on_char '\n' text
+    |> List.mapi (fun i l -> (i + 1, l))
+    |> List.filter (fun (_, l) -> String.trim l <> "")
+    |> Array.of_list
+  in
   let pos = ref 0 in
-  let fail msg = failwith (Printf.sprintf "Model_io line %d: %s" (!pos + 1) msg) in
+  let line_no = ref 0 (* of the line read last *) in
+  let fail msg =
+    failwith (Printf.sprintf "Model_io line %d: %s" !line_no msg)
+  in
   let next () =
-    if !pos >= Array.length lines then fail "unexpected end of input";
-    let l = lines.(!pos) in
+    if !pos >= Array.length lines then begin
+      incr line_no;
+      fail "unexpected end of input"
+    end;
+    let n, l = lines.(!pos) in
     incr pos;
+    line_no := n;
     String.split_on_char '\t' l
   in
   (match next () with
@@ -132,18 +144,48 @@ let of_string text =
         | _ -> fail "expected attr line")
   in
   let schema = Relation.Schema.make attrs in
+  (* What loads must serve: every index is checked against the schema
+     here, so no inference path meets an out-of-range cell later. *)
+  let body_of_string ~head text =
+    let items =
+      match body_items_of_string text with
+      | items -> items
+      | exception Failure _ -> fail "bad body item"
+    in
+    List.iter
+      (fun (a, v) ->
+        if a < 0 || a >= arity then
+          fail (Printf.sprintf "body attribute %d out of range (arity %d)" a arity);
+        if v < 0 || v >= Relation.Schema.cardinality schema a then
+          fail (Printf.sprintf "body value %d out of range for attribute %d" v a);
+        if a = head then
+          fail (Printf.sprintf "head attribute %d appears in its own body" a))
+      items;
+    match Mining.Itemset.of_list items with
+    | body -> body
+    | exception Invalid_argument _ -> fail "body names an attribute twice"
+  in
   let lattices =
     Array.init arity (fun _ ->
         match next () with
         | [ "lattice"; attr; count ] ->
             let attr = int_of_string attr and count = int_of_string count in
+            if attr < 0 || attr >= arity then
+              fail
+                (Printf.sprintf "lattice attribute %d out of range (arity %d)"
+                   attr arity);
             let head_card = Relation.Schema.cardinality schema attr in
             let metas =
               List.init count (fun _ ->
                   match next () with
                   | [ "meta"; weight; body; cpd ] ->
                       let weight = float_of_string weight in
-                      let body = body_of_string body in
+                      (* NaN passes a range check written as two
+                         rejections; weighted votes would then fall
+                         silently to the marginal prior. *)
+                      if not (weight >= 0. && weight <= 1. +. 1e-9) then
+                        fail "weight is not a support in [0, 1]";
+                      let body = body_of_string ~head:attr body in
                       let raw =
                         Array.of_list
                           (List.map float_of_string
@@ -176,11 +218,18 @@ let of_string text =
               | [ root ], rest -> (root, rest)
               | _ -> fail "lattice needs exactly one root meta-rule"
             in
-            Lattice.create ~head_attr:attr ~head_card ~root rest
+            (match Lattice.create ~head_attr:attr ~head_card ~root rest with
+            | l -> l
+            | exception Invalid_argument msg -> fail msg)
         | _ -> fail "expected lattice line")
   in
-  if !pos <> Array.length lines then fail "trailing content";
-  Model.of_parts ~params ~frequent_itemsets ~truncated schema lattices
+  if !pos <> Array.length lines then begin
+    line_no := fst lines.(!pos);
+    fail "trailing content"
+  end;
+  match Model.of_parts ~params ~frequent_itemsets ~truncated schema lattices with
+  | m -> m
+  | exception Invalid_argument msg -> fail msg
 
 let save path model =
   Out_channel.with_open_bin path (fun oc -> output_string oc (to_string model))

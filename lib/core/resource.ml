@@ -161,7 +161,7 @@ let utilization () = Atomic.get util
 
 module Json = Telemetry.Json
 
-let report ?cache () =
+let report ?model () =
   let s = Gc.quick_stat () in
   let gc =
     Json.Obj
@@ -191,14 +191,15 @@ let report ?cache () =
   let base =
     [ ("gc", gc); ("mem", mem); ("domains", domains) ]
   in
-  match cache with
+  match model with
   | None -> Json.Obj base
-  | Some c ->
-      let st = Posterior_cache.stats c in
-      let reachable = Posterior_cache.reachable_bytes c in
+  | Some m ->
+      let epoch = Model.epoch m in
+      let accounted = (Kernel.usage epoch).bytes in
+      let reachable = Kernel.reachable_bytes epoch in
       let ratio =
         if reachable = 0 then 1.
-        else float_of_int st.Posterior_cache.bytes /. float_of_int reachable
+        else float_of_int accounted /. float_of_int reachable
       in
       Json.Obj
         (base
@@ -206,7 +207,7 @@ let report ?cache () =
             ( "cache",
               Json.Obj
                 [
-                  ("accounted_bytes", Json.Int st.Posterior_cache.bytes);
+                  ("accounted_bytes", Json.Int accounted);
                   ("reachable_bytes", Json.Int reachable);
                   ("accounted_per_reachable", Json.Float ratio);
                 ] );

@@ -103,11 +103,11 @@ val utilization : unit -> (int * float) list
 (** The latest snapshot recorded by {!set_utilization}, sorted by worker
     slot; empty before any pooled run. *)
 
-val report : ?cache:Posterior_cache.t -> unit -> Telemetry.Json.t
+val report : ?model:Model.t -> unit -> Telemetry.Json.t
 (** A point-in-time resources report: process-cumulative GC counts
     ([gc]), heap and allocation totals ([mem]), the latest per-domain
-    utilization ([domains]), and — when [cache] is given — the
-    accounted-vs-reachable byte cross-check ([cache]:
-    {!Posterior_cache.stats}[.bytes] against
-    {!Posterior_cache.reachable_bytes}, with their ratio). Backs the
-    serving stats op's [resources] block and [mrsl resources]. *)
+    utilization ([domains]), and — when [model] is given — the
+    accounted-vs-reachable byte cross-check of its epoch's hashed
+    conditional tables ([cache]: {!Kernel.usage}[.bytes] against
+    {!Kernel.reachable_bytes}, with their ratio). Backs the serving
+    stats op's [resources] block and [mrsl resources]. *)

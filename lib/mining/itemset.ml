@@ -113,7 +113,26 @@ let to_tuple ~arity s =
   tup
 
 let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = Stdlib.compare a b
+(* [Stdlib.compare]'s order on [(int * int) array], without its generic
+   walk: length first, then item by item, each by attribute then value.
+   Lattice.meta_rules, Map/Set and Parallel.partition rely on exactly
+   this order; plain lexicographic order is not the same. *)
+let compare (a : t) (b : t) =
+  let n = Array.length a in
+  let c = Int.compare n (Array.length b) in
+  if c <> 0 then c
+  else
+    let rec go i =
+      if i = n then 0
+      else
+        let xa, xv = Array.unsafe_get a i and ya, yv = Array.unsafe_get b i in
+        let c = Int.compare xa ya in
+        if c <> 0 then c
+        else
+          let c = Int.compare xv yv in
+          if c <> 0 then c else go (i + 1)
+    in
+    go 0
 
 let hash (s : t) =
   Array.fold_left

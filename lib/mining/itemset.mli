@@ -58,6 +58,10 @@ val to_tuple : arity:int -> t -> Relation.Tuple.t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+(** [Stdlib.compare]'s order on the sorted [(attribute, value)] array,
+    computed without the polymorphic walk: size first, then item by
+    item, each by attribute then value. *)
+
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
 

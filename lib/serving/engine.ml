@@ -5,7 +5,6 @@ type config = {
   method_ : Mrsl.Voting.method_;
   gibbs : Mrsl.Gibbs.config;
   domains : int option;
-  cache_bytes : int;
 }
 
 let default_config =
@@ -14,7 +13,6 @@ let default_config =
     method_ = Mrsl.Voting.best_averaged;
     gibbs = Mrsl.Gibbs.default_config;
     domains = None;
-    cache_bytes = Mrsl.Posterior_cache.default_max_bytes;
   }
 
 (* The fixed bytes of a served model epoch's [posterior] lines: the
@@ -72,9 +70,7 @@ let set_epoch_gauge t =
 
 let of_model ?(telemetry = Mrsl.Telemetry.global) ~config
     ?(model_path = "<memory>") model =
-  let cache =
-    Mrsl.Posterior_cache.create ~max_bytes:config.cache_bytes ~telemetry ()
-  in
+  let cache = Mrsl.Posterior_cache.create ~telemetry () in
   let t =
     {
       model;
@@ -144,9 +140,10 @@ let reload ?path t =
         t.model <- fresh;
         t.wire <- wire_of fresh;
         t.model_path <- path;
-        Mrsl.Posterior_cache.invalidate_stale t.cache ~current:fresh;
-        if Mrsl.Kernel.enabled () then
-          Mrsl.Kernel.invalidate_stale ~current:fresh;
+        (* The stale epoch's kernel takes its conditional tables, the
+           posterior store, with it. *)
+        Mrsl.Kernel.invalidate_stale ~current:fresh;
+        Mrsl.Posterior_cache.publish t.cache;
         Mrsl.Telemetry.incr t.telemetry "serve.reloads";
         set_epoch_gauge t;
         Mrsl.Trace.instant ~cat:"serve"
@@ -309,7 +306,7 @@ let stats_line t ?id () =
             ("flush_wait", phase "serve.flush_wait_seconds");
             ("total", phase "serve.latency_seconds");
           ] );
-      ("resources", Mrsl.Resource.report ~cache:t.cache ());
+      ("resources", Mrsl.Resource.report ~model:t.model ());
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -343,7 +340,7 @@ let run_single t ~pressure responses tasks =
   let telemetry = t.telemetry in
   let model = t.model in
   (* One probe per task, and a miss computes and stores. Identical
-     concurrent requests (same evidence signature) pay one computation:
+     concurrent requests (same evidence context) pay one computation:
      the first probe of the segment computes (or finds) the posterior,
      the repeats hit it and count as cache.dedup_fanout. *)
   let segment = Mrsl.Posterior_cache.new_segment () in
@@ -374,9 +371,9 @@ let run_multi t ~pressure responses tasks =
   match (tasks, pressure) with
   | [], _ -> ()
   | _, Cache_only ->
-      (* Gibbs has no cheap cached answer (the posterior cache keys
-         single-attribute votes); under pressure multi-missing work is
-         always shed. *)
+      (* Gibbs has no cheap stored answer (the conditional tables hold
+         single-attribute posteriors, not joint estimates); under
+         pressure multi-missing work is always shed. *)
       List.iter
         (fun { slot; req_id = id; _ } ->
           responses.(slot) <- shed_response t ?id ())

@@ -1,9 +1,9 @@
 (** The serving engine: a loaded model plus everything needed to answer
     request batches.
 
-    The engine owns the model, the evidence-keyed
-    {!Mrsl.Posterior_cache}, and the inference configuration; {!Server}
-    owns sockets and scheduling. Splitting them keeps the engine directly
+    The engine owns the model, a {!Mrsl.Posterior_cache} handle over the
+    model epoch's conditional tables, and the inference configuration;
+    {!Server} owns sockets and scheduling. Splitting them keeps the engine directly
     drivable from tests and benchmarks without a socket in sight.
 
     {2 Determinism}
@@ -25,9 +25,12 @@
     single-missing request makes exactly one posterior-cache probe
     ({!Mrsl.Posterior_cache.find_or_compute}, with one
     {!Mrsl.Posterior_cache.segment} per batch segment); a miss computes
-    and stores. Identical concurrent requests from different clients
-    therefore pay one posterior computation, and every repeat of an
-    evidence signature within a segment counts [cache.dedup_fanout].
+    and stores in the model epoch's conditional table ({!Mrsl.Kernel}),
+    the one posterior store Gibbs shares. Identical concurrent requests
+    from different clients therefore pay one posterior computation, and
+    every repeat of an evidence context within a segment counts
+    [cache.dedup_fanout]. Requests that are never cached (kernel off,
+    voter drops injected, fallback attributes) are computed every time.
     Multi-missing requests are computed once per distinct tuple per
     segment. A [reload] request splits the batch into segments:
     requests ahead of it are answered by the old model, requests behind
@@ -48,9 +51,9 @@
     {!reload} loads a model file ({!Mrsl.Model_io.load}), refuses a
     schema change ([serve.reload_schema]), swaps the engine's model,
     bumps the [serve.epoch] gauge, counts [serve.reloads], and eagerly
-    drops the stale cache generation
-    ({!Mrsl.Posterior_cache.invalidate_stale}). On any failure the old
-    model keeps serving. *)
+    drops the stale epoch's kernel and its conditional tables
+    ({!Mrsl.Kernel.invalidate_stale}). On any failure the old model
+    keeps serving. *)
 
 type config = {
   seed : int;  (** Gibbs RNG seed — fixed per engine for determinism *)
@@ -59,12 +62,11 @@ type config = {
   domains : int option;
       (** worker domains for multi-missing inference; [None] = let
           {!Mrsl.Parallel.run_contained} pick *)
-  cache_bytes : int;  (** posterior-cache budget *)
 }
 
 val default_config : config
 (** seed 42, best-averaged voting, {!Mrsl.Gibbs.default_config},
-    [domains = None], {!Mrsl.Posterior_cache.default_max_bytes}. *)
+    [domains = None]. *)
 
 type t
 
@@ -92,6 +94,8 @@ val model_path : t -> string
 val config : t -> config
 val telemetry : t -> Mrsl.Telemetry.t
 val cache : t -> Mrsl.Posterior_cache.t
+(** The engine's counting handle: hits, misses, dedup fan-out and
+    declined stores over every model epoch it served. *)
 
 val reload : ?path:string -> t -> (Mrsl.Model.t, Mrsl.Error.t) result
 (** Swap in the model at [path] (default: the current model path; a
@@ -105,7 +109,7 @@ val reload : ?path:string -> t -> (Mrsl.Model.t, Mrsl.Error.t) result
 type pressure = Normal | Cache_only
     (** The engine rung of the overload ladder. [Normal] computes.
         [Cache_only] answers single-missing requests from the posterior
-        cache when the evidence signature is already there (payload
+        store when the evidence context is already there (payload
         bit-identical to the uncontended answer) and sheds everything
         else — cache misses and all multi-missing Gibbs work — with a
         [Scheduler/serve.shed] error line, counted as [serve.shed] (not

@@ -1,7 +1,8 @@
-(* Posterior_cache: evidence keys, signature restriction to the
-   lattice-relevant context, hit/miss/eviction accounting, model-epoch
-   invalidation, prewarm request dedup and fault-injection bypass. Then
-   the per-epoch conditional tables Gibbs reads (Kernel): memoized runs
+(* The posterior store: fault-site keys, context codes restricted to the
+   lattice-relevant cells, hit/miss accounting through Posterior_cache,
+   stores declined by a full budget, model-epoch isolation and the
+   fault-injection bypass. Then the per-epoch conditional tables Gibbs
+   reads and fills (Kernel): memoized runs
    are bit-identical to unmemoized runs at any domain count, on both
    table representations; the tables outlive a derivation, start empty
    at a new epoch, and are neither read nor written while the kernel is
@@ -38,7 +39,7 @@ let estimates_equal a b =
          && (ea.joint :> float array) = (eb.joint :> float array))
        a b
 
-(* --- evidence codes --------------------------------------------------- *)
+(* --- fault-site keys ---------------------------------------------------- *)
 
 let test_tuple_code_full_traversal () =
   (* The seed keyed fault sites with [Stdlib.Hashtbl.hash], whose bounded
@@ -50,7 +51,7 @@ let test_tuple_code_full_traversal () =
   let code v =
     let t = Array.copy base in
     t.(arity - 1) <- Some v;
-    Mrsl.Posterior_cache.tuple_code ~cards t
+    Mrsl.Fault_inject.tuple_code ~cards t
   in
   Alcotest.(check bool) "tail cell distinguishes codes" true
     (code 0 <> code 1 && code 1 <> code 2 && code 0 <> code 2);
@@ -58,23 +59,25 @@ let test_tuple_code_full_traversal () =
   let t_missing = Array.copy base in
   t_missing.(arity - 1) <- None;
   Alcotest.(check bool) "missing distinct from value" true
-    (Mrsl.Posterior_cache.tuple_code ~cards t_missing <> code 0);
+    (Mrsl.Fault_inject.tuple_code ~cards t_missing <> code 0);
   Alcotest.check_raises "arity mismatch"
-    (Invalid_argument "Posterior_cache.tuple_code: cards/tuple arity mismatch")
+    (Invalid_argument "Fault_inject.tuple_code: cards/tuple arity mismatch")
     (fun () ->
-      ignore (Mrsl.Posterior_cache.tuple_code ~cards:[| 2 |] base))
+      ignore (Mrsl.Fault_inject.tuple_code ~cards:[| 2 |] base))
 
 let test_evidence_key_attr_sensitive () =
   let cards = [| 2; 2; 8 |] in
   let t = [| None; Some 1; Some 3 |] in
   Alcotest.(check bool) "attr index is part of the key" true
-    (Mrsl.Posterior_cache.evidence_key ~cards t 0
-    <> Mrsl.Posterior_cache.evidence_key ~cards t 1)
+    (Mrsl.Fault_inject.evidence_key ~cards t 0
+    <> Mrsl.Fault_inject.evidence_key ~cards t 1)
 
-let test_method_code_injective () =
-  let codes = List.map Mrsl.Posterior_cache.method_code Mrsl.Voting.all_methods in
-  Alcotest.(check int) "four distinct method codes" 4
-    (List.length (List.sort_uniq compare codes))
+(* --- context codes ------------------------------------------------------ *)
+
+let table model a =
+  match Mrsl.Kernel.table ~method_:Mrsl.Voting.best_averaged model a with
+  | Some tb -> tb
+  | None -> Alcotest.failf "attribute %d has no conditional table" a
 
 let test_signature_lattice_relevant_only () =
   let model = fixture_model () in
@@ -87,22 +90,43 @@ let test_signature_lattice_relevant_only () =
         (Array.exists (Int.equal 2)
            (Mrsl.Lattice.body_attrs (Mrsl.Model.lattice model a))))
     [| 0; 1 |];
-  (* ...so tuples that differ only there share a signature — and the
-     posterior really is bit-identical, which is what licenses the
-     cache. *)
+  (* ...so tuples that differ only there get one context code — and the
+     posterior really is bit-identical, which is what licenses storing
+     it once. *)
+  let tb = table model 0 in
+  let code = Mrsl.Kernel.tuple_context_code tb in
   let t1 = [| None; Some 1; Some 3 |] and t2 = [| None; Some 1; Some 7 |] in
-  Alcotest.(check (array int)) "signatures equal"
-    (Mrsl.Posterior_cache.signature model t1 0)
-    (Mrsl.Posterior_cache.signature model t2 0);
+  Alcotest.(check int) "context codes equal" (code t1) (code t2);
   let d1 = Mrsl.Infer_single.infer model t1 0 in
   let d2 = Mrsl.Infer_single.infer model t2 0 in
   Alcotest.(check bool) "posteriors bit-identical" true
     ((d1 :> float array) = (d2 :> float array));
-  (* A lattice-relevant cell does change the signature. *)
+  (* A lattice-relevant cell does change the code. *)
   let t3 = [| None; Some 0; Some 3 |] in
-  Alcotest.(check bool) "body attr changes signature" true
-    (Mrsl.Posterior_cache.signature model t1 0
-    <> Mrsl.Posterior_cache.signature model t3 0)
+  Alcotest.(check bool) "body attr changes the code" true (code t1 <> code t3);
+  (* A tuple's code is its point's, so single-missing inference and
+     Gibbs conditionals share entries. *)
+  Alcotest.(check int) "tuple code = point code"
+    (Mrsl.Kernel.context_code tb [| -1; 1; 3 |])
+    (code t1)
+
+(* A value past its attribute's range would carry into the next digit
+   of a context code (another context's entry) or index past the end of
+   a dense table: here a1 = 2 codes as slot 3 of a0's 3-slot table.
+   Cached and uncached inference both refuse it. *)
+let test_out_of_range_value_refused () =
+  let model = fixture_model () in
+  let cache = Mrsl.Posterior_cache.create ~telemetry:(registry ()) () in
+  ignore (Mrsl.Infer_single.infer ~cache model [| None; None; Some 1 |] 0);
+  let bad = [| None; Some 2; Some 0 |] in
+  List.iter
+    (fun (name, cache) ->
+      match Mrsl.Infer_single.infer_result ?cache model bad 0 with
+      | Ok _ -> Alcotest.failf "%s: out-of-range value served" name
+      | Error e ->
+          Alcotest.(check string) (name ^ ": refused") "infer.bad_task"
+            e.Mrsl.Error.code)
+    [ ("uncached", None); ("cached", Some cache) ]
 
 (* --- accounting ------------------------------------------------------- *)
 
@@ -117,53 +141,83 @@ let test_hit_miss_accounting () =
         Mrsl.Infer_single.infer ~method_ model tup a)
   in
   let t1 = [| None; Some 1; Some 3 |] in
-  let t1' = [| None; Some 1; Some 5 |] (* same signature: noise differs *) in
-  let t2 = [| None; Some 0; Some 3 |] (* different signature *) in
+  let t1' = [| None; Some 1; Some 5 |] (* same context: noise differs *) in
+  let t2 = [| None; Some 0; Some 3 |] (* different context *) in
   let d_first = lookup t1 0 in
   let d_hit = lookup t1' 0 in
   ignore (lookup t2 0);
   ignore (lookup t1 0);
   let st = Mrsl.Posterior_cache.stats cache in
-  Alcotest.(check int) "computed once per signature" 2 !calls;
+  Alcotest.(check int) "computed once per context" 2 !calls;
   Alcotest.(check int) "misses" 2 st.misses;
   Alcotest.(check int) "hits" 2 st.hits;
   Alcotest.(check int) "entries" 2 st.entries;
-  Alcotest.(check bool) "bytes accounted" true (st.bytes > 0);
+  Alcotest.(check int) "no store declined" 0 st.evictions;
   Alcotest.(check bool) "hit serves the stored distribution" true
-    ((d_hit :> float array) = (d_first :> float array));
-  Alcotest.(check (float 1e-9)) "hit_rate" 0.5
-    (Mrsl.Posterior_cache.hit_rate cache);
-  Mrsl.Posterior_cache.clear cache;
-  let st = Mrsl.Posterior_cache.stats cache in
-  Alcotest.(check int) "clear drops entries" 0 st.entries;
-  Alcotest.(check int) "clear drops bytes" 0 st.bytes
+    ((d_hit :> float array) = (d_first :> float array))
 
-let test_lru_eviction_under_budget () =
-  let model = fixture_model () in
-  (* One shard, a budget of ~2 entries: filling the signature space must
-     evict least-recently-used entries instead of growing. *)
-  let cache =
-    Mrsl.Posterior_cache.create ~shards:1 ~max_bytes:400
-      ~telemetry:(registry ()) ()
+(* A BN7 model, as in the table tests below, with an attribute whose
+   table is hashed (> 2^16 contexts). *)
+let hashed_fixture () =
+  let entry = Bayesnet.Catalog.find "BN7" in
+  let r = Prob.Rng.create 2011 in
+  let net = Bayesnet.Network.generate r entry.topology in
+  let model =
+    Mrsl.Model.learn
+      ~params:{ Mrsl.Model.default_params with support_threshold = 0.01 }
+      (Bayesnet.Network.sample_instance r net 2000)
   in
-  let method_ = Mrsl.Voting.best_averaged in
-  let lookup tup a =
-    ignore
-      (Mrsl.Posterior_cache.find_or_compute cache model ~method_ tup a
-         (fun () -> Mrsl.Infer_single.infer ~method_ model tup a))
+  let schema = Mrsl.Model.schema model in
+  let slots a =
+    Array.fold_left
+      (fun n b -> n * (Relation.Schema.cardinality schema b + 1))
+      1
+      (Mrsl.Lattice.body_attrs (Mrsl.Model.lattice model a))
   in
-  (* Distinct signatures: vary the known body cell and the target attr. *)
-  List.iter
-    (fun (e, a) ->
-      let t = Array.make 3 None in
-      t.(1 - a) <- Some e;
-      lookup t a)
-    [ (0, 0); (1, 0); (0, 1); (1, 1) ];
+  let arity = Relation.Schema.arity schema in
+  match List.find_opt (fun a -> slots a > 1 lsl 16) (List.init arity Fun.id) with
+  | Some a -> (r, net, model, a)
+  | None -> Alcotest.fail "BN7 has no hashed table"
+
+(* The hashed tables of one epoch share one byte budget: once it is full
+   a store is declined (counted in evictions), never evicting anything,
+   and every posterior served is still the computed one. *)
+let test_full_budget_declines_stores () =
+  let r, net, model, a = hashed_fixture () in
+  let budget = 2000 in
+  ignore (Mrsl.Kernel.ensure ~budget_bytes:budget model : Mrsl.Kernel.t);
+  let cache = Mrsl.Posterior_cache.create ~telemetry:(registry ()) () in
+  let tuples =
+    List.init 200 (fun _ ->
+        let tup =
+          Relation.Tuple.of_point (Bayesnet.Network.sample_point r net)
+        in
+        tup.(a) <- None;
+        tup)
+  in
+  let pass () =
+    List.iter
+      (fun tup ->
+        let served = Mrsl.Infer_single.infer ~cache model tup a in
+        let computed = Mrsl.Infer_single.infer model tup a in
+        Alcotest.(check bool) "served = computed" true
+          ((served :> float array) = (computed :> float array)))
+      tuples
+  in
+  pass ();
   let st = Mrsl.Posterior_cache.stats cache in
-  Alcotest.(check bool) "evictions happened" true (st.evictions > 0);
-  Alcotest.(check bool) "stayed within budget" true (st.bytes <= 400);
-  Alcotest.(check int) "entries + evictions = misses" st.misses
-    (st.entries + st.evictions)
+  Alcotest.(check bool) "stores declined" true (st.evictions > 0);
+  Alcotest.(check bool) "some stored" true (st.entries > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "within budget (%d bytes)" st.bytes)
+    true (st.bytes <= budget);
+  Alcotest.(check int) "entries + declined = misses" st.misses
+    (st.entries + st.evictions);
+  (* A second pass evicts nothing: every stored entry still hits. *)
+  pass ();
+  let st' = Mrsl.Posterior_cache.stats cache in
+  Alcotest.(check int) "entries unchanged" st.entries st'.entries;
+  Alcotest.(check bool) "stored entries hit" true (st'.hits - st.hits >= st.entries)
 
 let test_epoch_invalidation () =
   let points = fixture_points 400 in
@@ -188,59 +242,16 @@ let test_epoch_invalidation () =
   (* The rebuilt model must never be served model A's posterior. *)
   lookup model_b t 0;
   Alcotest.(check int) "rebuild recomputes" 2 !calls;
-  let st = Mrsl.Posterior_cache.stats cache in
-  Alcotest.(check int) "both epochs resident" 2 st.entries;
-  Mrsl.Posterior_cache.invalidate_stale cache ~current:model_b;
-  let st = Mrsl.Posterior_cache.stats cache in
-  Alcotest.(check int) "stale epoch reclaimed" 1 st.entries;
+  let entries m = (Mrsl.Kernel.usage (Mrsl.Model.epoch m)).entries in
+  Alcotest.(check (pair int int)) "each epoch holds its own" (1, 1)
+    (entries model_a, entries model_b);
+  Alcotest.(check int) "stats read the last epoch probed" 1
+    (Mrsl.Posterior_cache.stats cache).entries;
+  Mrsl.Kernel.invalidate_stale ~current:model_b;
+  Alcotest.(check (pair int int)) "stale epoch reclaimed" (0, 1)
+    (entries model_a, entries model_b);
   lookup model_b t 0;
   Alcotest.(check int) "current epoch survives" 2 !calls
-
-(* --- prewarm / request dedup ----------------------------------------- *)
-
-let test_prewarm_dedup_fanout () =
-  let model = fixture_model () in
-  let telemetry = registry () in
-  let cache = Mrsl.Posterior_cache.create ~telemetry () in
-  let method_ = Mrsl.Voting.best_averaged in
-  let calls = ref 0 in
-  (* Four tuples, five (tuple, attr) tasks; t1/t2/t4 share the a0 task's
-     signature (noise-only differences), so distinct = 3:
-     {a0 | a1=1}, {a1 | a0=0}, {a0 | a1=0}. *)
-  let workload =
-    [
-      [| None; Some 1; Some 3 |];
-      [| None; Some 1; Some 7 |];
-      [| Some 0; None; Some 2 |];
-      [| None; Some 1; Some 0 |];
-      [| None; Some 0; Some 1 |];
-    ]
-  in
-  let distinct, fanout =
-    Mrsl.Posterior_cache.prewarm cache model ~method_
-      ~compute:(fun tup a ->
-        incr calls;
-        Mrsl.Infer_single.infer ~method_ model tup a)
-      workload
-  in
-  Alcotest.(check int) "distinct signatures" 3 distinct;
-  Alcotest.(check int) "fanout" 2 fanout;
-  Alcotest.(check int) "compute once per signature" 3 !calls;
-  let st = Mrsl.Posterior_cache.stats cache in
-  Alcotest.(check int) "dedup_fanout accumulated" 2 st.dedup_fanout;
-  Alcotest.(check int) "telemetry fanout counter matches" 2
-    (Mrsl.Telemetry.counter telemetry "cache.dedup_fanout");
-  Alcotest.(check int) "entries stored" 3 st.entries;
-  (* The run's own lookups are now all hits. *)
-  List.iter
-    (fun tup ->
-      List.iter
-        (fun a ->
-          ignore
-            (Mrsl.Posterior_cache.find_or_compute cache model ~method_ tup a
-               (fun () -> Alcotest.fail "prewarmed lookup recomputed")))
-        (Relation.Tuple.missing tup))
-    workload
 
 (* --- fault-injection bypass ------------------------------------------ *)
 
@@ -262,17 +273,14 @@ let test_voter_drop_bypasses_cache () =
     (fun () ->
       lookup ();
       lookup ();
-      Alcotest.(check (pair int int)) "prewarm is a no-op under voter drops"
-        (0, 0)
-        (Mrsl.Posterior_cache.prewarm cache model ~method_
-           ~compute:(fun tup a -> Mrsl.Infer_single.infer ~method_ model tup a)
-           [ t ]));
+      Alcotest.(check bool) "find answers nothing under voter drops" true
+        (Mrsl.Posterior_cache.find cache model ~method_ t 0 = None));
   Alcotest.(check int) "every bypassed lookup recomputed" 2 !calls;
   let st = Mrsl.Posterior_cache.stats cache in
   Alcotest.(check int) "nothing stored" 0 st.entries;
   Alcotest.(check int) "nothing counted as hit" 0 st.hits;
   Alcotest.(check int) "nothing counted as miss" 0 st.misses;
-  (* Clean runs after the fault window start from an empty cache — no
+  (* Clean runs after the fault window start from an empty table — no
      degraded posterior can have leaked in. *)
   lookup ();
   Alcotest.(check int) "post-fault lookup computes cleanly" 3 !calls;
@@ -477,13 +485,12 @@ let suite =
   [
     ("tuple_code full traversal", `Quick, test_tuple_code_full_traversal);
     ("evidence_key attr-sensitive", `Quick, test_evidence_key_attr_sensitive);
-    ("method_code injective", `Quick, test_method_code_injective);
     ("signature = lattice-relevant cells", `Quick,
      test_signature_lattice_relevant_only);
+    ("out-of-range value refused", `Quick, test_out_of_range_value_refused);
     ("hit/miss accounting", `Quick, test_hit_miss_accounting);
-    ("LRU eviction under byte budget", `Quick, test_lru_eviction_under_budget);
+    ("full budget declines stores", `Quick, test_full_budget_declines_stores);
     ("model-epoch invalidation", `Quick, test_epoch_invalidation);
-    ("prewarm dedup fanout", `Quick, test_prewarm_dedup_fanout);
     ("voter drops bypass the cache", `Quick, test_voter_drop_bypasses_cache);
     ("sequential cached = uncached", `Quick,
      test_sequential_cached_uncached_identical);

@@ -288,12 +288,12 @@ let test_fault_keys_discriminate_wide_tuples () =
         true
         (varies (fun t ->
              Mrsl.Fault_inject.should_drop_voters
-               ~key:(Mrsl.Posterior_cache.evidence_key ~cards t 0)));
+               ~key:(Mrsl.Fault_inject.evidence_key ~cards t 0)));
       Alcotest.(check bool)
         "nonconvergence decisions vary across tail cells" true
         (varies (fun t ->
              Mrsl.Fault_inject.should_force_nonconvergence
-               ~key:(Mrsl.Posterior_cache.tuple_code ~cards t))))
+               ~key:(Mrsl.Fault_inject.tuple_code ~cards t))))
 
 let test_infer_result_boundary () =
   let model = trained_model () in

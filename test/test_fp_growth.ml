@@ -146,6 +146,28 @@ let test_capped_catalog () =
         [ 0.005; 0.01; 0.05 ])
     [ "BN7"; "BN10" ]
 
+(* Every catalog network at the paper's default θ and both caps. *)
+let test_capped_every_network () =
+  List.iter
+    (fun (entry : Bayesnet.Catalog.entry) ->
+      let r = rng () in
+      let net = Bayesnet.Network.generate r entry.topology in
+      let points =
+        Array.init 5000 (fun _ -> Bayesnet.Network.sample_point r net)
+      in
+      let cards = Bayesnet.Topology.cardinalities entry.topology in
+      List.iter
+        (fun max_itemsets ->
+          let config : Mining.Apriori.config =
+            { threshold = 0.01; max_itemsets }
+          in
+          check_same_result
+            (Printf.sprintf "%s cap=%d" entry.id max_itemsets)
+            (Mining.Apriori.mine ~config ~cards points)
+            (Mining.Fp_growth.mine ~config ~cards points))
+        [ 100; 1000 ])
+    Bayesnet.Catalog.all
+
 (* Rows copied from a few prototypes with noise, so deep itemsets are
    frequent and a small cap can fire at any level. *)
 let prop_capped_random =
@@ -192,5 +214,7 @@ let suite =
     ("cap semantics", `Quick, test_cap_semantics);
     ("capped catalog networks: Apriori ≡ FP-Growth", `Quick,
      test_capped_catalog);
+    ("every catalog network: Apriori ≡ FP-Growth", `Quick,
+     test_capped_every_network);
     prop_capped_random;
   ]

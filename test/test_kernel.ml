@@ -179,34 +179,6 @@ let test_parallel_domains_bit_identical () =
         (estimates_equal reference (run true domains)))
     [ 1; 2; 4 ]
 
-(* --- cache-key namespaces --------------------------------------------- *)
-
-(* Kernel context codes and interpreted signatures live in disjoint key
-   namespaces of the same cache: toggling the kernel must never let one
-   path hit an entry the other filled. *)
-let test_cache_namespaces_disjoint () =
-  let model = Lazy.force dependent_model in
-  let cache = Mrsl.Posterior_cache.create () in
-  let tup = [| None; Some 0; Some 0 |] in
-  let infer () = floats (Mrsl.Infer_single.infer ~cache model tup 0) in
-  let d1 = with_kernel true infer in
-  let s1 = Mrsl.Posterior_cache.stats cache in
-  let d2 = with_kernel false infer in
-  let s2 = Mrsl.Posterior_cache.stats cache in
-  (* the interpreted lookup missed: fresh entry, no hit on the ns=1 key *)
-  Alcotest.(check int) "interpreted miss fills a new entry"
-    (s1.Mrsl.Posterior_cache.entries + 1)
-    s2.Mrsl.Posterior_cache.entries;
-  Alcotest.(check int) "no cross-namespace hit" s1.Mrsl.Posterior_cache.hits
-    s2.Mrsl.Posterior_cache.hits;
-  let d3 = with_kernel true infer in
-  let s3 = Mrsl.Posterior_cache.stats cache in
-  Alcotest.(check int) "kernel re-lookup hits its own entry"
-    (s2.Mrsl.Posterior_cache.hits + 1)
-    s3.Mrsl.Posterior_cache.hits;
-  check_bits "both namespaces agree" d1 d2;
-  check_bits "hit equals fill" d1 d3
-
 (* --- registry lifecycle ----------------------------------------------- *)
 
 let test_epoch_invalidation () =
@@ -303,12 +275,12 @@ let check_fallback_model name model arity ~known =
     (name ^ ": trivial attribute still compiled")
     true
     (Mrsl.Kernel.attr_compiled k 1);
-  (* a fallback attribute gets no kernel-coded cache key… *)
+  (* a fallback attribute gets no conditional table… *)
   with_kernel true (fun () ->
       Alcotest.(check bool)
-        (name ^ ": no kernel cache code")
+        (name ^ ": no conditional table")
         true
-        (Mrsl.Kernel.cache_code model tup 0 = None));
+        (Mrsl.Kernel.table ~method_:Mrsl.Voting.best_averaged model 0 = None));
   (* …and its posterior comes from the interpreted path, counted as a
      fallback, bit-identical to a kernel-disabled run *)
   let reg = T.create () in
@@ -337,16 +309,18 @@ let check_fallback_model name model arity ~known =
         (name ^ ": fallback attribute not probed")
         (Relation.Tuple.missing_count tup - 1)
         (hits + misses));
-  (* caching still works through the ns=0 (interpreted-signature) keys *)
-  let cache = Mrsl.Posterior_cache.create () in
+  (* …and single-missing inference never stores it either: each request
+     is computed, no probe counted *)
+  let cache = Mrsl.Posterior_cache.create ~telemetry:(T.create ()) () in
   with_kernel true (fun () ->
       let a = floats (Mrsl.Infer_single.infer ~cache model tup 0) in
       let b = floats (Mrsl.Infer_single.infer ~cache model tup 0) in
-      check_bits (name ^ ": cached fallback stable") a b);
-  Alcotest.(check bool)
-    (name ^ ": fallback cache hit")
-    true
-    ((Mrsl.Posterior_cache.stats cache).Mrsl.Posterior_cache.hits > 0)
+      check_bits (name ^ ": uncached fallback stable") a b);
+  let st = Mrsl.Posterior_cache.stats cache in
+  Alcotest.(check (pair int int))
+    (name ^ ": fallback never probed")
+    (0, 0)
+    (st.Mrsl.Posterior_cache.hits, st.Mrsl.Posterior_cache.misses)
 
 (* Satellite 1: 9 body attributes of cardinality 256 make the mixed-radix
    place weights (radix 257 each) overflow max_int; the compiler must
@@ -399,15 +373,68 @@ let test_engine_rejected_reload_bit_identical () =
   Alcotest.(check string) "rejected reload serves identical answers" before
     after
 
+(* Requests the conditional tables never hold — kernel off, voter drops
+   injected, a fallback attribute — are computed on every request, count
+   no probe, store nothing, and are shed on the cache-only rung. *)
+let test_never_cached_requests_shed () =
+  let check name model tup scope =
+    let engine =
+      Serving.Engine.of_model ~telemetry:(T.create ())
+        ~config:Serving.Engine.default_config model
+    in
+    let schema = Mrsl.Model.schema model in
+    let labels =
+      Array.mapi
+        (fun a cell ->
+          Option.map
+            (Relation.Attribute.value_label (Relation.Schema.attribute schema a))
+            cell)
+        tup
+    in
+    let req = P.req (P.Infer labels) in
+    scope (fun () ->
+        List.iter
+          (fun (a : Serving.Engine.answer) ->
+            Alcotest.(check bool) (name ^ ": served") true
+              (a.outcome = Serving.Engine.Served))
+          (Serving.Engine.handle_batch engine [ req; req ]);
+        match
+          Serving.Engine.handle_batch ~pressure:Serving.Engine.Cache_only
+            engine [ req ]
+        with
+        | [ a ] ->
+            Alcotest.(check bool) (name ^ ": shed under cache-only") true
+              (a.outcome = Serving.Engine.Shed)
+        | _ -> Alcotest.fail "expected one answer");
+    let st = Mrsl.Posterior_cache.stats (Serving.Engine.cache engine) in
+    Alcotest.(check (pair int int)) (name ^ ": no probe counted") (0, 0)
+      (st.Mrsl.Posterior_cache.hits, st.Mrsl.Posterior_cache.misses);
+    Alcotest.(check int) (name ^ ": nothing stored") 0
+      (Mrsl.Kernel.usage (Mrsl.Model.epoch model)).entries
+  in
+  let fresh () =
+    Mrsl.Model_io.of_string
+      (Mrsl.Model_io.to_string (Lazy.force dependent_model))
+  in
+  let single = [| None; Some 0; Some 1 |] in
+  check "kernel off" (fresh ()) single (with_kernel false);
+  check "voter drop" (fresh ()) single
+    (Mrsl.Fault_inject.with_config
+       { Mrsl.Fault_inject.disabled with seed = 7; voter_drop_rate = 1.0 });
+  check "fallback attribute"
+    (wide_body_model ~arity:10 ~card:256)
+    (Array.init 10 (fun a -> if a = 0 then None else Some 0))
+    (with_kernel true)
+
 let suite =
   [
     ("fuzz: voting bit-identical ± cache", `Quick, test_fuzz_voting_bit_identical);
     ("gibbs seed-identity ± kernel", `Quick, test_gibbs_seed_identity);
     ("parallel 1/2/4 domains bit-identical", `Quick, test_parallel_domains_bit_identical);
-    ("cache-key namespaces disjoint", `Quick, test_cache_namespaces_disjoint);
     ("epoch invalidation", `Quick, test_epoch_invalidation);
     ("kernel.hits counted", `Quick, test_hit_counter);
     ("mixed-radix overflow falls back", `Quick, test_overflow_fallback);
     ("wide mask falls back", `Quick, test_wide_mask_fallback);
     ("rejected reload bit-identical", `Quick, test_engine_rejected_reload_bit_identical);
+    ("never-cached requests shed", `Quick, test_never_cached_requests_shed);
   ]

@@ -147,9 +147,7 @@ let trace_categories =
 
 let trace_event_names =
   [
-    "cache.evict";
     "cache.fill";
-    "cache.prewarm";
     "csv.read";
     "dag.build";
     "degrade.marginal_prior";

@@ -315,6 +315,22 @@ let prop_rule_support_decomposition =
           float_close ~eps:1e-9 r.rule_support (r.confidence *. r.body_support))
         (Mining.Assoc_rule.mine result ~arity:3))
 
+(* Itemset.compare keeps Stdlib.compare's order, which the lattice's
+   rule order, Itemset.Map/Set and Parallel.partition rely on. *)
+let prop_itemset_compare_is_stdlib =
+  let itemset_gen =
+    QCheck2.Gen.(
+      list_size (int_range 0 4) (pair (int_range 0 5) (int_range 0 3))
+      >|= fun items ->
+      Mining.Itemset.of_list (List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b) items))
+  in
+  qcheck ~count:2000 "itemset compare = Stdlib.compare"
+    (QCheck2.Gen.pair itemset_gen itemset_gen)
+    (fun (a, b) ->
+      let sign x = Int.compare x 0 in
+      sign (Mining.Itemset.compare a b) = sign (Stdlib.compare a b)
+      && sign (Mining.Itemset.compare a a) = 0)
+
 let suite =
   [
     ("itemset sorted construction", `Quick, test_itemset_of_list_sorted);
@@ -342,4 +358,5 @@ let suite =
     prop_apriori_supports_match_bruteforce;
     prop_apriori_respects_threshold;
     prop_rule_support_decomposition;
+    prop_itemset_compare_is_stdlib;
   ]

@@ -103,6 +103,49 @@ let test_of_string_rejects_garbage () =
        false
      with Failure _ -> true)
 
+(* A hand-written two-attribute model, and copies broken on one line:
+   each loads today only to fail later in inference, so each must be
+   refused at that line. *)
+let hand_model ?(lattice0 = "lattice\t0\t2") ?(meta = "meta\t0.5\t1=0\t0.25;0.75") () =
+  String.concat "\n"
+    [
+      "mrsl-model\tv1";
+      "params\t0.01\t1000\t1e-05";
+      "stats\t0\tfalse";
+      "schema\t2";
+      "attr\ta\tx\ty";
+      "attr\tb\tx\ty";
+      lattice0;
+      "meta\t1\t-\t0.5;0.5";
+      meta;
+      "lattice\t1\t1";
+      "meta\t1\t-\t0.5;0.5";
+      "";
+    ]
+
+let test_of_string_rejects_unservable () =
+  ignore (Mrsl.Model_io.of_string (hand_model ()) : Mrsl.Model.t);
+  let refused what ~line text =
+    match Mrsl.Model_io.of_string text with
+    | _ -> Alcotest.failf "%s was accepted" what
+    | exception Failure msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s refused at line %d: %s" what line msg)
+          true
+          (String.starts_with
+             ~prefix:(Printf.sprintf "Model_io line %d: " line)
+             msg)
+  in
+  refused "a NaN weight" ~line:9 (hand_model ~meta:"meta\tnan\t1=0\t0.25;0.75" ());
+  refused "a lattice attribute out of range" ~line:7
+    (hand_model ~lattice0:"lattice\t5\t2" ());
+  refused "a body attribute out of range" ~line:9
+    (hand_model ~meta:"meta\t0.5\t2=0\t0.25;0.75" ());
+  refused "a body value out of range" ~line:9
+    (hand_model ~meta:"meta\t0.5\t1=2\t0.25;0.75" ());
+  refused "a head attribute in its own body" ~line:9
+    (hand_model ~meta:"meta\t0.5\t0=0\t0.25;0.75" ())
+
 let test_roundtrip_exact_bn7 () =
   (* Stored CPDs are adopted as written: re-dividing them by their sum,
      which is 1 only to within an ulp, used to rewrite about one line in
@@ -292,6 +335,8 @@ let suite =
     ("BN7 at θ=0.01 truncates at size 3", `Quick, test_golden_truncated_mine);
     ("deserialization rejects an unnormalized CPD", `Quick,
      test_of_string_rejects_unnormalized_cpd);
+    ("deserialization rejects unservable models", `Quick,
+     test_of_string_rejects_unservable);
     ("equal-width cut points", `Quick, test_cut_points_equal_width);
     ("equal-frequency cut points", `Quick, test_cut_points_equal_frequency);
     ("bucket_of", `Quick, test_bucket_of);

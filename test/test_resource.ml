@@ -6,8 +6,9 @@
    the derived numbers (per-domain utilization bounded by 1), that a
    sample actually publishes the gc.*/mem.* names, that the inference
    hooks populate the allocation histograms only when a monitor is on,
-   and — the accounting satellite — that Posterior_cache's budgeted
-   bytes stay at or above the Obj.reachable_words ground truth. *)
+   and — the accounting satellite — that the conditional tables'
+   budgeted bytes stay at or above the Obj.reachable_words ground
+   truth. *)
 
 module T = Mrsl.Telemetry
 
@@ -133,44 +134,35 @@ let test_alloc_histograms () =
       Alcotest.(check bool) "chain alloc positive" true (s.max > 0.)
   | None -> Alcotest.fail "mem.alloc_per_chain_bytes missing while enabled"
 
-(* Accounting satellite: the cache's budgeted bytes must upper-bound the
-   measured heap growth of its tables. The empty-cache footprint (shard
-   array, empty hashtables, sentinels) is subtracted so the bound is on
-   what entries actually cost. *)
+(* Accounting satellite: the conditional tables' accounted bytes must
+   upper-bound the measured heap growth of their hashed tables. The
+   empty tables' footprint is subtracted so the bound is on what entries
+   actually cost. BN7's wide lattices give hashed (> 2^16 contexts)
+   tables. *)
 let test_cache_accounting_bound () =
-  let m = model () in
-  let cache =
-    Mrsl.Posterior_cache.create ~telemetry:(T.create ()) ~shards:4
-      ~max_bytes:(4 * 1024 * 1024) ()
+  let entry = Bayesnet.Catalog.find "BN7" in
+  let r = Prob.Rng.create 2011 in
+  let net = Bayesnet.Network.generate r entry.topology in
+  let m =
+    Mrsl.Model.learn
+      ~params:{ Mrsl.Model.default_params with support_threshold = 0.01 }
+      (Bayesnet.Network.sample_instance r net 2000)
   in
-  let empty_reachable = Mrsl.Posterior_cache.reachable_bytes cache in
+  let epoch = Mrsl.Model.epoch m in
+  ignore (Mrsl.Kernel.ensure m : Mrsl.Kernel.t);
+  let empty_reachable = Mrsl.Kernel.reachable_bytes epoch in
   Alcotest.(check bool) "empty footprint measured" true (empty_reachable > 0);
-  (* Distinct evidence signatures: vary the known cells. *)
-  List.iter
-    (fun tup ->
-      List.iter
-        (fun a ->
-          ignore (Mrsl.Infer_single.infer ~cache m tup a))
-        (Relation.Tuple.missing tup))
-    [
-      [| None; Some 0; Some 0 |];
-      [| None; Some 0; Some 1 |];
-      [| None; Some 1; Some 0 |];
-      [| None; Some 1; Some 1 |];
-      [| Some 0; None; Some 0 |];
-      [| Some 0; None; Some 1 |];
-      [| Some 1; None; Some 0 |];
-      [| Some 1; None; Some 1 |];
-      [| Some 0; Some 0; None |];
-      [| Some 0; Some 1; None |];
-      [| Some 1; Some 0; None |];
-      [| Some 1; Some 1; None |];
-      [| None; None; Some 0 |];
-      [| None; None; Some 1 |];
-    ];
+  let cache = Mrsl.Posterior_cache.create ~telemetry:(T.create ()) () in
+  let arity = Relation.Schema.arity (Mrsl.Model.schema m) in
+  for i = 0 to 299 do
+    let tup = Relation.Tuple.of_point (Bayesnet.Network.sample_point r net) in
+    let a = i mod arity in
+    tup.(a) <- None;
+    ignore (Mrsl.Infer_single.infer ~cache m tup a)
+  done;
   let st = Mrsl.Posterior_cache.stats cache in
-  let full_reachable = Mrsl.Posterior_cache.reachable_bytes cache in
-  Alcotest.(check bool) "entries cached" true (st.entries > 0);
+  let full_reachable = Mrsl.Kernel.reachable_bytes epoch in
+  Alcotest.(check bool) "hashed entries accounted" true (st.bytes > 0);
   let grown = full_reachable - empty_reachable in
   Alcotest.(check bool)
     (Printf.sprintf "accounted %d >= reachable growth %d (%d entries)"

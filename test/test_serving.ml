@@ -17,9 +17,7 @@ let counter telemetry name =
 
 let model =
   (* a0 -> a1 functional dependency, independent a2; cheap to learn and
-     fully deterministic. Shared: Model.epoch is per-construction, and
-     two engines must share an epoch for response lines to compare
-     equal. *)
+     fully deterministic. *)
   lazy
     (Mrsl.Model.learn_points
        ~params:
@@ -34,11 +32,17 @@ let engine_config =
     gibbs = { Mrsl.Gibbs.burn_in = 10; samples = 40 };
   }
 
-let fresh_engine ?model_path () =
+(* A new epoch of [model]: an exact Model_io round trip. The posterior
+   store belongs to the epoch's kernel, so each engine serves its own
+   epoch unless a test compares lines across engines, which must then
+   share one (the epoch is on every line). *)
+let fresh_model () =
+  Mrsl.Model_io.of_string (Mrsl.Model_io.to_string (Lazy.force model))
+
+let fresh_engine ?model_path ?(model = fresh_model ()) () =
   let telemetry = T.create () in
   let engine =
-    Serving.Engine.of_model ~telemetry ~config:engine_config ?model_path
-      (Lazy.force model)
+    Serving.Engine.of_model ~telemetry ~config:engine_config ?model_path model
   in
   (engine, telemetry)
 
@@ -705,8 +709,8 @@ let test_client_backoff () =
    it and return the engine's (private) telemetry registry — counter
    assertions happen after [Domain.join], which orders the server
    domain's writes before our reads. *)
-let with_server ?(configure = fun c -> c) ?sock f =
-  let engine, telemetry = fresh_engine () in
+let with_server ?(configure = fun c -> c) ?sock ?model f =
+  let engine, telemetry = fresh_engine ?model () in
   let sock =
     match sock with
     | Some s -> s
@@ -1240,8 +1244,9 @@ let test_server_observation_only () =
             infer ~id:(Json.Int 3) [| Some "v0"; None; None |];
           ])
   in
+  let model = fresh_model () in
   let plain = ref [] in
-  ignore (with_server (fun endpoint -> plain := workload endpoint));
+  ignore (with_server ~model (fun endpoint -> plain := workload endpoint));
   let log_path = Filename.temp_file "mrsl-serving-obs" ".log" in
   let observed = ref [] in
   Fun.protect
@@ -1253,7 +1258,7 @@ let test_server_observation_only () =
             Fun.protect
               ~finally:(fun () -> close_out oc)
               (fun () ->
-                with_server
+                with_server ~model
                   ~configure:(fun c ->
                     { c with access_log = Some oc; log_sample = 1.0 })
                   (fun endpoint -> observed := workload endpoint)))
@@ -1281,6 +1286,7 @@ let strip_access_line line =
   | _ -> Alcotest.failf "access-log line is not a JSON object: %s" line
 
 let test_server_access_log_deterministic () =
+  let model = fresh_model () in
   let run_once () =
     let path = Filename.temp_file "mrsl-serving-access" ".log" in
     Fun.protect
@@ -1291,7 +1297,7 @@ let test_server_access_log_deterministic () =
           (Fun.protect
              ~finally:(fun () -> close_out oc)
              (fun () ->
-               with_server
+               with_server ~model
                  ~configure:(fun c ->
                    (* slow_ms out of reach: only the deterministic
                       sampler and the always-log outcomes decide *)
