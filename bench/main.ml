@@ -251,9 +251,8 @@ let micro_tests fx =
   ]
 
 (* Fig 11 tuple-DAG workload under the work-stealing scheduler at several
-   domain counts, plus the seed's static-partition fork/join as the
-   reference it replaced. Emitted into BENCH_1.json: wall time, sweep
-   counts, shared-sample counts, memo hit rates, and speedups. *)
+   domain counts. Emitted into BENCH_1.json: wall time, sweep counts,
+   shared-sample counts, memo hit rates, and speedups. *)
 let run_parallel_bench fx =
   let samples = 50 and burn_in = 10 in
   let workload = fx.workload in
@@ -285,7 +284,7 @@ let run_parallel_bench fx =
         let counters_start_zero =
           Mrsl.Telemetry.counter telemetry "parallel.steals" = 0
           && Mrsl.Telemetry.counter telemetry "parallel.tasks" = 0
-          && Mrsl.Telemetry.counter telemetry "parallel.sweeps" = 0
+          && Mrsl.Telemetry.counter telemetry "workload.sweeps" = 0
         in
         let stats =
           Experiments.Framework.parallel_workload_stats ~telemetry ~domains
@@ -302,13 +301,6 @@ let run_parallel_bench fx =
       List.find (fun (d', _, _, _, _, _, _) -> d' = d) runs
     in
     s.Mrsl.Workload.wall_seconds
-  in
-  (* The seed's static partition at 4 domains, chunks run back-to-back:
-     total work, the honest single-core comparison (and an upper bound on
-     its multicore wall). *)
-  let static =
-    Experiments.Framework.static_partition_stats ~domains:4 ~seed fx.model
-      ~samples ~burn_in workload
   in
   let speedup denom num = if num > 0. then denom /. num else Float.nan in
   let run_json
@@ -335,15 +327,6 @@ let run_parallel_bench fx =
         ("samples_per_tuple", Json.Int samples);
         ("burn_in", Json.Int burn_in);
         ("runs", Json.List (List.map run_json runs));
-        ( "static_partition_domains4",
-          Json.Obj
-            [
-              ("wall_seconds", Json.Float static.wall_seconds);
-              ("sweeps", Json.Int static.sweeps);
-              ("shared", Json.Int static.shared);
-            ] );
-        ( "workstealing_domains4_speedup_vs_static",
-          Json.Float (speedup static.wall_seconds (wall_of 4)) );
       ]
   in
   parallel_block := Some block;
@@ -356,13 +339,6 @@ let run_parallel_bench fx =
             F s.wall_seconds; I s.sweeps; I s.shared; P rate; I steals;
           ])
       runs
-    @ [
-        Experiments.Report.
-          [
-            S "static partition domains:4 (seed)"; F static.wall_seconds;
-            I static.sweeps; I static.shared; P 0.; I 0;
-          ];
-      ]
   in
   section "parallel"
     (Experiments.Report.render

@@ -317,16 +317,18 @@ let infer_cmd =
   in
   let domains_arg =
     let doc =
-      "Run inference on this many domains with the work-stealing scheduler \
-       (results are bit-identical for any value given the seed)."
+      "Domains the work-stealing scheduler samples on; 1 runs it on the \
+       calling domain. Estimates are bit-identical for any value given \
+       the seed."
     in
-    Arg.(value & opt (some int) None & info [ "domains" ] ~doc ~docv:"N")
+    Arg.(value & opt positive_int 1 & info [ "domains" ] ~doc ~docv:"N")
   in
   let on_fault_arg =
     let doc =
-      "Per-tuple fault policy under --domains: $(b,fail) aborts on the \
-       first task error; $(b,skip) contains it to the tuple, skips its \
-       dependents, and reports them after the surviving estimates."
+      "Per-tuple fault policy: $(b,fail) aborts on the first task error; \
+       $(b,skip) contains it to the tuple, skips its dependents, and \
+       reports them after the surviving estimates. Applies to the \
+       tuple-at-a-time and tuple-DAG strategies at any --domains."
     in
     Arg.(
       value
@@ -441,49 +443,34 @@ let infer_cmd =
                else "  ** NOT converged: budget exhausted **"))
           distinct
       end
-      else
-        match domains with
-        | Some d ->
-            let policy =
-              match on_fault with
-              | `Fail -> Mrsl.Parallel.Fail_fast
-              | `Skip -> Mrsl.Parallel.Skip_and_report
-            in
-            let contained =
-              Mrsl.Parallel.run_contained ~config ~strategy ~method_ ~memoize
-                ~domains:d ~policy ~seed model incomplete
-            in
-            let result = contained.result in
-            Printf.printf
-              "inferred %d distinct incomplete tuples (%d sweeps, %.3fs, \
-               %s, %d domains)\n\n"
-              (List.length result.estimates)
-              result.stats.sweeps result.stats.wall_seconds
-              (Mrsl.Workload.strategy_name strategy)
-              d;
-            List.iter (print_estimate schema top) result.estimates;
-            List.iter
-              (fun (f : Mrsl.Parallel.tuple_fault) ->
-                Format.eprintf "fault: tuple %a skipped: %a@."
-                  (Relation.Tuple.pp schema) f.tuple Mrsl.Error.pp f.error)
-              contained.faults;
-            if contained.faults <> [] then
-              Printf.eprintf "%d tuples skipped by fault containment\n"
-                (List.length contained.faults)
-        | None ->
-            let sampler = Mrsl.Gibbs.sampler ~method_ ~memoize model in
-            let result =
-              Mrsl.Workload.run ~config ~strategy
-                (Prob.Rng.create seed)
-                sampler incomplete
-            in
-            Printf.printf
-              "inferred %d distinct incomplete tuples (%d sweeps, %.3fs, \
-               %s)\n\n"
-              (List.length result.estimates)
-              result.stats.sweeps result.stats.wall_seconds
-              (Mrsl.Workload.strategy_name strategy);
-            List.iter (print_estimate schema top) result.estimates
+      else begin
+        let policy =
+          match on_fault with
+          | `Fail -> Mrsl.Parallel.Fail_fast
+          | `Skip -> Mrsl.Parallel.Skip_and_report
+        in
+        let contained =
+          Mrsl.Parallel.run_contained ~config ~strategy ~method_ ~memoize
+            ~domains ~policy ~seed model incomplete
+        in
+        let result = contained.result in
+        Printf.printf
+          "inferred %d distinct incomplete tuples (%d sweeps, %.3fs, %s, %d \
+           domains)\n\n"
+          (List.length result.estimates)
+          result.stats.sweeps result.stats.wall_seconds
+          (Mrsl.Workload.strategy_name strategy)
+          domains;
+        List.iter (print_estimate schema top) result.estimates;
+        List.iter
+          (fun (f : Mrsl.Parallel.tuple_fault) ->
+            Format.eprintf "fault: tuple %a skipped: %a@."
+              (Relation.Tuple.pp schema) f.tuple Mrsl.Error.pp f.error)
+          contained.faults;
+        if contained.faults <> [] then
+          Printf.eprintf "%d tuples skipped by fault containment\n"
+            (List.length contained.faults)
+      end
     end
   in
   let info =

@@ -515,6 +515,21 @@ dune exec bin/mrsl_cli.exe -- infer -i examples/example.csv \
 diff INFER_CACHED.out INFER_UNCACHED.out
 echo "cache on/off outputs identical"
 
+# Determinism: the work-stealing scheduler's estimates depend on the seed
+# alone, so the default domain count and --domains 4 must print the same
+# estimates. The header's wall seconds and domain count are run facts,
+# not output: normalize both before diffing.
+dune exec bin/mrsl_cli.exe -- infer -i examples/example.csv \
+  --samples 100 --burn-in 20 --seed 2011 \
+  | sed -E 's/[0-9]+\.[0-9]+s/TIMEs/g; s/[0-9]+ domains/N domains/' \
+  > INFER_DOMAINS_DEFAULT.out
+dune exec bin/mrsl_cli.exe -- infer -i examples/example.csv \
+  --samples 100 --burn-in 20 --seed 2011 --domains 4 \
+  | sed -E 's/[0-9]+\.[0-9]+s/TIMEs/g; s/[0-9]+ domains/N domains/' \
+  > INFER_DOMAINS4.out
+diff INFER_DOMAINS_DEFAULT.out INFER_DOMAINS4.out
+echo "default and 4-domain outputs identical"
+
 echo "== trace pass =="
 # End-to-end traced inference on the bundled example. The artifact must
 # parse as Chrome trace-event JSON with one track per domain, steal

@@ -74,7 +74,7 @@ val convergence_snapshot :
 (** [(split-R̂, min ESS)] over one run's recorded points so far — the
     payload of the event-tracing layer's per-chain convergence timeline
     ({!Trace} counter events named [gibbs.convergence], emitted every few
-    recorded sweeps by {!Parallel}, {!Workload}, and
+    recorded sweeps by {!Workload}'s executor and by
     {!run_with_retries} when a trace sink is installed). ESS is the
     minimum over every (missing attribute, value) indicator series. *)
 

@@ -2,7 +2,7 @@
 
     Chaos testing for the library's fault-containment layer: seeded,
     rate-configurable injection of (1) task exceptions inside the
-    work-stealing scheduler ({!Parallel}), (2) corrupted CSV rows
+    work-stealing scheduler ({!Workload}), (2) corrupted CSV rows
     ({!corrupt_csv}, consumed by the lenient reader), (3) forced Gibbs
     non-convergence ({!Diagnostics.run_with_retries}), and (4) dropped
     voter sets (the {!Infer_single} degradation ladder).

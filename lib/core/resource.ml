@@ -147,8 +147,8 @@ let alloc_span ?telemetry name f =
 
 (* --- per-domain utilization ------------------------------------------- *)
 
-(* Latest busy-fraction snapshot per worker slot, recorded by Parallel
-   after each pooled run. A snapshot (not an aggregate) so the labeled
+(* Latest busy-fraction snapshot per worker slot, recorded by the
+   workload scheduler after each run. A snapshot (not an aggregate) so the labeled
    Prometheus series reflects the most recent run's shape. *)
 let util : (int * float) list Atomic.t = Atomic.make []
 

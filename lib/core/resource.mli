@@ -36,10 +36,11 @@
     the inference hooks): [mem.alloc_per_infer_bytes],
     [mem.alloc_per_chain_bytes]. The scheduler's [sched.*] companions
     ([sched.utilization], [sched.busy_ns], [sched.idle_ns]) are
-    published by {!Parallel} from its per-worker task stamps; this
-    module additionally keeps the latest per-domain utilization snapshot
-    for the labeled [mrsl_domain_utilization{domain="N"}] Prometheus
-    series. All names are catalogued in METRICS.md. *)
+    published by {!Workload}'s scheduler from its per-worker task
+    stamps; this module additionally keeps the latest per-domain
+    utilization snapshot for the labeled
+    [mrsl_domain_utilization{domain="N"}] Prometheus series. All names
+    are catalogued in METRICS.md. *)
 
 type t
 (** A monitor: a telemetry registry plus the last-published
@@ -95,7 +96,7 @@ val alloc_span : ?telemetry:Telemetry.t -> string -> (unit -> 'a) -> 'a
 
 val set_utilization : (int * float) list -> unit
 (** Record the latest per-worker busy-fraction snapshot (worker slot →
-    utilization in [0, 1]), called by {!Parallel} after each pooled run.
+    utilization in [0, 1]), called by {!Workload}'s scheduler after each run.
     Kept (not aggregated) so the Prometheus exposition can emit one
     labeled [mrsl_domain_utilization{domain="N"}] series per slot. *)
 

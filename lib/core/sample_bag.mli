@@ -15,8 +15,8 @@
 
     {b Donation plans.} ShareSamples(donor, child) of Algorithm 3 runs
     over rows, not points. For a DAG edge the donor's missing attributes
-    are a superset of the child's, so a plan built once per edge (both
-    executors donate along an edge exactly once) says, in donor-column
+    are a superset of the child's, so a plan built once per edge (the
+    executor donates along an edge exactly once) says, in donor-column
     terms, (a) which donor columns must equal the
     child's evidence values — the child's evidence on attributes the
     donor does not know — and (b) which donor column feeds each child
@@ -27,8 +27,8 @@
 
     Estimates, sample order and counts are exactly those of a list of
     full points recorded and shared oldest first (see the differential
-    suite), so the three {!Workload} strategies and {!Parallel} produce
-    bit-identical results to the point-list executors they replace. *)
+    suite), so the three {!Workload} strategies produce bit-identical
+    results to the point-list executors they replace. *)
 
 type t
 

@@ -1,3 +1,21 @@
+(* Algorithm 3's one executor: a work-stealing scheduler over the tuple
+   DAG, run on the calling domain or on pooled domains.
+
+   The unit of work is one tuple-DAG node: roots are dealt round-robin
+   across per-worker deques in task-id order, and whenever a node
+   completes, subsumees whose parents are all done either finish
+   outright on donated samples or are pushed onto the completing
+   worker's deque — stealable by any idle domain.
+
+   Determinism: every node draws from its own RNG stream seeded by the
+   node's index in the (deterministic) tuple DAG — a stable task
+   identity, independent of which domain runs it, of the steal order,
+   and of the domain count. Sample donation is pull-based: a node
+   collects from its parents only once ALL of them have completed,
+   scanning parents in ascending node order and each parent's samples
+   oldest-first. Both rules together make results bit-identical for a
+   fixed seed across any worker count. *)
+
 module Log = (val Logs.src_log (Logs.Src.create "mrsl.workload"))
 
 type strategy = Tuple_at_a_time | Tuple_dag | All_at_a_time
@@ -19,227 +37,513 @@ type result = {
   stats : stats;
 }
 
-(* Mutable per-node sampling state shared by the strategies; samples
-   live in the node's flat bag. *)
-type node_state = {
-  bag : Sample_bag.t;
-  mutable chain : Gibbs.chain option;
-  mutable completed : bool;
+type fault_policy = Fail_fast | Skip_and_report
+
+type tuple_fault = {
+  node : int;
+  tuple : Relation.Tuple.t;
+  error : Error.t;
+  upstream : int option;
 }
 
-let fresh_states config sampler dag =
-  let schema = Model.schema (Gibbs.model sampler) in
+type contained = { result : result; faults : tuple_fault list }
+
+let task_seed ~seed node =
+  (* Odd multiplier => injective in [node] modulo the native int width;
+     Rng.create finishes the mixing. Stable across worker counts because
+     node indices come from the deterministic DAG build. *)
+  seed + ((node + 1) * 0x2545F4914F6CDD1D)
+
+type node = {
+  bag : Sample_bag.t;
+  mutable pending : int;  (* parents not yet completed *)
+  mutable completed : bool;
+  mutable failed : Error.t option;  (* Skip_and_report containment *)
+  mutable failed_upstream : int option;  (* root-cause node when skipped *)
+  mutable donors : int list;  (* parents that donated samples (trace flows) *)
+}
+
+let fresh_nodes config model dag =
+  let schema = Model.schema model in
   Array.init (Tuple_dag.node_count dag) (fun i ->
       {
         bag =
           Sample_bag.create schema ~capacity:config.Gibbs.samples
             (Tuple_dag.tuple dag i);
-        chain = None;
+        pending = 0;
         completed = false;
+        failed = None;
+        failed_upstream = None;
+        donors = [];
       })
 
-(* Convergence timeline: one [gibbs.convergence] counter event per
-   [convergence_stride target] recorded sweeps, carrying the running
-   split-R̂ and min-ESS of the node's chain. Guarded by [Trace.enabled]
-   so untraced runs never pay the O(n · cardinality) snapshot. *)
-let convergence_stride target = max 8 (target / 8)
+type counts = {
+  mutable sweeps : int;
+  mutable recorded : int;
+  mutable shared : int;
+}
 
-let trace_convergence sampler bag node =
-  if Trace.enabled () then begin
-    let rhat, ess =
-      Diagnostics.convergence_snapshot sampler (Sample_bag.tuple bag)
-        (Sample_bag.points bag)
-    in
-    Trace.counter ~id:node ~cat:"gibbs" "gibbs.convergence"
-      [
-        ("rhat", (if Float.is_finite rhat then rhat else 1e6));
-        ("ess", ess);
-        ("node", float_of_int node);
-      ]
-  end
-
-let burn_in config rng c sweeps =
+let burn_in config rng c counts =
   for _ = 1 to config.Gibbs.burn_in do
     Gibbs.step rng c;
-    incr sweeps
+    counts.sweeps <- counts.sweeps + 1
   done
 
-let tuple_at_a_time config telemetry rng sampler dag sweeps recorded =
-  let states = fresh_states config sampler dag in
-  let stride = convergence_stride config.Gibbs.samples in
-  Array.iteri
-    (fun i st ->
-      Trace.complete ~cat:"gibbs"
-        ~args:[ ("node", Trace.Int i) ]
-        "workload.node"
-      @@ fun () ->
-      let bag = st.bag in
-      let c = Gibbs.chain ~telemetry rng sampler (Sample_bag.tuple bag) in
-      burn_in config rng c sweeps;
-      for _ = 1 to config.Gibbs.samples do
-        Sample_bag.sweep bag rng c;
-        incr sweeps;
-        incr recorded;
-        if Sample_bag.count bag mod stride = 0 then
-          trace_convergence sampler bag i
-      done;
-      st.completed <- true)
-    states;
-  states
-
-(* Algorithm 3. The active frontier is a FIFO visited round-robin, one
-   sweep per visit. Completion cascades: a node finished by sharing also
-   shares onward immediately. *)
-let tuple_dag_strategy config telemetry rng sampler dag sweeps recorded
-    shared =
-  let states = fresh_states config sampler dag in
-  let stride = convergence_stride config.Gibbs.samples in
-  let frontier = Queue.create () in
-  List.iter (fun i -> Queue.add i frontier) (Tuple_dag.roots dag);
-  let all_parents_done i =
-    List.for_all (fun p -> states.(p).completed) (Tuple_dag.parents dag i)
-  in
-  let rec complete i =
-    let st = states.(i) in
-    st.completed <- true;
-    List.iter
-      (fun j ->
-        let sj = states.(j) in
-        if not sj.completed then begin
-          (* ShareSamples(i, j) *)
-          let donated = Sample_bag.share ~donor:st.bag sj.bag in
-          recorded := !recorded + donated;
-          shared := !shared + donated;
-          if Sample_bag.is_full sj.bag then complete j
-          else if all_parents_done j then Queue.add j frontier
-        end)
-      (Tuple_dag.children dag i)
-  in
-  while not (Queue.is_empty frontier) do
-    let i = Queue.pop frontier in
-    let st = states.(i) in
-    if not st.completed then begin
-      let c =
-        match st.chain with
-        | Some c -> c
-        | None ->
-            let c =
-              Gibbs.chain ~telemetry rng sampler (Sample_bag.tuple st.bag)
-            in
-            burn_in config rng c sweeps;
-            st.chain <- Some c;
-            c
-      in
-      Sample_bag.sweep st.bag rng c;
-      incr sweeps;
-      incr recorded;
-      if Sample_bag.count st.bag mod stride = 0 then
-        trace_convergence sampler st.bag i;
-      if Sample_bag.is_full st.bag then complete i else Queue.add i frontier
-    end
-  done;
-  states
-
-let all_at_a_time config telemetry rng sampler dag max_draws sweeps recorded =
-  let states = fresh_states config sampler dag in
-  let n = Array.length states in
+(* One chain over the fully unknown tuple t*; every draw is offered to
+   every node it matches. Nodes the chain never matched get a direct
+   chain so every workload member still receives an estimate. *)
+let all_at_a_time config telemetry rng sampler max_draws nodes counts =
+  let n = Array.length nodes in
   if n > 0 then begin
-    let arity = Array.length (Tuple_dag.tuple dag 0) in
-    let star = Array.make arity None in
-    let c = Gibbs.chain ~telemetry rng sampler star in
-    burn_in config rng c sweeps;
+    let arity = Array.length (Sample_bag.tuple nodes.(0).bag) in
+    let c = Gibbs.chain ~telemetry rng sampler (Array.make arity None) in
+    burn_in config rng c counts;
     let remaining = ref n in
     let draws = ref 0 in
     while !remaining > 0 && !draws < max_draws do
       Gibbs.step rng c;
       let point = Gibbs.current c in
-      incr sweeps;
+      counts.sweeps <- counts.sweeps + 1;
       incr draws;
       Array.iter
         (fun st ->
           if (not st.completed) && Sample_bag.offer st.bag point then begin
-            incr recorded;
+            counts.recorded <- counts.recorded + 1;
             if Sample_bag.is_full st.bag then begin
               st.completed <- true;
               decr remaining
             end
           end)
-        states
+        nodes
     done;
-    (* Tuples whose evidence the global chain never produced get a direct
-       chain so every workload member still receives an estimate. *)
     Array.iter
       (fun st ->
         if Sample_bag.count st.bag = 0 then begin
           let c =
             Gibbs.chain ~telemetry rng sampler (Sample_bag.tuple st.bag)
           in
-          burn_in config rng c sweeps;
+          burn_in config rng c counts;
           for _ = 1 to config.Gibbs.samples do
             Sample_bag.sweep st.bag rng c;
-            incr sweeps;
-            incr recorded
+            counts.sweeps <- counts.sweeps + 1;
+            counts.recorded <- counts.recorded + 1
           done
         end;
         st.completed <- true)
-      states
+      nodes
+  end
+
+type worker_log = {
+  mutable sweeps : int;
+  mutable recorded : int;
+  mutable tasks : int;
+  mutable steals : int;
+  mutable max_depth : int;
+  mutable busy_ns : int;  (* time inside task execution *)
+  mutable wall_ns : int;  (* the worker body's total wall *)
+}
+
+let fresh_log () =
+  {
+    sweeps = 0;
+    recorded = 0;
+    tasks = 0;
+    steals = 0;
+    max_depth = 0;
+    busy_ns = 0;
+    wall_ns = 0;
+  }
+
+(* The work-stealing scheduler: [samplers.(w)] is worker [w]'s. *)
+let schedule config strategy telemetry policy request_flow seed samplers dag
+    nodes counts =
+  let n = Array.length nodes and workers = Array.length samplers in
+  Telemetry.gauge telemetry "parallel.domains" (float_of_int workers);
+  let use_dag = strategy = Tuple_dag in
+  let parents i = if use_dag then Tuple_dag.parents dag i else [] in
+  let children i = if use_dag then Tuple_dag.children dag i else [] in
+  Array.iteri (fun i st -> st.pending <- List.length (parents i)) nodes;
+  let target = config.Gibbs.samples in
+  let coord = Mutex.create () in
+  let remaining = Atomic.make n in
+  let abort = Atomic.make false in
+  let failure = ref None in
+  let deques = Array.init workers (fun _ -> Wsdeque.create ()) in
+  let initial = if use_dag then Tuple_dag.roots dag else List.init n Fun.id in
+  List.iteri
+    (fun k i ->
+      Trace.flow_start ~cat:"sched" ~id:(Trace.task_flow_id ~seed ~node:i)
+        "task.run";
+      Wsdeque.push deques.(k mod workers) i)
+    initial;
+  (* Worker wid's Perfetto track (its domain id); -1 until the worker
+     starts. Used to attach steal-arrow tails to the victim's track even
+     though the thief records the event. *)
+  let tracks = Array.make workers (-1) in
+  (* Close the sharing arrows opened when parents donated samples;
+     called either when the child task executes or when donations alone
+     completed it. *)
+  let end_share_flows i =
+    if Trace.enabled () then
+      List.iter
+        (fun p ->
+          Trace.flow_end ~cat:"share"
+            ~id:(Trace.share_flow_id ~seed ~parent:p ~child:i)
+            "share.donate")
+        nodes.(i).donors
+  in
+  (* DAG bookkeeping; call with [coord] held. Marks [i] done, promotes
+     children whose last parent just finished: each pulls donations
+     (parents in ascending order, samples oldest-first), completes
+     transitively if satisfied, otherwise joins the returned list of
+     newly runnable tasks. *)
+  let rec complete i newly =
+    let st = nodes.(i) in
+    st.completed <- true;
+    Atomic.decr remaining;
+    List.fold_left
+      (fun newly j ->
+        let cj = nodes.(j) in
+        if cj.failed <> None then newly
+        else begin
+          cj.pending <- cj.pending - 1;
+          if cj.pending > 0 then newly
+          else begin
+            List.iter
+              (fun p ->
+                let given = Sample_bag.share ~donor:nodes.(p).bag cj.bag in
+                counts.shared <- counts.shared + given;
+                if given > 0 then begin
+                  cj.donors <- p :: cj.donors;
+                  Trace.flow_start ~cat:"share"
+                    ~args:[ ("samples", Trace.Int given) ]
+                    ~id:(Trace.share_flow_id ~seed ~parent:p ~child:j)
+                    "share.donate"
+                end)
+              (parents j);
+            if Sample_bag.is_full cj.bag then begin
+              end_share_flows j;
+              complete j newly
+            end
+            else j :: newly
+          end
+        end)
+      newly (children i)
+  in
+  (* Skip_and_report containment; call with [coord] held. A failed node
+     never completes, so none of its children's [pending] counts reach
+     zero through it — descendants can therefore never have started, and
+     are marked skipped (with the root cause) rather than left hanging.
+     Surviving nodes' sample streams are untouched: their own RNG streams
+     are seeded by node index and their donations come only from
+     ancestors that all completed, so their estimates stay bit-identical
+     to a fault-free run at any worker count. *)
+  let rec fail_node ?upstream i err =
+    let st = nodes.(i) in
+    if (not st.completed) && st.failed = None then begin
+      st.failed <- Some err;
+      st.failed_upstream <- upstream;
+      Atomic.decr remaining;
+      let root = Option.value upstream ~default:i in
+      List.iter
+        (fun j ->
+          fail_node ~upstream:root j
+            (Error.make Error.Scheduler ~code:"task.upstream_failed"
+               ~context:[ ("failed_ancestor", string_of_int root) ]
+               (Printf.sprintf "skipped: depends on failed task %d" root)))
+        (children i)
+    end
+  in
+  (* Convergence timeline: one [gibbs.convergence] counter event per
+     [stride] recorded sweeps, carrying the running split-R̂ and min-ESS
+     of the node's chain. Guarded by [Trace.enabled] so untraced runs
+     never pay the O(n · cardinality) snapshot. *)
+  let stride = max 8 (target / 8) in
+  let sample_task st i sampler log =
+    if Fault_inject.should_fail_task ~node:i then
+      Error.raise_
+        (Error.make Error.Scheduler ~code:"fault_inject.task"
+           ~context:[ ("node", string_of_int i) ]
+           "injected task fault");
+    let bag = st.bag in
+    if not (Sample_bag.is_full bag) then begin
+      let rng = Prob.Rng.create (task_seed ~seed i) in
+      let c = Gibbs.chain ~telemetry rng sampler (Sample_bag.tuple bag) in
+      for _ = 1 to config.Gibbs.burn_in do
+        Gibbs.step rng c;
+        log.sweeps <- log.sweeps + 1
+      done;
+      while not (Sample_bag.is_full bag) do
+        Sample_bag.sweep bag rng c;
+        log.sweeps <- log.sweeps + 1;
+        log.recorded <- log.recorded + 1;
+        if Sample_bag.count bag mod stride = 0 && Trace.enabled () then begin
+          let rhat, ess =
+            Diagnostics.convergence_snapshot sampler (Sample_bag.tuple bag)
+              (Sample_bag.points bag)
+          in
+          Trace.counter ~id:i ~cat:"gibbs" "gibbs.convergence"
+            [
+              ("rhat", if Float.is_finite rhat then rhat else 1e6);
+              ("ess", ess);
+              ("node", float_of_int i);
+            ]
+        end
+      done
+    end
+  in
+  let exec log sampler dq i =
+    let st = nodes.(i) in
+    Trace.flow_end ~cat:"sched" ~id:(Trace.task_flow_id ~seed ~node:i)
+      "task.run";
+    (* A serving request's flow arrow terminates on the worker that
+       actually runs its tuple — node 0 of the single-tuple workload the
+       engine submits per distinct request tuple. *)
+    (match request_flow with
+    | Some id when i = 0 -> Trace.flow_end ~cat:"serve" ~id "serve.request"
+    | _ -> ());
+    end_share_flows i;
+    match
+      Trace.complete ~cat:"gibbs"
+        ~args:[ ("node", Trace.Int i) ]
+        "workload.node"
+        (fun () -> sample_task st i sampler log)
+    with
+    | exception e when policy = Skip_and_report ->
+        (* Contain the fault to this tuple: record it, skip its
+           dependents, keep the domain pool alive. *)
+        log.tasks <- log.tasks + 1;
+        Telemetry.incr telemetry "fault.task_failures";
+        let err = Error.of_exn e in
+        Mutex.lock coord;
+        Fun.protect ~finally:(fun () -> Mutex.unlock coord) (fun () ->
+            fail_node i err)
+    | () ->
+        log.tasks <- log.tasks + 1;
+        Mutex.lock coord;
+        let newly =
+          Fun.protect ~finally:(fun () -> Mutex.unlock coord) (fun () ->
+              complete i [])
+        in
+        List.iter
+          (fun j ->
+            Trace.flow_start ~cat:"sched"
+              ~id:(Trace.task_flow_id ~seed ~node:j)
+              "task.run";
+            Wsdeque.push dq j)
+          newly;
+        log.max_depth <- max log.max_depth (Wsdeque.length dq)
+  in
+  let logs = Array.init workers (fun _ -> fresh_log ()) in
+  let probes0 = Array.map Gibbs.cache_stats samplers in
+  let worker_body wid =
+    tracks.(wid) <- (Domain.self () :> int);
+    let sampler = samplers.(wid) in
+    let log = logs.(wid) in
+    let dq = deques.(wid) in
+    let next_task () =
+      match Wsdeque.pop dq with
+      | Some _ as t -> t
+      | None ->
+          let rec scan k =
+            if k >= workers then None
+            else
+              let victim = (wid + k) mod workers in
+              match Wsdeque.steal deques.(victim) with
+              | Some j as t ->
+                  log.steals <- log.steals + 1;
+                  if Trace.enabled () then begin
+                    (* The thief records both ends of the arrow; the tail
+                       is drawn on the victim's track. The flow id is
+                       deterministic (seed × node identity). *)
+                    let sid = Trace.steal_flow_id ~seed ~node:j in
+                    let vt = tracks.(victim) in
+                    Trace.flow_start ~cat:"steal"
+                      ?track:(if vt >= 0 then Some vt else None)
+                      ~args:
+                        [
+                          ("victim", Trace.Int victim);
+                          ("thief", Trace.Int wid);
+                          ("node", Trace.Int j);
+                        ]
+                      ~id:sid "steal";
+                    Trace.flow_end ~cat:"steal" ~id:sid "steal"
+                  end;
+                  t
+              | None -> scan (k + 1)
+          in
+          scan 1
+    in
+    (* Busy-vs-idle stamps on the monotonic clock: [busy_ns] sums task
+       execution; everything else in the body's wall is steal scans and
+       [cpu_relax] idling. Always on — two clock reads per task,
+       observation only. *)
+    let w0 = Clock.now_ns () in
+    (try
+       while (not (Atomic.get abort)) && Atomic.get remaining > 0 do
+         match next_task () with
+         | Some i ->
+             let b0 = Clock.now_ns () in
+             Fun.protect
+               ~finally:(fun () ->
+                 log.busy_ns <-
+                   log.busy_ns
+                   + Clock.duration_ns ~start:b0 ~stop:(Clock.now_ns ()))
+               (fun () -> exec log sampler dq i)
+         | None -> Domain.cpu_relax ()
+       done
+     with e ->
+       Mutex.lock coord;
+       if !failure = None then failure := Some e;
+       Mutex.unlock coord;
+       Atomic.set abort true);
+    log.wall_ns <- Clock.duration_ns ~start:w0 ~stop:(Clock.now_ns ())
+  in
+  if workers = 1 then worker_body 0
+  else Domain_pool.run (Domain_pool.get ()) ~workers worker_body;
+  (match !failure with Some e -> raise e | None -> ());
+  let sum f = Array.fold_left (fun acc l -> acc + f l) 0 logs in
+  counts.sweeps <- sum (fun l -> l.sweeps);
+  counts.recorded <- sum (fun l -> l.recorded) + counts.shared;
+  Telemetry.add telemetry "parallel.tasks" (sum (fun l -> l.tasks));
+  Telemetry.add telemetry "parallel.steals" (sum (fun l -> l.steals));
+  Array.iteri
+    (fun w l ->
+      Telemetry.observe telemetry "parallel.queue_depth.max"
+        (float_of_int l.max_depth);
+      let h0, m0 = probes0.(w) and h1, m1 = Gibbs.cache_stats samplers.(w) in
+      let probes = h1 - h0 + (m1 - m0) in
+      if probes > 0 then
+        Telemetry.observe telemetry "gibbs.memo_hit_rate"
+          (float_of_int (h1 - h0) /. float_of_int probes))
+    logs;
+  (* Per-worker busy-vs-idle utilization from the task stamps: busy time
+     is a subset of the worker body's wall, so each slot's ratio is ≤ 1
+     by construction. The snapshot also feeds the labeled
+     mrsl_domain_utilization exposition. *)
+  Telemetry.add telemetry "sched.busy_ns" (sum (fun l -> l.busy_ns));
+  Telemetry.add telemetry "sched.idle_ns"
+    (sum (fun l -> max 0 (l.wall_ns - l.busy_ns)));
+  Resource.set_utilization
+    (Array.to_list
+       (Array.mapi
+          (fun wid l ->
+            let u =
+              if l.wall_ns <= 0 then 0.
+              else
+                Float.min 1. (float_of_int l.busy_ns /. float_of_int l.wall_ns)
+            in
+            Telemetry.observe telemetry "sched.utilization" u;
+            (wid, u))
+          logs))
+
+(* [source] is the run's randomness: a caller's RNG ([run]) or a seed
+   ([run_contained]). The scheduled strategies take one seed from it;
+   all-at-a-time's single chain draws from it directly. *)
+let execute ~config ~strategy ~max_draws ~telemetry ~policy ~quality
+    ~request_flow ~domains ~source sampler workload =
+  if config.Gibbs.burn_in < 0 || config.Gibbs.samples < 1 then
+    invalid_arg "Workload.run: bad burn-in or sample count";
+  Telemetry.span telemetry "workload.run" @@ fun () ->
+  Trace.complete ~cat:"sched" "workload.run" @@ fun () ->
+  let dag =
+    Trace.complete ~cat:"dag" "dag.build" (fun () -> Tuple_dag.build workload)
+  in
+  let n = Tuple_dag.node_count dag in
+  let first = sampler () in
+  let model = Gibbs.model first in
+  let nodes = fresh_nodes config model dag in
+  let counts : counts = { sweeps = 0; recorded = 0; shared = 0 } in
+  let t0 = Clock.now () in
+  (match strategy with
+  | All_at_a_time ->
+      let rng =
+        match source with `Rng rng -> rng | `Seed seed -> Prob.Rng.create seed
+      in
+      all_at_a_time config telemetry rng first max_draws nodes counts
+  | Tuple_at_a_time | Tuple_dag ->
+      let seed =
+        match source with
+        | `Rng rng -> Int64.to_int (Prob.Rng.bits64 rng)
+        | `Seed seed -> seed
+      in
+      let samplers =
+        Array.init (max 1 (min domains n)) (fun w ->
+            if w = 0 then first else sampler ())
+      in
+      if n > 0 then
+        schedule config strategy telemetry policy request_flow seed samplers
+          dag nodes counts);
+  let wall = Clock.duration ~start:t0 ~stop:(Clock.now ()) in
+  Telemetry.add telemetry "workload.sweeps" counts.sweeps;
+  Telemetry.add telemetry "workload.recorded" counts.recorded;
+  Telemetry.add telemetry "workload.shared" counts.shared;
+  Telemetry.observe telemetry "workload.tuples" (float_of_int n);
+  Log.info (fun m ->
+      m "%s: %d distinct tuples, %d sweeps (%d recorded, %d shared) in %.3fs"
+        (strategy_name strategy) n counts.sweeps counts.recorded counts.shared
+        wall);
+  (* Node order is first-seen workload order. Failed and skipped nodes
+     are reported in [faults] instead of the estimates. *)
+  let estimates = ref [] and faults = ref [] in
+  for i = n - 1 downto 0 do
+    let st = nodes.(i) in
+    match st.failed with
+    | Some error ->
+        faults :=
+          {
+            node = i;
+            tuple = Sample_bag.tuple st.bag;
+            error;
+            upstream = st.failed_upstream;
+          }
+          :: !faults
+    | None ->
+        estimates :=
+          (Sample_bag.tuple st.bag, Sample_bag.estimate st.bag) :: !estimates
+  done;
+  let estimates = !estimates and faults = !faults in
+  if faults <> [] then begin
+    Telemetry.add telemetry "fault.tuples_skipped" (List.length faults);
+    Telemetry.add telemetry "fault.upstream_skipped"
+      (List.length (List.filter (fun f -> f.upstream <> None) faults))
   end;
-  states
+  (* Quality hook: observation only, after every sample has been drawn —
+     the monitor never touches a sampler or an inference RNG. *)
+  (match quality with
+  | None -> ()
+  | Some q ->
+      Quality.attach_model q model;
+      Quality.observe_estimates q estimates);
+  {
+    result =
+      {
+        estimates;
+        stats =
+          {
+            sweeps = counts.sweeps;
+            recorded = counts.recorded;
+            shared = counts.shared;
+            wall_seconds = wall;
+          };
+      };
+    faults;
+  }
+
+let run_contained ?(config = Gibbs.default_config) ?(strategy = Tuple_dag)
+    ?(telemetry = Telemetry.global) ?(policy = Fail_fast) ?quality
+    ?request_flow ~domains ~seed sampler workload =
+  if domains < 1 then
+    invalid_arg "Workload.run_contained: domains must be >= 1";
+  execute ~config ~strategy ~max_draws:10_000_000 ~telemetry ~policy ~quality
+    ~request_flow ~domains ~source:(`Seed seed) sampler workload
 
 let run ?(config = Gibbs.default_config) ?(strategy = Tuple_dag)
     ?(max_draws = 10_000_000) ?(telemetry = Telemetry.global) ?quality rng
     sampler workload =
   if max_draws < 1 then invalid_arg "Workload.run: max_draws must be positive";
-  let dag =
-    Trace.complete ~cat:"dag" "dag.build" (fun () -> Tuple_dag.build workload)
-  in
-  let sweeps = ref 0 and recorded = ref 0 and shared = ref 0 in
-  let memo_hits0, memo_misses0 = Gibbs.cache_stats sampler in
-  let t0 = Clock.now () in
-  let states =
-    Telemetry.span telemetry "workload.run" (fun () ->
-        match strategy with
-        | Tuple_at_a_time ->
-            tuple_at_a_time config telemetry rng sampler dag sweeps recorded
-        | Tuple_dag ->
-            tuple_dag_strategy config telemetry rng sampler dag sweeps
-              recorded shared
-        | All_at_a_time ->
-            all_at_a_time config telemetry rng sampler dag max_draws sweeps
-              recorded)
-  in
-  let wall = Clock.duration ~start:t0 ~stop:(Clock.now ()) in
-  Telemetry.add telemetry "workload.sweeps" !sweeps;
-  Telemetry.add telemetry "workload.recorded" !recorded;
-  Telemetry.add telemetry "workload.shared" !shared;
-  Telemetry.observe telemetry "workload.tuples"
-    (float_of_int (Tuple_dag.node_count dag));
-  let memo_hits1, memo_misses1 = Gibbs.cache_stats sampler in
-  let probes = memo_hits1 - memo_hits0 + (memo_misses1 - memo_misses0) in
-  if probes > 0 then
-    Telemetry.observe telemetry "gibbs.memo_hit_rate"
-      (float_of_int (memo_hits1 - memo_hits0) /. float_of_int probes);
-  Log.info (fun m ->
-      m "%s: %d distinct tuples, %d sweeps (%d recorded, %d shared) in %.3fs"
-        (strategy_name strategy)
-        (Tuple_dag.node_count dag)
-        !sweeps !recorded !shared wall);
-  let estimates =
-    Array.to_list
-      (Array.map
-         (fun st -> (Sample_bag.tuple st.bag, Sample_bag.estimate st.bag))
-         states)
-  in
-  (* Quality hook: observation only, after every sample has been drawn —
-     the monitor never touches the sampler or the inference RNG. *)
-  (match quality with
-  | None -> ()
-  | Some q ->
-      Quality.attach_model q (Gibbs.model sampler);
-      Quality.observe_estimates q estimates);
-  {
-    estimates;
-    stats =
-      { sweeps = !sweeps; recorded = !recorded; shared = !shared;
-        wall_seconds = wall };
-  }
+  (execute ~config ~strategy ~max_draws ~telemetry ~policy:Fail_fast ~quality
+     ~request_flow:None ~domains:1 ~source:(`Rng rng)
+     (fun () -> sampler)
+     workload)
+    .result

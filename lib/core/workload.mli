@@ -1,16 +1,35 @@
 (** Multi-attribute inference over workloads of incomplete tuples
-    (Section V): the three sampling strategies the paper compares.
+    (Section V): the three sampling strategies the paper compares, and
+    Algorithm 3's one executor.
 
     - {e tuple-at-a-time}: an independent Gibbs chain per distinct tuple —
       the baseline of Fig 11.
     - {e tuple-DAG} (Algorithm 3): chains run only for the subsumption
-      roots; completed nodes donate matching samples to their subsumees,
-      which are promoted to the sampling frontier only if still short of N
-      once every parent has finished.
+      roots; a subsumee is promoted once every parent has finished,
+      pulls their matching samples, and samples its own chain only if
+      still short of N.
     - {e all-at-a-time}: one chain over the fully unknown tuple t*; every
       draw is offered to every workload tuple it matches. Kept for
       completeness (Section V-A shows why it wastes samples on selective
       evidence).
+
+    Tuple-at-a-time and tuple-DAG run on one work-stealing scheduler:
+    every DAG node is a task on per-worker deques ({!Wsdeque}), roots
+    dealt round-robin in node order, promoted subsumees pushed onto the
+    deque of the worker that completed their last parent. One worker
+    runs on the calling domain; more come from the process-wide
+    {!Domain_pool} ({!Parallel}). All-at-a-time has a single chain and
+    always runs on the calling domain.
+
+    {b Determinism.} Each task draws from an RNG stream seeded by the run
+    seed and its node index in the deterministic tuple DAG, and a
+    subsumee pulls donations only after every parent has completed,
+    parents in ascending node order, each parent's samples oldest first.
+    A seed therefore yields bit-identical estimates and identical
+    sweep/recorded/shared counters for any worker count and any steal
+    interleaving; only [wall_seconds] varies. {!run} with an RNG [rng]
+    equals {!run_contained} (and {!Parallel.run}) with the seed
+    [Int64.to_int (Prob.Rng.bits64 rng)] at any domain count.
 
     Cost is reported as the number of Gibbs sweeps (sampled points,
     burn-in included) and wall-clock seconds — the two y-axes of
@@ -33,30 +52,90 @@ type result = {
   stats : stats;
 }
 
+type fault_policy =
+  | Fail_fast  (** first task exception aborts the run and re-raises *)
+  | Skip_and_report
+      (** a task exception is contained to its tuple: the tuple (and its
+          DAG descendants, which would otherwise inherit a truncated
+          donation stream) is skipped and reported; every other task runs
+          to completion *)
+
+type tuple_fault = {
+  node : int;  (** node index in the tuple DAG *)
+  tuple : Relation.Tuple.t;
+  error : Error.t;
+  upstream : int option;
+      (** [Some r] when the tuple was skipped only because ancestor node
+          [r] failed (error code [task.upstream_failed]); [None] when
+          the task itself raised *)
+}
+
+type contained = {
+  result : result;  (** estimates for the surviving tuples *)
+  faults : tuple_fault list;  (** skipped tuples, in node order *)
+}
+
+val run_contained : ?config:Gibbs.config -> ?strategy:strategy ->
+  ?telemetry:Telemetry.t -> ?policy:fault_policy -> ?quality:Quality.t ->
+  ?request_flow:int -> domains:int -> seed:int -> (unit -> Gibbs.sampler) ->
+  Relation.Tuple.t list -> contained
+(** The executor. [run_contained ~domains ~seed sampler workload] infers
+    the joint distribution of the missing values of every distinct
+    incomplete tuple in [workload] with [min domains (distinct tuples)]
+    workers (at least one), each sampling with its own [sampler ()]; all
+    samplers must be over one model. Raises [Invalid_argument] when
+    [domains < 1], on a bad [config] and on complete tuples. [strategy]
+    defaults to [Tuple_dag]; [All_at_a_time] runs its chain on the
+    calling domain from [Prob.Rng.create seed], and per-task containment
+    does not apply to it.
+
+    [telemetry] (default {!Telemetry.global}) receives the
+    [workload.run] span, the [workload.sweeps] / [workload.recorded] /
+    [workload.shared] counters and the [workload.tuples] histogram; the
+    scheduled strategies add [parallel.tasks] / [parallel.steals], the
+    [parallel.domains] gauge, one [parallel.queue_depth.max],
+    [sched.utilization] and [gibbs.memo_hit_rate] (over the run's own
+    probes) observation per worker, and [sched.busy_ns] /
+    [sched.idle_ns].
+
+    {b Fault containment.} Under [policy = Skip_and_report] (default
+    [Fail_fast]) a task exception does not unwind the run: the offending
+    tuple is recorded in [faults] with the structured {!Error.t}
+    ({!Error.of_exn}), its DAG descendants are marked skipped with code
+    [task.upstream_failed] naming the root cause, and all remaining
+    tasks run to completion. The surviving tuples' estimates are
+    bit-identical to a fault-free run at any [domains] count. Counters
+    [fault.task_failures], [fault.tuples_skipped] and
+    [fault.upstream_skipped] land in [telemetry].
+    {!Fault_inject.should_fail_task} (keyed by node index) injects
+    deterministic task faults (code [fault_inject.task]) for testing.
+
+    [quality], when given, observes the estimates after all sampling
+    completes ({!Quality.attach_model} + {!Quality.observe_estimates}),
+    on the calling domain only. The monitor consumes no inference RNG,
+    so a monitored run is bit-identical to an unmonitored one.
+
+    [request_flow], when given, is a serving-request flow id
+    ({!Trace.request_flow_id}): the worker that executes node 0 emits a
+    [serve]/[serve.request] {!Trace.flow_end} on its own track just
+    before the task slice, terminating the daemon's admission → batch →
+    task arrow. Pure observation.
+
+    The samplers' conditionals and chain initialisations read and fill
+    the model epoch's conditional tables (see {!Gibbs.sampler}), so a
+    run starts warm from every earlier run on the same model. Stored
+    posteriors are bit-identical to recomputed ones: warm and cold runs,
+    and runs with the tables on or off, produce identical estimates. *)
+
 val run : ?config:Gibbs.config -> ?strategy:strategy -> ?max_draws:int ->
   ?telemetry:Telemetry.t -> ?quality:Quality.t -> Prob.Rng.t ->
   Gibbs.sampler -> Relation.Tuple.t list -> result
-(** Infer the joint distribution of the missing values of every distinct
-    incomplete tuple in the workload. Complete tuples are rejected with
-    [Invalid_argument]. [strategy] defaults to [Tuple_dag]. [max_draws]
-    (default [10_000_000]) bounds the all-at-a-time chain, which otherwise
-    need not terminate when some tuple's evidence is never hit; tuples
-    still short of samples when the cap fires are estimated from what was
-    collected (or from one forced direct chain if they matched nothing).
-    [telemetry] (default {!Telemetry.global}) receives the
-    [workload.run] span, [workload.sweeps] / [workload.recorded] /
-    [workload.shared] counters, the [workload.tuples] histogram, and a
-    [gibbs.memo_hit_rate] observation covering this run's memo probes.
-
-    [quality], when given, receives the run's estimates {e after} every
-    sample has been drawn ({!Quality.attach_model} on the sampler's
-    model, then {!Quality.observe_estimates}): pure observation feeding
-    the drift monitor. The hook consumes no inference RNG and runs
-    outside the sampling loops, so a monitored run is bit-identical to
-    an unmonitored one.
-
-    The sampler's conditionals and chain initialisations read and fill
-    the model epoch's conditional tables (see {!Gibbs.sampler}), so a
-    run starts warm from every earlier run on the same model, sequential
-    or {!Parallel}. Stored posteriors are bit-identical to recomputed
-    ones: warm and cold runs produce identical estimates. *)
+(** {!run_contained} under [Fail_fast] with one worker on the calling
+    domain, sampling with [sampler] (so {!Gibbs.cache_stats} on it counts
+    the run's probes). The scheduled strategies take one seed from
+    [rng]; [All_at_a_time] draws its chain from [rng] itself. [max_draws]
+    (default [10_000_000]) bounds the all-at-a-time chain, which
+    otherwise need not terminate when some tuple's evidence is never
+    hit; tuples still short of samples when the cap fires are estimated
+    from what was collected (or from one forced direct chain if they
+    matched nothing). *)

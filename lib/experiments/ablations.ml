@@ -260,25 +260,15 @@ let parallelism rng scale =
       samples = scale.Scale.workload_samples;
     }
   in
-  let sequential =
-    let sampler = Mrsl.Gibbs.sampler ~memoize:false model in
-    Mrsl.Workload.run ~config ~strategy:Mrsl.Workload.Tuple_dag
-      (Prob.Rng.create 71) sampler workload
-  in
-  let seq_row =
-    { domains = 0; seconds = sequential.stats.wall_seconds;
-      sweeps = sequential.stats.sweeps }
-  in
-  seq_row
-  :: List.map
-       (fun domains ->
-         let result =
-           Mrsl.Parallel.run ~config ~strategy:Mrsl.Workload.Tuple_dag
-             ~memoize:false ~domains ~seed:71 model workload
-         in
-         { domains; seconds = result.stats.wall_seconds;
-           sweeps = result.stats.sweeps })
-       [ 2; 4 ]
+  List.map
+    (fun domains ->
+      let result =
+        Mrsl.Parallel.run ~config ~strategy:Mrsl.Workload.Tuple_dag
+          ~memoize:false ~domains ~seed:71 model workload
+      in
+      { domains; seconds = result.stats.wall_seconds;
+        sweeps = result.stats.sweeps })
+    [ 1; 2; 4 ]
 
 let render rng scale =
   let cap_table =
@@ -348,8 +338,7 @@ let render rng scale =
          (fun (r : parallel_row) ->
            Report.
              [
-               S (if r.domains = 0 then "sequential" else string_of_int r.domains);
-               F r.seconds; I r.sweeps;
+               I r.domains; F r.seconds; I r.sweeps;
              ])
          (parallelism rng scale))
   in

@@ -56,15 +56,12 @@ val memoization : Prob.Rng.t -> Scale.t -> memo_row list
     conditional tables Gibbs reads. Measures a fixed workload with
     memoization on and off. *)
 
-type parallel_row = {
-  domains : int;  (** 0 encodes the sequential tuple-DAG reference run *)
-  seconds : float;
-  sweeps : int;
-}
+type parallel_row = { domains : int; seconds : float; sweeps : int }
 
 val parallelism : Prob.Rng.t -> Scale.t -> parallel_row list
 (** Multicore scaling of workload inference (this repo's [Mrsl.Parallel]):
-    a sequential tuple-DAG run versus 2 and 4 domains, same workload, cache
-    disabled so wall time tracks sampling work. *)
+    one tuple-DAG workload and seed at 1, 2 and 4 domains, cache disabled
+    so wall time tracks sampling work. Sweep counts are equal by
+    construction. *)
 
 val render : Prob.Rng.t -> Scale.t -> string

@@ -187,37 +187,6 @@ let parallel_workload_stats ?(memoize = true) ?telemetry ~domains ~seed model
   in
   result.stats
 
-(* The seed's static fork/join: subsumption-aware partition into [domains]
-   chunks, each chunk run as an independent tuple-DAG workload (no
-   cross-chunk sharing). Kept as the benchmark reference the work-stealing
-   scheduler is measured against; chunks run back-to-back here, so
-   [wall_seconds] is total work — the fair single-core comparison. *)
-let static_partition_stats ?(memoize = true) ~domains ~seed model ~samples
-    ~burn_in workload =
-  let config = { Mrsl.Gibbs.burn_in; samples } in
-  let parts = Mrsl.Parallel.partition domains workload in
-  let t0 = Unix.gettimeofday () in
-  let merged =
-    List.mapi
-      (fun index part ->
-        let sampler = Mrsl.Gibbs.sampler ~memoize model in
-        let rng = Prob.Rng.create (seed + (31 * index)) in
-        Mrsl.Workload.run ~config ~strategy:Mrsl.Workload.Tuple_dag rng
-          sampler part)
-      parts
-  in
-  let sum f =
-    List.fold_left
-      (fun acc (r : Mrsl.Workload.result) -> acc + f r.stats)
-      0 merged
-  in
-  {
-    Mrsl.Workload.sweeps = sum (fun s -> s.Mrsl.Workload.sweeps);
-    recorded = sum (fun s -> s.Mrsl.Workload.recorded);
-    shared = sum (fun s -> s.Mrsl.Workload.shared);
-    wall_seconds = Unix.gettimeofday () -. t0;
-  }
-
 let joint_agreement (a : Mrsl.Workload.result) (b : Mrsl.Workload.result) =
   let table = Relation.Tuple.Table.create 64 in
   List.iter

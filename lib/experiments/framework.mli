@@ -76,14 +76,6 @@ val parallel_workload_stats : ?memoize:bool -> ?telemetry:Mrsl.Telemetry.t ->
     domain count ({!Mrsl.Parallel.run}); [memoize] defaults to [true] —
     this measures the system as deployed, not the paper's cost model. *)
 
-val static_partition_stats : ?memoize:bool -> domains:int -> seed:int ->
-  Mrsl.Model.t -> samples:int -> burn_in:int -> Relation.Tuple.t list ->
-  Mrsl.Workload.stats
-(** Cost of the seed's static fork/join at the same domain count: the
-    subsumption-aware partition with chunk-local tuple-DAG runs and no
-    cross-chunk sharing, executed back-to-back (so [wall_seconds] is
-    total work). The benchmark baseline for the scheduler's speedup. *)
-
 val joint_agreement : Mrsl.Workload.result -> Mrsl.Workload.result -> float
 (** Mean total-variation distance between two strategies' estimates of the
     same workload (the paper's tuple-DAG vs tuple-at-a-time accuracy-parity

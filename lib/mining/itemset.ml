@@ -115,8 +115,8 @@ let to_tuple ~arity s =
 let equal (a : t) (b : t) = a = b
 (* [Stdlib.compare]'s order on [(int * int) array], without its generic
    walk: length first, then item by item, each by attribute then value.
-   Lattice.meta_rules, Map/Set and Parallel.partition rely on exactly
-   this order; plain lexicographic order is not the same. *)
+   Lattice.meta_rules and Map/Set rely on exactly this order; plain
+   lexicographic order is not the same. *)
 let compare (a : t) (b : t) =
   let n = Array.length a in
   let c = Int.compare n (Array.length b) in

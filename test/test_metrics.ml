@@ -80,10 +80,7 @@ let registry_names =
     "model.learn";
     "parallel.domains";
     "parallel.queue_depth.max";
-    "parallel.run";
-    "parallel.shared";
     "parallel.steals";
-    "parallel.sweeps";
     "parallel.tasks";
     "quality.brier";
     "quality.cells";
@@ -160,8 +157,6 @@ let trace_event_names =
     "lattice.build";
     "mine.frequent_itemsets";
     "model.learn";
-    "parallel.run";
-    "parallel.task";
     "pool.reused";
     "quality.drift.alert";
     "quality.scores";
@@ -174,6 +169,7 @@ let trace_event_names =
     "steal";
     "task.run";
     "workload.node";
+    "workload.run";
   ]
 
 let test_static_catalogue () =

@@ -316,7 +316,7 @@ let prop_rule_support_decomposition =
         (Mining.Assoc_rule.mine result ~arity:3))
 
 (* Itemset.compare keeps Stdlib.compare's order, which the lattice's
-   rule order, Itemset.Map/Set and Parallel.partition rely on. *)
+   rule order and Itemset.Map/Set rely on. *)
 let prop_itemset_compare_is_stdlib =
   let itemset_gen =
     QCheck2.Gen.(

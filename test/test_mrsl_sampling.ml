@@ -455,15 +455,50 @@ let test_parallel_deterministic () =
         (Prob.Dist.prob eb.joint 0))
     a.estimates b.estimates
 
-let test_parallel_single_domain_matches_sequential_shape () =
+(* [Workload.run] is the scheduler on one worker, seeded by one draw
+   from its RNG: [Parallel.run] with that seed must reproduce it bit for
+   bit at every domain count — estimates and counters, both scheduled
+   strategies. *)
+let test_run_matches_parallel_run () =
   let model = trained_model () in
-  let result =
-    Mrsl.Parallel.run
-      ~config:{ burn_in = 10; samples = 50 }
-      ~domains:1 ~seed:2 model (small_workload ())
-  in
-  Alcotest.(check int) "estimates" 5 (List.length result.estimates);
-  Alcotest.(check bool) "sweeps counted" true (result.stats.sweeps > 0)
+  let workload = small_workload () in
+  let config = { Mrsl.Gibbs.burn_in = 10; samples = 50 } in
+  List.iter
+    (fun strategy ->
+      let rng = Prob.Rng.create 2 in
+      let seed = Int64.to_int (Prob.Rng.bits64 (Prob.Rng.copy rng)) in
+      let run =
+        Mrsl.Workload.run ~config ~strategy rng (Mrsl.Gibbs.sampler model)
+          workload
+      in
+      List.iter
+        (fun domains ->
+          let par =
+            Mrsl.Parallel.run ~config ~strategy ~domains ~seed model workload
+          in
+          let msg what =
+            Printf.sprintf "%s, %d domains: %s"
+              (Mrsl.Workload.strategy_name strategy)
+              domains what
+          in
+          Alcotest.(check int) (msg "sweeps") run.stats.sweeps par.stats.sweeps;
+          Alcotest.(check int) (msg "recorded") run.stats.recorded
+            par.stats.recorded;
+          Alcotest.(check int) (msg "shared") run.stats.shared par.stats.shared;
+          Alcotest.(check int) (msg "estimates") 5 (List.length par.estimates);
+          List.iter2
+            (fun (ta, (ea : Mrsl.Gibbs.estimate))
+                 (tb, (eb : Mrsl.Gibbs.estimate)) ->
+              Alcotest.(check bool) (msg "tuple order") true
+                (Relation.Tuple.equal ta tb);
+              Alcotest.(check int) (msg "samples") ea.samples_used
+                eb.samples_used;
+              Alcotest.(check (array (float 0.))) (msg "joint")
+                (Prob.Dist.to_array ea.joint)
+                (Prob.Dist.to_array eb.joint))
+            run.estimates par.estimates)
+        [ 1; 2; 4 ])
+    Mrsl.Workload.[ Tuple_at_a_time; Tuple_dag ]
 
 let test_parallel_rejects_bad_domains () =
   let model = trained_model () in
@@ -562,7 +597,7 @@ let test_parallel_telemetry_counters () =
   Alcotest.(check bool) "tasks counted" true (tasks >= 1 && tasks <= 5);
   Alcotest.(check bool)
     "sweeps counted" true
-    (Mrsl.Telemetry.counter telemetry "parallel.sweeps" > 0);
+    (Mrsl.Telemetry.counter telemetry "workload.sweeps" > 0);
   match Mrsl.Telemetry.gauge_value telemetry "parallel.domains" with
   | Some d -> Alcotest.(check (float 0.)) "domains gauge" 2. d
   | None -> Alcotest.fail "parallel.domains gauge missing"
@@ -572,8 +607,8 @@ let suite =
   @ [
       ("parallel covers and agrees", `Quick, test_parallel_covers_and_agrees);
       ("parallel deterministic", `Quick, test_parallel_deterministic);
-      ("parallel single domain", `Quick,
-       test_parallel_single_domain_matches_sequential_shape);
+      ("run = Parallel.run, 1/2/4 domains", `Quick,
+       test_run_matches_parallel_run);
       ("parallel rejects bad domains", `Quick, test_parallel_rejects_bad_domains);
       ("parallel bit-identical across domains", `Quick,
        test_parallel_bit_identical_across_domains);

@@ -145,7 +145,9 @@ let stationary sampler model (tup : Relation.Tuple.t) =
 let restrict model pi_star (tup : Relation.Tuple.t) =
   let schema = Mrsl.Model.schema model in
   let all_cards =
-    Array.init (Relation.Schema.arity schema) (Relation.Schema.cardinality schema)
+    Array.init
+      (Relation.Schema.arity schema)
+      (Relation.Schema.cardinality schema)
   in
   let missing, cards = missing_cards model tup in
   let out = Array.make (Relation.Domain.count cards) 0. in
@@ -168,7 +170,9 @@ let ess_per_point sampler model ~source ~sweeps seed tuples =
   for _ = 1 to config.burn_in do
     Mrsl.Gibbs.step rng c
   done;
-  let kept = List.map (fun tup -> (tup, missing_cards model tup, ref [])) tuples in
+  let kept =
+    List.map (fun tup -> (tup, missing_cards model tup, ref [])) tuples
+  in
   for _ = 1 to sweeps do
     Mrsl.Gibbs.step rng c;
     let p = Mrsl.Gibbs.current c in
@@ -403,7 +407,9 @@ let shared_check (a, b) candidate nodes =
         !var
         +. Array.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.)) 0. s
            /. (k -. 1.);
-      Array.iteri (fun j c -> observed := !observed +. tv c b.(j).(i)) candidate)
+      Array.iteri
+        (fun j c -> observed := !observed +. tv c b.(j).(i))
+        candidate)
     nodes;
   {
     observed = !observed /. (k *. m);
@@ -469,7 +475,9 @@ let test_exact_reference () =
 let test_all_at_a_time_tables_off () =
   match Lazy.force executors with
   | on :: rest ->
-      let off = List.find (fun ex -> ex.name = "Workload.run, tables off") rest in
+      let off =
+        List.find (fun ex -> ex.name = "Workload.run, tables off") rest
+      in
       List.iter
         (fun seed ->
           let a = on.run Mrsl.Workload.All_at_a_time seed

@@ -81,7 +81,6 @@ type ref_node = {
   mutable samples : int array list;  (* newest first *)
   mutable count : int;
   mutable completed : bool;
-  mutable chain : Mrsl.Gibbs.chain option;
 }
 
 type ref_result = {
@@ -98,20 +97,20 @@ let ref_nodes dag =
         samples = [];
         count = 0;
         completed = false;
-        chain = None;
       })
 
 let record st point =
   st.samples <- point :: st.samples;
   st.count <- st.count + 1
 
-let reference ?(max_draws = 10_000_000) strategy seed model tuples =
+(* All-at-a-time's single chain over t*, drawing from one RNG. *)
+let reference ~max_draws seed model tuples =
   let sampler = Mrsl.Gibbs.sampler model in
   let rng = Prob.Rng.create seed in
   let dag = Mrsl.Tuple_dag.build tuples in
   let nodes = ref_nodes dag in
   let target = config.samples in
-  let sweeps = ref 0 and recorded = ref 0 and shared = ref 0 in
+  let sweeps = ref 0 and recorded = ref 0 in
   let start tup =
     let c = Mrsl.Gibbs.chain rng sampler tup in
     for _ = 1 to config.burn_in do
@@ -120,96 +119,38 @@ let reference ?(max_draws = 10_000_000) strategy seed model tuples =
     done;
     c
   in
-  let draw st c =
-    record st (Mrsl.Gibbs.sweep rng c);
+  let arity = Array.length nodes.(0).tuple in
+  let c = start (Array.make arity None) in
+  let remaining = ref (Array.length nodes) and draws = ref 0 in
+  while !remaining > 0 && !draws < max_draws do
+    let point = Mrsl.Gibbs.sweep rng c in
     incr sweeps;
-    incr recorded
-  in
-  (match strategy with
-  | Mrsl.Workload.Tuple_at_a_time ->
-      Array.iter
-        (fun st ->
-          let c = start st.tuple in
-          for _ = 1 to target do
-            draw st c
-          done)
-        nodes
-  | Mrsl.Workload.Tuple_dag ->
-      let frontier = Queue.create () in
-      List.iter (fun i -> Queue.add i frontier) (Mrsl.Tuple_dag.roots dag);
-      let rec complete i =
-        let st = nodes.(i) in
-        st.completed <- true;
-        List.iter
-          (fun j ->
-            let sj = nodes.(j) in
-            if not sj.completed then begin
-              List.iter
-                (fun point ->
-                  if sj.count < target
-                     && Relation.Tuple.matches ~point sj.tuple
-                  then begin
-                    record sj point;
-                    incr recorded;
-                    incr shared
-                  end)
-                (List.rev st.samples);
-              if sj.count >= target then complete j
-              else if
-                List.for_all
-                  (fun p -> nodes.(p).completed)
-                  (Mrsl.Tuple_dag.parents dag j)
-              then Queue.add j frontier
-            end)
-          (Mrsl.Tuple_dag.children dag i)
-      in
-      while not (Queue.is_empty frontier) do
-        let i = Queue.pop frontier in
-        let st = nodes.(i) in
-        if not st.completed then begin
-          let c =
-            match st.chain with
-            | Some c -> c
-            | None ->
-                let c = start st.tuple in
-                st.chain <- Some c;
-                c
-          in
-          draw st c;
-          if st.count >= target then complete i else Queue.add i frontier
-        end
-      done
-  | Mrsl.Workload.All_at_a_time ->
-      let arity = Array.length nodes.(0).tuple in
-      let c = start (Array.make arity None) in
-      let remaining = ref (Array.length nodes) and draws = ref 0 in
-      while !remaining > 0 && !draws < max_draws do
-        let point = Mrsl.Gibbs.sweep rng c in
-        incr sweeps;
-        incr draws;
-        Array.iter
-          (fun st ->
-            if (not st.completed) && st.count < target
-               && Relation.Tuple.matches ~point st.tuple
-            then begin
-              record st point;
-              incr recorded;
-              if st.count >= target then begin
-                st.completed <- true;
-                decr remaining
-              end
-            end)
-          nodes
-      done;
-      Array.iter
-        (fun st ->
-          if st.count = 0 then begin
-            let c = start st.tuple in
-            for _ = 1 to target do
-              draw st c
-            done
-          end)
-        nodes);
+    incr draws;
+    Array.iter
+      (fun st ->
+        if (not st.completed) && st.count < target
+           && Relation.Tuple.matches ~point st.tuple
+        then begin
+          record st point;
+          incr recorded;
+          if st.count >= target then begin
+            st.completed <- true;
+            decr remaining
+          end
+        end)
+      nodes
+  done;
+  Array.iter
+    (fun st ->
+      if st.count = 0 then begin
+        let c = start st.tuple in
+        for _ = 1 to target do
+          record st (Mrsl.Gibbs.sweep rng c);
+          incr sweeps;
+          incr recorded
+        done
+      end)
+    nodes;
   {
     estimates =
       Array.to_list
@@ -218,7 +159,7 @@ let reference ?(max_draws = 10_000_000) strategy seed model tuples =
            nodes);
     sweeps = !sweeps;
     recorded = !recorded;
-    shared = !shared;
+    shared = 0;
   }
 
 (* [Parallel]'s semantics, replayed sequentially: node [i] samples from
@@ -312,6 +253,9 @@ let seeds = [ 1; 29; 2011 ]
 let strategies =
   Mrsl.Workload.[ Tuple_at_a_time; Tuple_dag; All_at_a_time ]
 
+(* [Workload.run] runs tuple-at-a-time and tuple-DAG on the scheduler
+   with the one seed it takes from its RNG, and all-at-a-time on the RNG
+   itself. *)
 let test_workload_matches_reference () =
   List.iter
     (fun (name, (model, draw)) ->
@@ -327,7 +271,15 @@ let test_workload_matches_reference () =
               (* A tight draw cap keeps all-at-a-time short and also
                  exercises its forced direct chains. *)
               let max_draws = 3000 in
-              let expected = reference ~max_draws strategy seed model tuples in
+              let expected =
+                match strategy with
+                | Mrsl.Workload.All_at_a_time ->
+                    reference ~max_draws seed model tuples
+                | Tuple_at_a_time | Tuple_dag ->
+                    parallel_reference strategy
+                      (Int64.to_int (Prob.Rng.bits64 (Prob.Rng.create seed)))
+                      model tuples
+              in
               let got =
                 Mrsl.Workload.run ~config ~strategy ~max_draws
                   (Prob.Rng.create seed) (Mrsl.Gibbs.sampler model) tuples

@@ -276,10 +276,10 @@ let test_traced_run_has_scheduler_events () =
         && match phase with None -> true | Some p -> p e.phase)
       evs
   in
-  Alcotest.(check bool) "parallel.run slice" true
-    (has "sched" "parallel.run");
+  Alcotest.(check bool) "workload.run slice" true
+    (has "sched" "workload.run");
   Alcotest.(check bool) "dag.build slice" true (has "dag" "dag.build");
-  Alcotest.(check bool) "per-task slices" true (has "gibbs" "parallel.task");
+  Alcotest.(check bool) "per-task slices" true (has "gibbs" "workload.node");
   Alcotest.(check bool) "chain-init voting slices" true
     (has "voting" "gibbs.chain_init");
   Alcotest.(check bool) "task flow starts" true
