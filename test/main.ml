@@ -27,5 +27,5 @@ let () =
       ("resource", Test_resource.suite);
       ("kernel", Test_kernel.suite);
       ("sample-bag", Test_sample_bag.suite);
-      ("sampler-oracle", Test_oracle.suite);
+      ("oracle", Test_oracle.suite);
     ]
