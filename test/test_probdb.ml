@@ -164,6 +164,114 @@ let test_pdb_derive_schema_mismatch () =
     (Invalid_argument "Pdb.derive: instance schema does not match model schema")
     (fun () -> ignore (Probdb.Pdb.derive (rng ()) model inst))
 
+(* Golden digests of derivations whose sampled output must not move:
+   BN10 (derive's shape), a 60-tuple relation missing 1 to 5 cells per
+   tuple, one fixed seed. Only multi-missing blocks are digested:
+   single-missing blocks are Algorithm 2's exact conditionals, checked
+   against [Infer_single] in the consistency suite. The digests were
+   recorded when every incomplete tuple still ran a Gibbs chain. A
+   single-missing tuple subsumes no other tuple, so it is a DAG leaf that
+   donates nothing, and answering it without a chain leaves every other
+   block bit for bit as it was. *)
+let golden_config = { Mrsl.Gibbs.burn_in = 20; samples = 150 }
+
+let golden_fixture =
+  lazy
+    (let entry = Bayesnet.Catalog.find "BN10" in
+     let r = Prob.Rng.create 2011 in
+     let net = Bayesnet.Network.generate r entry.topology in
+     let model =
+       Mrsl.Model.learn
+         ~params:{ Mrsl.Model.default_params with support_threshold = 0.02 }
+         (Bayesnet.Network.sample_instance r net 2000)
+     in
+     let arity = Bayesnet.Topology.size entry.topology in
+     let tuples =
+       List.init 60 (fun _ ->
+           let tup =
+             Relation.Tuple.of_point (Bayesnet.Network.sample_point r net)
+           in
+           let k = 1 + Prob.Rng.int r (arity - 1) in
+           List.iter
+             (fun a -> tup.(a) <- None)
+             (Prob.Rng.sample_without_replacement r k arity);
+           tup)
+     in
+     (model, tuples))
+
+let multi_missing_digest db =
+  let buf = Buffer.create 4096 and n = ref 0 in
+  Array.iter
+    (fun (b : Probdb.Block.t) ->
+      if Relation.Tuple.missing_count b.source >= 2 then begin
+        incr n;
+        Array.iter
+          (function
+            | Some v -> Printf.bprintf buf "%d," v
+            | None -> Buffer.add_string buf "?,")
+          b.source;
+        List.iter
+          (fun (a : Probdb.Block.alternative) ->
+            Array.iter (Printf.bprintf buf "%d.") a.point;
+            Printf.bprintf buf "%h;" a.prob)
+          b.alternatives;
+        Buffer.add_char buf '\n'
+      end)
+    (Probdb.Pdb.blocks db);
+  (!n, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_golden_multi_missing_blocks () =
+  let model, tuples = Lazy.force golden_fixture in
+  let inst = Relation.Instance.make (Mrsl.Model.schema model) tuples in
+  List.iter
+    (fun (strategy, expected) ->
+      let db =
+        Probdb.Pdb.derive ~config:golden_config ~strategy
+          (Prob.Rng.create 2011) model inst
+      in
+      let n, digest = multi_missing_digest db in
+      Alcotest.(check int) "multi-missing blocks" 49 n;
+      Alcotest.(check string)
+        (Mrsl.Workload.strategy_name strategy ^ " digest")
+        expected digest)
+    [
+      (Mrsl.Workload.Tuple_dag, "2a588f4f7dfc38be0c5e5fe7360e37f3");
+      (Mrsl.Workload.Tuple_at_a_time, "937c5653238b7ba1e26c5389086323b0");
+    ]
+
+let test_golden_fault_list () =
+  let model, tuples = Lazy.force golden_fixture in
+  let contained =
+    Mrsl.Fault_inject.with_config
+      { Mrsl.Fault_inject.disabled with seed = 7; task_failure_rate = 0.15 }
+      (fun () ->
+        Mrsl.Workload.run_contained ~config:golden_config
+          ~telemetry:(Mrsl.Telemetry.create ())
+          ~policy:Mrsl.Workload.Skip_and_report ~domains:1 ~seed:2011
+          (fun () -> Mrsl.Gibbs.sampler model)
+          tuples)
+  in
+  (* "node" for a task that raised the injected fault, "node<root" for a
+     node skipped because its ancestor [root] raised. *)
+  let faults =
+    List.map
+      (fun (f : Mrsl.Workload.tuple_fault) ->
+        match (f.upstream, f.error.code) with
+        | None, "fault_inject.task" -> string_of_int f.node
+        | Some r, "task.upstream_failed" -> Printf.sprintf "%d<%d" f.node r
+        | _, code -> Printf.sprintf "%d: unexpected %s" f.node code)
+      contained.faults
+  in
+  Alcotest.(check (list string))
+    "Skip_and_report faults"
+    [
+      "0<45"; "2<45"; "6<40"; "8<45"; "10"; "13<40"; "14<40"; "16<45";
+      "22"; "23<45"; "24"; "25<45"; "29<45"; "30<45"; "31<45"; "32<45";
+      "33"; "37<45"; "38<45"; "39<45"; "40"; "41<45"; "42<33"; "45";
+      "47<22"; "49<33"; "55<22";
+    ]
+    faults
+
 (* Property: expected_count is linear — for any database and predicate it
    equals the sum of block marginals, and prob_exists never exceeds it. *)
 let prop_exists_le_expected =
@@ -199,6 +307,8 @@ let suite =
     ("sample world", `Quick, test_pdb_sample_world);
     ("derive end-to-end", `Quick, test_pdb_derive_end_to_end);
     ("derive schema mismatch", `Quick, test_pdb_derive_schema_mismatch);
+    ("golden: multi-missing blocks", `Quick, test_golden_multi_missing_blocks);
+    ("golden: Skip_and_report faults", `Quick, test_golden_fault_list);
     prop_exists_le_expected;
   ]
 
