@@ -35,12 +35,13 @@ let score tasks infer =
   (!kl /. n, float_of_int !top1 /. n)
 
 let compute rng scale =
+  let stream = Util.stream ~seed:(Util.stream_seed rng) in
   List.concat_map
     (fun id ->
       let entry = Bayesnet.Catalog.find id in
       let prepared =
         match
-          Framework.prepare rng scale entry
+          Framework.prepare (stream ("prepare/" ^ id) 0) scale entry
             ~train_size:scale.Scale.fixed_train
         with
         | p :: _ -> p
@@ -48,7 +49,10 @@ let compute rng scale =
       in
       let points = Relation.Instance.complete_part prepared.train in
       let cards = Bayesnet.Topology.cardinalities entry.topology in
-      let tasks = tasks rng prepared ~max_tuples:scale.Scale.joint_test_tuples in
+      let tasks =
+        tasks (stream ("tasks/" ^ id) 0) prepared
+          ~max_tuples:scale.Scale.joint_test_tuples
+      in
       let n_tasks = List.length tasks in
       let gibbs_config =
         {
@@ -61,9 +65,10 @@ let compute rng scale =
         Framework.learn_timed prepared ~support:scale.Scale.fixed_support
       in
       let sampler = Mrsl.Gibbs.sampler model in
+      let chains = stream ("gibbs/" ^ id) 0 in
       let mrsl_gibbs_kl, mrsl_gibbs_top1 =
         score tasks (fun tup ->
-            (Mrsl.Gibbs.run ~config:gibbs_config rng sampler tup).joint)
+            (Mrsl.Gibbs.run ~config:gibbs_config chains sampler tup).joint)
       in
       let indep_kl, indep_top1 =
         score tasks (fun tup -> Baselines.Independent_product.infer_joint model tup)
@@ -77,10 +82,11 @@ let compute rng scale =
       let dn, dn_seconds =
         Framework.time (fun () -> Baselines.Dn_backoff.fit ~cards points)
       in
+      let dn_chains = stream ("dn/" ^ id) 0 in
       let dn_kl, dn_top1 =
         score tasks (fun tup ->
             Baselines.Dn_backoff.infer_joint ~burn_in:scale.Scale.burn_in
-              ~samples:scale.Scale.workload_samples rng dn tup)
+              ~samples:scale.Scale.workload_samples dn_chains dn tup)
       in
       [
         { network = id; method_name = "MRSL + Gibbs";

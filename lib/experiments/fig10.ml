@@ -9,12 +9,14 @@ type point = {
 let networks = [ "BN8"; "BN17"; "BN2" ]
 
 let compute rng scale =
+  let stream = Util.stream ~seed:(Util.stream_seed rng) in
   List.concat_map
     (fun id ->
       let entry = Bayesnet.Catalog.find id in
       let arity = Bayesnet.Topology.size entry.topology in
       let reps =
-        Framework.prepare rng scale entry ~train_size:scale.Scale.fixed_train
+        Framework.prepare (stream ("prepare/" ^ id) 0) scale entry
+          ~train_size:scale.Scale.fixed_train
       in
       let models =
         List.map
@@ -32,9 +34,13 @@ let compute rng scale =
             List.map
               (fun samples ->
                 let accs =
-                  List.map
-                    (fun (prepared, model) ->
-                      Framework.eval_joint rng prepared model ~missing ~samples
+                  List.mapi
+                    (fun rep (prepared, model) ->
+                      (* One stream per (network, missing, repetition):
+                         every sample count scores the same tuples. *)
+                      Framework.eval_joint
+                        (stream (Printf.sprintf "joint/%s/%d" id missing) rep)
+                        prepared model ~missing ~samples
                         ~burn_in:scale.Scale.burn_in
                         ~max_tuples:scale.Scale.joint_test_tuples)
                     models

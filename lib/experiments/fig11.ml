@@ -1,6 +1,7 @@
 type point = {
   network : string;
   workload : int;
+  single_missing : int;
   strategy : Mrsl.Workload.strategy;
   sampled_points : int;
   seconds : float;
@@ -9,6 +10,7 @@ type point = {
 let strategies = Mrsl.Workload.[ Tuple_at_a_time; Tuple_dag ]
 
 let compute rng scale =
+  let stream = Util.stream ~seed:(Util.stream_seed rng) in
   let networks =
     Util.take scale.Scale.networks_cap
       Bayesnet.Catalog.multi_inference_networks
@@ -16,7 +18,9 @@ let compute rng scale =
   List.concat_map
     (fun (entry : Bayesnet.Catalog.entry) ->
       match
-        Framework.prepare rng scale entry ~train_size:scale.Scale.median_train
+        Framework.prepare
+          (stream ("prepare/" ^ entry.id) 0)
+          scale entry ~train_size:scale.Scale.median_train
       with
       | [] -> []
       | prepared :: _ ->
@@ -26,19 +30,29 @@ let compute rng scale =
           List.concat_map
             (fun workload_size ->
               let workload =
-                Framework.make_workload rng prepared ~size:workload_size
+                Framework.make_workload
+                  (stream ("workload/" ^ entry.id) workload_size)
+                  prepared ~size:workload_size
               in
-              let workload_size = List.length workload in
+              let single_missing =
+                List.length
+                  (List.filter
+                     (fun t -> Relation.Tuple.missing_count t = 1)
+                     workload)
+              in
+              (* Both strategies sample from the same stream. *)
+              let gibbs () = stream ("gibbs/" ^ entry.id) workload_size in
               List.map
                 (fun strategy ->
                   let stats =
-                    Framework.workload_stats rng model ~strategy
+                    Framework.workload_stats (gibbs ()) model ~strategy
                       ~samples:scale.Scale.workload_samples
                       ~burn_in:scale.Scale.burn_in workload
                   in
                   {
                     network = entry.id;
-                    workload = workload_size;
+                    workload = List.length workload;
+                    single_missing;
                     strategy;
                     sampled_points = stats.sweeps;
                     seconds = stats.wall_seconds;
@@ -54,7 +68,7 @@ let render rng scale =
       (fun p ->
         Report.
           [
-            S p.network; I p.workload;
+            S p.network; I p.workload; I p.single_missing;
             S (Mrsl.Workload.strategy_name p.strategy); I p.sampled_points;
             F p.seconds;
           ])
@@ -66,7 +80,11 @@ let render rng scale =
         (Printf.sprintf
            "Fig 11: sampling cost vs workload size (%d points/tuple)"
            scale.Scale.workload_samples)
-      ~header:[ "network"; "workload"; "strategy"; "sampled points"; "time (s)" ]
+      ~header:
+        [
+          "network"; "workload"; "single-missing"; "strategy";
+          "sampled points"; "time (s)";
+        ]
       rows
   in
   (* Per-strategy averages per workload size — the two lines of the

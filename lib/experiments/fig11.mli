@@ -8,6 +8,7 @@
 type point = {
   network : string;
   workload : int;  (** distinct incomplete tuples *)
+  single_missing : int;  (** of [workload], tuples with one missing cell *)
   strategy : Mrsl.Workload.strategy;
   sampled_points : int;  (** Gibbs draws, burn-in included *)
   seconds : float;

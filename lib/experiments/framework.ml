@@ -123,13 +123,17 @@ let eval_joint rng prepared model ~missing ~samples ~burn_in ~max_tuples =
   let n = min max_tuples (Array.length points) in
   let sampler = Mrsl.Gibbs.sampler model in
   let config = { Mrsl.Gibbs.burn_in; samples } in
+  (* Masks and chains draw from separate streams, so the masked tuples do
+     not depend on how many draws a chain consumes. *)
+  let masks = Prob.Rng.split rng in
+  let chains = Prob.Rng.split rng in
   let kl = ref 0. and top1 = ref 0 and count = ref 0 in
   for i = 0 to n - 1 do
     let tup = Relation.Tuple.of_point points.(i) in
-    let blanks = Prob.Rng.sample_without_replacement rng missing arity in
+    let blanks = Prob.Rng.sample_without_replacement masks missing arity in
     List.iter (fun a -> tup.(a) <- None) blanks;
     let _, truth = Bayesnet.Network.posterior_joint prepared.network tup in
-    let est = Mrsl.Gibbs.run ~config rng sampler tup in
+    let est = Mrsl.Gibbs.run ~config chains sampler tup in
     kl := !kl +. Prob.Divergence.kl truth est.joint;
     if Prob.Dist.mode truth = Prob.Dist.mode est.joint then incr top1;
     incr count

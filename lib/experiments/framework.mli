@@ -54,7 +54,8 @@ val eval_joint : Prob.Rng.t -> prepared -> Mrsl.Model.t -> missing:int ->
 (** Multi-attribute (Gibbs) inference accuracy: mask [missing] attributes
     per test tuple, estimate the joint by tuple-at-a-time sampling, and
     compare to the exact joint posterior. Top-1 is agreement on the modal
-    joint completion. *)
+    joint completion. The masks and the chains draw from two streams split
+    off [rng], so the masked tuples do not depend on the sampler. *)
 
 val make_workload : Prob.Rng.t -> prepared -> size:int ->
   Relation.Tuple.t list
