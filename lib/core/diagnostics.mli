@@ -92,4 +92,10 @@ val run_with_retries : ?config:Gibbs.config -> ?policy:retry_policy ->
     {!Fault_inject.should_force_nonconvergence} (keyed by the tuple) can
     force the check to fail, exercising the retry and degradation paths
     deterministically. Raises [Invalid_argument] on a complete tuple or
-    a non-positive budget. *)
+    a non-positive budget.
+
+    This stays a chain path for single-missing tuples too: [mrsl infer
+    --retry] checks the convergence of a chain, and a single-missing
+    tuple's chain, whose stationary distribution is the {!Gibbs.vote}
+    answer, is what it checks. Every other inference path votes such a
+    tuple. *)

@@ -181,12 +181,28 @@ let marginal est a =
       marg.(values.(pos)) <- marg.(values.(pos)) +. Prob.Dist.prob est.joint code);
   Prob.Dist.of_weights marg
 
+let vote (s : sampler) tup =
+  match Relation.Tuple.missing tup with
+  | [ a ] ->
+      let point = Array.map (function Some v -> v | None -> -1) tup in
+      {
+        tuple = tup;
+        missing = [ a ];
+        cards = [| s.cards.(a) |];
+        joint = conditional s point a;
+        samples_used = 0;
+      }
+  | _ -> invalid_arg "Gibbs.vote: tuple must miss exactly one cell"
+
 let run ?(config = default_config) rng s tup =
   if config.burn_in < 0 || config.samples < 1 then
     invalid_arg "Gibbs.run: bad burn-in or sample count";
-  let c = chain rng s tup in
-  for _ = 1 to config.burn_in do
-    step rng c
-  done;
-  let points = List.init config.samples (fun _ -> sweep rng c) in
-  estimate_of_points s tup points
+  if Relation.Tuple.missing_count tup = 1 then vote s tup
+  else begin
+    let c = chain rng s tup in
+    for _ = 1 to config.burn_in do
+      step rng c
+    done;
+    let points = List.init config.samples (fun _ -> sweep rng c) in
+    estimate_of_points s tup points
+  end

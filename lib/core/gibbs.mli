@@ -1,5 +1,7 @@
 (** Ordered Gibbs sampling over MRSL models (Section V-A).
 
+    A tuple with one missing value is answered by Algorithm 2's vote
+    ({!vote}), as in the paper; Gibbs is for several missing values.
     For a tuple with several missing values, the sampler fixes the known
     attributes as evidence, initializes the missing ones, and repeatedly
     cycles through them in attribute order, resampling each from its
@@ -102,6 +104,8 @@ type estimate = {
   cards : int array;  (** their cardinalities, same order *)
   joint : Prob.Dist.t;  (** joint distribution in mixed-radix code order *)
   samples_used : int;
+      (** recorded points the joint was counted from; [0] for a {!vote}:
+          exact, nothing sampled *)
 }
 
 val estimate_of_counts : Relation.Tuple.t -> int list -> int array ->
@@ -123,7 +127,22 @@ val estimate_of_points : sampler -> Relation.Tuple.t -> int array list ->
 val marginal : estimate -> int -> Prob.Dist.t
 (** Marginal distribution of one missing attribute of an estimate. *)
 
+val vote : sampler -> Relation.Tuple.t -> estimate
+(** Algorithm 2 for a tuple with exactly one missing cell [a]: the
+    estimate whose [joint] is {!conditional} of [a] given the tuple's
+    evidence, itself and not re-smoothed, with [samples_used = 0]. A
+    chain over such a tuple resamples [a] from that very conditional at
+    every step, so its stationary distribution is the conditional and
+    B + N sweeps would only add sampling noise. The vote makes the
+    probe (or, with the tables bypassed, the computation) a chain step
+    makes: bit-identical to [Infer_single.infer ~method_] under the
+    sampler's voting method, and to what [mrsl serve] answers. Draws no
+    random number, starts no chain and counts no [gibbs.chains]. Raises
+    [Invalid_argument] unless exactly one cell is missing, and on the
+    arity and range errors of {!conditional}. *)
+
 val run : ?config:config -> Prob.Rng.t -> sampler -> Relation.Tuple.t ->
   estimate
 (** Tuple-at-a-time inference for one tuple: burn-in, then N recorded
-    sweeps, then the empirical joint estimate. *)
+    sweeps, then the empirical joint estimate. A single-missing tuple
+    takes the {!vote} instead: no chain, no draw from the RNG. *)

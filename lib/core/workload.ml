@@ -5,7 +5,8 @@
    across per-worker deques in task-id order, and whenever a node
    completes, subsumees whose parents are all done either finish
    outright on donated samples or are pushed onto the completing
-   worker's deque — stealable by any idle domain.
+   worker's deque — stealable by any idle domain. A node whose tuple
+   misses one cell runs Algorithm 2's vote instead of a chain.
 
    Determinism: every node draws from its own RNG stream seeded by the
    node's index in the (deterministic) tuple DAG — a stable task
@@ -54,8 +55,17 @@ let task_seed ~seed node =
      node indices come from the deterministic DAG build. *)
   seed + ((node + 1) * 0x2545F4914F6CDD1D)
 
+(* What a node computes. A tuple with one missing cell takes Algorithm
+   2's vote ({!Gibbs.vote}): it subsumes no other tuple, so it is a DAG
+   leaf, takes no donations and runs no chain. Every other node fills a
+   sample bag. *)
+type work =
+  | Chain of Sample_bag.t
+  | Vote of { mutable answer : Gibbs.estimate option }
+
 type node = {
-  bag : Sample_bag.t;
+  tuple : Relation.Tuple.t;
+  work : work;
   mutable pending : int;  (* parents not yet completed *)
   mutable completed : bool;
   mutable failed : Error.t option;  (* Skip_and_report containment *)
@@ -66,10 +76,14 @@ type node = {
 let fresh_nodes config model dag =
   let schema = Model.schema model in
   Array.init (Tuple_dag.node_count dag) (fun i ->
+      let tuple = Tuple_dag.tuple dag i in
       {
-        bag =
-          Sample_bag.create schema ~capacity:config.Gibbs.samples
-            (Tuple_dag.tuple dag i);
+        tuple;
+        work =
+          (if Relation.Tuple.missing_count tuple = 1 then Vote { answer = None }
+           else
+             Chain
+               (Sample_bag.create schema ~capacity:config.Gibbs.samples tuple));
         pending = 0;
         completed = false;
         failed = None;
@@ -89,16 +103,27 @@ let burn_in config rng c counts =
     counts.sweeps <- counts.sweeps + 1
   done
 
+let vote sampler st =
+  match st.work with
+  | Vote v -> v.answer <- Some (Gibbs.vote sampler st.tuple)
+  | Chain _ -> ()
+
 (* One chain over the fully unknown tuple t*; every draw is offered to
-   every node it matches. Nodes the chain never matched get a direct
-   chain so every workload member still receives an estimate. *)
+   every chain node it matches. Chain nodes the chain never matched get a
+   direct chain so every workload member still receives an estimate;
+   single-missing nodes take the vote. *)
 let all_at_a_time config telemetry rng sampler max_draws nodes counts =
-  let n = Array.length nodes in
-  if n > 0 then begin
-    let arity = Array.length (Sample_bag.tuple nodes.(0).bag) in
+  let bags =
+    Array.of_list
+      (List.filter_map
+         (fun st -> match st.work with Chain bag -> Some bag | Vote _ -> None)
+         (Array.to_list nodes))
+  in
+  if bags <> [||] then begin
+    let arity = Array.length (Sample_bag.tuple bags.(0)) in
     let c = Gibbs.chain ~telemetry rng sampler (Array.make arity None) in
     burn_in config rng c counts;
-    let remaining = ref n in
+    let remaining = ref (Array.length bags) in
     let draws = ref 0 in
     while !remaining > 0 && !draws < max_draws do
       Gibbs.step rng c;
@@ -106,32 +131,32 @@ let all_at_a_time config telemetry rng sampler max_draws nodes counts =
       counts.sweeps <- counts.sweeps + 1;
       incr draws;
       Array.iter
-        (fun st ->
-          if (not st.completed) && Sample_bag.offer st.bag point then begin
+        (fun bag ->
+          if (not (Sample_bag.is_full bag)) && Sample_bag.offer bag point
+          then begin
             counts.recorded <- counts.recorded + 1;
-            if Sample_bag.is_full st.bag then begin
-              st.completed <- true;
-              decr remaining
-            end
+            if Sample_bag.is_full bag then decr remaining
           end)
-        nodes
+        bags
     done;
     Array.iter
-      (fun st ->
-        if Sample_bag.count st.bag = 0 then begin
-          let c =
-            Gibbs.chain ~telemetry rng sampler (Sample_bag.tuple st.bag)
-          in
+      (fun bag ->
+        if Sample_bag.count bag = 0 then begin
+          let c = Gibbs.chain ~telemetry rng sampler (Sample_bag.tuple bag) in
           burn_in config rng c counts;
           for _ = 1 to config.Gibbs.samples do
-            Sample_bag.sweep st.bag rng c;
+            Sample_bag.sweep bag rng c;
             counts.sweeps <- counts.sweeps + 1;
             counts.recorded <- counts.recorded + 1
           done
-        end;
-        st.completed <- true)
-      nodes
-  end
+        end)
+      bags
+  end;
+  Array.iter
+    (fun st ->
+      vote sampler st;
+      st.completed <- true)
+    nodes
 
 type worker_log = {
   mutable sweeps : int;
@@ -193,10 +218,10 @@ let schedule config strategy telemetry policy request_flow seed samplers dag
         nodes.(i).donors
   in
   (* DAG bookkeeping; call with [coord] held. Marks [i] done, promotes
-     children whose last parent just finished: each pulls donations
-     (parents in ascending order, samples oldest-first), completes
-     transitively if satisfied, otherwise joins the returned list of
-     newly runnable tasks. *)
+     children whose last parent just finished: a chain node pulls
+     donations (parents in ascending order, samples oldest-first) and
+     completes transitively if satisfied; otherwise, and always for a
+     voting node, it joins the returned list of newly runnable tasks. *)
   let rec complete i newly =
     let st = nodes.(i) in
     st.completed <- true;
@@ -208,25 +233,31 @@ let schedule config strategy telemetry policy request_flow seed samplers dag
         else begin
           cj.pending <- cj.pending - 1;
           if cj.pending > 0 then newly
-          else begin
-            List.iter
-              (fun p ->
-                let given = Sample_bag.share ~donor:nodes.(p).bag cj.bag in
-                counts.shared <- counts.shared + given;
-                if given > 0 then begin
-                  cj.donors <- p :: cj.donors;
-                  Trace.flow_start ~cat:"share"
-                    ~args:[ ("samples", Trace.Int given) ]
-                    ~id:(Trace.share_flow_id ~seed ~parent:p ~child:j)
-                    "share.donate"
-                end)
-              (parents j);
-            if Sample_bag.is_full cj.bag then begin
-              end_share_flows j;
-              complete j newly
-            end
-            else j :: newly
-          end
+          else
+            match cj.work with
+            | Vote _ -> j :: newly
+            | Chain bag ->
+                List.iter
+                  (fun p ->
+                    (* A voting node is a leaf, never a donor. *)
+                    match nodes.(p).work with
+                    | Vote _ -> ()
+                    | Chain donor ->
+                        let given = Sample_bag.share ~donor bag in
+                        counts.shared <- counts.shared + given;
+                        if given > 0 then begin
+                          cj.donors <- p :: cj.donors;
+                          Trace.flow_start ~cat:"share"
+                            ~args:[ ("samples", Trace.Int given) ]
+                            ~id:(Trace.share_flow_id ~seed ~parent:p ~child:j)
+                            "share.donate"
+                        end)
+                  (parents j);
+                if Sample_bag.is_full bag then begin
+                  end_share_flows j;
+                  complete j newly
+                end
+                else j :: newly
         end)
       newly (children i)
   in
@@ -265,32 +296,33 @@ let schedule config strategy telemetry policy request_flow seed samplers dag
         (Error.make Error.Scheduler ~code:"fault_inject.task"
            ~context:[ ("node", string_of_int i) ]
            "injected task fault");
-    let bag = st.bag in
-    if not (Sample_bag.is_full bag) then begin
-      let rng = Prob.Rng.create (task_seed ~seed i) in
-      let c = Gibbs.chain ~telemetry rng sampler (Sample_bag.tuple bag) in
-      for _ = 1 to config.Gibbs.burn_in do
-        Gibbs.step rng c;
-        log.sweeps <- log.sweeps + 1
-      done;
-      while not (Sample_bag.is_full bag) do
-        Sample_bag.sweep bag rng c;
-        log.sweeps <- log.sweeps + 1;
-        log.recorded <- log.recorded + 1;
-        if Sample_bag.count bag mod stride = 0 && Trace.enabled () then begin
-          let rhat, ess =
-            Diagnostics.convergence_snapshot sampler (Sample_bag.tuple bag)
-              (Sample_bag.points bag)
-          in
-          Trace.counter ~id:i ~cat:"gibbs" "gibbs.convergence"
-            [
-              ("rhat", if Float.is_finite rhat then rhat else 1e6);
-              ("ess", ess);
-              ("node", float_of_int i);
-            ]
-        end
-      done
-    end
+    match st.work with
+    | Vote _ -> vote sampler st
+    | Chain bag when Sample_bag.is_full bag -> ()
+    | Chain bag ->
+        let rng = Prob.Rng.create (task_seed ~seed i) in
+        let c = Gibbs.chain ~telemetry rng sampler (Sample_bag.tuple bag) in
+        for _ = 1 to config.Gibbs.burn_in do
+          Gibbs.step rng c;
+          log.sweeps <- log.sweeps + 1
+        done;
+        while not (Sample_bag.is_full bag) do
+          Sample_bag.sweep bag rng c;
+          log.sweeps <- log.sweeps + 1;
+          log.recorded <- log.recorded + 1;
+          if Sample_bag.count bag mod stride = 0 && Trace.enabled () then begin
+            let rhat, ess =
+              Diagnostics.convergence_snapshot sampler (Sample_bag.tuple bag)
+                (Sample_bag.points bag)
+            in
+            Trace.counter ~id:i ~cat:"gibbs" "gibbs.convergence"
+              [
+                ("rhat", if Float.is_finite rhat then rhat else 1e6);
+                ("ess", ess);
+                ("node", float_of_int i);
+              ]
+          end
+        done
   in
   let exec log sampler dq i =
     let st = nodes.(i) in
@@ -478,11 +510,20 @@ let execute ~config ~strategy ~max_draws ~telemetry ~policy ~quality
   Telemetry.add telemetry "workload.sweeps" counts.sweeps;
   Telemetry.add telemetry "workload.recorded" counts.recorded;
   Telemetry.add telemetry "workload.shared" counts.shared;
+  let voted =
+    Array.fold_left
+      (fun k st ->
+        match st.work with Vote { answer = Some _ } -> k + 1 | _ -> k)
+      0 nodes
+  in
+  Telemetry.add telemetry "workload.voted" voted;
   Telemetry.observe telemetry "workload.tuples" (float_of_int n);
   Log.info (fun m ->
-      m "%s: %d distinct tuples, %d sweeps (%d recorded, %d shared) in %.3fs"
-        (strategy_name strategy) n counts.sweeps counts.recorded counts.shared
-        wall);
+      m
+        "%s: %d distinct tuples, %d voted, %d sweeps (%d recorded, %d \
+         shared) in %.3fs"
+        (strategy_name strategy) n voted counts.sweeps counts.recorded
+        counts.shared wall);
   (* Node order is first-seen workload order. Failed and skipped nodes
      are reported in [faults] instead of the estimates. *)
   let estimates = ref [] and faults = ref [] in
@@ -493,14 +534,19 @@ let execute ~config ~strategy ~max_draws ~telemetry ~policy ~quality
         faults :=
           {
             node = i;
-            tuple = Sample_bag.tuple st.bag;
+            tuple = st.tuple;
             error;
             upstream = st.failed_upstream;
           }
           :: !faults
     | None ->
-        estimates :=
-          (Sample_bag.tuple st.bag, Sample_bag.estimate st.bag) :: !estimates
+        let est =
+          match st.work with
+          | Chain bag -> Sample_bag.estimate bag
+          | Vote { answer = Some est } -> est
+          | Vote { answer = None } -> assert false
+        in
+        estimates := (st.tuple, est) :: !estimates
   done;
   let estimates = !estimates and faults = !faults in
   if faults <> [] then begin

@@ -13,6 +13,18 @@
       completeness (Section V-A shows why it wastes samples on selective
       evidence).
 
+    Under every strategy, a tuple with exactly one missing cell takes
+    Algorithm 2's vote ({!Gibbs.vote}): one probe of the model epoch's
+    conditional table with the sampler's voting method, the exact
+    stationary distribution of the chain it would otherwise run. Such a
+    tuple subsumes no other tuple, so it is a tuple-DAG leaf: it keeps its
+    node (id, edges, task and fault-injection site, so [Skip_and_report]
+    is unchanged), but takes no donations, runs no chain and draws from no
+    RNG stream. Its estimate has [samples_used = 0] and is bit-identical
+    to [Infer_single.infer ~method_] — what [mrsl serve] answers. All-at-
+    a-time offers no points to such a tuple, so under no strategy does
+    another tuple's estimate depend on it.
+
     Tuple-at-a-time and tuple-DAG run on one work-stealing scheduler:
     every DAG node is a task on per-worker deques ({!Wsdeque}), roots
     dealt round-robin in node order, promoted subsumees pushed onto the
@@ -33,14 +45,16 @@
 
     Cost is reported as the number of Gibbs sweeps (sampled points,
     burn-in included) and wall-clock seconds — the two y-axes of
-    Fig 11. *)
+    Fig 11. A single-missing tuple costs 0 sweeps. *)
 
 type strategy = Tuple_at_a_time | Tuple_dag | All_at_a_time
 
 val strategy_name : strategy -> string
 
 type stats = {
-  sweeps : int;  (** Gibbs draws performed, burn-in included *)
+  sweeps : int;
+      (** Gibbs draws performed, burn-in included; none for single-missing
+          tuples *)
   recorded : int;  (** sample points recorded into per-tuple buffers *)
   shared : int;  (** of [recorded], how many arrived by DAG sharing *)
   wall_seconds : float;
@@ -91,12 +105,12 @@ val run_contained : ?config:Gibbs.config -> ?strategy:strategy ->
 
     [telemetry] (default {!Telemetry.global}) receives the
     [workload.run] span, the [workload.sweeps] / [workload.recorded] /
-    [workload.shared] counters and the [workload.tuples] histogram; the
-    scheduled strategies add [parallel.tasks] / [parallel.steals], the
-    [parallel.domains] gauge, one [parallel.queue_depth.max],
-    [sched.utilization] and [gibbs.memo_hit_rate] (over the run's own
-    probes) observation per worker, and [sched.busy_ns] /
-    [sched.idle_ns].
+    [workload.shared] / [workload.voted] counters and the
+    [workload.tuples] histogram; the scheduled strategies add
+    [parallel.tasks] / [parallel.steals], the [parallel.domains] gauge,
+    one [parallel.queue_depth.max], [sched.utilization] and
+    [gibbs.memo_hit_rate] (over the run's own probes) observation per
+    worker, and [sched.busy_ns] / [sched.idle_ns].
 
     {b Fault containment.} Under [policy = Skip_and_report] (default
     [Fail_fast]) a task exception does not unwind the run: the offending
@@ -121,8 +135,8 @@ val run_contained : ?config:Gibbs.config -> ?strategy:strategy ->
     before the task slice, terminating the daemon's admission → batch →
     task arrow. Pure observation.
 
-    The samplers' conditionals and chain initialisations read and fill
-    the model epoch's conditional tables (see {!Gibbs.sampler}), so a
+    The samplers' conditionals, votes and chain initialisations read and
+    fill the model epoch's conditional tables (see {!Gibbs.sampler}), so a
     run starts warm from every earlier run on the same model. Stored
     posteriors are bit-identical to recomputed ones: warm and cold runs,
     and runs with the tables on or off, produce identical estimates. *)

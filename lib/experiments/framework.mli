@@ -66,7 +66,8 @@ val make_workload : Prob.Rng.t -> prepared -> size:int ->
 val workload_stats : ?memoize:bool -> Prob.Rng.t -> Mrsl.Model.t ->
   strategy:Mrsl.Workload.strategy -> samples:int -> burn_in:int ->
   Relation.Tuple.t list -> Mrsl.Workload.stats
-(** Run a workload under a strategy and report its cost counters (Fig 11).
+(** Run a workload under a strategy and report its cost counters (Fig 11;
+    single-missing tuples take the vote and cost 0 sweeps).
     [memoize] defaults to [false] here: Fig 11 measures the paper's cost
     model, where wall time is proportional to sampled points. *)
 

@@ -13,7 +13,13 @@
       evaluation, {!Predicate.eval_partial}) are answered without any
       sampling;
     - blocks that are materialized are cached, so later queries reuse
-      them. *)
+      them.
+
+    A block is inferred with {!Mrsl.Gibbs.run}, which answers a
+    single-missing tuple by Algorithm 2's vote ({!Mrsl.Gibbs.vote}, the
+    helper {!Mrsl.Workload}'s executor uses): its lazy block is
+    bit-identical to the eager one of {!Pdb.derive}, and draws nothing
+    from the view's RNG. *)
 
 type t
 

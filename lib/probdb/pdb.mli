@@ -17,9 +17,11 @@ val derive : ?config:Mrsl.Gibbs.config -> ?method_:Mrsl.Voting.method_ ->
   Mrsl.Model.t -> Relation.Instance.t -> t
 (** The paper's end-to-end derivation: keep complete tuples as certain
     blocks, run (tuple-DAG, by default) multi-attribute inference over the
-    incomplete tuples, and materialize one block per tuple. Single-missing
-    tuples also go through the sampler, which degenerates gracefully;
-    identical incomplete tuples share one inference run but still yield
+    incomplete tuples ({!Mrsl.Workload.run}), and materialize one block
+    per tuple. A single-missing tuple takes Algorithm 2's vote there, not
+    a Gibbs chain: its block carries exactly the floats of
+    [Infer_single.infer ~method_], the answer [mrsl serve] gives for it.
+    Identical incomplete tuples share one inference run but still yield
     one block each. *)
 
 val schema : t -> Relation.Schema.t

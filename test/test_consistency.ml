@@ -144,9 +144,10 @@ let test_meta_rule_weight_is_body_support () =
         (Relation.Instance.support rel [| None; Some 0; None; None |])
         m.weight
 
-(* Gibbs single-missing estimate must agree with Algorithm 2's direct
-   estimate (the chain just resamples one attribute from its own
-   conditional). *)
+(* A chain over a single-missing tuple just resamples the one attribute
+   from its own conditional, so its draws follow Algorithm 2's direct
+   estimate. Inference answers such a tuple by the vote and runs no
+   chain; this drives the sampler kernel's one-cell step directly. *)
 let test_gibbs_degenerates_to_single_inference () =
   let model =
     Mrsl.Model.learn_points dependent_schema (dependent_points 300)
@@ -154,14 +155,94 @@ let test_gibbs_degenerates_to_single_inference () =
   let sampler = Mrsl.Gibbs.sampler model in
   let tup : Relation.Tuple.t = [| Some 1; None; Some 0 |] in
   let direct = Mrsl.Infer_single.infer model tup 1 in
-  let est =
-    Mrsl.Gibbs.run
-      ~config:{ burn_in = 20; samples = 4000 }
-      (rng ()) sampler tup
-  in
-  let sampled = Mrsl.Gibbs.marginal est 1 in
+  let r = rng () in
+  let c = Mrsl.Gibbs.chain r sampler tup in
+  for _ = 1 to 20 do
+    Mrsl.Gibbs.step r c
+  done;
+  let counts = Array.make 2 0. in
+  for _ = 1 to 4000 do
+    Mrsl.Gibbs.step r c;
+    let v = (Mrsl.Gibbs.current c).(1) in
+    counts.(v) <- counts.(v) +. 1.
+  done;
+  let sampled = Prob.Dist.of_weights counts in
   Alcotest.(check bool) "within sampling noise" true
     (Prob.Divergence.total_variation direct sampled < 0.03)
+
+(* For a single-missing tuple, the block [Pdb.derive] emits carries
+   exactly the floats [mrsl serve] answers: the engine's
+   [Infer_single.infer ~cache], itself equal to the uncached vote. Every
+   strategy, every voting method. *)
+let test_derive_block_is_served_answer () =
+  let entry = Bayesnet.Catalog.find "BN8" in
+  let r = Prob.Rng.create 2011 in
+  let net = Bayesnet.Network.generate r entry.topology in
+  let model =
+    Mrsl.Model.learn
+      ~params:{ Mrsl.Model.default_params with support_threshold = 0.01 }
+      (Bayesnet.Network.sample_instance r net 2000)
+  in
+  let schema = Mrsl.Model.schema model in
+  let arity = Relation.Schema.arity schema in
+  let tuples =
+    List.init 40 (fun _ ->
+        let tup =
+          Relation.Tuple.of_point (Bayesnet.Network.sample_point r net)
+        in
+        List.iter
+          (fun a -> tup.(a) <- None)
+          (Prob.Rng.sample_without_replacement r
+             (1 + Prob.Rng.int r (arity - 1))
+             arity);
+        tup)
+  in
+  let inst = Relation.Instance.make schema tuples in
+  let cache =
+    Mrsl.Posterior_cache.create ~telemetry:(Mrsl.Telemetry.create ()) ()
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun (strategy, method_) ->
+      let blocks =
+        Probdb.Pdb.blocks
+          (Probdb.Pdb.derive
+             ~config:{ burn_in = 10; samples = 100 }
+             ~method_ ~strategy (rng ()) model inst)
+      in
+      List.iteri
+        (fun i tup ->
+          match Relation.Tuple.missing tup with
+          | [ a ] ->
+              let served =
+                Mrsl.Infer_single.infer ~method_ ~cache model tup a
+              in
+              let uncached = Mrsl.Infer_single.infer ~method_ model tup a in
+              if Prob.Dist.to_array served <> Prob.Dist.to_array uncached then
+                Alcotest.failf "tuple %d: cached answer differs" i;
+              let block =
+                Probdb.Block.of_estimate
+                  {
+                    Mrsl.Gibbs.tuple = tup;
+                    missing = [ a ];
+                    cards = [| Relation.Schema.cardinality schema a |];
+                    joint = served;
+                    samples_used = 0;
+                  }
+              in
+              if blocks.(i) <> block then
+                Alcotest.failf "%s, %s: tuple %d's block is not served"
+                  (Mrsl.Workload.strategy_name strategy)
+                  (Mrsl.Voting.method_name method_)
+                  i;
+              incr checked
+          | _ -> ())
+        tuples)
+    (List.concat_map
+       (fun strategy ->
+         List.map (fun m -> (strategy, m)) Mrsl.Voting.all_methods)
+       Mrsl.Workload.[ Tuple_dag; Tuple_at_a_time; All_at_a_time ]);
+  Alcotest.(check bool) "single-missing tuples checked" true (!checked > 0)
 
 (* End-to-end statistical identity: on an independent network (BN4) the
    inferred CPD for any attribute is close to its marginal, regardless of
@@ -250,6 +331,8 @@ let suite =
      test_meta_rule_weight_is_body_support);
     ("gibbs degenerates to Algorithm 2", `Slow,
      test_gibbs_degenerates_to_single_inference);
+    ("derive block = served answer", `Quick,
+     test_derive_block_is_served_answer);
     ("independent network ignores evidence", `Slow,
      test_independent_network_ignores_evidence);
     ("DAG sharing respects evidence", `Quick, test_dag_sharing_respects_evidence);

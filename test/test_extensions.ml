@@ -221,6 +221,52 @@ let test_lazy_agrees_with_eager () =
      sampling noise. *)
   check_float ~eps:0.15 "lazy ≈ eager" eager_count lazy_count
 
+(* A single-missing tuple takes Algorithm 2's vote on both paths, so its
+   lazy and eager blocks are the same floats, under every voting method,
+   and equal the block of [Infer_single]'s answer. *)
+let test_lazy_eager_single_missing_identical () =
+  let model, _, _ = lazy_fixture () in
+  let tuples : Relation.Tuple.t list =
+    [
+      [| Some 1; None; Some 0 |]; [| None; Some 0; Some 1 |];
+      [| Some 0; Some 1; None |]; [| None; None; Some 1 |];
+      [| Some 1; None; Some 0 |];
+    ]
+  in
+  let inst = Relation.Instance.make dependent_schema tuples in
+  let config = { Mrsl.Gibbs.burn_in = 10; samples = 200 } in
+  List.iter
+    (fun method_ ->
+      let eager =
+        Probdb.Pdb.blocks
+          (Probdb.Pdb.derive ~config ~method_ (rng ()) model inst)
+      in
+      let view =
+        Probdb.Lazy_pdb.create ~config ~method_ (Prob.Rng.create 5) model inst
+      in
+      let lazy_ = Probdb.Pdb.blocks (Probdb.Lazy_pdb.force view) in
+      List.iteri
+        (fun i tup ->
+          match Relation.Tuple.missing tup with
+          | [ a ] ->
+              let served =
+                Probdb.Block.of_estimate
+                  {
+                    Mrsl.Gibbs.tuple = tup;
+                    missing = [ a ];
+                    cards = [| 2 |];
+                    joint = Mrsl.Infer_single.infer ~method_ model tup a;
+                    samples_used = 0;
+                  }
+              in
+              if lazy_.(i) <> eager.(i) then
+                Alcotest.failf "tuple %d: lazy and eager blocks differ" i;
+              if eager.(i) <> served then
+                Alcotest.failf "tuple %d: block is not Algorithm 2's answer" i
+          | _ -> ())
+        tuples)
+    Mrsl.Voting.all_methods
+
 let test_lazy_force () =
   let _, _, view = lazy_fixture () in
   let db = Probdb.Lazy_pdb.force view in
@@ -247,6 +293,8 @@ let suite =
      test_lazy_decided_queries_skip_sampling);
     ("partial materialization", `Quick, test_lazy_partial_materialization);
     ("lazy agrees with eager", `Quick, test_lazy_agrees_with_eager);
+    ("lazy = eager on single-missing", `Quick,
+     test_lazy_eager_single_missing_identical);
     ("force materializes everything", `Quick, test_lazy_force);
     ("lazy prob_exists", `Quick, test_lazy_prob_exists);
   ]

@@ -134,6 +134,7 @@ let registry_names =
     "workload.shared";
     "workload.sweeps";
     "workload.tuples";
+    "workload.voted";
   ]
 
 let trace_categories =

@@ -136,6 +136,28 @@ let test_gibbs_matches_exact_posterior_on_bn () =
   let kl = Prob.Divergence.kl truth est.joint in
   if kl > 0.25 then Alcotest.failf "Gibbs KL too large: %f" kl
 
+(* A single-missing tuple takes the vote: Algorithm 2's floats, nothing
+   sampled, no draw from the RNG; any other tuple is refused. *)
+let test_vote_is_algorithm_2 () =
+  let model = trained_model () in
+  let s = Mrsl.Gibbs.sampler model in
+  let tup : Relation.Tuple.t = [| Some 1; None; Some 0 |] in
+  let r = Prob.Rng.create 11 in
+  let est = Mrsl.Gibbs.run r s tup in
+  Alcotest.(check int) "nothing sampled" 0 est.samples_used;
+  Alcotest.(check (list int)) "missing" [ 1 ] est.missing;
+  Alcotest.(check bool) "Algorithm 2's floats" true
+    (Prob.Dist.to_array est.joint
+    = Prob.Dist.to_array (Mrsl.Infer_single.infer model tup 1));
+  Alcotest.(check bool) "no draw" true
+    (Prob.Rng.bits64 r = Prob.Rng.bits64 (Prob.Rng.create 11));
+  List.iter
+    (fun (t : Relation.Tuple.t) ->
+      Alcotest.check_raises "one missing cell only"
+        (Invalid_argument "Gibbs.vote: tuple must miss exactly one cell")
+        (fun () -> ignore (Mrsl.Gibbs.vote s t)))
+    [ [| Some 1; None; None |]; [| Some 1; Some 1; Some 0 |] ]
+
 let test_gibbs_run_deterministic () =
   let model = trained_model () in
   let s = Mrsl.Gibbs.sampler model in
@@ -262,18 +284,24 @@ let test_workload_covers_all_tuples () =
         5
         (List.length result.estimates);
       List.iter
-        (fun (_, (est : Mrsl.Gibbs.estimate)) ->
-          Alcotest.(check bool) "reached target samples" true
-            (est.samples_used >= 150);
+        (fun (tup, (est : Mrsl.Gibbs.estimate)) ->
+          (* The single-missing tuple takes the vote: exact, nothing
+             sampled. *)
+          if Relation.Tuple.missing_count tup = 1 then
+            Alcotest.(check int) "voted: nothing sampled" 0 est.samples_used
+          else
+            Alcotest.(check bool) "reached target samples" true
+              (est.samples_used >= 150);
           check_dist_sums_to_one "estimate normalized" est.joint)
         result.estimates)
     Mrsl.Workload.[ Tuple_at_a_time; Tuple_dag; All_at_a_time ]
 
 let test_workload_tuple_at_a_time_accounting () =
   let result = run_strategy Mrsl.Workload.Tuple_at_a_time in
-  (* 5 distinct tuples × (20 burn-in + 150 samples). *)
-  Alcotest.(check int) "sweeps" (5 * 170) result.stats.sweeps;
-  Alcotest.(check int) "recorded" (5 * 150) result.stats.recorded;
+  (* 4 multi-missing tuples × (20 burn-in + 150 samples); the
+     single-missing one costs 0 sweeps. *)
+  Alcotest.(check int) "sweeps" (4 * 170) result.stats.sweeps;
+  Alcotest.(check int) "recorded" (4 * 150) result.stats.recorded;
   Alcotest.(check int) "nothing shared" 0 result.stats.shared
 
 let test_workload_dag_cheaper () =
@@ -325,8 +353,9 @@ let test_workload_all_at_a_time_cap () =
   Alcotest.(check int) "all estimated despite cap" 5
     (List.length result.estimates);
   List.iter
-    (fun (_, (est : Mrsl.Gibbs.estimate)) ->
-      Alcotest.(check bool) "has samples" true (est.samples_used > 0))
+    (fun (tup, (est : Mrsl.Gibbs.estimate)) ->
+      if Relation.Tuple.missing_count tup > 1 then
+        Alcotest.(check bool) "has samples" true (est.samples_used > 0))
     result.estimates
 
 (* Property: tuple-DAG roots are exactly the nodes nothing else subsumes. *)
@@ -390,6 +419,7 @@ let suite =
     ("gibbs matches exact posterior", `Slow,
      test_gibbs_matches_exact_posterior_on_bn);
     ("gibbs deterministic by seed", `Quick, test_gibbs_run_deterministic);
+    ("vote = Algorithm 2, no draw", `Quick, test_vote_is_algorithm_2);
     ("tuple DAG reproduces Fig 3", `Quick, test_tuple_dag_fig3_structure);
     ("tuple DAG dedup", `Quick, test_tuple_dag_dedup);
     ("tuple DAG Hasse reduction", `Quick, test_tuple_dag_hasse_reduction);

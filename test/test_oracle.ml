@@ -54,7 +54,10 @@ let z = 3.29
 
 (* BN9: a crown of six binary attributes. Four sampled points each give a
    3-missing tuple and two 2-missing subsumees of it, so the DAG has four
-   roots and eight donation-fed nodes. *)
+   roots and eight donation-fed nodes. Each root also has a single-missing
+   leaf below it, last in node order: it takes the vote, runs no chain and
+   takes no donations, so the other twelve nodes sample as they would
+   without it. *)
 let fixture =
   lazy
     (let entry = Bayesnet.Catalog.find "BN9" in
@@ -65,23 +68,27 @@ let fixture =
          ~params:{ Mrsl.Model.default_params with support_threshold = 0.01 }
          (Bayesnet.Network.sample_instance r net 3000)
      in
-     let tuples =
-       List.concat_map
+     let roots =
+       List.map
          (fun _ ->
            let p = Bayesnet.Network.sample_point r net in
-           let masked =
-             Prob.Rng.sample_without_replacement r 3 (Array.length p)
-           in
-           let parent = Relation.Tuple.of_point p in
-           List.iter (fun a -> parent.(a) <- None) masked;
-           parent
-           :: List.map
-                (fun a ->
-                  let child = Array.copy parent in
-                  child.(a) <- Some p.(a);
-                  child)
-                (List.filteri (fun j _ -> j < 2) masked))
+           (p, Prob.Rng.sample_without_replacement r 3 (Array.length p)))
          (List.init 4 Fun.id)
+     in
+     let with_missing p cells =
+       let tup = Relation.Tuple.of_point p in
+       List.iter (fun a -> tup.(a) <- None) cells;
+       tup
+     in
+     let tuples =
+       List.concat_map
+         (fun (p, masked) ->
+           with_missing p masked
+           :: List.map
+                (fun a -> with_missing p (List.filter (( <> ) a) masked))
+                (List.filteri (fun j _ -> j < 2) masked))
+         roots
+       @ List.map (fun (p, masked) -> with_missing p [ List.nth masked 2 ]) roots
      in
      (model, tuples, Mrsl.Tuple_dag.build tuples))
 
@@ -417,22 +424,37 @@ let shared_check (a, b) candidate nodes =
     bound = (!spread /. m) +. (z *. sqrt (2. *. !var /. k) /. m);
   }
 
+(* The chain nodes (all, roots, donation-fed) and the single-missing
+   leaves. *)
 let dag_nodes () =
   let _, _, dag = Lazy.force fixture in
-  let all = List.init (Mrsl.Tuple_dag.node_count dag) Fun.id in
+  let nodes = List.init (Mrsl.Tuple_dag.node_count dag) Fun.id in
+  let leaves, all =
+    List.partition
+      (fun i -> Relation.Tuple.missing_count (Mrsl.Tuple_dag.tuple dag i) = 1)
+      nodes
+  in
   let roots = Mrsl.Tuple_dag.roots dag in
-  (all, roots, List.filter (fun i -> not (List.mem i roots)) all)
+  (all, roots, List.filter (fun i -> not (List.mem i roots)) all, leaves)
 
 let test_fixture_shape () =
-  let _, roots, shared = dag_nodes () in
-  let _, tuples, _ = Lazy.force fixture in
+  let all, roots, shared, leaves = dag_nodes () in
+  let _, _, dag = Lazy.force fixture in
   List.iter
-    (fun tup ->
-      let k = Relation.Tuple.missing_count tup in
+    (fun i ->
+      let k = Relation.Tuple.missing_count (Mrsl.Tuple_dag.tuple dag i) in
       if k < 2 || k > 3 then Alcotest.failf "tuple with %d missing cells" k)
-    tuples;
+    all;
   Alcotest.(check int) "roots" 4 (List.length roots);
   Alcotest.(check int) "nodes fed by donations" 8 (List.length shared);
+  Alcotest.(check (list int)) "single-missing leaves, last" [ 12; 13; 14; 15 ]
+    leaves;
+  List.iter
+    (fun i ->
+      Alcotest.(check (list int)) "a leaf" [] (Mrsl.Tuple_dag.children dag i);
+      Alcotest.(check bool) "below a root's subtree" true
+        (Mrsl.Tuple_dag.parents dag i <> []))
+    leaves;
   (* The references are distributions, and the predicted errors are
      informative: well below the TV of a uniform guess. *)
   Array.iteri
@@ -446,7 +468,7 @@ let test_fixture_shape () =
     (Lazy.force references)
 
 let test_exact_reference () =
-  let all, roots, _ = dag_nodes () in
+  let all, roots, _, _ = dag_nodes () in
   let refs = Lazy.force references in
   let own = Array.map fst refs and global = Array.map snd refs in
   List.iter
@@ -491,7 +513,7 @@ let test_all_at_a_time_tables_off () =
   | [] -> assert false
 
 let test_shared_nodes () =
-  let _, _, shared = dag_nodes () in
+  let _, _, shared, _ = dag_nodes () in
   List.iter
     (fun ex ->
       let dag =
@@ -505,8 +527,34 @@ let test_shared_nodes () =
           ex.name)
     (Lazy.force executors)
 
+(* A single-missing leaf is answered by Algorithm 2's vote, not sampled:
+   every executor, strategy and table setting must return exactly
+   [Infer_single]'s floats for it. *)
+let test_single_missing_leaves () =
+  let model, _, dag = Lazy.force fixture in
+  let _, _, _, leaves = dag_nodes () in
+  let method_ = Mrsl.Voting.best_averaged in
+  List.iter
+    (fun ex ->
+      List.iter
+        (fun strategy ->
+          let est = ex.run strategy 1 in
+          List.iter
+            (fun i ->
+              let tup = Mrsl.Tuple_dag.tuple dag i in
+              let a = List.hd (Relation.Tuple.missing tup) in
+              let exact = Mrsl.Infer_single.infer ~method_ model tup a in
+              if Prob.Dist.to_array est.(i) <> Prob.Dist.to_array exact then
+                Alcotest.failf "%s, %s: leaf %d is not Algorithm 2's answer"
+                  ex.name
+                  (Mrsl.Workload.strategy_name strategy)
+                  i)
+            leaves)
+        Mrsl.Workload.[ Tuple_at_a_time; Tuple_dag; All_at_a_time ])
+    (Lazy.force executors)
+
 let test_negative_control () =
-  let _, _, shared = dag_nodes () in
+  let _, _, shared, _ = dag_nodes () in
   let sets = tat_sets (List.hd (Lazy.force executors)).run in
   let local respect_evidence =
     shared_check sets
@@ -526,6 +574,7 @@ let suite =
     ("own chains and t* chain = exact π", `Slow, test_exact_reference);
     ("all-at-a-time tables off = on", `Slow, test_all_at_a_time_tables_off);
     ("shared DAG nodes = TAT spread", `Slow, test_shared_nodes);
+    ("single-missing leaves = Algorithm 2", `Slow, test_single_missing_leaves);
     ("negative control: evidence-blind donation", `Slow,
      test_negative_control);
   ]

@@ -312,8 +312,10 @@ let test_health_counters () =
   let model = dependent_model () in
   let registry = T.create () in
   let m = monitor () in
+  (* Two multi-missing tuples, neither subsuming the other, and a
+     single-missing one, which takes the vote and starts no chain. *)
   let workload =
-    [ [| None; Some 0; Some 0 |]; [| Some 1; None; Some 1 |] ]
+    [ [| None; None; Some 0 |]; [| Some 1; None; None |]; [| Some 1; None; Some 1 |] ]
   in
   let sampler = Mrsl.Gibbs.sampler model in
   ignore
@@ -321,7 +323,9 @@ let test_health_counters () =
        ~config:{ Mrsl.Gibbs.burn_in = 5; samples = 20 }
        ~telemetry:registry ~quality:m (Prob.Rng.create 7) sampler workload);
   let h = Q.health ~registry m in
-  Alcotest.(check int) "one chain per distinct tuple" 2 h.Q.chains;
+  Alcotest.(check int) "one chain per distinct multi-missing tuple" 2
+    h.Q.chains;
+  Alcotest.(check int) "one vote" 1 (T.counter registry "workload.voted");
   Alcotest.(check int) "no checked runs" 0 h.Q.checked_runs;
   Helpers.check_float "nonconverged share 0 when unchecked" 0.
     h.Q.nonconverged_share;

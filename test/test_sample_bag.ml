@@ -103,7 +103,25 @@ let record st point =
   st.samples <- point :: st.samples;
   st.count <- st.count + 1
 
-(* All-at-a-time's single chain over t*, drawing from one RNG. *)
+(* A single-missing tuple runs no chain: its estimate is Algorithm 2's
+   conditional, computed here by [Infer_single] directly. *)
+let single st = Relation.Tuple.missing_count st.tuple = 1
+
+let estimate model sampler st =
+  match Relation.Tuple.missing st.tuple with
+  | [ a ] ->
+      {
+        Mrsl.Gibbs.tuple = st.tuple;
+        missing = [ a ];
+        cards =
+          [| Relation.Schema.cardinality (Mrsl.Model.schema model) a |];
+        joint = Mrsl.Infer_single.infer model st.tuple a;
+        samples_used = 0;
+      }
+  | _ -> Mrsl.Gibbs.estimate_of_points sampler st.tuple st.samples
+
+(* All-at-a-time's single chain over t*, drawing from one RNG, for the
+   multi-missing tuples. *)
 let reference ~max_draws seed model tuples =
   let sampler = Mrsl.Gibbs.sampler model in
   let rng = Prob.Rng.create seed in
@@ -120,43 +138,44 @@ let reference ~max_draws seed model tuples =
     c
   in
   let arity = Array.length nodes.(0).tuple in
-  let c = start (Array.make arity None) in
-  let remaining = ref (Array.length nodes) and draws = ref 0 in
-  while !remaining > 0 && !draws < max_draws do
-    let point = Mrsl.Gibbs.sweep rng c in
-    incr sweeps;
-    incr draws;
-    Array.iter
+  let chained =
+    List.filter (fun st -> not (single st)) (Array.to_list nodes)
+  in
+  if chained <> [] then begin
+    let c = start (Array.make arity None) in
+    let remaining = ref (List.length chained) and draws = ref 0 in
+    while !remaining > 0 && !draws < max_draws do
+      let point = Mrsl.Gibbs.sweep rng c in
+      incr sweeps;
+      incr draws;
+      List.iter
+        (fun st ->
+          if (not st.completed) && st.count < target
+             && Relation.Tuple.matches ~point st.tuple
+          then begin
+            record st point;
+            incr recorded;
+            if st.count >= target then begin
+              st.completed <- true;
+              decr remaining
+            end
+          end)
+        chained
+    done;
+    List.iter
       (fun st ->
-        if (not st.completed) && st.count < target
-           && Relation.Tuple.matches ~point st.tuple
-        then begin
-          record st point;
-          incr recorded;
-          if st.count >= target then begin
-            st.completed <- true;
-            decr remaining
-          end
+        if st.count = 0 then begin
+          let c = start st.tuple in
+          for _ = 1 to target do
+            record st (Mrsl.Gibbs.sweep rng c);
+            incr sweeps;
+            incr recorded
+          done
         end)
-      nodes
-  done;
-  Array.iter
-    (fun st ->
-      if st.count = 0 then begin
-        let c = start st.tuple in
-        for _ = 1 to target do
-          record st (Mrsl.Gibbs.sweep rng c);
-          incr sweeps;
-          incr recorded
-        done
-      end)
-    nodes;
+      chained
+  end;
   {
-    estimates =
-      Array.to_list
-        (Array.map
-           (fun st -> Mrsl.Gibbs.estimate_of_points sampler st.tuple st.samples)
-           nodes);
+    estimates = Array.to_list (Array.map (estimate model sampler) nodes);
     sweeps = !sweeps;
     recorded = !recorded;
     shared = 0;
@@ -178,7 +197,8 @@ let parallel_reference strategy seed model tuples =
   let sweeps = ref 0 and recorded = ref 0 and shared = ref 0 in
   let rec finish i =
     let st = nodes.(i) in
-    if not st.completed then begin
+    if single st then st.completed <- true
+    else if not st.completed then begin
       List.iter finish (parents i);
       List.iter
         (fun p ->
@@ -210,11 +230,7 @@ let parallel_reference strategy seed model tuples =
   in
   Array.iteri (fun i _ -> finish i) nodes;
   {
-    estimates =
-      Array.to_list
-        (Array.map
-           (fun st -> Mrsl.Gibbs.estimate_of_points sampler st.tuple st.samples)
-           nodes);
+    estimates = Array.to_list (Array.map (estimate model sampler) nodes);
     sweeps = !sweeps;
     recorded = !recorded;
     shared = !shared;
