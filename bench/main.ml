@@ -521,11 +521,11 @@ let run_resources fx =
 
 (* ------------------------------------------------------------------ *)
 (* Compiled-kernel comparison (ROADMAP item 2): the two gated micros
-   timed interpreted vs compiled in the same process, with allocation
-   per run, plus the bit-identity cross-check the gate requires before
-   it will accept any speedup number. Manual timing (not Bechamel):
-   each mode needs the global kernel switch held across its whole
-   timing loop. *)
+   timed interpreted vs compiled in interleaved pairs in the same
+   process, with allocation per run, plus the bit-identity cross-check
+   the gate requires before it will accept any speedup number. Manual
+   timing (not Bechamel): each mode needs the global kernel switch held
+   across its whole timing loop. *)
 
 let run_kernel () =
   let fx = micro_fixture () in
@@ -533,24 +533,6 @@ let run_kernel () =
     let prev = Mrsl.Kernel.enabled () in
     Mrsl.Kernel.set_enabled b;
     Fun.protect ~finally:(fun () -> Mrsl.Kernel.set_enabled prev) f
-  in
-  let time_alloc f =
-    (* One warm run hoists kernel compilation and lattice setup out of
-       the measurement; rep count adapts so each loop runs ~0.3s. *)
-    f ();
-    let t0 = Unix.gettimeofday () in
-    f ();
-    let once = Unix.gettimeofday () -. t0 in
-    let reps = max 5 (min 200 (int_of_float (0.3 /. Float.max 1e-6 once))) in
-    Gc.full_major ();
-    let a0 = Gc.allocated_bytes () in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    let a1 = Gc.allocated_bytes () in
-    (dt /. float_of_int reps *. 1e9, (a1 -. a0) /. float_of_int reps)
   in
   let gibbs_config = { Mrsl.Gibbs.burn_in = 20; samples = 100 } in
   let gibbs_run () =
@@ -562,11 +544,56 @@ let run_kernel () =
       (Mrsl.Gibbs.run ~config:gibbs_config (Prob.Rng.create 7) sampler
          fx.multi_tuple)
   in
+  (* Interpreted (the oracle) against compiled in the same process, on
+     the monotonic clock: [pairs] interleaved pairs of [reps]-run loops,
+     the two paths' order alternating from pair to pair so drift and
+     warm-up hit both. Each side reports its median ns and allocated
+     bytes per run; the speedup is the median of the per-pair ratios, so
+     one noisy loop moves neither the ratio nor the gate. *)
+  let pairs = 21 in
+  let median xs =
+    let a = Array.of_list xs in
+    Array.sort Float.compare a;
+    a.(Array.length a / 2)
+  in
   let measure name f =
-    let i_ns, i_alloc = with_kernel false (fun () -> time_alloc f) in
-    let c_ns, c_alloc = with_kernel true (fun () -> time_alloc f) in
-    let speedup = if c_ns > 0. then i_ns /. c_ns else 0. in
-    (name, i_ns, c_ns, speedup, i_alloc, c_alloc)
+    let loop reps b =
+      with_kernel b (fun () ->
+          let a0 = Gc.allocated_bytes () in
+          let t0 = Mrsl.Clock.now_ns () in
+          for _ = 1 to reps do
+            f ()
+          done;
+          let ns =
+            Mrsl.Clock.duration_ns ~start:t0 ~stop:(Mrsl.Clock.now_ns ())
+          in
+          let a1 = Gc.allocated_bytes () in
+          ( float_of_int ns /. float_of_int reps,
+            (a1 -. a0) /. float_of_int reps ))
+    in
+    (* One warm run per path hoists kernel compilation and lattice setup
+       out of the measurement; reps are sized so the slower, interpreted
+       loop takes about 30 ms. *)
+    ignore (loop 1 true);
+    let once, _ = loop 1 false in
+    let reps = max 3 (min 200 (int_of_float (3e7 /. Float.max 1e3 once))) in
+    let runs =
+      List.init pairs (fun k ->
+          Gc.full_major ();
+          if k mod 2 = 0 then
+            let i = loop reps false in
+            (i, loop reps true)
+          else
+            let c = loop reps true in
+            (loop reps false, c))
+    in
+    let med f = median (List.map f runs) in
+    ( name,
+      med (fun ((i, _), _) -> i),
+      med (fun (_, (c, _)) -> c),
+      med (fun ((i, _), (c, _)) -> if c > 0. then i /. c else 0.),
+      med (fun ((_, a), _) -> a),
+      med (fun (_, (_, a)) -> a) )
   in
   let rows =
     [
@@ -622,6 +649,7 @@ let run_kernel () =
                       ])
                   rows) );
            ("bit_identical", Json.Bool bit_identical);
+           ("pairs", Json.Int pairs);
          ]);
   let body =
     Experiments.Report.render ~title:"Compiled kernels vs interpreted"
@@ -631,7 +659,10 @@ let run_kernel () =
          (fun (name, i_ns, c_ns, speedup, i_alloc, c_alloc) ->
            Experiments.Report.[ S name; F i_ns; F c_ns; F speedup; F i_alloc; F c_alloc ])
          rows)
-    ^ Printf.sprintf "bit_identical: %b\n" bit_identical
+    ^ Printf.sprintf
+        "medians over %d interleaved pairs; speedup = median per-pair ratio\n\
+         bit_identical: %b\n"
+        pairs bit_identical
   in
   section "kernel" body
 
