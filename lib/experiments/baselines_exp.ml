@@ -35,7 +35,7 @@ let score tasks infer =
   (!kl /. n, float_of_int !top1 /. n)
 
 let compute rng scale =
-  let stream = Util.stream ~seed:(Util.stream_seed rng) in
+  let stream = Util.streams rng in
   List.concat_map
     (fun id ->
       let entry = Bayesnet.Catalog.find id in

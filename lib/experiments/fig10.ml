@@ -9,7 +9,7 @@ type point = {
 let networks = [ "BN8"; "BN17"; "BN2" ]
 
 let compute rng scale =
-  let stream = Util.stream ~seed:(Util.stream_seed rng) in
+  let stream = Util.streams rng in
   List.concat_map
     (fun id ->
       let entry = Bayesnet.Catalog.find id in

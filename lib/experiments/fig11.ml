@@ -10,7 +10,7 @@ type point = {
 let strategies = Mrsl.Workload.[ Tuple_at_a_time; Tuple_dag ]
 
 let compute rng scale =
-  let stream = Util.stream ~seed:(Util.stream_seed rng) in
+  let stream = Util.streams rng in
   let networks =
     Util.take scale.Scale.networks_cap
       Bayesnet.Catalog.multi_inference_networks

@@ -11,7 +11,7 @@
     as in the paper, not a chain. Each row reports the workload's
     single-missing count beside its cost, counted from the workload
     itself. The data, each workload and each cell's chains draw from
-    their own streams ({!Util.stream}), so the workloads do not depend on
+    their own streams ({!Util.streams}), so the workloads do not depend on
     the samplers. *)
 
 type point = {

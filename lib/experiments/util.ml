@@ -7,6 +7,6 @@ let avg_by f = function
   | [] -> 0.
   | xs -> List.fold_left (fun acc x -> acc +. f x) 0. xs /. float_of_int (List.length xs)
 
-let stream ~seed purpose k = Prob.Rng.create (Hashtbl.hash (seed, purpose, k))
-
-let stream_seed rng = Int64.to_int (Prob.Rng.bits64 rng)
+let streams rng =
+  let seed = Int64.to_int (Prob.Rng.bits64 rng) in
+  fun purpose k -> Prob.Rng.create (Hashtbl.hash (seed, purpose, k))

@@ -6,12 +6,11 @@ val take : int -> 'a list -> 'a list
 val avg_by : ('a -> float) -> 'a list -> float
 (** Mean of a projection; 0 on the empty list. *)
 
-val stream_seed : Prob.Rng.t -> int
-(** One draw of [rng], the seed of an experiment's {!stream}s. *)
-
-val stream : seed:int -> string -> int -> Prob.Rng.t
-(** [stream ~seed purpose k] — an independent generator for one purpose
-    of an experiment (its data, its workloads, its samplers), derived from
-    (seed, purpose, k) alone. An experiment that draws its workloads and
-    its Gibbs runs from separate streams measures the same workloads
-    whatever number of draws a sampler consumes. *)
+val streams : Prob.Rng.t -> string -> int -> Prob.Rng.t
+(** [streams rng] takes one seed from [rng] and returns [stream]:
+    [stream purpose k] is an independent generator for one purpose of an
+    experiment (its data, its workloads, its samplers), derived from
+    (seed, purpose, k) alone, as the benchmark's streams are. An
+    experiment that draws its workloads and its Gibbs runs from separate
+    streams measures the same workloads whatever number of draws a
+    sampler consumes. *)
