@@ -132,8 +132,7 @@ let all_at_a_time config telemetry rng sampler max_draws nodes counts =
       incr draws;
       Array.iter
         (fun bag ->
-          if (not (Sample_bag.is_full bag)) && Sample_bag.offer bag point
-          then begin
+          if Sample_bag.offer bag point then begin
             counts.recorded <- counts.recorded + 1;
             if Sample_bag.is_full bag then decr remaining
           end)
