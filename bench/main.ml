@@ -1,10 +1,11 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Section VI) at the scale selected by MRSL_SCALE
-   (smoke | default | full), runs a Bechamel micro-benchmark per
-   artifact measuring its computational kernel, and emits a
-   machine-readable BENCH_1.json (micro wall times, work-stealing
-   scheduler speedups, memo hit rates, telemetry snapshot) that the CI
-   regression gate (ci/bench_gate.exe) consumes.
+   (smoke | default | full), times one micro-benchmark per artifact
+   measuring its computational kernel with Mrsl.Clock.measure, and emits
+   a machine-readable BENCH_1.json (micro ns/run and exact bytes/run,
+   compiled-kernel speedups, work-stealing scheduler speedups, memo hit
+   rates, telemetry snapshot) that the CI regression gate
+   (ci/bench_gate.exe) consumes.
 
    Usage:
      dune exec bench/main.exe                 -- everything
@@ -53,30 +54,38 @@ let quality_inject =
   | Some s -> float_of_string_opt s
 
 (* Accumulators for the JSON report, filled as sections run. *)
-let micro_rows : (string * float) list ref = ref []
+let micro_rows : Json.t list ref = ref []
 let section_rows : (string * float) list ref = ref []
 let parallel_block : Json.t option ref = ref None
 let cache_block : Json.t option ref = ref None
 let serve_block : Json.t option ref = ref None
 let chaos_block : Json.t option ref = ref None
 let resources_block : Json.t option ref = ref None
-let kernel_block : Json.t option ref = ref None
 
 let section title body = Printf.printf "\n=== %s ===\n%s%!" title body
 
 let timed_section id title f =
   let rng = Prob.Rng.create (seed + Hashtbl.hash id) in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Mrsl.Clock.now () in
   let body = f rng in
   section title body;
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Mrsl.Clock.duration ~start:t0 ~stop:(Mrsl.Clock.now ()) in
   section_rows := (id, dt) :: !section_rows;
   Printf.printf "[%s completed in %.1fs at scale=%s]\n%!" id dt
     scale.Experiments.Scale.name
 
+(* Timing loops run each kernel thousands of times; tracing them would
+   both distort the timings and overflow the default ring buffers.
+   Suspend the sink for the loops only — fixture setup and the parallel
+   section's counted runs stay traced. *)
+let untraced f =
+  let sink = Mrsl.Trace.uninstall () in
+  Fun.protect ~finally:(fun () -> Option.iter Mrsl.Trace.install sink) f
+
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per paper artifact,
-   exercising the computational kernel that artifact measures. *)
+(* Micro rows: one kernel per paper artifact, each timed by
+   Mrsl.Clock.measure — the one harness behind every ns/run and B/run
+   in BENCH_1.json. *)
 
 type fixture = {
   network : Bayesnet.Network.t;
@@ -126,137 +135,215 @@ let micro_fixture () =
     cards = Bayesnet.Topology.cardinalities entry.topology;
   }
 
-let infer_batch ?method_ fx () =
+let infer_batch method_ fx () =
   Array.iter
     (fun tup ->
       match Relation.Tuple.missing tup with
-      | a :: _ -> ignore (Mrsl.Infer_single.infer ?method_ fx.model tup a)
+      | a :: _ -> ignore (Mrsl.Infer_single.infer ~method_ fx.model tup a)
       | [] -> ())
     fx.masked_tuples
 
+let gibbs_config = { Mrsl.Gibbs.burn_in = 20; samples = 100 }
+
 let micro_tests fx =
-  let open Bechamel in
   let schema = Mrsl.Model.schema fx.model in
+  let workload strategy =
+    let sampler = Mrsl.Gibbs.sampler fx.model in
+    fun () ->
+      ignore
+        (Mrsl.Workload.run
+           ~config:{ burn_in = 10; samples = 50 }
+           ~strategy (Prob.Rng.create 7) sampler fx.workload)
+  in
   [
     (* Table I: catalog/topology construction and depth computation. *)
-    Test.make ~name:"table1/catalog-depth"
-      (Staged.stage (fun () ->
-           List.iter
-             (fun (e : Bayesnet.Catalog.entry) ->
-               ignore (Bayesnet.Topology.depth e.topology))
-             Bayesnet.Catalog.all));
+    ( "mrsl/table1/catalog-depth",
+      fun () ->
+        List.iter
+          (fun (e : Bayesnet.Catalog.entry) ->
+            ignore (Bayesnet.Topology.depth e.topology))
+          Bayesnet.Catalog.all );
     (* Fig 4: Apriori mining and full model learning. *)
-    Test.make ~name:"fig4/apriori-mine"
-      (Staged.stage (fun () ->
-           ignore
-             (Mining.Apriori.mine
-                ~config:{ threshold = 0.02; max_itemsets = 1000 }
-                ~cards:fx.cards fx.points)));
-    Test.make ~name:"fig4/model-learn"
-      (Staged.stage (fun () ->
-           ignore
-             (Mrsl.Model.learn_points
-                ~params:
-                  { Mrsl.Model.default_params with support_threshold = 0.02 }
-                schema fx.points)));
-    (* Table II / Fig 5: single-attribute inference under two methods. *)
-    Test.make ~name:"table2/infer-best-averaged"
-      (Staged.stage (infer_batch ~method_:Mrsl.Voting.best_averaged fx));
-    Test.make ~name:"fig5/infer-all-weighted"
-      (Staged.stage (infer_batch ~method_:Mrsl.Voting.all_weighted fx));
+    ( "mrsl/fig4/apriori-mine",
+      fun () ->
+        ignore
+          (Mining.Apriori.mine
+             ~config:{ threshold = 0.02; max_itemsets = 1000 }
+             ~cards:fx.cards fx.points) );
+    ( "mrsl/fig4/model-learn",
+      fun () ->
+        ignore
+          (Mrsl.Model.learn_points
+             ~params:{ Mrsl.Model.default_params with support_threshold = 0.02 }
+             schema fx.points) );
+    (* Fig 5: single-attribute inference. Table II's best-averaged —
+       the default method, so also Fig 9's batched inference — is the
+       kernel pair row below. *)
+    ("mrsl/fig5/infer-all-weighted", infer_batch Mrsl.Voting.all_weighted fx);
     (* Fig 6: lattice matching, the support-sensitive kernel. *)
-    Test.make ~name:"fig6/lattice-matching"
-      (Staged.stage (fun () ->
-           Array.iter
-             (fun tup ->
-               match Relation.Tuple.missing tup with
-               | a :: _ ->
-                   ignore (Mrsl.Lattice.matching (Mrsl.Model.lattice fx.model a) tup)
-               | [] -> ())
-             fx.masked_tuples));
+    ( "mrsl/fig6/lattice-matching",
+      fun () ->
+        Array.iter
+          (fun tup ->
+            match Relation.Tuple.missing tup with
+            | a :: _ ->
+                ignore (Mrsl.Lattice.matching (Mrsl.Model.lattice fx.model a) tup)
+            | [] -> ())
+          fx.masked_tuples );
     (* Fig 8: the exact-posterior reference computation. *)
-    Test.make ~name:"fig8/exact-posterior"
-      (Staged.stage (fun () ->
-           Array.iter
-             (fun tup ->
-               if not (Relation.Tuple.is_complete tup) then
-                 ignore (Bayesnet.Network.posterior_joint fx.network tup))
-             fx.masked_tuples));
-    (* Fig 9: batched default-method inference. *)
-    Test.make ~name:"fig9/inference-batch" (Staged.stage (infer_batch fx));
-    (* Fig 10: one Gibbs run over a 2-missing tuple. *)
-    Test.make ~name:"fig10/gibbs-run"
-      (Staged.stage
-         (let sampler = Mrsl.Gibbs.sampler fx.model in
-          fun () ->
-            ignore
-              (Mrsl.Gibbs.run
-                 ~config:{ burn_in = 20; samples = 100 }
-                 (Prob.Rng.create 7) sampler fx.multi_tuple)));
-    (* Fig 11: the two workload strategies. *)
-    Test.make ~name:"fig11/workload-tuple-at-a-time"
-      (Staged.stage
-         (let sampler = Mrsl.Gibbs.sampler fx.model in
-          fun () ->
-            ignore
-              (Mrsl.Workload.run
-                 ~config:{ burn_in = 10; samples = 50 }
-                 ~strategy:Mrsl.Workload.Tuple_at_a_time (Prob.Rng.create 7)
-                 sampler fx.workload)));
-    Test.make ~name:"fig11/workload-tuple-dag"
-      (Staged.stage
-         (let sampler = Mrsl.Gibbs.sampler fx.model in
-          fun () ->
-            ignore
-              (Mrsl.Workload.run
-                 ~config:{ burn_in = 10; samples = 50 }
-                 ~strategy:Mrsl.Workload.Tuple_dag (Prob.Rng.create 7) sampler
-                 fx.workload)));
+    ( "mrsl/fig8/exact-posterior",
+      fun () ->
+        Array.iter
+          (fun tup ->
+            if not (Relation.Tuple.is_complete tup) then
+              ignore (Bayesnet.Network.posterior_joint fx.network tup))
+          fx.masked_tuples );
+    (* Fig 10: one Gibbs run over a 2-missing tuple, on a memoizing
+       sampler shared across runs. *)
+    ( "mrsl/fig10/gibbs-run",
+      let sampler = Mrsl.Gibbs.sampler fx.model in
+      fun () ->
+        ignore
+          (Mrsl.Gibbs.run ~config:gibbs_config (Prob.Rng.create 7) sampler
+             fx.multi_tuple) );
+    (* Fig 11: the two workload strategies (Algorithm 3's executor: flat
+       sample bags, in-place Gibbs steps, memo hits). *)
+    ("mrsl/fig11/workload-tuple-at-a-time", workload Mrsl.Workload.Tuple_at_a_time);
+    ("mrsl/fig11/workload-tuple-dag", workload Mrsl.Workload.Tuple_dag);
     (* Ablations: tuple-DAG construction. *)
-    Test.make ~name:"ablation/tuple-dag-build"
-      (Staged.stage (fun () -> ignore (Mrsl.Tuple_dag.build fx.workload)));
-    (* Baselines: BN structure learning and the DN fit. *)
-    Test.make ~name:"baselines/bn-structure-fit"
-      (Staged.stage (fun () ->
-           ignore (Bayesnet.Structure_learn.fit ~cards:fx.cards fx.points)));
-    Test.make ~name:"baselines/independent-product"
-      (Staged.stage (fun () ->
-           ignore
-             (Baselines.Independent_product.infer_joint fx.model fx.multi_tuple)));
+    ( "mrsl/ablation/tuple-dag-build",
+      fun () -> ignore (Mrsl.Tuple_dag.build fx.workload) );
+    (* Baselines: BN structure learning and the independent product. *)
+    ( "mrsl/baselines/bn-structure-fit",
+      fun () -> ignore (Bayesnet.Structure_learn.fit ~cards:fx.cards fx.points) );
+    ( "mrsl/baselines/independent-product",
+      fun () ->
+        ignore (Baselines.Independent_product.infer_joint fx.model fx.multi_tuple)
+    );
     (* Missingness: masking pass. *)
-    Test.make ~name:"missingness/mcar-mask"
-      (Staged.stage
-         (let inst =
-            Relation.Instance.of_points
-              (Mrsl.Model.schema fx.model)
-              (Array.to_list fx.points)
-          in
-          fun () ->
-            ignore
-              (Relation.Missingness.mask (Prob.Rng.create 3)
-                 (Relation.Missingness.Mcar 0.1) inst)));
+    ( "mrsl/missingness/mcar-mask",
+      let inst =
+        Relation.Instance.of_points schema (Array.to_list fx.points)
+      in
+      fun () ->
+        ignore
+          (Relation.Missingness.mask (Prob.Rng.create 3)
+             (Relation.Missingness.Mcar 0.1) inst) );
     (* Query layer: top-k worlds over a derived database. *)
-    Test.make ~name:"query/top-k-worlds"
-      (Staged.stage
-         (let db =
-            Probdb.Pdb.derive
-              ~config:{ Mrsl.Gibbs.burn_in = 10; samples = 50 }
-              (Prob.Rng.create 5) fx.model
-              (Relation.Instance.make
-                 (Mrsl.Model.schema fx.model)
-                 (Array.to_list
-                    (Array.sub fx.masked_tuples 0 8)))
-          in
-          fun () -> ignore (Probdb.Pdb.top_k_worlds db 20)));
+    ( "mrsl/query/top-k-worlds",
+      let db =
+        Probdb.Pdb.derive
+          ~config:{ Mrsl.Gibbs.burn_in = 10; samples = 50 }
+          (Prob.Rng.create 5) fx.model
+          (Relation.Instance.make schema
+             (Array.to_list (Array.sub fx.masked_tuples 0 8)))
+      in
+      fun () -> ignore (Probdb.Pdb.top_k_worlds db 20) );
   ]
 
-(* Fig 11 tuple-DAG workload under the work-stealing scheduler at several
-   domain counts. Emitted into BENCH_1.json: wall time, sweep counts,
-   shared-sample counts, memo hit rates, and speedups. *)
-let run_parallel_bench fx =
-  let samples = 50 and burn_in = 10 in
-  let workload = fx.workload in
-  let tuples = List.length workload in
+let measurement_fields (m : Mrsl.Clock.measurement) =
+  [
+    ("ns_per_run", Json.Float m.ns_per_run);
+    ("alloc_bytes_per_run", Json.Float m.alloc_bytes_per_run);
+    ("minor_gcs", Json.Int m.minor_gcs);
+    ("major_gcs", Json.Int m.major_gcs);
+    ("loops", Json.Int m.loops);
+    ("reps", Json.Int m.reps);
+    ("spread", Json.Float m.spread);
+  ]
+
+(* Compiled-kernel rows: the two kernel-gated micros, timed once as
+   interpreted (the oracle) vs compiled pairs in the same process. The
+   row's ns/run and B/run are the compiled side's; [speedup] is the
+   median per-pair interpreted/compiled ratio, and [bit_identical] the
+   differential check the gate requires before it accepts any speedup.
+   Each run sets the global kernel switch itself (one atomic store), so
+   the pair form times plain thunks. *)
+let kernel_rows fx =
+  let with_kernel b f () =
+    Mrsl.Kernel.set_enabled b;
+    f ()
+  in
+  let prev = Mrsl.Kernel.enabled () in
+  Fun.protect ~finally:(fun () -> Mrsl.Kernel.set_enabled prev) @@ fun () ->
+  (* A fresh unmemoized sampler per run: every sweep pays the full
+     voting cost, which is exactly what the kernel compiles away — a
+     shared table would hide both paths behind table reads. *)
+  let gibbs_unmemoized () =
+    let sampler = Mrsl.Gibbs.sampler ~memoize:false fx.model in
+    (Mrsl.Gibbs.run ~config:gibbs_config (Prob.Rng.create 7) sampler
+       fx.multi_tuple)
+      .joint
+  in
+  let posterior b method_ tup a =
+    Mrsl.Kernel.set_enabled b;
+    Array.copy (Mrsl.Infer_single.infer ~method_ fx.model tup a :> float array)
+  in
+  (* Every masked tuple under all four methods, and a fixed-seed Gibbs
+     joint — compiled must equal interpreted exactly. *)
+  let voting_identical () =
+    Array.for_all
+      (fun tup ->
+        match Relation.Tuple.missing tup with
+        | a :: _ ->
+            List.for_all
+              (fun m -> posterior false m tup a = posterior true m tup a)
+              Mrsl.Voting.all_methods
+        | [] -> true)
+      fx.masked_tuples
+  in
+  let gibbs_identical () =
+    let joint b =
+      Mrsl.Kernel.set_enabled b;
+      Array.copy (gibbs_unmemoized () :> float array)
+    in
+    joint false = joint true
+  in
+  List.map
+    (fun (name, f, identical) ->
+      let p =
+        untraced (fun () ->
+            Mrsl.Clock.measure_pair (with_kernel false f) (with_kernel true f))
+      in
+      (name, p, identical ()))
+    [
+      ( "mrsl/table2/infer-best-averaged",
+        infer_batch Mrsl.Voting.best_averaged fx,
+        voting_identical );
+      ( "mrsl/fig10/gibbs-run-unmemoized",
+        (fun () -> ignore (gibbs_unmemoized ())),
+        gibbs_identical );
+    ]
+
+(* Fig 11 tuple-DAG workload under the work-stealing scheduler at 1, 2
+   and 4 domains, on a derive-sized batch: BN10, 5 000 training rows,
+   θ = 0.01, 300 tuples missing 1 to arity-1 values, B = 100, N = 1000 —
+   about 60 ms at one domain, so the figures measure scaling, not pool
+   wake-up. Per domain count: one counted run against a fresh registry
+   (sweeps, sharing, memo hits, steals, and whether its counters really
+   started from zero), then Mrsl.Clock.measure's median wall over
+   untraced loops. Returns the 4-domain run's per-domain utilization. *)
+let run_parallel_bench () =
+  let { Mrsl.Gibbs.burn_in; samples } = Mrsl.Gibbs.default_config in
+  let rng = Prob.Rng.create seed in
+  let entry = Bayesnet.Catalog.find "BN10" in
+  let network = Bayesnet.Network.generate rng entry.topology in
+  let train = Bayesnet.Network.sample_instance rng network 5000 in
+  let model =
+    Mrsl.Model.learn
+      ~params:{ Mrsl.Model.default_params with support_threshold = 0.01 }
+      train
+  in
+  let batch =
+    Experiments.Framework.make_workload rng
+      { entry; network; train; test_points = [||] }
+      ~size:300
+  in
+  let tuples = List.length batch in
+  let stats_run ?telemetry domains =
+    Experiments.Framework.parallel_workload_stats ?telemetry ~domains ~seed
+      model ~samples ~burn_in batch
+  in
   let hit_rate telemetry =
     match Mrsl.Telemetry.histogram telemetry "gibbs.memo_hit_rate" with
     | Some s when s.Mrsl.Telemetry.count > 0 -> s.Mrsl.Telemetry.mean
@@ -268,9 +355,9 @@ let run_parallel_bench fx =
         let telemetry = Mrsl.Telemetry.create () in
         (* Double-accounting guard: the per-run registry is fresh, but
            the domain pool and the model's conditional tables persist
-           across sections. Record both facts: a [pool.reused]
-           marker event when warm domains are reused, and whether this
-           run's counters really start from zero (the gate fails the run
+           across sections. Record both facts: a [pool.reused] marker
+           event when warm domains are reused, and whether this run's
+           counters really start from zero (the gate fails the run
            otherwise). *)
         let pool_alive = Mrsl.Domain_pool.size (Mrsl.Domain_pool.get ()) in
         if pool_alive > 0 then
@@ -286,153 +373,85 @@ let run_parallel_bench fx =
           && Mrsl.Telemetry.counter telemetry "parallel.tasks" = 0
           && Mrsl.Telemetry.counter telemetry "workload.sweeps" = 0
         in
-        let stats =
-          Experiments.Framework.parallel_workload_stats ~telemetry ~domains
-            ~seed fx.model ~samples ~burn_in workload
+        let stats = stats_run ~telemetry domains in
+        let timed =
+          let scratch = Mrsl.Telemetry.create () in
+          untraced (fun () ->
+              Mrsl.Clock.measure ~loops:7 (fun () ->
+                  ignore (stats_run ~telemetry:scratch domains)))
         in
-        ( domains, stats, hit_rate telemetry,
+        ( domains, stats, timed, hit_rate telemetry,
           Mrsl.Telemetry.counter telemetry "parallel.steals",
-          Mrsl.Telemetry.counter telemetry "parallel.tasks",
-          counters_start_zero, pool_alive ))
+          counters_start_zero, pool_alive, Mrsl.Resource.utilization () ))
       [ 1; 2; 4 ]
   in
-  let wall_of d =
-    let _, s, _, _, _, _, _ =
-      List.find (fun (d', _, _, _, _, _, _) -> d' = d) runs
+  let ns_of d =
+    let _, _, (m : Mrsl.Clock.measurement), _, _, _, _, _ =
+      List.find (fun (d', _, _, _, _, _, _, _) -> d' = d) runs
     in
-    s.Mrsl.Workload.wall_seconds
+    m.ns_per_run
   in
-  let speedup denom num = if num > 0. then denom /. num else Float.nan in
   let run_json
-      (domains, (s : Mrsl.Workload.stats), rate, steals, tasks, zero, pool) =
+      (domains, (s : Mrsl.Workload.stats), (m : Mrsl.Clock.measurement), rate,
+       steals, zero, pool, _) =
     Json.Obj
       [
         ("domains", Json.Int domains);
-        ("wall_seconds", Json.Float s.wall_seconds);
+        ("ns_per_run", Json.Float m.ns_per_run);
+        ("spread", Json.Float m.spread);
+        ("loops", Json.Int m.loops);
         ("sweeps", Json.Int s.sweeps);
         ("recorded", Json.Int s.recorded);
         ("shared", Json.Int s.shared);
         ("memo_hit_rate", Json.Float rate);
         ("steals", Json.Int steals);
-        ("tasks", Json.Int tasks);
         ("counters_start_zero", Json.Bool zero);
         ("pool_domains_alive", Json.Int pool);
-        ("speedup_vs_domains1", Json.Float (speedup (wall_of 1) s.wall_seconds));
+        ("speedup_vs_domains1", Json.Float (ns_of 1 /. m.ns_per_run));
       ]
   in
-  let block =
-    Json.Obj
-      [
-        ("workload_tuples", Json.Int tuples);
-        ("samples_per_tuple", Json.Int samples);
-        ("burn_in", Json.Int burn_in);
-        ("runs", Json.List (List.map run_json runs));
-      ]
-  in
-  parallel_block := Some block;
-  let rows =
-    List.map
-      (fun (domains, (s : Mrsl.Workload.stats), rate, steals, _, _, _) ->
-        Experiments.Report.
-          [
-            S (Printf.sprintf "work-stealing domains:%d" domains);
-            F s.wall_seconds; I s.sweeps; I s.shared; P rate; I steals;
-          ])
-      runs
-  in
+  parallel_block :=
+    Some
+      (Json.Obj
+         [
+           ("workload_tuples", Json.Int tuples);
+           ("samples_per_tuple", Json.Int samples);
+           ("burn_in", Json.Int burn_in);
+           ("runs", Json.List (List.map run_json runs));
+         ]);
   section "parallel"
     (Experiments.Report.render
        ~title:
          (Printf.sprintf
             "Fig 11 workload (%d tuples) under the work-stealing scheduler"
             tuples)
-       ~header:[ "configuration"; "wall (s)"; "sweeps"; "shared"; "memo hit"; "steals" ]
-       rows)
+       ~header:
+         [ "configuration"; "ms/run"; "spread"; "sweeps"; "shared"; "memo hit"; "steals" ]
+       (List.map
+          (fun (domains, (s : Mrsl.Workload.stats), (m : Mrsl.Clock.measurement),
+                rate, steals, _, _, _) ->
+            Experiments.Report.
+              [
+                S (Printf.sprintf "work-stealing domains:%d" domains);
+                F (m.ns_per_run /. 1e6); P m.spread; I s.sweeps; I s.shared;
+                P rate; I steals;
+              ])
+          runs));
+  match List.rev runs with
+  | (_, _, _, _, _, _, _, util) :: _ -> util
+  | [] -> []
 
 (* ------------------------------------------------------------------ *)
-(* Resource baseline (ROADMAP item 2's measured starting line):
-   allocation per kernel run for the three gated micros, GC collection
-   counts, peak heap, per-domain utilization from a pooled run, and the
-   hashed conditional tables' accounted-vs-reachable byte cross-check. Runs with
-   a Resource monitor installed — but outside the Bechamel timing loop,
-   so the gated ns/run numbers are unaffected. *)
+(* Resource baseline: GC collection counts, peak heap, the parallel
+   section's 4-domain per-domain utilization, and the hashed conditional
+   tables' accounted-vs-reachable byte cross-check, under a Resource
+   monitor. Allocation per run is the micro rows'. *)
 
-let run_resources fx =
+let run_resources util =
   let mon = Mrsl.Resource.create () in
   Mrsl.Resource.install mon;
   Fun.protect ~finally:(fun () -> ignore (Mrsl.Resource.uninstall ()))
   @@ fun () ->
-  let reps = 10 in
-  let measure name f =
-    (* One warm run hoists lattice/sampler setup and memo fills out of
-       the measurement, then a major collection settles the heap. *)
-    f ();
-    Gc.full_major ();
-    let s0 = Gc.quick_stat () in
-    let a0 = Gc.allocated_bytes () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    let a1 = Gc.allocated_bytes () in
-    let s1 = Gc.quick_stat () in
-    let alloc = (a1 -. a0) /. float_of_int reps in
-    ( name,
-      alloc,
-      Json.Obj
-        [
-          ("name", Json.String name);
-          ("alloc_bytes_per_run", Json.Float alloc);
-          ( "minor_collections_per_run",
-            Json.Float
-              (float_of_int (s1.Gc.minor_collections - s0.Gc.minor_collections)
-              /. float_of_int reps) );
-          ( "major_collections",
-            Json.Int (s1.Gc.major_collections - s0.Gc.major_collections) );
-        ] )
-  in
-  let gibbs_kernel =
-    let sampler = Mrsl.Gibbs.sampler fx.model in
-    fun () ->
-      ignore
-        (Mrsl.Gibbs.run
-           ~config:{ burn_in = 20; samples = 100 }
-           (Prob.Rng.create 7) sampler fx.multi_tuple)
-  in
-  (* Algorithm 3's executor on the fig11 micro workload: flat sample
-     bags, in-place Gibbs steps and memo hits that allocate nothing. *)
-  let dag_workload =
-    let sampler = Mrsl.Gibbs.sampler fx.model in
-    fun () ->
-      ignore
-        (Mrsl.Workload.run
-           ~config:{ burn_in = 10; samples = 50 }
-           ~strategy:Mrsl.Workload.Tuple_dag (Prob.Rng.create 7) sampler
-           fx.workload)
-  in
-  (* Fig 4's miner on the fixture's rows: the bitsets, the level rows
-     and the result table. *)
-  let apriori_mine () =
-    ignore
-      (Mining.Apriori.mine
-         ~config:{ threshold = 0.02; max_itemsets = 1000 }
-         ~cards:fx.cards fx.points)
-  in
-  let measured =
-    [
-      measure "mrsl/fig4/apriori-mine" apriori_mine;
-      measure "mrsl/table2/infer-best-averaged"
-        (infer_batch ~method_:Mrsl.Voting.best_averaged fx);
-      measure "mrsl/fig10/gibbs-run" gibbs_kernel;
-      measure "mrsl/fig11/workload-tuple-dag" dag_workload;
-    ]
-  in
-  (* Per-domain utilization from a saturating pooled run. *)
-  let _ =
-    Mrsl.Parallel.run
-      ~config:{ burn_in = 20; samples = 200 }
-      ~domains:4 ~seed fx.model fx.workload
-  in
-  let util = Mrsl.Resource.utilization () in
   (* Conditional-table accounted-vs-reachable cross-check. The budget
      counts hashed tables only, and the BN8 fixture's contexts all fit
      dense arrays, so the check runs on a BN7 model (2 000 rows,
@@ -475,7 +494,6 @@ let run_resources fx =
     Some
       (Json.Obj
          [
-           ("rows", Json.List (List.map (fun (_, _, j) -> j) measured));
            ( "gc",
              Json.Obj
                [
@@ -503,204 +521,40 @@ let run_resources fx =
                  ("accounted_per_growth", Json.Float ratio);
                ] );
          ]);
-  let body =
-    Experiments.Report.render ~title:"Resource baseline (alloc bytes/run)"
-      ~header:[ "kernel"; "alloc bytes/run" ]
-      (List.map
-         (fun (name, alloc, _) -> Experiments.Report.[ S name; F alloc ])
-         measured)
-    ^ Printf.sprintf
-        "peak heap %.1f MiB; tables accounted %d vs reachable growth %d \
-         bytes (x%.2f); utilization %s\n"
-        (float_of_int (s.Gc.top_heap_words * 8) /. 1048576.)
-        accounted growth ratio
-        (String.concat " "
-           (List.map (fun (d, u) -> Printf.sprintf "%d=%.2f" d u) util))
-  in
-  section "resources" body
-
-(* ------------------------------------------------------------------ *)
-(* Compiled-kernel comparison (ROADMAP item 2): the two gated micros
-   timed interpreted vs compiled in interleaved pairs in the same
-   process, with allocation per run, plus the bit-identity cross-check
-   the gate requires before it will accept any speedup number. Manual
-   timing (not Bechamel): each mode needs the global kernel switch held
-   across its whole timing loop. *)
-
-let run_kernel () =
-  let fx = micro_fixture () in
-  let with_kernel b f =
-    let prev = Mrsl.Kernel.enabled () in
-    Mrsl.Kernel.set_enabled b;
-    Fun.protect ~finally:(fun () -> Mrsl.Kernel.set_enabled prev) f
-  in
-  let gibbs_config = { Mrsl.Gibbs.burn_in = 20; samples = 100 } in
-  let gibbs_run () =
-    (* A fresh unmemoized sampler per run: every sweep pays the full
-       voting cost, which is exactly what the kernel compiles away —
-       a shared table would hide both paths behind table reads. *)
-    let sampler = Mrsl.Gibbs.sampler ~memoize:false fx.model in
-    ignore
-      (Mrsl.Gibbs.run ~config:gibbs_config (Prob.Rng.create 7) sampler
-         fx.multi_tuple)
-  in
-  (* Interpreted (the oracle) against compiled in the same process, on
-     the monotonic clock: [pairs] interleaved pairs of [reps]-run loops,
-     the two paths' order alternating from pair to pair so drift and
-     warm-up hit both. Each side reports its median ns and allocated
-     bytes per run; the speedup is the median of the per-pair ratios, so
-     one noisy loop moves neither the ratio nor the gate. *)
-  let pairs = 21 in
-  let median xs =
-    let a = Array.of_list xs in
-    Array.sort Float.compare a;
-    a.(Array.length a / 2)
-  in
-  let measure name f =
-    let loop reps b =
-      with_kernel b (fun () ->
-          let a0 = Gc.allocated_bytes () in
-          let t0 = Mrsl.Clock.now_ns () in
-          for _ = 1 to reps do
-            f ()
-          done;
-          let ns =
-            Mrsl.Clock.duration_ns ~start:t0 ~stop:(Mrsl.Clock.now_ns ())
-          in
-          let a1 = Gc.allocated_bytes () in
-          ( float_of_int ns /. float_of_int reps,
-            (a1 -. a0) /. float_of_int reps ))
-    in
-    (* One warm run per path hoists kernel compilation and lattice setup
-       out of the measurement; reps are sized so the slower, interpreted
-       loop takes about 30 ms. *)
-    ignore (loop 1 true);
-    let once, _ = loop 1 false in
-    let reps = max 3 (min 200 (int_of_float (3e7 /. Float.max 1e3 once))) in
-    let runs =
-      List.init pairs (fun k ->
-          Gc.full_major ();
-          if k mod 2 = 0 then
-            let i = loop reps false in
-            (i, loop reps true)
-          else
-            let c = loop reps true in
-            (loop reps false, c))
-    in
-    let med f = median (List.map f runs) in
-    ( name,
-      med (fun ((i, _), _) -> i),
-      med (fun (_, (c, _)) -> c),
-      med (fun ((i, _), (c, _)) -> if c > 0. then i /. c else 0.),
-      med (fun ((_, a), _) -> a),
-      med (fun (_, (_, a)) -> a) )
-  in
-  let rows =
-    [
-      measure "mrsl/table2/infer-best-averaged"
-        (infer_batch ~method_:Mrsl.Voting.best_averaged fx);
-      measure "mrsl/fig10/gibbs-run" gibbs_run;
-    ]
-  in
-  (* Bit-identity: every masked tuple under all four methods, and a
-     fixed-seed Gibbs joint — compiled must equal interpreted exactly. *)
-  let posterior b method_ tup a =
-    with_kernel b (fun () ->
-        Array.copy
-          (Mrsl.Infer_single.infer ~method_ fx.model tup a :> float array))
-  in
-  let voting_identical =
-    Array.for_all
-      (fun tup ->
-        match Relation.Tuple.missing tup with
-        | a :: _ ->
-            List.for_all
-              (fun m -> posterior false m tup a = posterior true m tup a)
-              Mrsl.Voting.all_methods
-        | [] -> true)
-      fx.masked_tuples
-  in
-  let gibbs_joint b =
-    with_kernel b (fun () ->
-        let sampler = Mrsl.Gibbs.sampler ~memoize:false fx.model in
-        Array.copy
-          ((Mrsl.Gibbs.run ~config:gibbs_config (Prob.Rng.create 7) sampler
-              fx.multi_tuple)
-             .joint
-            :> float array))
-  in
-  let bit_identical = voting_identical && gibbs_joint false = gibbs_joint true in
-  kernel_block :=
-    Some
-      (Json.Obj
-         [
-           ( "rows",
-             Json.List
-               (List.map
-                  (fun (name, i_ns, c_ns, speedup, i_alloc, c_alloc) ->
-                    Json.Obj
-                      [
-                        ("name", Json.String name);
-                        ("interpreted_ns_per_run", Json.Float i_ns);
-                        ("compiled_ns_per_run", Json.Float c_ns);
-                        ("speedup", Json.Float speedup);
-                        ("interpreted_alloc_bytes_per_run", Json.Float i_alloc);
-                        ("compiled_alloc_bytes_per_run", Json.Float c_alloc);
-                      ])
-                  rows) );
-           ("bit_identical", Json.Bool bit_identical);
-           ("pairs", Json.Int pairs);
-         ]);
-  let body =
-    Experiments.Report.render ~title:"Compiled kernels vs interpreted"
-      ~header:
-        [ "benchmark"; "interp ns"; "compiled ns"; "speedup"; "interp alloc"; "compiled alloc" ]
-      (List.map
-         (fun (name, i_ns, c_ns, speedup, i_alloc, c_alloc) ->
-           Experiments.Report.[ S name; F i_ns; F c_ns; F speedup; F i_alloc; F c_alloc ])
-         rows)
-    ^ Printf.sprintf
-        "medians over %d interleaved pairs; speedup = median per-pair ratio\n\
-         bit_identical: %b\n"
-        pairs bit_identical
-  in
-  section "kernel" body
+  section "resources"
+    (Printf.sprintf
+       "peak heap %.1f MiB; tables accounted %d vs reachable growth %d bytes \
+        (x%.2f); 4-domain utilization %s\n"
+       (float_of_int (s.Gc.top_heap_words * 8) /. 1048576.)
+       accounted growth ratio
+       (String.concat " "
+          (List.map (fun (d, u) -> Printf.sprintf "%d=%.2f" d u) util)))
 
 let write_bench_json () =
-  let number_rows rows key =
-    Json.List
-      (List.rev_map
-         (fun (name, v) ->
-           Json.Obj [ ("name", Json.String name); (key, Json.Float v) ])
-         rows)
-  in
   let fields =
     [
       ("schema_version", Json.Int 1);
       ("scale", Json.String scale.Experiments.Scale.name);
       ("seed", Json.Int seed);
       ("generated_unix", Json.Float (Unix.time ()));
-      ("micro", number_rows !micro_rows "ns_per_run");
-      ("sections", number_rows !section_rows "wall_seconds");
+      ("micro", Json.List !micro_rows);
+      ( "sections",
+        Json.List
+          (List.rev_map
+             (fun (name, v) ->
+               Json.Obj
+                 [ ("name", Json.String name); ("wall_seconds", Json.Float v) ])
+             !section_rows) );
     ]
-    @ (match !parallel_block with
-      | Some block -> [ ("parallel", block) ]
-      | None -> [])
-    @ (match !cache_block with
-      | Some block -> [ ("cache", block) ]
-      | None -> [])
-    @ (match !serve_block with
-      | Some block -> [ ("serve", block) ]
-      | None -> [])
-    @ (match !chaos_block with
-      | Some block -> [ ("serve_chaos", block) ]
-      | None -> [])
-    @ (match !resources_block with
-      | Some block -> [ ("resources", block) ]
-      | None -> [])
-    @ (match !kernel_block with
-      | Some block -> [ ("kernel", block) ]
-      | None -> [])
+    @ List.filter_map
+        (fun (key, block) -> Option.map (fun b -> (key, b)) !block)
+        [
+          ("parallel", parallel_block);
+          ("cache", cache_block);
+          ("serve", serve_block);
+          ("serve_chaos", chaos_block);
+          ("resources", resources_block);
+        ]
     @ [ ("telemetry", Mrsl.Telemetry.to_json Mrsl.Telemetry.global) ]
   in
   let oc = open_out bench_out in
@@ -710,47 +564,52 @@ let write_bench_json () =
   Printf.printf "\n[wrote %s]\n%!" bench_out
 
 let run_micro () =
-  let open Bechamel in
   let fx = micro_fixture () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
+  let plain =
+    List.map
+      (fun (name, f) -> (name, untraced (fun () -> Mrsl.Clock.measure f)))
+      (micro_tests fx)
   in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  (* The Bechamel measurement loop runs each kernel thousands of times;
-     tracing it would both distort the gated ns/run numbers and overflow
-     the default ring buffers. Suspend the sink for the timing loop only
-     — fixture setup and the parallel bench below stay traced. *)
-  let raw =
-    let sink = Mrsl.Trace.uninstall () in
-    Fun.protect ~finally:(fun () -> Option.iter Mrsl.Trace.install sink)
-      (fun () ->
-        Benchmark.all cfg instances
-          (Test.make_grouped ~name:"mrsl" (micro_tests fx)))
+  let pairs = kernel_rows fx in
+  let row name m extra =
+    Json.Obj ((("name", Json.String name) :: measurement_fields m) @ extra)
   in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let ns =
-        match Analyze.OLS.estimates ols_result with
-        | Some (t :: _) -> t
-        | _ -> Float.nan
-      in
-      rows := (name, ns) :: !rows)
-    results;
-  let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) !rows in
-  micro_rows := List.filter (fun (_, ns) -> Float.is_finite ns) rows;
-  let body =
-    Experiments.Report.render ~title:"Bechamel micro-benchmarks"
-      ~header:[ "benchmark"; "ns/run"; "ms/run" ]
-      (List.map
-         (fun (name, ns) -> Experiments.Report.[ S name; F ns; F (ns /. 1e6) ])
-         rows)
-  in
-  section "micro" body;
-  run_parallel_bench fx;
-  run_resources fx
+  micro_rows :=
+    List.map (fun (name, m) -> row name m []) plain
+    @ List.map
+        (fun (name, (p : Mrsl.Clock.pair), identical) ->
+          row name p.b
+            [
+              ("interpreted_ns_per_run", Json.Float p.a.ns_per_run);
+              ( "interpreted_alloc_bytes_per_run",
+                Json.Float p.a.alloc_bytes_per_run );
+              ("speedup", Json.Float p.ratio);
+              ("bit_identical", Json.Bool identical);
+            ])
+        pairs;
+  section "micro"
+    (Experiments.Report.render
+       ~title:"Micro-benchmarks (Mrsl.Clock.measure, medians over loops)"
+       ~header:[ "benchmark"; "ns/run"; "B/run"; "spread" ]
+       (List.map
+          (fun (name, (m : Mrsl.Clock.measurement)) ->
+            Experiments.Report.
+              [ S name; F m.ns_per_run; F m.alloc_bytes_per_run; P m.spread ])
+          (plain
+          @ List.map (fun (name, (p : Mrsl.Clock.pair), _) -> (name, p.b)) pairs))
+    ^ Experiments.Report.render
+        ~title:"Compiled kernels vs interpreted (interleaved pairs)"
+        ~header:
+          [ "benchmark"; "interp ns"; "interp B"; "compiled ns"; "speedup"; "bit-identical" ]
+        (List.map
+           (fun (name, (p : Mrsl.Clock.pair), identical) ->
+             Experiments.Report.
+               [
+                 S name; F p.a.ns_per_run; F p.a.alloc_bytes_per_run;
+                 F p.b.ns_per_run; F p.ratio; S (string_of_bool identical);
+               ])
+           pairs));
+  run_resources (run_parallel_bench ())
 
 (* ------------------------------------------------------------------ *)
 (* Fault-containment exercise: drives every degradation path of the
@@ -1737,7 +1596,7 @@ let () =
   let requested =
     match Array.to_list Sys.argv with
     | _ :: (_ :: _ as args) -> args
-    | _ -> List.map (fun (id, _, _) -> id) artifacts @ [ "micro"; "kernel" ]
+    | _ -> List.map (fun (id, _, _) -> id) artifacts @ [ "micro" ]
   in
   if Mrsl.Fault_inject.install_from_env () then
     Printf.printf "fault injection active: %s\n%!"
@@ -1755,12 +1614,11 @@ let () =
   List.iter
     (fun id ->
       if id = "micro" then run_micro ()
-      else if id = "kernel" then run_kernel ()
       else
         match List.find_opt (fun (i, _, _) -> i = id) artifacts with
         | Some (id, title, f) -> timed_section id title f
         | None ->
-            Printf.eprintf "unknown artifact %S (known: %s, micro, kernel)\n%!"
+            Printf.eprintf "unknown artifact %S (known: %s, micro)\n%!"
               id
               (String.concat ", " (List.map (fun (i, _, _) -> i) artifacts)))
     requested;

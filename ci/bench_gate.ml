@@ -1,5 +1,9 @@
 (* Benchmark regression gate.
 
+   Every ns/run, B/run and speedup it reads comes from the report's one
+   "micro" array, each row measured by Mrsl.Clock.measure (or its
+   interleaved-pairs form for the compiled-kernel rows).
+
    Compares a freshly generated BENCH_*.json against the committed
    baseline and fails (exit 1) when any micro artifact's ns/run regressed
    by more than the tolerance (default 25%, override with
@@ -49,21 +53,20 @@
    requirement, so --baseline is optional with it.
 
    Allocation mode: --max-alloc-bytes NAME CEIL (repeatable) asserts
-   that the current report's resources block has a row NAME whose
-   alloc_bytes_per_run is at most CEIL — the absolute allocation budget
-   ROADMAP item 2's compiled kernels must beat. Counts as a
-   requirement, so --baseline is optional with it.
+   that the current report has a micro row NAME whose exact
+   alloc_bytes_per_run is at most CEIL — an absolute allocation budget.
+   Counts as a requirement, so --baseline is optional with it.
 
    Kernel-speedup mode: --min-speedup NAME RATIO (repeatable) asserts
-   that the current report's kernel block has a row NAME whose
-   compiled-vs-interpreted speedup is at least RATIO, AND that the
-   block's bit_identical flag is true — a speedup bought by diverging
-   from the interpreted oracle is a correctness bug, not a win. Counts
-   as a requirement, so --baseline is optional with it.
+   that the current report has a micro row NAME whose median per-pair
+   compiled-vs-interpreted speedup is at least RATIO, AND that the row's
+   bit_identical flag is true — a speedup bought by diverging from the
+   interpreted oracle is a correctness bug, not a win. Counts as a
+   requirement, so --baseline is optional with it.
 
    History mode: --history FILE names a BENCH_HISTORY.jsonl trajectory
-   (one JSON object per bench run: git sha, scale, key micro walls,
-   serve req/s, alloc bytes). --history-append appends the current
+   (one JSON object per bench run: source tree, scale, micro walls and
+   allocation bytes, serve req/s). --history-append appends the current
    report's summary to it (with --history-sha SHA recorded); with
    --history-window N the gate then fails when any tracked metric
    worsened strictly monotonically across the last N runs with a
@@ -230,20 +233,24 @@ let load path =
     Printf.eprintf "bench_gate: %s is not valid JSON: %s\n%!" path msg;
     exit 2
 
-(* name -> ns_per_run for every row of the "micro" array *)
-let micro_rows json =
+(* name -> KEY for every row of the "micro" array that carries it *)
+let micro_field key json =
   match Json.member "micro" json with
   | Some (Json.List rows) ->
       List.filter_map
         (fun row ->
-          match (Json.member "name" row, Json.member "ns_per_run" row) with
+          match (Json.member "name" row, Json.member key row) with
+          | Some (Json.String name), Some (Json.Bool b) ->
+              Some (name, if b then 1. else 0.)
           | Some (Json.String name), Some v -> (
               match Json.to_float v with
-              | ns -> Some (name, ns)
+              | x -> Some (name, x)
               | exception _ -> None)
           | _ -> None)
         rows
   | _ -> []
+
+let micro_rows = micro_field "ns_per_run"
 
 (* name -> value for every telemetry counter of the report *)
 let counter_value json name =
@@ -310,53 +317,6 @@ let serve_rows json =
             rows
       | _ -> [])
 
-(* name -> alloc_bytes_per_run for every row of the resources block *)
-let resources_rows json =
-  match Json.member "resources" json with
-  | None -> []
-  | Some res -> (
-      match Json.member "rows" res with
-      | Some (Json.List rows) ->
-          List.filter_map
-            (fun row ->
-              match
-                (Json.member "name" row, Json.member "alloc_bytes_per_run" row)
-              with
-              | Some (Json.String name), Some v -> (
-                  match Json.to_float v with
-                  | b -> Some (name, b)
-                  | exception _ -> None)
-              | _ -> None)
-            rows
-      | _ -> [])
-
-(* name -> speedup for every row of the kernel block *)
-let kernel_rows json =
-  match Json.member "kernel" json with
-  | None -> []
-  | Some k -> (
-      match Json.member "rows" k with
-      | Some (Json.List rows) ->
-          List.filter_map
-            (fun row ->
-              match (Json.member "name" row, Json.member "speedup" row) with
-              | Some (Json.String name), Some v -> (
-                  match Json.to_float v with
-                  | s -> Some (name, s)
-                  | exception _ -> None)
-              | _ -> None)
-            rows
-      | _ -> [])
-
-(* the kernel block's differential-check verdict *)
-let kernel_bit_identical json =
-  match Json.member "kernel" json with
-  | None -> None
-  | Some k -> (
-      match Json.member "bit_identical" k with
-      | Some (Json.Bool b) -> Some b
-      | _ -> None)
-
 (* --- bench history (BENCH_HISTORY.jsonl) ------------------------------ *)
 
 let read_history_lines path =
@@ -395,7 +355,7 @@ let history_entry_of_report json sha =
         (serve_rows json)
     @ List.map
         (fun (n, b) -> ("alloc." ^ n ^ ".bytes_per_run", Json.Float b))
-        (resources_rows json)
+        (micro_field "alloc_bytes_per_run" json)
   in
   let carry key =
     match Json.member key json with Some v -> v | None -> Json.Null
@@ -676,11 +636,11 @@ let () =
           sheds offered bound;
         exit 1
       end);
-  (* Allocation ceilings: absolute byte budgets on the resources rows —
-     the baseline ROADMAP item 2's compiled kernels must beat. *)
+  (* Allocation ceilings: absolute byte budgets on the micro rows' exact
+     allocation reads. *)
   if required_allocs <> [] then begin
     Printf.printf "alloc gate: %s\n" current_path;
-    let rows = resources_rows cur_json in
+    let rows = micro_field "alloc_bytes_per_run" cur_json in
     let bad = ref 0 in
     List.iter
       (fun (name, ceil) ->
@@ -704,28 +664,27 @@ let () =
      one by the given ratio, and only a bit-identical win counts. *)
   if required_speedups <> [] then begin
     Printf.printf "kernel gate: %s\n" current_path;
-    let rows = kernel_rows cur_json in
+    let speedups = micro_field "speedup" cur_json in
+    let identical = micro_field "bit_identical" cur_json in
     let bad = ref 0 in
-    (match kernel_bit_identical cur_json with
-    | Some true -> Printf.printf "  %-38s %31s  ok\n" "bit_identical" "true"
-    | Some false ->
-        incr bad;
-        Printf.printf "  %-38s %31s  FAIL (compiled diverged)\n"
-          "bit_identical" "false"
-    | None ->
-        incr bad;
-        Printf.printf "  %-38s %31s  FAIL (missing)\n" "bit_identical" "-");
     List.iter
       (fun (name, floor) ->
-        match List.assoc_opt name rows with
-        | Some s when s >= floor ->
+        match (List.assoc_opt name speedups, List.assoc_opt name identical) with
+        | Some s, Some 1. when s >= floor ->
             Printf.printf "  %-38s %13.2fx >= %13.2fx  ok\n" name s floor
-        | Some s ->
+        | Some s, Some 1. ->
             incr bad;
             Printf.printf "  %-38s %13.2fx <  %13.2fx  FAIL\n" name s floor
-        | None ->
+        | Some _, Some _ ->
             incr bad;
-            Printf.printf "  %-38s %31s  FAIL (missing row)\n" name "-")
+            Printf.printf "  %-38s %31s  FAIL (compiled diverged)\n" name
+              "bit_identical false"
+        | Some _, None ->
+            incr bad;
+            Printf.printf "  %-38s %31s  FAIL (no bit_identical)\n" name "-"
+        | None, _ ->
+            incr bad;
+            Printf.printf "  %-38s %31s  FAIL (no pair row)\n" name "-")
       required_speedups;
     if !bad > 0 then (
       Printf.printf "\n%d kernel speedup requirement(s) failed\n" !bad;

@@ -1,11 +1,13 @@
-(** Monotonic time source.
+(** Monotonic time source, exact allocation reads, and the one
+    measurement primitive.
 
     [Unix.gettimeofday] is a wall clock; NTP steps can move it backwards,
     which made {!Telemetry.span} durations and the wall budgets of
     {!Parallel}, {!Workload}, and {!Diagnostics.run_with_retries}
     occasionally negative. This module reads [CLOCK_MONOTONIC] via a tiny
     C stub (with a guarded realtime fallback on exotic hosts) and is the
-    single time source for spans, trace events, and wall budgets. *)
+    single time source for spans, trace events, wall budgets and bench
+    timings. *)
 
 val now_ns : unit -> int
 (** Nanoseconds since an unspecified (boot-relative) epoch. Monotonic:
@@ -20,3 +22,53 @@ val duration_ns : start:int -> stop:int -> int
 
 val duration : start:float -> stop:float -> float
 (** Same clamp in seconds. *)
+
+(** {2 Allocation} *)
+
+val allocated_bytes : unit -> float
+(** Bytes allocated so far by the calling domain: [Gc.minor_words] plus
+    the words allocated directly in the major heap ([Gc.counters]' major
+    words less its promoted words), times the word size. Exact at every
+    instant — unlike the stdlib's allocated-bytes total, whose minor
+    component ([Gc.counters]') reads an eighth of the truth between
+    minor collections on OCaml 5.1. The one allocation read of the bench
+    and {!Resource}. *)
+
+val allocated_since : float -> float
+(** [allocated_since a0] — bytes allocated since [a0 = allocated_bytes ()],
+    less what the two reads themselves allocate; never negative. *)
+
+(** {2 Measurement} *)
+
+type measurement = {
+  ns_per_run : float;  (** median over the loops of loop ns / reps *)
+  alloc_bytes_per_run : float;  (** median over the loops, exact *)
+  minor_gcs : int;  (** minor collections during the timed loops *)
+  major_gcs : int;  (** major collections during the timed loops *)
+  loops : int;
+  reps : int;  (** runs per loop *)
+  spread : float;
+      (** interquartile range of the loops' ns/run over its median *)
+}
+
+val measure : ?loops:int -> ?reps:int -> (unit -> unit) -> measurement
+(** [measure f] runs [f] once to warm up and to size the loops, takes a
+    major collection, then times [loops] (default 11) loops of [reps]
+    runs each on the monotonic clock, reading exact allocation and GC
+    counts around each loop. [reps] defaults to what fills about 20 ms
+    judged by the warm run. Allocation is the calling domain's: work [f]
+    hands to other domains is timed but not counted. *)
+
+type pair = {
+  a : measurement;
+  b : measurement;
+  ratio : float;  (** median over the pairs of [a]'s loop ns / [b]'s *)
+}
+
+val measure_pair : ?reps:int -> (unit -> unit) -> (unit -> unit) -> pair
+(** [measure_pair fa fb] — the A-vs-B form of {!measure}: 21 interleaved
+    pairs of equal-length loops, the two sides' order alternating from
+    pair to pair so drift and warm-up hit both. [reps] defaults to what
+    fills about 20 ms on the slower side's warm run. The ratio is the
+    median of the per-pair ratios, so one noisy loop moves neither it
+    nor a gate on it. *)

@@ -19,7 +19,7 @@ let take_snapshot () =
     major_collections = s.Gc.major_collections;
     compactions = s.Gc.compactions;
     promoted_words = s.Gc.promoted_words;
-    allocated_bytes = Gc.allocated_bytes ();
+    allocated_bytes = Clock.allocated_bytes ();
   }
 
 type t = {
@@ -139,9 +139,9 @@ let alloc_span ?telemetry name f =
     let reg =
       match telemetry with Some t -> t | None -> Telemetry.global
     in
-    let a0 = Gc.allocated_bytes () in
+    let a0 = Clock.allocated_bytes () in
     let r = f () in
-    Telemetry.observe reg name (Gc.allocated_bytes () -. a0);
+    Telemetry.observe reg name (Clock.allocated_since a0);
     r
   end
 
@@ -176,7 +176,7 @@ let report ?model () =
       [
         ("heap_bytes", Json.Int (s.Gc.heap_words * word_bytes));
         ("top_heap_bytes", Json.Int (s.Gc.top_heap_words * word_bytes));
-        ("allocated_bytes", Json.Float (Gc.allocated_bytes ()));
+        ("allocated_bytes", Json.Float (Clock.allocated_bytes ()));
         ( "promoted_bytes",
           Json.Float (s.Gc.promoted_words *. float_of_int word_bytes) );
       ]

@@ -15,7 +15,7 @@
     hot-path hook ({!alloc_span} in [Infer_single.infer] /
     [Gibbs.chain]) starts with a single atomic load and a branch — the
     disabled cost is one conditional. When enabled, a hook reads
-    [Gc.allocated_bytes] (a domain-local float, no synchronization)
+    {!Clock.allocated_bytes} (domain-local counters, no synchronization)
     before and after the wrapped computation and records the delta in a
     reservoir histogram.
 
@@ -79,7 +79,7 @@ val monitored : ?telemetry:Telemetry.t -> (unit -> 'a) -> 'a
     [monitored] window stay monotone. *)
 
 val sample : t -> unit
-(** Publish deltas of [Gc.quick_stat] / [Gc.allocated_bytes] since the
+(** Publish deltas of [Gc.quick_stat] / {!Clock.allocated_bytes} since the
     previous sample as [gc.*] / [mem.*] counters, and refresh the heap
     gauges. Thread-safe; deltas are clamped at zero so a sample can
     never violate counter monotonicity. *)

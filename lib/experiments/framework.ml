@@ -1,7 +1,7 @@
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Mrsl.Clock.now () in
   let r = f () in
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Mrsl.Clock.duration ~start:t0 ~stop:(Mrsl.Clock.now ()) in
   Mrsl.Telemetry.observe Mrsl.Telemetry.global "experiments.timed_seconds" dt;
   (r, dt)
 

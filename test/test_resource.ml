@@ -269,6 +269,71 @@ let test_exposition_utilization () =
     "mrsl_domain_utilization present" true
     (Astring_like.contains text "mrsl_domain_utilization{domain=\"0\"}")
 
+(* Exact allocation read: [Gc.allocated_bytes] reads an eighth of the
+   minor heap's allocation between minor collections on OCaml 5.1, so
+   these readings are the allocations' true sizes. A 1 000-cell list is
+   1 000 three-word cons cells; a 100 000-int array is one header word
+   plus its fields, allocated directly in the major heap. *)
+let within ~slack expected got =
+  Float.abs (got -. expected) <= slack
+
+let list_1000 () = ignore (Sys.opaque_identity (List.init 1000 Fun.id))
+
+let test_measure_alloc_exact () =
+  List.iter
+    (fun reps ->
+      let m = Mrsl.Clock.measure ~loops:3 ~reps list_1000 in
+      Alcotest.(check bool)
+        (Printf.sprintf "List.init 1000 x%d reads %.1f B/run" reps
+           m.alloc_bytes_per_run)
+        true
+        (within ~slack:16. 24_000. m.alloc_bytes_per_run))
+    [ 10; 1000 ];
+  let m =
+    Mrsl.Clock.measure ~loops:3 ~reps:1 (fun () ->
+        ignore (Sys.opaque_identity (Array.make 100_000 0)))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "Array.make 100_000 reads %.1f B/run" m.alloc_bytes_per_run)
+    true
+    (within ~slack:16. 800_008. m.alloc_bytes_per_run);
+  let idle = Mrsl.Clock.measure ~loops:3 ~reps:10 ignore in
+  Alcotest.(check (float 0.)) "an empty run reads 0 B" 0.
+    idle.alloc_bytes_per_run
+
+let test_alloc_span_exact () =
+  let reg = T.create () in
+  let mon = Mrsl.Resource.create ~telemetry:reg () in
+  Mrsl.Resource.install mon;
+  Fun.protect ~finally:(fun () -> ignore (Mrsl.Resource.uninstall ()))
+  @@ fun () ->
+  Mrsl.Resource.alloc_span ~telemetry:reg "test.alloc" (fun () ->
+      ignore (Sys.opaque_identity (List.init 40 Fun.id)));
+  match T.histogram reg "test.alloc" with
+  | Some (s : T.summary) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "List.init 40 observed as %.0f B" s.max)
+        true
+        (within ~slack:32. 960. s.max)
+  | None -> Alcotest.fail "test.alloc histogram missing"
+
+(* The pair form sizes both sides' loops alike and reports the per-pair
+   ratio: a side doing twice the work reads about twice as slow. *)
+let test_measure_pair () =
+  let work n () =
+    let r = ref 0 in
+    for i = 1 to n do
+      r := !r + (i land 7)
+    done;
+    ignore (Sys.opaque_identity !r)
+  in
+  let p = Mrsl.Clock.measure_pair ~reps:20 (work 40_000) (work 20_000) in
+  Alcotest.(check bool) "equal reps" true (p.a.reps = p.b.reps);
+  Alcotest.(check bool)
+    (Printf.sprintf "ratio %.2f in (1.2, 4)" p.ratio)
+    true
+    (p.ratio > 1.2 && p.ratio < 4.)
+
 let suite =
   [
     ("monitored run bit-identical", `Quick, test_monitored_bit_identical);
@@ -280,4 +345,7 @@ let suite =
     ("back-to-back samples", `Quick, test_back_to_back_samples);
     ("monitored restores outer monitor", `Quick, test_monitored_restores_outer);
     ("exposition domain utilization", `Quick, test_exposition_utilization);
+    ("measure reads allocation exactly", `Quick, test_measure_alloc_exact);
+    ("alloc_span reads allocation exactly", `Quick, test_alloc_span_exact);
+    ("measure_pair ratio", `Quick, test_measure_pair);
   ]
