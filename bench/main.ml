@@ -377,7 +377,7 @@ let run_parallel_bench () =
         let timed =
           let scratch = Mrsl.Telemetry.create () in
           untraced (fun () ->
-              Mrsl.Clock.measure ~loops:7 (fun () ->
+              Mrsl.Clock.measure (fun () ->
                   ignore (stats_run ~telemetry:scratch domains)))
         in
         ( domains, stats, timed, hit_rate telemetry,

@@ -240,8 +240,6 @@ let micro_field key json =
       List.filter_map
         (fun row ->
           match (Json.member "name" row, Json.member key row) with
-          | Some (Json.String name), Some (Json.Bool b) ->
-              Some (name, if b then 1. else 0.)
           | Some (Json.String name), Some v -> (
               match Json.to_float v with
               | x -> Some (name, x)
@@ -665,21 +663,32 @@ let () =
   if required_speedups <> [] then begin
     Printf.printf "kernel gate: %s\n" current_path;
     let speedups = micro_field "speedup" cur_json in
-    let identical = micro_field "bit_identical" cur_json in
+    let bit_identical name =
+      match Json.member "micro" cur_json with
+      | Some (Json.List rows) ->
+          List.find_map
+            (fun row ->
+              match Json.member "name" row with
+              | Some (Json.String n) when n = name ->
+                  Json.member "bit_identical" row
+              | _ -> None)
+            rows
+      | _ -> None
+    in
     let bad = ref 0 in
     List.iter
       (fun (name, floor) ->
-        match (List.assoc_opt name speedups, List.assoc_opt name identical) with
-        | Some s, Some 1. when s >= floor ->
+        match (List.assoc_opt name speedups, bit_identical name) with
+        | Some s, Some (Json.Bool true) when s >= floor ->
             Printf.printf "  %-38s %13.2fx >= %13.2fx  ok\n" name s floor
-        | Some s, Some 1. ->
+        | Some s, Some (Json.Bool true) ->
             incr bad;
             Printf.printf "  %-38s %13.2fx <  %13.2fx  FAIL\n" name s floor
-        | Some _, Some _ ->
+        | Some _, Some (Json.Bool false) ->
             incr bad;
             Printf.printf "  %-38s %31s  FAIL (compiled diverged)\n" name
               "bit_identical false"
-        | Some _, None ->
+        | Some _, _ ->
             incr bad;
             Printf.printf "  %-38s %31s  FAIL (no bit_identical)\n" name "-"
         | None, _ ->

@@ -98,7 +98,7 @@ let summarize reps runs =
    major collection settles the heap before the timed loops start. *)
 let loop_ns = 20_000_000
 
-let warm_reps ?reps fs =
+let warm_reps fs =
   let once =
     List.fold_left
       (fun m f ->
@@ -108,18 +108,18 @@ let warm_reps ?reps fs =
       0 fs
   in
   Gc.full_major ();
-  match reps with
-  | Some r -> max 1 r
-  | None -> max 1 (min 1_000_000 (loop_ns / max 1 once))
+  max 1 (min 1_000_000 (loop_ns / max 1 once))
 
-let measure ?(loops = 11) ?reps f =
-  let reps = warm_reps ?reps [ f ] in
-  summarize reps (List.init (max 1 loops) (fun _ -> loop reps f))
+let loops = 11
+
+let measure f =
+  let reps = warm_reps [ f ] in
+  summarize reps (List.init loops (fun _ -> loop reps f))
 
 let pairs = 21
 
-let measure_pair ?reps fa fb =
-  let reps = warm_reps ?reps [ fa; fb ] in
+let measure_pair fa fb =
+  let reps = warm_reps [ fa; fb ] in
   let runs =
     List.init pairs (fun k ->
         if k mod 2 = 0 then

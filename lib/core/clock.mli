@@ -51,12 +51,11 @@ type measurement = {
       (** interquartile range of the loops' ns/run over its median *)
 }
 
-val measure : ?loops:int -> ?reps:int -> (unit -> unit) -> measurement
+val measure : (unit -> unit) -> measurement
 (** [measure f] runs [f] once to warm up and to size the loops, takes a
-    major collection, then times [loops] (default 11) loops of [reps]
-    runs each on the monotonic clock, reading exact allocation and GC
-    counts around each loop. [reps] defaults to what fills about 20 ms
-    judged by the warm run. Allocation is the calling domain's: work [f]
+    major collection, then times 11 loops of [reps] runs each on the
+    monotonic clock, reading exact allocation and GC counts around each
+    loop. [reps] is what fills about 20 ms judged by the warm run. Allocation is the calling domain's: work [f]
     hands to other domains is timed but not counted. *)
 
 type pair = {
@@ -65,10 +64,10 @@ type pair = {
   ratio : float;  (** median over the pairs of [a]'s loop ns / [b]'s *)
 }
 
-val measure_pair : ?reps:int -> (unit -> unit) -> (unit -> unit) -> pair
+val measure_pair : (unit -> unit) -> (unit -> unit) -> pair
 (** [measure_pair fa fb] — the A-vs-B form of {!measure}: 21 interleaved
     pairs of equal-length loops, the two sides' order alternating from
-    pair to pair so drift and warm-up hit both. [reps] defaults to what
-    fills about 20 ms on the slower side's warm run. The ratio is the
+    pair to pair so drift and warm-up hit both. [reps] is what fills
+    about 20 ms on the slower side's warm run. The ratio is the
     median of the per-pair ratios, so one noisy loop moves neither it
     nor a gate on it. *)
