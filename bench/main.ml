@@ -674,9 +674,9 @@ let render_faults rng =
         (List.length lines) (Relation.Instance.size inst) (List.length errs);
       (* 2. Contained scheduler run at the configured task-failure rate. *)
       let contained =
-        Mrsl.Parallel.run_contained
+        Mrsl.Workload.run_contained
           ~config:{ Mrsl.Gibbs.burn_in = 10; samples = 50 }
-          ~domains:2 ~policy:Mrsl.Parallel.Skip_and_report ~seed model
+          ~domains:2 ~policy:Mrsl.Workload.Skip_and_report ~seed model
           workload
       in
       out "scheduler: %d tuples inferred, %d skipped (%d sweeps)"
@@ -689,9 +689,9 @@ let render_faults rng =
         Mrsl.Fault_inject.with_config
           { cfg with task_failure_rate = 1.0 }
           (fun () ->
-            Mrsl.Parallel.run_contained
+            Mrsl.Workload.run_contained
               ~config:{ Mrsl.Gibbs.burn_in = 10; samples = 50 }
-              ~domains:2 ~policy:Mrsl.Parallel.Skip_and_report ~seed model
+              ~domains:2 ~policy:Mrsl.Workload.Skip_and_report ~seed model
               (match workload with a :: b :: c :: _ -> [ a; b; c ] | w -> w))
       in
       out "scheduler (rate 1.0): %d/3 tuples skipped"
@@ -788,7 +788,7 @@ let render_quality rng =
      monitor observes after sampling, so this run is bit-identical to an
      unmonitored one. *)
   ignore
-    (Mrsl.Parallel.run
+    (Mrsl.Workload.run_contained
        ~config:{ Mrsl.Gibbs.burn_in = 10; samples = 50 }
        ~domains:2 ~telemetry:registry ~quality:monitor ~seed model workload);
   (* Convergence-checked inference: a few checked runs, the first with a

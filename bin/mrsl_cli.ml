@@ -446,11 +446,11 @@ let infer_cmd =
       else begin
         let policy =
           match on_fault with
-          | `Fail -> Mrsl.Parallel.Fail_fast
-          | `Skip -> Mrsl.Parallel.Skip_and_report
+          | `Fail -> Mrsl.Workload.Fail_fast
+          | `Skip -> Mrsl.Workload.Skip_and_report
         in
         let contained =
-          Mrsl.Parallel.run_contained ~config ~strategy ~method_ ~memoize
+          Mrsl.Workload.run_contained ~config ~strategy ~method_ ~memoize
             ~domains ~policy ~seed model incomplete
         in
         let result = contained.result in
@@ -463,7 +463,7 @@ let infer_cmd =
           domains;
         List.iter (print_estimate schema top) result.estimates;
         List.iter
-          (fun (f : Mrsl.Parallel.tuple_fault) ->
+          (fun (f : Mrsl.Workload.tuple_fault) ->
             Format.eprintf "fault: tuple %a skipped: %a@."
               (Relation.Tuple.pp schema) f.tuple Mrsl.Error.pp f.error)
           contained.faults;
@@ -927,19 +927,12 @@ let endpoint_term =
   in
   Term.(term_result (const make $ socket_arg $ host_arg $ port_arg))
 
-let serve_domains_arg =
-  let doc =
-    "Worker domains for multi-missing-value inference (default: runtime \
-     recommendation)."
-  in
-  Arg.(value & opt (some int) None & info [ "domains" ] ~doc ~docv:"N")
-
-let engine_config_of seed method_ samples burn_in domains =
+let engine_config_of seed method_ samples burn_in =
   {
-    Serving.Engine.seed;
+    Serving.Engine.default_config with
+    seed;
     method_;
     gibbs = { Mrsl.Gibbs.burn_in; samples };
-    domains;
   }
 
 let serve_cmd =
@@ -1036,7 +1029,15 @@ let serve_cmd =
     in
     Arg.(value & opt float 1.0 & info [ "log-sample" ] ~doc ~docv:"FRAC")
   in
-  let run model_path endpoint seed method_ samples burn_in domains
+  let domains_arg =
+    let doc =
+      "Ignored, whatever $(docv): each multi-missing request runs on one \
+       worker on the event loop's domain. Accepted so that existing \
+       command lines still parse."
+    in
+    Arg.(value & opt (some int) None & info [ "domains" ] ~doc ~docv:"N")
+  in
+  let run model_path endpoint seed method_ samples burn_in _domains
       use_kernel batch_max queue_capacity max_conns idle_timeout deadline_ms
       out_buf_max out_buf_total trace access_log slow_ms log_sample =
     Mrsl.Kernel.set_enabled use_kernel;
@@ -1051,7 +1052,7 @@ let serve_cmd =
     let request_stop _ = Atomic.set stop true in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
     Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
-    let config = engine_config_of seed method_ samples burn_in domains in
+    let config = engine_config_of seed method_ samples burn_in in
     let engine = Serving.Engine.create ~config ~model_path () in
     let log_oc =
       match access_log with
@@ -1097,7 +1098,7 @@ let serve_cmd =
   Cmd.v info
     Term.(
       const run $ model_arg $ endpoint_term $ seed_arg $ method_arg
-      $ samples_arg $ burn_in_arg $ serve_domains_arg
+      $ samples_arg $ burn_in_arg $ domains_arg
       $ kernel_arg $ batch_max_arg $ queue_arg $ max_conns_arg $ idle_timeout_arg
       $ deadline_ms_arg $ out_buf_max_arg $ out_buf_total_arg $ trace_arg
       $ access_log_arg $ slow_ms_arg $ log_sample_arg)
@@ -1327,17 +1328,15 @@ let client_cmd =
       Arg.(
         required & opt (some file) None & info [ "model" ] ~doc ~docv:"FILE")
     in
-    let run endpoint model_path input seed method_ samples burn_in domains
-        use_kernel window =
+    let run endpoint model_path input seed method_ samples burn_in use_kernel
+        window =
       (* Controls only the LOCAL reference engine; the daemon's kernel
          setting is its own. `--no-kernel' makes the reference run the
          interpreted oracle, so verify cross-checks a kernel-enabled
          daemon against interpreted inference bit-for-bit. *)
       Mrsl.Kernel.set_enabled use_kernel;
       let inst = Relation.Csv_io.read_file input in
-      let config =
-        engine_config_of seed method_ samples burn_in domains
-      in
+      let config = engine_config_of seed method_ samples burn_in in
       (* A private registry keeps the reference engine's serve.* metrics
          out of the process-global registry. *)
       let local =
@@ -1431,8 +1430,7 @@ let client_cmd =
             inference through the same library entry points.")
       Term.(
         const run $ endpoint_term $ model_arg $ input_arg $ seed_arg
-        $ method_arg $ samples_arg $ burn_in_arg $ serve_domains_arg
-        $ kernel_arg $ window_arg)
+        $ method_arg $ samples_arg $ burn_in_arg $ kernel_arg $ window_arg)
   in
   let info =
     Cmd.info "client"
@@ -1493,7 +1491,8 @@ let resources_cmd =
             (Relation.Tuple.missing tup))
         incomplete;
       let _ =
-        Mrsl.Parallel.run ~config ~method_ ~domains ~seed model incomplete
+        Mrsl.Workload.run_contained ~config ~method_ ~domains ~seed model
+          incomplete
       in
       Mrsl.Resource.sample_current ();
       Mrsl.Resource.report ~model ()

@@ -311,8 +311,8 @@ echo "serve observability pass passed"
 echo "== resource observability pass =="
 # The daemon installs a resource monitor at startup: /metrics must carry
 # the GC/memory families (sampled at scrape time, so monotone across
-# scrapes) and, once a multi-missing request has exercised the worker
-# pool, the per-domain utilization gauge.  The stats op and client
+# scrapes) and, once a multi-missing request has run the workload
+# executor, the per-domain utilization gauge.  The stats op and client
 # profile must carry the resources block over the wire.
 RES_SOCK="$SERVE_DIR/mrsl-res.sock"
 "$MRSL_BIN" serve --model "$SERVE_MODEL" \
@@ -324,8 +324,8 @@ mrsl_client ping --socket "$RES_SOCK" | grep -q '"ok":true'
 mrsl_client infer --socket "$RES_SOCK" --tuple "$SINGLE_TUPLE" \
   | grep -q '"mode":"exact"'
 if [ -n "$GIBBS_TUPLE" ]; then
-  # Multi-missing inference runs the contained worker pool, which
-  # publishes the per-domain utilization snapshot.
+  # Multi-missing inference runs the workload executor on one worker,
+  # which publishes its utilization snapshot (one domain slot).
   mrsl_client infer --socket "$RES_SOCK" --tuple "$GIBBS_TUPLE" \
     | grep -q '"mode":"gibbs"'
 fi

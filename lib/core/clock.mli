@@ -3,8 +3,8 @@
 
     [Unix.gettimeofday] is a wall clock; NTP steps can move it backwards,
     which made {!Telemetry.span} durations and the wall budgets of
-    {!Parallel}, {!Workload}, and {!Diagnostics.run_with_retries}
-    occasionally negative. This module reads [CLOCK_MONOTONIC] via a tiny
+    {!Workload} and {!Diagnostics.run_with_retries} occasionally
+    negative. This module reads [CLOCK_MONOTONIC] via a tiny
     C stub (with a guarded realtime fallback on exotic hosts) and is the
     single time source for spans, trace events, wall budgets and bench
     timings. *)

@@ -1,12 +1,11 @@
 (** Persistent domain pool.
 
-    The seed implementation spawned one fresh domain per chunk on every
-    [Parallel.run] — paying domain start-up (minor-heap creation, STW
-    registration) per call and discarding every per-domain memo table on
-    exit. This pool spawns domains lazily, parks them on a condition
-    variable between jobs, and reuses them for the life of the process, so
-    domain-local state ({!Parallel}'s sampler cache) survives across runs.
-    Workers are shut down and joined via [at_exit]. *)
+    Spawning fresh domains on every multi-domain
+    {!Workload.run_contained} would pay domain start-up (minor-heap
+    creation, STW registration) per call. This pool spawns domains
+    lazily, parks them on a condition variable between jobs, and reuses
+    them for the life of the process. Workers are shut down and joined
+    via [at_exit]. *)
 
 type t
 

@@ -9,7 +9,7 @@
     (file, line, node index, …).
 
     Library boundaries expose [result]-returning variants built on this
-    type ({!Infer_single.infer_result}, {!Parallel.run_contained},
+    type ({!Infer_single.infer_result}, {!Workload.run_contained},
     [Relation.Csv_io.read_string_lenient]); the exception {!Mrsl_error}
     carries the same payload across layers that still raise. *)
 

@@ -66,17 +66,6 @@ let conditional s point a =
 
 let cache_stats s = (s.hits, s.misses)
 
-let hit_rate s =
-  let total = s.hits + s.misses in
-  if total = 0 then 0. else float_of_int s.hits /. float_of_int total
-
-let publish_cache_stats ?(telemetry = Telemetry.global) s =
-  let hits, misses = cache_stats s in
-  Telemetry.add telemetry "gibbs.memo_hits" hits;
-  Telemetry.add telemetry "gibbs.memo_misses" misses;
-  if hits + misses > 0 then
-    Telemetry.observe telemetry "gibbs.memo_hit_rate" (hit_rate s)
-
 type chain = {
   sampler : sampler;
   tuple : Relation.Tuple.t;

@@ -58,16 +58,6 @@ val cache_stats : sampler -> int * int
     conditionals and chain initialisations. A bypassed probe counts as
     neither. *)
 
-val hit_rate : sampler -> float
-(** hits / (hits + misses), or [0.] before any probe (or when the tables
-    are bypassed). *)
-
-val publish_cache_stats : ?telemetry:Telemetry.t -> sampler -> unit
-(** Record the probe counters into [telemetry] (default
-    {!Telemetry.global}): counters [gibbs.memo_hits] /
-    [gibbs.memo_misses] and one [gibbs.memo_hit_rate] histogram
-    observation (skipped when the sampler was never probed). *)
-
 type chain
 (** One Gibbs chain: a tuple's evidence plus the current assignment of its
     missing attributes. *)

@@ -3,7 +3,7 @@
     A registry of named metrics written from any domain and snapshotted to
     JSON — the substrate of the BENCH_*.json artifacts that the CI
     regression gate consumes, and of the steal/queue-depth/memo-hit-rate
-    instrumentation inside {!Parallel} and {!Workload}.
+    instrumentation inside {!Workload}.
 
     Four metric kinds:
 
@@ -77,8 +77,8 @@ type t
 val create : unit -> t
 
 val global : t
-(** The process-wide default registry; the sink used by {!Parallel} and
-    {!Workload} when no explicit registry is passed. *)
+(** The process-wide default registry; the sink used by {!Workload}
+    when no explicit registry is passed. *)
 
 (** {1 Counters} *)
 

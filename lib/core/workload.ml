@@ -576,12 +576,19 @@ let execute ~config ~strategy ~max_draws ~telemetry ~policy ~quality
   }
 
 let run_contained ?(config = Gibbs.default_config) ?(strategy = Tuple_dag)
-    ?(telemetry = Telemetry.global) ?(policy = Fail_fast) ?quality
-    ?request_flow ~domains ~seed sampler workload =
-  if domains < 1 then
-    invalid_arg "Workload.run_contained: domains must be >= 1";
+    ?method_ ?memoize ?domains ?(telemetry = Telemetry.global)
+    ?(policy = Fail_fast) ?quality ?request_flow ~seed model workload =
+  let domains =
+    match domains with
+    | Some d when d < 1 ->
+        invalid_arg "Workload.run_contained: domains must be >= 1"
+    | Some d -> d
+    | None -> Domain.recommended_domain_count ()
+  in
   execute ~config ~strategy ~max_draws:10_000_000 ~telemetry ~policy ~quality
-    ~request_flow ~domains ~source:(`Seed seed) sampler workload
+    ~request_flow ~domains ~source:(`Seed seed)
+    (fun () -> Gibbs.sampler ?method_ ?memoize model)
+    workload
 
 let run ?(config = Gibbs.default_config) ?(strategy = Tuple_dag)
     ?(max_draws = 10_000_000) ?(telemetry = Telemetry.global) ?quality rng

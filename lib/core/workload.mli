@@ -30,8 +30,8 @@
     dealt round-robin in node order, promoted subsumees pushed onto the
     deque of the worker that completed their last parent. One worker
     runs on the calling domain; more come from the process-wide
-    {!Domain_pool} ({!Parallel}). All-at-a-time has a single chain and
-    always runs on the calling domain.
+    {!Domain_pool}. All-at-a-time has a single chain and always runs on
+    the calling domain.
 
     {b Determinism.} Each task draws from an RNG stream seeded by the run
     seed and its node index in the deterministic tuple DAG, and a
@@ -40,7 +40,7 @@
     A seed therefore yields bit-identical estimates and identical
     sweep/recorded/shared counters for any worker count and any steal
     interleaving; only [wall_seconds] varies. {!run} with an RNG [rng]
-    equals {!run_contained} (and {!Parallel.run}) with the seed
+    equals {!run_contained} with the seed
     [Int64.to_int (Prob.Rng.bits64 rng)] at any domain count.
 
     Cost is reported as the number of Gibbs sweeps (sampled points,
@@ -90,14 +90,17 @@ type contained = {
 }
 
 val run_contained : ?config:Gibbs.config -> ?strategy:strategy ->
+  ?method_:Voting.method_ -> ?memoize:bool -> ?domains:int ->
   ?telemetry:Telemetry.t -> ?policy:fault_policy -> ?quality:Quality.t ->
-  ?request_flow:int -> domains:int -> seed:int -> (unit -> Gibbs.sampler) ->
-  Relation.Tuple.t list -> contained
-(** The executor. [run_contained ~domains ~seed sampler workload] infers
-    the joint distribution of the missing values of every distinct
-    incomplete tuple in [workload] with [min domains (distinct tuples)]
-    workers (at least one), each sampling with its own [sampler ()]; all
-    samplers must be over one model. Raises [Invalid_argument] when
+  ?request_flow:int -> seed:int -> Model.t -> Relation.Tuple.t list ->
+  contained
+(** The executor. [run_contained ~seed model workload] infers the joint
+    distribution of the missing values of every distinct incomplete
+    tuple in [workload] with [min domains (distinct tuples)] workers (at
+    least one), each sampling with its own
+    [Gibbs.sampler ?method_ ?memoize model] (its own probe counters over
+    the epoch's shared conditional tables). [domains] defaults to
+    [Domain.recommended_domain_count ()]. Raises [Invalid_argument] when
     [domains < 1], on a bad [config] and on complete tuples. [strategy]
     defaults to [Tuple_dag]; [All_at_a_time] runs its chain on the
     calling domain from [Prob.Rng.create seed], and per-task containment

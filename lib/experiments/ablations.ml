@@ -262,8 +262,8 @@ let parallelism rng scale =
   in
   List.map
     (fun domains ->
-      let result =
-        Mrsl.Parallel.run ~config ~strategy:Mrsl.Workload.Tuple_dag
+      let { Mrsl.Workload.result; _ } =
+        Mrsl.Workload.run_contained ~config ~strategy:Tuple_dag
           ~memoize:false ~domains ~seed:71 model workload
       in
       { domains; seconds = result.stats.wall_seconds;

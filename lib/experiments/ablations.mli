@@ -59,7 +59,8 @@ val memoization : Prob.Rng.t -> Scale.t -> memo_row list
 type parallel_row = { domains : int; seconds : float; sweeps : int }
 
 val parallelism : Prob.Rng.t -> Scale.t -> parallel_row list
-(** Multicore scaling of workload inference (this repo's [Mrsl.Parallel]):
+(** Multicore scaling of workload inference
+    ({!Mrsl.Workload.run_contained}, this repo's addition):
     one tuple-DAG workload and seed at 1, 2 and 4 domains, cache disabled
     so wall time tracks sampling work. Sweep counts are equal by
     construction. *)

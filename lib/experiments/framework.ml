@@ -185,11 +185,11 @@ let workload_stats ?(memoize = false) rng model ~strategy ~samples ~burn_in
 let parallel_workload_stats ?(memoize = true) ?telemetry ~domains ~seed model
     ~samples ~burn_in workload =
   let config = { Mrsl.Gibbs.burn_in; samples } in
-  let result =
-    Mrsl.Parallel.run ~config ~strategy:Mrsl.Workload.Tuple_dag ~memoize
+  let contained =
+    Mrsl.Workload.run_contained ~config ~strategy:Tuple_dag ~memoize
       ~domains ?telemetry ~seed model workload
   in
-  result.stats
+  contained.result.stats
 
 let joint_agreement (a : Mrsl.Workload.result) (b : Mrsl.Workload.result) =
   let table = Relation.Tuple.Table.create 64 in

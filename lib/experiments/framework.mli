@@ -75,8 +75,9 @@ val parallel_workload_stats : ?memoize:bool -> ?telemetry:Mrsl.Telemetry.t ->
   domains:int -> seed:int -> Mrsl.Model.t -> samples:int -> burn_in:int ->
   Relation.Tuple.t list -> Mrsl.Workload.stats
 (** Tuple-DAG workload cost under the work-stealing scheduler at a given
-    domain count ({!Mrsl.Parallel.run}); [memoize] defaults to [true] —
-    this measures the system as deployed, not the paper's cost model. *)
+    domain count ({!Mrsl.Workload.run_contained}); [memoize] defaults to
+    [true] — this measures the system as deployed, not the paper's cost
+    model. *)
 
 val joint_agreement : Mrsl.Workload.result -> Mrsl.Workload.result -> float
 (** Mean total-variation distance between two strategies' estimates of the

@@ -379,18 +379,20 @@ let run_multi t ~pressure responses tasks =
           responses.(slot) <- shed_response t ?id ())
         tasks
   | _, Normal ->
-      let { seed; method_; gibbs; domains; _ } = t.config in
+      let { seed; method_; gibbs; _ } = t.config in
       let model = t.model in
       (* Compute once per distinct tuple; identical requests in the
          batch share the result. Each tuple is its own one-element
          workload so its estimate is independent of batch composition
-         (and therefore bit-identical to a one-shot CLI run). *)
+         (and therefore bit-identical to a one-shot CLI run). A
+         one-tuple workload has one worker, on this domain, so it is
+         asked for exactly one. *)
       let distinct = Relation.Tuple.Table.create 8 in
       List.iter
         (fun { tuple; flow; _ } ->
           if not (Relation.Tuple.Table.mem distinct tuple) then
             (* Only the first request of a deduped tuple threads its flow
-               into the worker pool — one arrow per computation, and the
+               into the executor — one arrow per computation, and the
                per-id start/finish counts stay balanced. *)
             let request_flow = if flow <> 0 then Some flow else None in
             Relation.Tuple.Table.add distinct tuple
@@ -400,9 +402,9 @@ let run_multi t ~pressure responses tasks =
                      Mrsl.Trace.flow_start ~cat:"serve" ~id "serve.request"
                  | None -> ());
                  let contained =
-                   Mrsl.Parallel.run_contained ~config:gibbs ~method_
-                     ?domains ~telemetry:t.telemetry
-                     ~policy:Mrsl.Parallel.Skip_and_report ?request_flow
+                   Mrsl.Workload.run_contained ~config:gibbs ~method_
+                     ~domains:1 ~telemetry:t.telemetry
+                     ~policy:Mrsl.Workload.Skip_and_report ?request_flow
                      ~seed model [ tuple ]
                  in
                  match contained.faults with

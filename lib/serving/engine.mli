@@ -13,11 +13,12 @@
 
     - a single-missing-value request is answered by
       {!Mrsl.Infer_single.infer} — exact and RNG-free;
-    - a multi-missing request runs {!Mrsl.Parallel.run_contained} over
-      the one-tuple workload [{tuple}] with the engine's fixed [seed],
-      so its Gibbs estimate is a deterministic function of
-      [(model, tuple, seed, method, gibbs config)] — independent of
-      batch composition, request order, and domain count.
+    - a multi-missing request runs {!Mrsl.Workload.run_contained} over
+      the one-tuple workload [{tuple}] with the engine's fixed [seed] on
+      one worker on the calling domain, so its Gibbs estimate is a
+      deterministic function of [(model, tuple, seed, method, gibbs
+      config)] — independent of batch composition and request order,
+      and equal to a one-shot run at any domain count.
 
     {2 Batching}
 
@@ -60,8 +61,9 @@ type config = {
   method_ : Mrsl.Voting.method_;
   gibbs : Mrsl.Gibbs.config;
   domains : int option;
-      (** worker domains for multi-missing inference; [None] = let
-          {!Mrsl.Parallel.run_contained} pick *)
+      (** Has no effect, whatever its value: each multi-missing request
+          is a one-tuple workload, which runs on one worker on the
+          calling domain. *)
 }
 
 val default_config : config
@@ -153,8 +155,8 @@ val handle_batch :
     the batch slice emits a [serve.request] {!Mrsl.Trace.flow_end} per
     tracked slot (terminating the admission arrow {!Server} started),
     and a multi-missing request restarts the flow into
-    {!Mrsl.Parallel.run_contained} so the arrow continues onto the
-    worker domain's task slice — one arrow per distinct deduped tuple.
+    {!Mrsl.Workload.run_contained} so the arrow continues onto the
+    worker's task slice — one arrow per distinct deduped tuple.
     Flow emission is observation-only; answers are bit-identical with
     or without it.
 

@@ -1,10 +1,10 @@
 (** The [mrsl serve] event loop: sockets, batching, admission, swap.
 
-    A single-threaded [Unix.select] loop (inference parallelism lives
-    inside {!Engine} via {!Mrsl.Parallel}'s domain pool, so the
-    transport needs no threads): accept connections on one endpoint,
-    reassemble line frames per connection ({!Protocol.Framing}), push
-    parsed requests through the bounded {!Admission} queue, and — once
+    A single-threaded [Unix.select] loop (inference runs inside
+    {!Engine} on the loop's own domain, one worker per multi-missing
+    tuple, so the transport needs no threads): accept connections on one
+    endpoint, reassemble line frames per connection ({!Protocol.Framing}),
+    push parsed requests through the bounded {!Admission} queue, and — once
     per loop iteration — drain up to [batch_max] of them into one
     {!Engine.handle_batch} call. Batching is what lets identical
     concurrent requests from different clients share one posterior

@@ -326,9 +326,9 @@ let test_parallel_cached_uncached_identical_across_domains () =
   in
   let config = { Mrsl.Gibbs.burn_in = 5; samples = 25 } in
   let run ~memoize ~telemetry domains =
-    (Mrsl.Parallel.run ~config ~memoize ~domains ~telemetry ~seed:5 model
-       workload)
-      .estimates
+    (Mrsl.Workload.run_contained ~config ~memoize ~domains ~telemetry ~seed:5
+       model workload)
+      .result.estimates
   in
   let baseline = run ~memoize:false ~telemetry:(registry ()) 1 in
   List.iter

@@ -338,10 +338,10 @@ let containment_fixture model workload =
       else
         let contained =
           Mrsl.Fault_inject.with_config c (fun () ->
-              Mrsl.Parallel.run_contained ~config:run_config ~domains:1
-                ~policy:Mrsl.Parallel.Skip_and_report ~seed:17 model workload)
+              Mrsl.Workload.run_contained ~config:run_config ~domains:1
+                ~policy:Mrsl.Workload.Skip_and_report ~seed:17 model workload)
         in
-        if contained.Mrsl.Parallel.result.estimates = [] then find (s + 1)
+        if contained.Mrsl.Workload.result.estimates = [] then find (s + 1)
         else (c, own, contained)
   in
   find 0
@@ -351,7 +351,7 @@ let test_containment_skips_and_reports () =
   let workload = small_workload () in
   let c, own, contained = containment_fixture model workload in
   ignore c;
-  let faults = contained.Mrsl.Parallel.faults in
+  let faults = contained.Mrsl.Workload.faults in
   Alcotest.(check bool) "at least one fault" true (faults <> []);
   Alcotest.(check int) "everything accounted for" 5
     (List.length contained.result.estimates + List.length faults);
@@ -359,7 +359,7 @@ let test_containment_skips_and_reports () =
      naming it as root cause. *)
   let own_node = List.hd own in
   List.iter
-    (fun (f : Mrsl.Parallel.tuple_fault) ->
+    (fun (f : Mrsl.Workload.tuple_fault) ->
       if f.node = own_node then begin
         Alcotest.(check string) "own failure code" "fault_inject.task"
           f.error.code;
@@ -380,15 +380,17 @@ let test_containment_bit_identical_survivors () =
   let c, _, reference = containment_fixture model workload in
   (* Fault-free baseline with the same seed. *)
   let clean =
-    Mrsl.Parallel.run ~config:run_config ~domains:1 ~seed:17 model workload
+    (Mrsl.Workload.run_contained ~config:run_config ~domains:1 ~seed:17 model
+       workload)
+      .result
   in
-  let check_against (contained : Mrsl.Parallel.contained) label =
+  let check_against (contained : Mrsl.Workload.contained) label =
     (* Same fault set as the domains:1 reference. *)
     Alcotest.(check (list int))
       (label ^ " same skipped nodes")
-      (List.map (fun (f : Mrsl.Parallel.tuple_fault) -> f.node)
+      (List.map (fun (f : Mrsl.Workload.tuple_fault) -> f.node)
          reference.faults)
-      (List.map (fun (f : Mrsl.Parallel.tuple_fault) -> f.node)
+      (List.map (fun (f : Mrsl.Workload.tuple_fault) -> f.node)
          contained.faults);
     (* Surviving estimates bit-identical to the fault-free run. *)
     List.iter
@@ -415,8 +417,8 @@ let test_containment_bit_identical_survivors () =
     (fun domains ->
       let contained =
         Mrsl.Fault_inject.with_config c (fun () ->
-            Mrsl.Parallel.run_contained ~config:run_config ~domains
-              ~policy:Mrsl.Parallel.Skip_and_report ~seed:17 model workload)
+            Mrsl.Workload.run_contained ~config:run_config ~domains
+              ~policy:Mrsl.Workload.Skip_and_report ~seed:17 model workload)
       in
       check_against contained (Printf.sprintf "domains:%d" domains))
     [ 2; 4 ]
@@ -428,8 +430,8 @@ let test_containment_counts_telemetry () =
   let t = Mrsl.Telemetry.create () in
   let contained =
     Mrsl.Fault_inject.with_config c (fun () ->
-        Mrsl.Parallel.run_contained ~config:run_config ~domains:2
-          ~telemetry:t ~policy:Mrsl.Parallel.Skip_and_report ~seed:17 model
+        Mrsl.Workload.run_contained ~config:run_config ~domains:2
+          ~telemetry:t ~policy:Mrsl.Workload.Skip_and_report ~seed:17 model
           workload)
   in
   Alcotest.(check int) "task failures counted" 1
@@ -450,31 +452,31 @@ let test_fail_fast_policy_raises () =
   let c, _, _ = containment_fixture model workload in
   match
     Mrsl.Fault_inject.with_config c (fun () ->
-        Mrsl.Parallel.run_contained ~config:run_config ~domains:2 ~seed:17
+        Mrsl.Workload.run_contained ~config:run_config ~domains:2 ~seed:17
           model workload)
   with
   | _ -> Alcotest.fail "Fail_fast should re-raise the injected fault"
   | exception Mrsl.Error.Mrsl_error e ->
       Alcotest.(check string) "injected code" "fault_inject.task" e.code
 
-let test_run_wrapper_unchanged () =
-  (* The back-compat wrapper equals run_contained's result under
-     Fail_fast with no injection. *)
+let test_policies_agree_without_faults () =
+  (* With no injection the policy is unobservable: Fail_fast and
+     Skip_and_report report no faults and the same estimates. *)
   let model = trained_model () in
   let workload = small_workload () in
-  let a =
-    Mrsl.Parallel.run ~config:run_config ~domains:2 ~seed:4 model workload
+  let run policy =
+    Mrsl.Workload.run_contained ~config:run_config ~domains:2 ~policy ~seed:4
+      model workload
   in
-  let b =
-    Mrsl.Parallel.run_contained ~config:run_config ~domains:2 ~seed:4 model
-      workload
-  in
-  Alcotest.(check int) "no faults" 0 (List.length b.faults);
+  let a = run Mrsl.Workload.Fail_fast
+  and b = run Mrsl.Workload.Skip_and_report in
+  Alcotest.(check int) "no faults" 0
+    (List.length a.faults + List.length b.faults);
   List.iter2
     (fun (_, (ea : Mrsl.Gibbs.estimate)) (_, (eb : Mrsl.Gibbs.estimate)) ->
       check_float "same estimates" (Prob.Dist.prob ea.joint 0)
         (Prob.Dist.prob eb.joint 0))
-    a.estimates b.result.estimates
+    a.result.estimates b.result.estimates
 
 (* A degraded conditional computed while voter drops are active must not
    outlive the fault window: a clean run after it has to equal a clean
@@ -501,9 +503,9 @@ let test_voter_drop_does_not_leak_into_clean_runs () =
         tup)
   in
   let run m =
-    (Mrsl.Parallel.run ~config:run_config ~domains:1
+    (Mrsl.Workload.run_contained ~config:run_config ~domains:1
        ~telemetry:(Mrsl.Telemetry.create ()) ~seed:7 m workload)
-      .estimates
+      .result.estimates
   in
   ignore
     (Mrsl.Fault_inject.with_config
@@ -642,7 +644,8 @@ let suite =
       test_containment_bit_identical_survivors );
     ("containment telemetry", `Quick, test_containment_counts_telemetry);
     ("fail-fast policy raises", `Quick, test_fail_fast_policy_raises);
-    ("run wrapper unchanged", `Quick, test_run_wrapper_unchanged);
+    ("policies agree without faults", `Quick,
+     test_policies_agree_without_faults);
     ( "voter drops do not leak into clean runs",
       `Quick,
       test_voter_drop_does_not_leak_into_clean_runs );

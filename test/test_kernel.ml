@@ -165,10 +165,10 @@ let test_parallel_domains_bit_identical () =
   let run kernel domains =
     with_kernel kernel (fun () ->
         let r =
-          Mrsl.Parallel.run ~config:gibbs_config ~domains ~seed:7 model
-            workload
+          Mrsl.Workload.run_contained ~config:gibbs_config ~domains ~seed:7
+            model workload
         in
-        r.Mrsl.Workload.estimates)
+        r.result.estimates)
   in
   let reference = run false 1 in
   List.iter

@@ -65,8 +65,6 @@ let registry_names =
     "gibbs.chains";
     "gibbs.checked";
     "gibbs.memo_hit_rate";
-    "gibbs.memo_hits";
-    "gibbs.memo_misses";
     "gibbs.retries";
     "kernel.compiles";
     "kernel.fallback";
@@ -203,7 +201,8 @@ let test_runtime_names_documented () =
     ]
   in
   let _ =
-    Mrsl.Parallel.run ~config:{ Mrsl.Gibbs.burn_in = 10; samples = 40 }
+    Mrsl.Workload.run_contained
+      ~config:{ Mrsl.Gibbs.burn_in = 10; samples = 40 }
       ~domains:2 ~seed:7 model workload
   in
   (* registry names *)

@@ -460,7 +460,10 @@ let test_parallel_covers_and_agrees () =
   let model = mixing_model () in
   let workload = small_workload () in
   let config = { Mrsl.Gibbs.burn_in = 50; samples = 1500 } in
-  let result = Mrsl.Parallel.run ~config ~domains:3 ~seed:5 model workload in
+  let result =
+    (Mrsl.Workload.run_contained ~config ~domains:3 ~seed:5 model workload)
+      .result
+  in
   Alcotest.(check int) "all tuples estimated" 5 (List.length result.estimates);
   (* Accuracy parity with a sequential run (within sampling noise). *)
   let sampler = Mrsl.Gibbs.sampler model in
@@ -473,9 +476,10 @@ let test_parallel_covers_and_agrees () =
 let test_parallel_deterministic () =
   let model = trained_model () in
   let run () =
-    Mrsl.Parallel.run
-      ~config:{ burn_in = 10; samples = 100 }
-      ~domains:2 ~seed:9 model (small_workload ())
+    (Mrsl.Workload.run_contained
+       ~config:{ burn_in = 10; samples = 100 }
+       ~domains:2 ~seed:9 model (small_workload ()))
+      .result
   in
   let a = run () and b = run () in
   List.iter2
@@ -486,10 +490,10 @@ let test_parallel_deterministic () =
     a.estimates b.estimates
 
 (* [Workload.run] is the scheduler on one worker, seeded by one draw
-   from its RNG: [Parallel.run] with that seed must reproduce it bit for
+   from its RNG: [run_contained] with that seed must reproduce it bit for
    bit at every domain count — estimates and counters, both scheduled
    strategies. *)
-let test_run_matches_parallel_run () =
+let test_run_matches_run_contained () =
   let model = trained_model () in
   let workload = small_workload () in
   let config = { Mrsl.Gibbs.burn_in = 10; samples = 50 } in
@@ -504,7 +508,9 @@ let test_run_matches_parallel_run () =
       List.iter
         (fun domains ->
           let par =
-            Mrsl.Parallel.run ~config ~strategy ~domains ~seed model workload
+            (Mrsl.Workload.run_contained ~config ~strategy ~domains ~seed model
+               workload)
+              .result
           in
           let msg what =
             Printf.sprintf "%s, %d domains: %s"
@@ -533,9 +539,11 @@ let test_run_matches_parallel_run () =
 let test_parallel_rejects_bad_domains () =
   let model = trained_model () in
   Alcotest.check_raises "domains 0"
-    (Invalid_argument "Parallel.run: domains must be >= 1") (fun () ->
+    (Invalid_argument "Workload.run_contained: domains must be >= 1")
+    (fun () ->
       ignore
-        (Mrsl.Parallel.run ~domains:0 ~seed:1 model (small_workload ())))
+        (Mrsl.Workload.run_contained ~domains:0 ~seed:1 model
+           (small_workload ())))
 
 (* The work-stealing scheduler's core guarantee: per-task RNG streams
    seeded by stable node identity + pull-based donation make the result a
@@ -545,9 +553,10 @@ let test_parallel_bit_identical_across_domains () =
   let model = trained_model () in
   let workload = small_workload () in
   let run domains =
-    Mrsl.Parallel.run
-      ~config:{ burn_in = 20; samples = 200 }
-      ~domains ~seed:17 model workload
+    (Mrsl.Workload.run_contained
+       ~config:{ burn_in = 20; samples = 200 }
+       ~domains ~seed:17 model workload)
+      .result
   in
   let reference = run 1 in
   List.iter
@@ -590,9 +599,10 @@ let test_parallel_seed_stable_under_empty_deques () =
   let model = trained_model () in
   let workload = small_workload () in
   let run domains =
-    Mrsl.Parallel.run
-      ~config:{ burn_in = 10; samples = 100 }
-      ~domains ~seed:23 model workload
+    (Mrsl.Workload.run_contained
+       ~config:{ burn_in = 10; samples = 100 }
+       ~domains ~seed:23 model workload)
+      .result
   in
   let a = run 5 (* capped to 5 nodes *) and b = run 64 (* heavily over-asked *) in
   List.iter2
@@ -605,10 +615,11 @@ let test_parallel_seed_stable_under_empty_deques () =
 let test_parallel_strategy_tuple_at_a_time () =
   let model = trained_model () in
   let result =
-    Mrsl.Parallel.run
-      ~config:{ burn_in = 10; samples = 50 }
-      ~strategy:Mrsl.Workload.Tuple_at_a_time ~domains:2 ~seed:11 model
-      (small_workload ())
+    (Mrsl.Workload.run_contained
+       ~config:{ burn_in = 10; samples = 50 }
+       ~strategy:Tuple_at_a_time ~domains:2 ~seed:11 model
+       (small_workload ()))
+      .result
   in
   Alcotest.(check int) "all estimated" 5 (List.length result.estimates);
   Alcotest.(check int) "no sharing without DAG edges" 0 result.stats.shared
@@ -617,7 +628,7 @@ let test_parallel_telemetry_counters () =
   let model = trained_model () in
   let telemetry = Mrsl.Telemetry.create () in
   let _ =
-    Mrsl.Parallel.run
+    Mrsl.Workload.run_contained
       ~config:{ burn_in = 5; samples = 40 }
       ~domains:2 ~telemetry ~seed:3 model (small_workload ())
   in
@@ -637,8 +648,8 @@ let suite =
   @ [
       ("parallel covers and agrees", `Quick, test_parallel_covers_and_agrees);
       ("parallel deterministic", `Quick, test_parallel_deterministic);
-      ("run = Parallel.run, 1/2/4 domains", `Quick,
-       test_run_matches_parallel_run);
+      ("run = run_contained, 1/2/4 domains", `Quick,
+       test_run_matches_run_contained);
       ("parallel rejects bad domains", `Quick, test_parallel_rejects_bad_domains);
       ("parallel bit-identical across domains", `Quick,
        test_parallel_bit_identical_across_domains);

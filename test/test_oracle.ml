@@ -33,11 +33,11 @@
    reference: they are checked against independent tuple-at-a-time runs,
    with the bound set by tuple-at-a-time's own seed-to-seed spread.
    Tuple-at-a-time and tuple-DAG run through [Workload.run] and through
-   [Parallel.run] at 1, 2 and 4 domains, with the conditional tables on
-   and off. All-at-a-time runs one chain on the calling domain whatever
-   the domain count; its statistical check runs with the tables on, and
-   with them off its estimates must equal the tables-on ones bit for bit
-   (one tables-off run of its chain costs about 0.8 s).
+   [Workload.run_contained] at 1, 2 and 4 domains, with the conditional
+   tables on and off. All-at-a-time runs one chain on the calling domain
+   whatever the domain count; its statistical check runs with the tables
+   on, and with them off its estimates must equal the tables-on ones bit
+   for bit (one tables-off run of its chain costs about 0.8 s).
 
    Controls. A test-local executor replays the tuple-DAG schedule with a
    list-based donation: honouring the subsumee's evidence it must pass
@@ -300,11 +300,13 @@ let executors =
          :: List.map
               (fun domains ->
                 executor ~all_at_a_time:memoize
-                  (Printf.sprintf "Parallel.run %d domains, %s" domains tables)
+                  (Printf.sprintf "run_contained %d domains, %s" domains
+                     tables)
                   (fun strategy seed ->
                     joints dag
-                      (Mrsl.Parallel.run ~config ~strategy ~memoize ~domains
-                         ~seed model tuples)))
+                      (Mrsl.Workload.run_contained ~config ~strategy ~memoize
+                         ~domains ~seed model tuples)
+                        .result))
               [ 1; 2; 4 ])
        [ true; false ])
 

@@ -247,8 +247,7 @@ let test_golden_fault_list () =
       (fun () ->
         Mrsl.Workload.run_contained ~config:golden_config
           ~telemetry:(Mrsl.Telemetry.create ())
-          ~policy:Mrsl.Workload.Skip_and_report ~domains:1 ~seed:2011
-          (fun () -> Mrsl.Gibbs.sampler model)
+          ~policy:Mrsl.Workload.Skip_and_report ~domains:1 ~seed:2011 model
           tuples)
   in
   (* "node" for a task that raised the injected fault, "node<root" for a

@@ -415,8 +415,9 @@ let test_monitored_run_bit_identical () =
   in
   let run ?quality domains =
     snapshot
-      (Mrsl.Parallel.run ~config ~domains ~telemetry:(T.create ()) ?quality
-         ~seed:2011 model workload)
+      (Mrsl.Workload.run_contained ~config ~domains ~telemetry:(T.create ())
+         ?quality ~seed:2011 model workload)
+        .result
   in
   let bare = run 4 in
   let m = monitor () in

@@ -31,9 +31,10 @@ let workload =
 let run_parallel ?telemetry () =
   let m = model () in
   let telemetry = Option.value telemetry ~default:(T.create ()) in
-  Mrsl.Parallel.run
-    ~config:{ Mrsl.Gibbs.burn_in = 15; samples = 60 }
-    ~telemetry ~domains:2 ~seed:11 m workload
+  (Mrsl.Workload.run_contained
+     ~config:{ Mrsl.Gibbs.burn_in = 15; samples = 60 }
+     ~telemetry ~domains:2 ~seed:11 m workload)
+    .result
 
 let joints (r : Mrsl.Workload.result) =
   List.map

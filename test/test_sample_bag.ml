@@ -4,9 +4,9 @@
    a list of full points per tuple, filled by [Gibbs.sweep], shared by
    scanning the donor's points oldest first through [Tuple.matches], and
    estimated with [Gibbs.estimate_of_points]. [Workload.run] and
-   [Parallel.run] store rows in bags, donate through per-edge plans and
-   count row codes straight into the joint; they must reproduce the
-   reference bit for bit: equal joint float arrays, equal sample counts
+   [Workload.run_contained] store rows in bags, donate through per-edge
+   plans and count row codes straight into the joint; they must reproduce
+   the reference bit for bit: equal joint float arrays, equal sample counts
    and equal sweep/recorded/shared counters. *)
 
 open Helpers
@@ -181,7 +181,7 @@ let reference ~max_draws seed model tuples =
     shared = 0;
   }
 
-(* [Parallel]'s semantics, replayed sequentially: node [i] samples from
+(* The scheduler's semantics, replayed sequentially: node [i] samples from
    its own stream [task_seed ~seed i] (the scheduler's stable task
    identity, restated here), and a node pulls donations only once every
    parent has completed — parents ascending, each oldest first. *)
@@ -324,8 +324,9 @@ let test_parallel_matches_reference () =
                       domains
                   in
                   check_same msg expected
-                    (Mrsl.Parallel.run ~config ~strategy ~domains ~seed model
-                       tuples))
+                    (Mrsl.Workload.run_contained ~config ~strategy ~domains
+                       ~seed model tuples)
+                      .result)
                 [ 1; 2; 4 ])
             Mrsl.Workload.[ Tuple_at_a_time; Tuple_dag ])
         seeds)

@@ -257,6 +257,29 @@ let test_engine_gibbs_deterministic () =
     (Astring_like.contains first {|"mode":"gibbs"|});
   Alcotest.(check string) "repeat is bit-identical" first second
 
+(* [config.domains] has no effect: a multi-missing request is a one-tuple
+   workload on one worker, so no value of it, not even an invalid one,
+   changes an answer or raises out of [handle_batch]. *)
+let test_engine_ignores_domains () =
+  let model = fresh_model () in
+  let req = infer [| None; None; Some "v1" |] in
+  let answer domains =
+    let engine =
+      Serving.Engine.of_model ~telemetry:(T.create ())
+        ~config:{ engine_config with domains } model
+    in
+    batch_lines engine [ req ]
+  in
+  let reference = answer None in
+  Alcotest.(check bool) "served ok" true (List.for_all response_ok reference);
+  List.iter
+    (fun d ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "domains %d" d)
+        reference
+        (answer (Some d)))
+    [ 0; 4 ]
+
 let test_engine_request_errors () =
   let engine, telemetry = fresh_engine () in
   let code labels =
@@ -452,9 +475,9 @@ let reference_answer model ?id ~epoch labels =
         [ reference_attr schema a (Mrsl.Infer_single.infer model tuple a) ]
   | _ -> (
       let contained =
-        Mrsl.Parallel.run_contained ~config:engine_config.gibbs
+        Mrsl.Workload.run_contained ~config:engine_config.gibbs
           ~method_:engine_config.method_ ~telemetry:(T.create ())
-          ~policy:Mrsl.Parallel.Skip_and_report ~seed:engine_config.seed model
+          ~policy:Mrsl.Workload.Skip_and_report ~seed:engine_config.seed model
           [ tuple ]
       in
       match contained.result.estimates with
@@ -1179,7 +1202,7 @@ let test_server_request_flows () =
   (* Every admitted request becomes a trace flow that balances: one
      admission-time start (server-loop track) matched by a finish on the
      batch that served it — plus, for multi-missing work, a second arrow
-     into the Parallel worker that ran the tuple. *)
+     into the executor worker that ran the tuple. *)
   let (_ : T.t), sink =
     Mrsl.Trace.with_sink (fun () ->
         with_server @@ fun endpoint ->
@@ -1229,7 +1252,7 @@ let test_server_observation_only () =
   (* Tracing plus access logging must be pure observation: the exact
      same request stream yields bit-identical response lines with and
      without them. The multi-missing request routes the flow through
-     Parallel.run_contained, so this also pins the worker-side hook. *)
+     Workload.run_contained, so this also pins the worker-side hook. *)
   let workload endpoint =
     let c = Serving.Client.connect_retry ~timeout:5. endpoint in
     Fun.protect
@@ -1409,6 +1432,7 @@ let suite =
     ("admission bound + FIFO", `Quick, test_admission);
     ("batch dedups identical requests", `Quick, test_engine_batch_dedup);
     ("gibbs requests deterministic", `Quick, test_engine_gibbs_deterministic);
+    ("engine domains has no effect", `Quick, test_engine_ignores_domains);
     ("request errors structured", `Quick, test_engine_request_errors);
     ("epoch swap invalidates cache", `Quick, test_engine_epoch_swap);
     ("reload failures keep serving", `Quick, test_engine_reload_failures);

@@ -237,9 +237,10 @@ let test_traced_run_bit_identical () =
   let model = trace_model () in
   let workload = trace_workload () in
   let run () =
-    Mrsl.Parallel.run
-      ~config:{ burn_in = 20; samples = 120 }
-      ~domains:4 ~seed:23 model workload
+    (Mrsl.Workload.run_contained
+       ~config:{ burn_in = 20; samples = 120 }
+       ~domains:4 ~seed:23 model workload)
+      .result
   in
   let untraced = run () in
   let traced, sink =
@@ -263,7 +264,7 @@ let test_traced_run_has_scheduler_events () =
   let sink =
     with_fresh_sink (fun sink ->
         ignore
-          (Mrsl.Parallel.run
+          (Mrsl.Workload.run_contained
              ~config:{ burn_in = 10; samples = 80 }
              ~domains:2 ~seed:5 model workload);
         sink)
