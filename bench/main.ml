@@ -3,7 +3,7 @@
    (smoke | default | full), times one micro-benchmark per artifact
    measuring its computational kernel with Mrsl.Clock.measure, and emits
    a machine-readable BENCH_1.json (micro ns/run and exact bytes/run,
-   compiled-kernel speedups, work-stealing scheduler speedups, memo hit
+   compiled-kernel speedups, workload scheduler speedups, memo hit
    rates, telemetry snapshot) that the CI regression gate
    (ci/bench_gate.exe) consumes.
 
@@ -315,12 +315,12 @@ let kernel_rows fx =
         gibbs_identical );
     ]
 
-(* Fig 11 tuple-DAG workload under the work-stealing scheduler at 1, 2
+(* Fig 11 tuple-DAG workload under the workload scheduler at 1, 2
    and 4 domains, on a derive-sized batch: BN10, 5 000 training rows,
    θ = 0.01, 300 tuples missing 1 to arity-1 values, B = 100, N = 1000 —
    about 60 ms at one domain, so the figures measure scaling, not pool
    wake-up. Per domain count: one counted run against a fresh registry
-   (sweeps, sharing, memo hits, steals, and whether its counters really
+   (sweeps, sharing, memo hits, and whether its counters really
    started from zero), then Mrsl.Clock.measure's median wall over
    untraced loops. Returns the 4-domain run's per-domain utilization. *)
 let run_parallel_bench () =
@@ -369,8 +369,7 @@ let run_parallel_bench () =
               ]
             "pool.reused";
         let counters_start_zero =
-          Mrsl.Telemetry.counter telemetry "parallel.steals" = 0
-          && Mrsl.Telemetry.counter telemetry "parallel.tasks" = 0
+          Mrsl.Telemetry.counter telemetry "parallel.tasks" = 0
           && Mrsl.Telemetry.counter telemetry "workload.sweeps" = 0
         in
         let stats = stats_run ~telemetry domains in
@@ -380,20 +379,19 @@ let run_parallel_bench () =
               Mrsl.Clock.measure (fun () ->
                   ignore (stats_run ~telemetry:scratch domains)))
         in
-        ( domains, stats, timed, hit_rate telemetry,
-          Mrsl.Telemetry.counter telemetry "parallel.steals",
-          counters_start_zero, pool_alive, Mrsl.Resource.utilization () ))
+        ( domains, stats, timed, hit_rate telemetry, counters_start_zero,
+          pool_alive, Mrsl.Resource.utilization () ))
       [ 1; 2; 4 ]
   in
   let ns_of d =
-    let _, _, (m : Mrsl.Clock.measurement), _, _, _, _, _ =
-      List.find (fun (d', _, _, _, _, _, _, _) -> d' = d) runs
+    let _, _, (m : Mrsl.Clock.measurement), _, _, _, _ =
+      List.find (fun (d', _, _, _, _, _, _) -> d' = d) runs
     in
     m.ns_per_run
   in
   let run_json
       (domains, (s : Mrsl.Workload.stats), (m : Mrsl.Clock.measurement), rate,
-       steals, zero, pool, _) =
+       zero, pool, _) =
     Json.Obj
       [
         ("domains", Json.Int domains);
@@ -404,7 +402,6 @@ let run_parallel_bench () =
         ("recorded", Json.Int s.recorded);
         ("shared", Json.Int s.shared);
         ("memo_hit_rate", Json.Float rate);
-        ("steals", Json.Int steals);
         ("counters_start_zero", Json.Bool zero);
         ("pool_domains_alive", Json.Int pool);
         ("speedup_vs_domains1", Json.Float (ns_of 1 /. m.ns_per_run));
@@ -423,22 +420,22 @@ let run_parallel_bench () =
     (Experiments.Report.render
        ~title:
          (Printf.sprintf
-            "Fig 11 workload (%d tuples) under the work-stealing scheduler"
+            "Fig 11 workload (%d tuples) under the workload scheduler"
             tuples)
        ~header:
-         [ "configuration"; "ms/run"; "spread"; "sweeps"; "shared"; "memo hit"; "steals" ]
+         [ "configuration"; "ms/run"; "spread"; "sweeps"; "shared"; "memo hit" ]
        (List.map
           (fun (domains, (s : Mrsl.Workload.stats), (m : Mrsl.Clock.measurement),
-                rate, steals, _, _, _) ->
+                rate, _, _, _) ->
             Experiments.Report.
               [
-                S (Printf.sprintf "work-stealing domains:%d" domains);
+                S (Printf.sprintf "domains:%d" domains);
                 F (m.ns_per_run /. 1e6); P m.spread; I s.sweeps; I s.shared;
-                P rate; I steals;
+                P rate;
               ])
           runs));
   match List.rev runs with
-  | (_, _, _, _, _, _, _, util) :: _ -> util
+  | (_, _, _, _, _, _, util) :: _ -> util
   | [] -> []
 
 (* ------------------------------------------------------------------ *)

@@ -73,7 +73,7 @@ let params_of ?(miner = Mrsl.Model.Apriori) support max_itemsets =
 let trace_arg =
   let doc =
     "Record an event-level trace of the run (mining, lattice builds, \
-     Gibbs chains, scheduler steals, convergence timeline) and write it \
+     Gibbs chains, scheduler task arrows, convergence timeline) and write it \
      as Chrome trace-event JSON to $(docv) — loadable in Perfetto \
      (ui.perfetto.dev) or chrome://tracing, and summarized by \
      $(b,mrsl trace)."
@@ -317,9 +317,9 @@ let infer_cmd =
   in
   let domains_arg =
     let doc =
-      "Domains the work-stealing scheduler samples on; 1 runs it on the \
-       calling domain. Estimates are bit-identical for any value given \
-       the seed."
+      "Domains the workload scheduler samples on: workers pop ready \
+       tuple-DAG tasks from one shared stack; 1 runs it on the calling \
+       domain. Estimates are bit-identical for any value given the seed."
     in
     Arg.(value & opt positive_int 1 & info [ "domains" ] ~doc ~docv:"N")
   in
@@ -855,8 +855,8 @@ let trace_cmd =
     Cmd.info "trace"
       ~doc:
         "Summarize a recorded trace: top spans by total duration, \
-         per-domain utilization, steal count and latency, counter series, \
-         dropped events."
+         per-domain utilization, counter series, dropped events, and a \
+         serve section for daemon traces."
   in
   Cmd.v info Term.(const run $ file_arg)
 

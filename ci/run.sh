@@ -517,7 +517,7 @@ dune exec bin/mrsl_cli.exe -- infer -i examples/example.csv \
 diff INFER_CACHED.out INFER_UNCACHED.out
 echo "cache on/off outputs identical"
 
-# Determinism: the work-stealing scheduler's estimates depend on the seed
+# Determinism: the workload scheduler's estimates depend on the seed
 # alone, so the default domain count and --domains 4 must print the same
 # estimates. The header's wall seconds and domain count are run facts,
 # not output: normalize both before diffing.
@@ -534,17 +534,18 @@ echo "default and 4-domain outputs identical"
 
 echo "== trace pass =="
 # End-to-end traced inference on the bundled example. The artifact must
-# parse as Chrome trace-event JSON with one track per domain, steal
-# flow arrows, the Gibbs convergence timeline, at least one event in
-# every instrumented phase, and zero dropped events.
+# parse as Chrome trace-event JSON with one track per domain, task.run
+# flow arrows that each start and end exactly once, the Gibbs
+# convergence timeline, at least one event in every instrumented phase,
+# and zero dropped events.
 dune exec bin/mrsl_cli.exe -- infer -i examples/example.csv \
   --samples 200 --burn-in 50 --domains 4 --seed 2011 \
   --trace TRACE_INFER.json --prometheus METRICS_INFER.prom > /dev/null
 dune exec ci/trace_check.exe -- --trace TRACE_INFER.json --min-tracks 4 \
-  --require-steal-flows --require-rhat-counters \
+  --require-task-flows --require-rhat-counters \
   --require-cat mine --require-cat lattice --require-cat voting \
   --require-cat gibbs --require-cat dag --require-cat io \
-  --require-cat sched --require-cat steal
+  --require-cat sched
 
 # Traced smoke bench: every CI run produces a parseable trace artifact,
 # and the span gate proves the instrumented phases actually ran (plus

@@ -9,8 +9,9 @@
      - dropped == 0 (no ring-buffer overflow at the default capacity);
      - at least --min-tracks distinct tracks (one per domain);
      - every --require-cat CATEGORY (repeatable) has >= 1 event;
-     - with --require-steal-flows: at least one steal flow start ("s")
-       and one matching flow end ("f") in category "steal";
+     - with --require-task-flows: at least one "sched"/"task.run" flow,
+       and every task flow id has exactly one start ("s") and exactly
+       one end ("f") — every task made ready was run once;
      - with --require-rhat-counters: at least one "gibbs.convergence"
        counter event carrying an "rhat" series value;
      - with --require-serve-flows: at least one "serve.request" flow,
@@ -24,7 +25,7 @@
        with outcome "deadline_exceeded" marks the exemption.
 
    Usage:
-     trace_check --trace t.json [--min-tracks N] [--require-steal-flows]
+     trace_check --trace t.json [--min-tracks N] [--require-task-flows]
                  [--require-rhat-counters] [--require-serve-flows]
                  [--require-cat CAT]...
 
@@ -35,14 +36,14 @@ module Json = Mrsl.Telemetry.Json
 let usage () =
   prerr_endline
     "usage: trace_check --trace <t.json> [--min-tracks N] \
-     [--require-steal-flows] [--require-rhat-counters] \
+     [--require-task-flows] [--require-rhat-counters] \
      [--require-serve-flows] [--require-cat CAT]...";
   exit 2
 
 let parse_args () =
   let trace = ref None
   and min_tracks = ref 1
-  and steal_flows = ref false
+  and task_flows = ref false
   and rhat = ref false
   and serve_flows = ref false
   and cats = ref [] in
@@ -56,8 +57,8 @@ let parse_args () =
         | Some n when n >= 1 -> min_tracks := n
         | _ -> usage ());
         go rest
-    | "--require-steal-flows" :: rest ->
-        steal_flows := true;
+    | "--require-task-flows" :: rest ->
+        task_flows := true;
         go rest
     | "--require-rhat-counters" :: rest ->
         rhat := true;
@@ -73,11 +74,11 @@ let parse_args () =
   go (List.tl (Array.to_list Sys.argv));
   match !trace with
   | Some t ->
-      (t, !min_tracks, !steal_flows, !rhat, !serve_flows, List.rev !cats)
+      (t, !min_tracks, !task_flows, !rhat, !serve_flows, List.rev !cats)
   | None -> usage ()
 
 let () =
-  let path, min_tracks, want_steals, want_rhat, want_serve, required_cats =
+  let path, min_tracks, want_tasks, want_rhat, want_serve, required_cats =
     parse_args ()
   in
   let text =
@@ -116,7 +117,8 @@ let () =
   let tracks = Hashtbl.create 8 in
   let cat_counts = Hashtbl.create 16 in
   let n_events = ref 0 in
-  let steal_starts = ref 0 and steal_ends = ref 0 in
+  (* task.run flows: per-id (start, end) counts *)
+  let task_flows : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
   let rhat_counters = ref 0 in
   (* serve-flow bookkeeping: batch slice intervals, per-id start/end
      counts and end timestamps, and the deadline-shed exemption set. *)
@@ -138,8 +140,20 @@ let () =
           | Some cat ->
               Hashtbl.replace cat_counts cat
                 (1 + Option.value ~default:0 (Hashtbl.find_opt cat_counts cat));
-              if cat = "steal" && ph = "s" then incr steal_starts;
-              if cat = "steal" && ph = "f" then incr steal_ends;
+              (if
+                 cat = "sched"
+                 && (ph = "s" || ph = "f")
+                 && str "name" ev = Some "task.run"
+               then
+                 match int_field "id" ev with
+                 | Some id ->
+                     let s, f =
+                       Option.value ~default:(0, 0)
+                         (Hashtbl.find_opt task_flows id)
+                     in
+                     Hashtbl.replace task_flows id
+                       (if ph = "s" then (s + 1, f) else (s, f + 1))
+                 | None -> ());
               if cat = "serve" then begin
                 let name = str "name" ev in
                 (if ph = "X" && name = Some "serve.batch" then
@@ -197,9 +211,14 @@ let () =
       | Some n when n > 0 -> ()
       | _ -> fail "no events in required category %S" cat)
     required_cats;
-  if want_steals then begin
-    if !steal_starts = 0 then fail "no steal flow-start (\"s\") events";
-    if !steal_ends = 0 then fail "no steal flow-end (\"f\") events"
+  if want_tasks then begin
+    if Hashtbl.length task_flows = 0 then fail "no sched/task.run flow events";
+    Hashtbl.iter
+      (fun id (s, f) ->
+        if s <> 1 || f <> 1 then
+          fail "task.run flow %d: %d start(s), %d end(s), expected 1 and 1" id
+            s f)
+      task_flows
   end;
   if want_rhat && !rhat_counters = 0 then
     fail "no gibbs.convergence counter events with an rhat series";
@@ -232,9 +251,10 @@ let () =
   match !failures with
   | [] ->
       Printf.printf
-        "trace_check: %s ok (%d events, %d tracks, %d steal flows, %d serve \
+        "trace_check: %s ok (%d events, %d tracks, %d task flows, %d serve \
          flows, %d rhat points, 0 dropped)\n"
-        path !n_events n_tracks !steal_starts (Hashtbl.length serve_flows)
+        path !n_events n_tracks (Hashtbl.length task_flows)
+        (Hashtbl.length serve_flows)
         !rhat_counters
   | fs ->
       Printf.eprintf "trace_check: %s FAILED:\n" path;

@@ -2,7 +2,6 @@ type stats = {
   score : float;
   iterations : int;
   families_scored : int;
-  seconds : float;
 }
 
 (* Count table for one family: counts.(parent_code).(value). *)
@@ -67,7 +66,6 @@ let fit ?(max_parents = 3) ?(max_iterations = 200) ?(alpha = 1.0) ~cards
             invalid_arg "Structure_learn.fit: value out of range")
         p)
     points;
-  let t0 = Unix.gettimeofday () in
   let n_vars = Array.length cards in
   (* parents.(v) is kept sorted for stable cache keys. *)
   let parents = Array.make n_vars [] in
@@ -195,5 +193,4 @@ let fit ?(max_parents = 3) ?(max_iterations = 200) ?(alpha = 1.0) ~cards
       score;
       iterations = !iterations;
       families_scored = !families_scored;
-      seconds = Unix.gettimeofday () -. t0;
     } )

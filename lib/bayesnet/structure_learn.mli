@@ -16,7 +16,6 @@ type stats = {
   score : float;  (** BIC of the final structure *)
   iterations : int;  (** hill-climbing steps taken *)
   families_scored : int;  (** family-score evaluations (cache misses) *)
-  seconds : float;
 }
 
 val bic_family_score : cards:int array -> int array array -> int ->

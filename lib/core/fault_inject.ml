@@ -66,17 +66,10 @@ let describe c =
 
 (* splitmix64 finalizer: decisions are a pure function of
    (config seed, site, key) — independent of call order, domain count,
-   and steal interleavings, which is what makes injected faults
+   and which worker runs a task, which is what makes injected faults
    reproducible and the containment tests meaningful. *)
-let mix64 z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-            0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-            0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
 let hash ~seed ~site ~key =
-  mix64
+  Prob.Rng.mix64
     (Int64.add
        (Int64.mul (Int64.of_int seed) 0x9E3779B97F4A7C15L)
        (Int64.add
@@ -89,7 +82,8 @@ let hash ~seed ~site ~key =
    left-shifting accumulation would push early cells' bits off the top
    on wide schemas. *)
 let fold_digit h ~radix ~digit =
-  mix64 (Int64.add (Int64.mul h (Int64.of_int radix)) (Int64.of_int digit))
+  Prob.Rng.mix64
+    (Int64.add (Int64.mul h (Int64.of_int radix)) (Int64.of_int digit))
 
 let tuple_code64 ~cards (tup : int option array) =
   if Array.length cards <> Array.length tup then

@@ -2,18 +2,19 @@
 
     Chaos testing for the library's fault-containment layer: seeded,
     rate-configurable injection of (1) task exceptions inside the
-    work-stealing scheduler ({!Workload}), (2) corrupted CSV rows
+    workload scheduler ({!Workload}), (2) corrupted CSV rows
     ({!corrupt_csv}, consumed by the lenient reader), (3) forced Gibbs
     non-convergence ({!Diagnostics.run_with_retries}), and (4) dropped
     voter sets (the {!Infer_single} degradation ladder).
 
     {b Determinism.} Every decision is a pure function of
     [(seed, site, key)] — a splitmix64-style hash compared against the
-    configured rate — independent of call order, domain count, and steal
-    interleavings. Re-running with the same seed injects exactly the same
-    faults at exactly the same places, which is what makes the
-    containment guarantees testable (the scheduler test asserts surviving
-    estimates are bit-identical at domain counts 1/2/4 under injection).
+    configured rate — independent of call order, domain count, and
+    which worker runs a task. Re-running with the same seed injects
+    exactly the same faults at exactly the same places, which is what
+    makes the containment guarantees testable (the scheduler test
+    asserts surviving estimates are bit-identical at domain counts 1/2/4
+    under injection).
 
     Injection is process-global and {e off by default} ({!disabled});
     nothing in the library pays more than a single atomic read when it is
@@ -105,6 +106,12 @@ val tuple_code : cards:int array -> int option array -> int
 val evidence_key : cards:int array -> int option array -> int -> int
 (** [tuple_code] further combined with the target attribute index — the
     per-task key of the voter-drop and forced-nonconvergence sites. *)
+
+val hash : seed:int -> site:int -> key:int -> int64
+(** The keyed hash behind every decision point:
+    {!Prob.Rng.mix64}[(seed·0x9E3779B97F4A7C15 + site·0xC2B2AE3D27D4EB4F
+    + key)], wrapping. {!unit_float} maps it to [0, 1);
+    {!Quality.should_mask} keys that draw by (row, attribute). *)
 
 val unit_float : seed:int -> site:int -> key:int -> float
 (** The raw deterministic uniform draw in [0, 1) behind every decision

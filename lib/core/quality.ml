@@ -90,37 +90,13 @@ let config t = t.cfg
 
 (* --- deterministic cell selection ------------------------------------ *)
 
-(* splitmix64 finalizer, as in {!Fault_inject}: the masking decision is
-   a pure function of (seed, row, attr) — independent of call order and
-   domain count. *)
-let mix64 z =
-  let z =
-    Int64.mul
-      (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xBF58476D1CE4E5B9L
-  in
-  let z =
-    Int64.mul
-      (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94D049BB133111EBL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let two_pow_53 = 9007199254740992.0
-
+(* The masking decision is {!Fault_inject.hash}'s uniform draw keyed by
+   (row, attr): a pure function of (seed, row, attr) — independent of
+   call order and domain count. *)
 let should_mask cfg ~row ~attr =
   cfg.mask_fraction > 0.
-  &&
-  let h =
-    mix64
-      (Int64.add
-         (Int64.mul (Int64.of_int cfg.seed) 0x9E3779B97F4A7C15L)
-         (Int64.add
-            (Int64.mul (Int64.of_int row) 0xC2B2AE3D27D4EB4FL)
-            (Int64.of_int attr)))
-  in
-  Int64.to_float (Int64.shift_right_logical h 11) /. two_pow_53
-  < cfg.mask_fraction
+  && Fault_inject.unit_float ~seed:cfg.seed ~site:row ~key:attr
+     < cfg.mask_fraction
 
 (* --- injection hook --------------------------------------------------- *)
 

@@ -70,8 +70,9 @@ val create : ?config:config -> ?telemetry:Telemetry.t -> unit -> t
 val config : t -> config
 
 val should_mask : config -> row:int -> attr:int -> bool
-(** The deterministic cell-selection predicate: a splitmix64 finalizer
-    over [(seed, row, attr)] compared against [mask_fraction]. Pure —
+(** The deterministic cell-selection predicate:
+    [Fault_inject.unit_float ~seed ~site:row ~key:attr < mask_fraction]
+    (a splitmix64 finalizer over [(seed, row, attr)]). Pure —
     same config, same cell, same answer, at any domain count. *)
 
 val sharpen : Prob.Dist.t -> float -> Prob.Dist.t

@@ -437,24 +437,6 @@ end
 
 let reservoir_cap = 8192
 
-(* splitmix64 step — the deterministic PRNG behind Algorithm-R reservoir
-   sampling. Seeded per histogram from the metric name, so replacement
-   decisions are a pure function of (name, observation index): two runs
-   observing the same sequence keep identical reservoirs. *)
-let splitmix64_next state =
-  let z = Int64.add state 0x9E3779B97F4A7C15L in
-  let x =
-    Int64.mul
-      (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xBF58476D1CE4E5B9L
-  in
-  let x =
-    Int64.mul
-      (Int64.logxor x (Int64.shift_right_logical x 27))
-      0x94D049BB133111EBL
-  in
-  (z, Int64.logxor x (Int64.shift_right_logical x 31))
-
 type histogram_state = {
   mutable h_count : int;
   mutable h_sum : float;
@@ -595,8 +577,13 @@ let observe t name v =
         h.stored <- h.stored + 1
       end
       else begin
-        let state, draw = splitmix64_next h.rng in
-        h.rng <- state;
+        (* One splitmix64 step — the deterministic PRNG behind
+           Algorithm-R. Seeded per histogram from the metric name, so
+           replacement decisions are a pure function of (name,
+           observation index): two runs observing the same sequence keep
+           identical reservoirs. *)
+        h.rng <- Int64.add h.rng 0x9E3779B97F4A7C15L;
+        let draw = Prob.Rng.mix64 h.rng in
         let j =
           Int64.to_int
             (Int64.rem

@@ -2,8 +2,8 @@
 
     A registry of named metrics written from any domain and snapshotted to
     JSON — the substrate of the BENCH_*.json artifacts that the CI
-    regression gate consumes, and of the steal/queue-depth/memo-hit-rate
-    instrumentation inside {!Workload}.
+    regression gate consumes, and of the task-count/utilization/memo-hit-
+    rate instrumentation inside {!Workload}.
 
     Four metric kinds:
 
@@ -17,7 +17,7 @@
       across calls.
 
     Metric names are free-form strings; dotted paths
-    ([parallel.steals], [gibbs.memo_hit_rate]) are conventional. *)
+    ([parallel.tasks], [gibbs.memo_hit_rate]) are conventional. *)
 
 (** Minimal JSON values: emitter and parser, no external dependencies.
     Floats are printed with enough digits to round-trip; non-finite

@@ -191,17 +191,7 @@ let complete ?args ~cat name f =
           complete_span ?args ~cat ~start_ns name;
           raise e)
 
-let flow_start ?track ?(args = []) ~cat ~id name =
-  match Atomic.get current with
-  | None -> ()
-  | Some sink ->
-      let track =
-        match track with Some t -> t | None -> (Domain.self () :> int)
-      in
-      emit sink
-        { name; cat; ts_ns = now_rel sink; track; id; args; phase = Flow_start }
-
-let flow_end ?(args = []) ~cat ~id name =
+let flow phase ~args ~cat ~id name =
   match Atomic.get current with
   | None -> ()
   | Some sink ->
@@ -213,8 +203,11 @@ let flow_end ?(args = []) ~cat ~id name =
           track = (Domain.self () :> int);
           id;
           args;
-          phase = Flow_end;
+          phase;
         }
+
+let flow_start ?(args = []) ~cat ~id name = flow Flow_start ~args ~cat ~id name
+let flow_end ?(args = []) ~cat ~id name = flow Flow_end ~args ~cat ~id name
 
 let with_sink ?capacity_per_domain f =
   let sink = create ?capacity_per_domain () in
@@ -231,30 +224,23 @@ let with_sink ?capacity_per_domain f =
 
 (* splitmix64 finalizer over (seed, kind, a, b): ids are a pure function
    of the run seed and the stable task identity, independent of domain
-   count and steal interleaving. The low 62 bits keep them positive. *)
+   count and of which worker ran the task. The low 62 bits keep them
+   positive. The kind numbers are fixed (task 1, share 3, request 4):
+   renumbering one would move every id of that kind. *)
 let mix ~seed ~kind ~a ~b =
   let z =
-    Int64.add
-      (Int64.mul (Int64.of_int seed) 0x9E3779B97F4A7C15L)
+    Prob.Rng.mix64
       (Int64.add
-         (Int64.mul (Int64.of_int kind) 0xC2B2AE3D27D4EB4FL)
-         (Int64.add (Int64.mul (Int64.of_int a) 0xD6E8FEB86659FD93L)
-            (Int64.of_int b)))
+         (Int64.mul (Int64.of_int seed) 0x9E3779B97F4A7C15L)
+         (Int64.add
+            (Int64.mul (Int64.of_int kind) 0xC2B2AE3D27D4EB4FL)
+            (Int64.add (Int64.mul (Int64.of_int a) 0xD6E8FEB86659FD93L)
+               (Int64.of_int b))))
   in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xBF58476D1CE4E5B9L
-  in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94D049BB133111EBL
-  in
-  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
   let v = Int64.to_int (Int64.logand z 0x3FFFFFFFFFFFFFFFL) in
   if v = 0 then 1 else v
 
 let task_flow_id ~seed ~node = mix ~seed ~kind:1 ~a:node ~b:0
-let steal_flow_id ~seed ~node = mix ~seed ~kind:2 ~a:node ~b:0
 let share_flow_id ~seed ~parent ~child = mix ~seed ~kind:3 ~a:parent ~b:child
 let request_flow_id ~seed ~req = mix ~seed ~kind:4 ~a:req ~b:0
 
@@ -473,8 +459,6 @@ let summarize j =
   let slices = Hashtbl.create 64 in
   let tracks = Hashtbl.create 8 in
   let counters = Hashtbl.create 16 in
-  let flow_starts = Hashtbl.create 64 in
-  let steal_lat = ref [] in
   let n_events = ref 0 and t_min = ref infinity and t_max = ref neg_infinity in
   (* serve category rollup: batches (with their request counts), request
      flows, and the per-request phase decomposition instants emitted by
@@ -570,20 +554,11 @@ let summarize j =
           | "s" ->
               if ts > !t_max then t_max := ts;
               if cat = "serve" && name = "serve.request" then
-                incr serve_flow_starts;
-              (match num "id" ev with
-              | Some id -> Hashtbl.replace flow_starts (cat, id) ts
-              | None -> ())
+                incr serve_flow_starts
           | "f" ->
               if ts > !t_max then t_max := ts;
               if cat = "serve" && name = "serve.request" then
-                incr serve_flow_ends;
-              (match num "id" ev with
-              | Some id when cat = "steal" -> (
-                  match Hashtbl.find_opt flow_starts (cat, id) with
-                  | Some t0 -> steal_lat := (ts -. t0) :: !steal_lat
-                  | None -> ())
-              | _ -> ())
+                incr serve_flow_ends
           | _ ->
               if ts > !t_max then t_max := ts;
               if cat = "serve" && name = "serve.request.done" then
@@ -647,16 +622,6 @@ let summarize j =
         line "  %-32s %6d calls  total %9.3f ms  max %8.3f ms" key a.s_count
           (a.s_total_us /. 1e3) (a.s_max_us /. 1e3))
     top;
-  let steals = List.length !steal_lat in
-  if steals > 0 then begin
-    let lats = List.sort Float.compare !steal_lat in
-    let arr = Array.of_list lats in
-    let pct p = arr.(min (Array.length arr - 1)
-                       (int_of_float (p *. float_of_int (Array.length arr)))) in
-    line "steals: %d stitched flows, latency p50 %.1f us, p90 %.1f us, max %.1f us"
-      steals (pct 0.5) (pct 0.9) arr.(Array.length arr - 1)
-  end
-  else line "steals: none recorded";
   let counter_list =
     List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counters [])
   in

@@ -3,7 +3,7 @@
     [about:tracing]) and summarized on the command line.
 
     This is the event-granular companion to the aggregate {!Telemetry}
-    registry: where telemetry answers "how many steals, what p99", a
+    registry: where telemetry answers "how many tasks, what p99", a
     trace answers {e when} — which attribute's lattice build dominated
     learning, how Gibbs tasks interleaved across domains, when a chain's
     split-R̂ crossed the convergence threshold.
@@ -21,9 +21,9 @@
 
     Event {e content} (names, categories, args, flow ids) is
     deterministic: flow ids derive from the same seed/node identities as
-    the scheduler's RNG streams ({!task_flow_id}, {!steal_flow_id},
-    {!share_flow_id}). Timestamps and the assignment of events to domain
-    buffers are exempt — they reflect real scheduling. Installing a sink
+    the scheduler's RNG streams ({!task_flow_id}, {!share_flow_id}).
+    Timestamps and the assignment of events to domain buffers are
+    exempt — they reflect real scheduling. Installing a sink
     never changes inference output: instrumentation only observes. *)
 
 (** {1 Events} *)
@@ -40,10 +40,9 @@ type phase =
 type event = {
   name : string;
   cat : string;  (** phase bucket: [mine], [lattice], [voting], [dag],
-                     [gibbs], [sched], [steal], [share], [io], … *)
+                     [gibbs], [sched], [share], [io], … *)
   ts_ns : int;  (** monotonic {!Clock} time, relative to sink start *)
-  track : int;  (** Perfetto "process": the emitting domain's id, unless
-                    overridden to draw a cross-domain arrow *)
+  track : int;  (** Perfetto "process": the emitting domain's id *)
   id : int;  (** flow id ([Flow_start]/[Flow_end]) or counter series id;
                  0 when unused *)
   args : (string * arg) list;
@@ -99,10 +98,9 @@ val complete_span :
     section the caller timed itself ([start_ns] from {!Clock.now_ns}). *)
 
 val flow_start :
-  ?track:int -> ?args:(string * arg) list -> cat:string -> id:int -> string ->
-  unit
-(** [track] overrides the emitting domain — used to attach the tail of a
-    steal arrow to the victim's track even though the thief records it. *)
+  ?args:(string * arg) list -> cat:string -> id:int -> string -> unit
+(** Arrow tail on the emitting domain's track; the matching {!flow_end}
+    (same [cat] and [id]) may land on any track. *)
 
 val flow_end :
   ?args:(string * arg) list -> cat:string -> id:int -> string -> unit
@@ -110,11 +108,12 @@ val flow_end :
 (** {1 Deterministic flow ids}
 
     Hierarchical ids stitched from the run seed and stable task
-    identities (tuple-DAG node indices), so a task's spawn → steal →
-    execute lifecycle carries the same id at any domain count. *)
+    identities (tuple-DAG node indices), so a task's ready → execute
+    arrow carries the same id at any domain count. Each id is a
+    splitmix64 finalizer ({!Prob.Rng.mix64}) over the seed, a per-kind
+    constant (task 1, share 3, request 4) and the identity. *)
 
 val task_flow_id : seed:int -> node:int -> int
-val steal_flow_id : seed:int -> node:int -> int
 val share_flow_id : seed:int -> parent:int -> child:int -> int
 
 val request_flow_id : seed:int -> req:int -> int
@@ -173,9 +172,8 @@ val register_exposition_extra : (Buffer.t -> unit) -> unit
 val summarize : Telemetry.Json.t -> string
 (** Human-readable summary of a parsed Chrome trace produced by
     {!to_chrome_json}: top slices by total duration, per-track
-    utilization, steal count and latency, counter series, and drop
-    counts. A trace containing [serve]-category events (a daemon trace)
-    additionally gets a serve section: batch count and request volume
+    utilization, counter series, and drop counts. A trace containing
+    [serve]-category events (a daemon trace) additionally gets a serve section: batch count and request volume
     from the [serve.batch] slices, [serve.request] flow start/finish
     balance, per-phase (queue-wait / compute / flush) p50/p99/max
     rollups and outcome counts from the [serve.request.done] instants.

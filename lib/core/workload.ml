@@ -1,21 +1,21 @@
-(* Algorithm 3's one executor: a work-stealing scheduler over the tuple
-   DAG, run on the calling domain or on pooled domains.
+(* Algorithm 3's one executor: a scheduler over the tuple DAG, run on
+   the calling domain or on pooled domains.
 
-   The unit of work is one tuple-DAG node: roots are dealt round-robin
-   across per-worker deques in task-id order, and whenever a node
-   completes, subsumees whose parents are all done either finish
-   outright on donated samples or are pushed onto the completing
-   worker's deque — stealable by any idle domain. A node whose tuple
-   misses one cell runs Algorithm 2's vote instead of a chain.
+   The unit of work is one tuple-DAG node. Ready nodes wait on one LIFO
+   stack under the coordination mutex: roots are pushed in task-id
+   order, and whenever a node completes, subsumees whose parents are all
+   done either finish outright on donated samples or are pushed for any
+   idle worker to pop. A node whose tuple misses one cell runs
+   Algorithm 2's vote instead of a chain.
 
    Determinism: every node draws from its own RNG stream seeded by the
    node's index in the (deterministic) tuple DAG — a stable task
-   identity, independent of which domain runs it, of the steal order,
-   and of the domain count. Sample donation is pull-based: a node
-   collects from its parents only once ALL of them have completed,
-   scanning parents in ascending node order and each parent's samples
-   oldest-first. Both rules together make results bit-identical for a
-   fixed seed across any worker count. *)
+   identity, independent of which domain runs it and of the domain
+   count. Sample donation is pull-based: a node collects from its
+   parents only once ALL of them have completed, scanning parents in
+   ascending node order and each parent's samples oldest-first. Both
+   rules together make results bit-identical for a fixed seed across
+   any worker count. *)
 
 module Log = (val Logs.src_log (Logs.Src.create "mrsl.workload"))
 
@@ -161,24 +161,14 @@ type worker_log = {
   mutable sweeps : int;
   mutable recorded : int;
   mutable tasks : int;
-  mutable steals : int;
-  mutable max_depth : int;
   mutable busy_ns : int;  (* time inside task execution *)
   mutable wall_ns : int;  (* the worker body's total wall *)
 }
 
 let fresh_log () =
-  {
-    sweeps = 0;
-    recorded = 0;
-    tasks = 0;
-    steals = 0;
-    max_depth = 0;
-    busy_ns = 0;
-    wall_ns = 0;
-  }
+  { sweeps = 0; recorded = 0; tasks = 0; busy_ns = 0; wall_ns = 0 }
 
-(* The work-stealing scheduler: [samplers.(w)] is worker [w]'s. *)
+(* The scheduler: [samplers.(w)] is worker [w]'s. *)
 let schedule config strategy telemetry policy request_flow seed samplers dag
     nodes counts =
   let n = Array.length nodes and workers = Array.length samplers in
@@ -188,22 +178,18 @@ let schedule config strategy telemetry policy request_flow seed samplers dag
   let children i = if use_dag then Tuple_dag.children dag i else [] in
   Array.iteri (fun i st -> st.pending <- List.length (parents i)) nodes;
   let target = config.Gibbs.samples in
-  let coord = Mutex.create () in
-  let remaining = Atomic.make n in
-  let abort = Atomic.make false in
-  let failure = ref None in
-  let deques = Array.init workers (fun _ -> Wsdeque.create ()) in
-  let initial = if use_dag then Tuple_dag.roots dag else List.init n Fun.id in
-  List.iteri
-    (fun k i ->
-      Trace.flow_start ~cat:"sched" ~id:(Trace.task_flow_id ~seed ~node:i)
-        "task.run";
-      Wsdeque.push deques.(k mod workers) i)
-    initial;
-  (* Worker wid's Perfetto track (its domain id); -1 until the worker
-     starts. Used to attach steal-arrow tails to the victim's track even
-     though the thief records the event. *)
-  let tracks = Array.make workers (-1) in
+  (* [coord] guards the DAG bookkeeping, the ready stack, [remaining] and
+     [failure]. Idle workers wait on [wake], which is broadcast whenever a
+     task becomes ready or the run ends (last node done or skipped, or a
+     Fail_fast abort). *)
+  let coord = Mutex.create () and wake = Condition.create () in
+  let ready = ref [] and remaining = ref n and failure = ref None in
+  let push i =
+    Trace.flow_start ~cat:"sched" ~id:(Trace.task_flow_id ~seed ~node:i)
+      "task.run";
+    ready := i :: !ready
+  in
+  List.iter push (if use_dag then Tuple_dag.roots dag else List.init n Fun.id);
   (* Close the sharing arrows opened when parents donated samples;
      called either when the child task executes or when donations alone
      completed it. *)
@@ -224,7 +210,7 @@ let schedule config strategy telemetry policy request_flow seed samplers dag
   let rec complete i newly =
     let st = nodes.(i) in
     st.completed <- true;
-    Atomic.decr remaining;
+    decr remaining;
     List.fold_left
       (fun newly j ->
         let cj = nodes.(j) in
@@ -273,7 +259,7 @@ let schedule config strategy telemetry policy request_flow seed samplers dag
     if (not st.completed) && st.failed = None then begin
       st.failed <- Some err;
       st.failed_upstream <- upstream;
-      Atomic.decr remaining;
+      decr remaining;
       let root = Option.value upstream ~default:i in
       List.iter
         (fun j ->
@@ -323,7 +309,7 @@ let schedule config strategy telemetry policy request_flow seed samplers dag
           end
         done
   in
-  let exec log sampler dq i =
+  let exec log sampler i =
     let st = nodes.(i) in
     Trace.flow_end ~cat:"sched" ~id:(Trace.task_flow_id ~seed ~node:i)
       "task.run";
@@ -334,85 +320,55 @@ let schedule config strategy telemetry policy request_flow seed samplers dag
     | Some id when i = 0 -> Trace.flow_end ~cat:"serve" ~id "serve.request"
     | _ -> ());
     end_share_flows i;
-    match
-      Trace.complete ~cat:"gibbs"
-        ~args:[ ("node", Trace.Int i) ]
-        "workload.node"
-        (fun () -> sample_task st i sampler log)
-    with
-    | exception e when policy = Skip_and_report ->
-        (* Contain the fault to this tuple: record it, skip its
-           dependents, keep the domain pool alive. *)
-        log.tasks <- log.tasks + 1;
-        Telemetry.incr telemetry "fault.task_failures";
-        let err = Error.of_exn e in
-        Mutex.lock coord;
-        Fun.protect ~finally:(fun () -> Mutex.unlock coord) (fun () ->
-            fail_node i err)
-    | () ->
-        log.tasks <- log.tasks + 1;
-        Mutex.lock coord;
-        let newly =
-          Fun.protect ~finally:(fun () -> Mutex.unlock coord) (fun () ->
-              complete i [])
-        in
-        List.iter
-          (fun j ->
-            Trace.flow_start ~cat:"sched"
-              ~id:(Trace.task_flow_id ~seed ~node:j)
-              "task.run";
-            Wsdeque.push dq j)
-          newly;
-        log.max_depth <- max log.max_depth (Wsdeque.length dq)
+    let outcome =
+      match
+        Trace.complete ~cat:"gibbs"
+          ~args:[ ("node", Trace.Int i) ]
+          "workload.node"
+          (fun () -> sample_task st i sampler log)
+      with
+      | exception e when policy = Skip_and_report ->
+          (* Contain the fault to this tuple: record it, skip its
+             dependents, keep the domain pool alive. *)
+          Telemetry.incr telemetry "fault.task_failures";
+          Some (Error.of_exn e)
+      | () -> None
+    in
+    log.tasks <- log.tasks + 1;
+    Mutex.protect coord (fun () ->
+        (match outcome with
+        | Some err -> fail_node i err
+        | None -> List.iter push (complete i []));
+        if !ready <> [] || !remaining = 0 then Condition.broadcast wake)
+  in
+  (* The next ready task, newest first; waits while the stack is empty
+     and other workers still run. [None] once every node is done or
+     skipped, or after a Fail_fast abort. Call with [coord] held. *)
+  let rec next_task () =
+    if !remaining = 0 || !failure <> None then None
+    else
+      match !ready with
+      | i :: rest ->
+          ready := rest;
+          Some i
+      | [] ->
+          Condition.wait wake coord;
+          next_task ()
   in
   let logs = Array.init workers (fun _ -> fresh_log ()) in
   let probes0 = Array.map Gibbs.cache_stats samplers in
   let worker_body wid =
-    tracks.(wid) <- (Domain.self () :> int);
     let sampler = samplers.(wid) in
     let log = logs.(wid) in
-    let dq = deques.(wid) in
-    let next_task () =
-      match Wsdeque.pop dq with
-      | Some _ as t -> t
-      | None ->
-          let rec scan k =
-            if k >= workers then None
-            else
-              let victim = (wid + k) mod workers in
-              match Wsdeque.steal deques.(victim) with
-              | Some j as t ->
-                  log.steals <- log.steals + 1;
-                  if Trace.enabled () then begin
-                    (* The thief records both ends of the arrow; the tail
-                       is drawn on the victim's track. The flow id is
-                       deterministic (seed × node identity). *)
-                    let sid = Trace.steal_flow_id ~seed ~node:j in
-                    let vt = tracks.(victim) in
-                    Trace.flow_start ~cat:"steal"
-                      ?track:(if vt >= 0 then Some vt else None)
-                      ~args:
-                        [
-                          ("victim", Trace.Int victim);
-                          ("thief", Trace.Int wid);
-                          ("node", Trace.Int j);
-                        ]
-                      ~id:sid "steal";
-                    Trace.flow_end ~cat:"steal" ~id:sid "steal"
-                  end;
-                  t
-              | None -> scan (k + 1)
-          in
-          scan 1
-    in
     (* Busy-vs-idle stamps on the monotonic clock: [busy_ns] sums task
-       execution; everything else in the body's wall is steal scans and
-       [cpu_relax] idling. Always on — two clock reads per task,
-       observation only. *)
+       execution; everything else in the body's wall is waiting for a
+       ready task. Always on — two clock reads per task, observation
+       only. *)
     let w0 = Clock.now_ns () in
     (try
-       while (not (Atomic.get abort)) && Atomic.get remaining > 0 do
-         match next_task () with
+       let rec loop () =
+         match Mutex.protect coord next_task with
+         | None -> ()
          | Some i ->
              let b0 = Clock.now_ns () in
              Fun.protect
@@ -420,14 +376,14 @@ let schedule config strategy telemetry policy request_flow seed samplers dag
                  log.busy_ns <-
                    log.busy_ns
                    + Clock.duration_ns ~start:b0 ~stop:(Clock.now_ns ()))
-               (fun () -> exec log sampler dq i)
-         | None -> Domain.cpu_relax ()
-       done
+               (fun () -> exec log sampler i);
+             loop ()
+       in
+       loop ()
      with e ->
-       Mutex.lock coord;
-       if !failure = None then failure := Some e;
-       Mutex.unlock coord;
-       Atomic.set abort true);
+       Mutex.protect coord (fun () ->
+           if !failure = None then failure := Some e;
+           Condition.broadcast wake));
     log.wall_ns <- Clock.duration_ns ~start:w0 ~stop:(Clock.now_ns ())
   in
   if workers = 1 then worker_body 0
@@ -437,17 +393,14 @@ let schedule config strategy telemetry policy request_flow seed samplers dag
   counts.sweeps <- sum (fun l -> l.sweeps);
   counts.recorded <- sum (fun l -> l.recorded) + counts.shared;
   Telemetry.add telemetry "parallel.tasks" (sum (fun l -> l.tasks));
-  Telemetry.add telemetry "parallel.steals" (sum (fun l -> l.steals));
   Array.iteri
-    (fun w l ->
-      Telemetry.observe telemetry "parallel.queue_depth.max"
-        (float_of_int l.max_depth);
-      let h0, m0 = probes0.(w) and h1, m1 = Gibbs.cache_stats samplers.(w) in
+    (fun w sampler ->
+      let h0, m0 = probes0.(w) and h1, m1 = Gibbs.cache_stats sampler in
       let probes = h1 - h0 + (m1 - m0) in
       if probes > 0 then
         Telemetry.observe telemetry "gibbs.memo_hit_rate"
           (float_of_int (h1 - h0) /. float_of_int probes))
-    logs;
+    samplers;
   (* Per-worker busy-vs-idle utilization from the task stamps: busy time
      is a subset of the worker body's wall, so each slot's ratio is ≤ 1
      by construction. The snapshot also feeds the labeled

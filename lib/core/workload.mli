@@ -25,22 +25,23 @@
     a-time offers no points to such a tuple, so under no strategy does
     another tuple's estimate depend on it.
 
-    Tuple-at-a-time and tuple-DAG run on one work-stealing scheduler:
-    every DAG node is a task on per-worker deques ({!Wsdeque}), roots
-    dealt round-robin in node order, promoted subsumees pushed onto the
-    deque of the worker that completed their last parent. One worker
-    runs on the calling domain; more come from the process-wide
-    {!Domain_pool}. All-at-a-time has a single chain and always runs on
-    the calling domain.
+    Tuple-at-a-time and tuple-DAG run on one scheduler: every DAG node is
+    a task, and ready tasks wait on one LIFO stack under a mutex. Roots
+    are pushed in node order; a subsumee is pushed when its last parent
+    completes; a free worker pops the newest task, and an idle worker
+    sleeps on a condition variable until a task is pushed or the run
+    ends. One worker runs on the calling domain; more come from the
+    process-wide {!Domain_pool}. All-at-a-time has a single chain and
+    always runs on the calling domain.
 
     {b Determinism.} Each task draws from an RNG stream seeded by the run
     seed and its node index in the deterministic tuple DAG, and a
     subsumee pulls donations only after every parent has completed,
     parents in ascending node order, each parent's samples oldest first.
     A seed therefore yields bit-identical estimates and identical
-    sweep/recorded/shared counters for any worker count and any steal
-    interleaving; only [wall_seconds] varies. {!run} with an RNG [rng]
-    equals {!run_contained} with the seed
+    sweep/recorded/shared counters for any worker count and whichever
+    worker runs each task; only [wall_seconds] varies. {!run} with an
+    RNG [rng] equals {!run_contained} with the seed
     [Int64.to_int (Prob.Rng.bits64 rng)] at any domain count.
 
     Cost is reported as the number of Gibbs sweeps (sampled points,
@@ -110,10 +111,10 @@ val run_contained : ?config:Gibbs.config -> ?strategy:strategy ->
     [workload.run] span, the [workload.sweeps] / [workload.recorded] /
     [workload.shared] / [workload.voted] counters and the
     [workload.tuples] histogram; the scheduled strategies add
-    [parallel.tasks] / [parallel.steals], the [parallel.domains] gauge,
-    one [parallel.queue_depth.max], [sched.utilization] and
-    [gibbs.memo_hit_rate] (over the run's own probes) observation per
-    worker, and [sched.busy_ns] / [sched.idle_ns].
+    [parallel.tasks], the [parallel.domains] gauge, one
+    [sched.utilization] and [gibbs.memo_hit_rate] (over the run's own
+    probes) observation per worker, and [sched.busy_ns] /
+    [sched.idle_ns] (time waiting for a ready task).
 
     {b Fault containment.} Under [policy = Skip_and_report] (default
     [Fail_fast]) a task exception does not unwind the run: the offending

@@ -74,7 +74,7 @@ val workload_stats : ?memoize:bool -> Prob.Rng.t -> Mrsl.Model.t ->
 val parallel_workload_stats : ?memoize:bool -> ?telemetry:Mrsl.Telemetry.t ->
   domains:int -> seed:int -> Mrsl.Model.t -> samples:int -> burn_in:int ->
   Relation.Tuple.t list -> Mrsl.Workload.stats
-(** Tuple-DAG workload cost under the work-stealing scheduler at a given
+(** Tuple-DAG workload cost under the workload scheduler at a given
     domain count ({!Mrsl.Workload.run_contained}); [memoize] defaults to
     [true] — this measures the system as deployed, not the paper's cost
     model. *)

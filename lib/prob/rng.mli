@@ -23,6 +23,12 @@ val copy : t -> t
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val mix64 : int64 -> int64
+(** The splitmix64 output finalizer, [bits64]'s last step: a bijective
+    64-bit mix. Every keyed deterministic hash in the repository (fault
+    injection, quality masking, trace flow ids, histogram reservoirs)
+    folds its key through it. *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform on \[0, bound). Requires [bound > 0]. *)
 

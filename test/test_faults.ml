@@ -1,7 +1,7 @@
 (* Tests for the fault-containment layer: the structured error taxonomy,
    the deterministic fault-injection harness, the lenient CSV reader and
    its malformed-row corpus, the inference degradation ladder, per-task
-   containment in the work-stealing scheduler, and convergence-driven
+   containment in the workload scheduler, and convergence-driven
    retries. *)
 
 open Helpers
@@ -478,6 +478,118 @@ let test_policies_agree_without_faults () =
         (Prob.Dist.prob eb.joint 0))
     a.result.estimates b.result.estimates
 
+(* Every task raises. Under Skip_and_report the run must still end —
+   the last skip has to wake any worker waiting for a ready task — with
+   every tuple reported; under Fail_fast it must raise. A missed wake-up
+   hangs this test. *)
+let test_every_task_failing_terminates () =
+  let model = trained_model () in
+  let workload = small_workload () in
+  let c = cfg ~seed:3 ~task:1.0 () in
+  List.iter
+    (fun domains ->
+      let label = Printf.sprintf "domains:%d" domains in
+      let contained =
+        Mrsl.Fault_inject.with_config c (fun () ->
+            Mrsl.Workload.run_contained ~config:run_config ~domains
+              ~policy:Mrsl.Workload.Skip_and_report ~seed:17 model workload)
+      in
+      Alcotest.(check int) (label ^ " no estimates") 0
+        (List.length contained.result.estimates);
+      Alcotest.(check int)
+        (label ^ " every tuple reported")
+        (List.length workload)
+        (List.length contained.faults);
+      List.iter
+        (fun tup ->
+          Alcotest.(check bool) (label ^ " tuple in faults") true
+            (List.exists
+               (fun (f : Mrsl.Workload.tuple_fault) -> f.tuple = tup)
+               contained.faults))
+        workload;
+      match
+        Mrsl.Fault_inject.with_config c (fun () ->
+            Mrsl.Workload.run_contained ~config:run_config ~domains ~seed:17
+              model workload)
+      with
+      | _ -> Alcotest.fail (label ^ " Fail_fast should raise")
+      | exception Mrsl.Error.Mrsl_error e ->
+          Alcotest.(check string) (label ^ " injected code") "fault_inject.task"
+            e.code)
+    [ 1; 2; 4 ]
+
+(* The keyed splitmix64 hashes, pinned to values recorded before they
+   were folded onto {!Prob.Rng.mix64}: fault sites, trace flow ids and
+   shadow-masking decisions must not move. *)
+let test_keyed_hashes_pinned () =
+  List.iter
+    (fun (seed, site, key, want) ->
+      Alcotest.(check int64)
+        (Printf.sprintf "hash %d %d %d" seed site key)
+        want
+        (Mrsl.Fault_inject.hash ~seed ~site ~key))
+    [
+      (0, 0, 0, 0L);
+      (17, 1, 3, -2142426773822575991L);
+      (2011, 4, 123456, 1993813113521935683L);
+      (-5, 8, 99, 7436398734023045507L);
+      (max_int, 2, min_int, -5878267074760467647L);
+    ];
+  let module Tr = Mrsl.Trace in
+  let check_id label want got = Alcotest.(check int) label want got in
+  List.iter
+    (fun (seed, node, want) ->
+      check_id (Printf.sprintf "task %d %d" seed node) want
+        (Tr.task_flow_id ~seed ~node))
+    [
+      (0, 0, 2919751784546064934);
+      (17, 3, 4319312860371646709);
+      (2011, 299, 3119889316383148056);
+      (-1, 7, 4589290314536239429);
+    ];
+  List.iter
+    (fun (seed, parent, child, want) ->
+      check_id (Printf.sprintf "share %d %d %d" seed parent child) want
+        (Tr.share_flow_id ~seed ~parent ~child))
+    [
+      (0, 0, 1, 814248713168741950);
+      (17, 1, 2, 1760693689474080228);
+      (17, 2, 1, 1404441231986634632);
+      (2011, 40, 299, 1911869206000078602);
+    ];
+  List.iter
+    (fun (seed, req, want) ->
+      check_id (Printf.sprintf "request %d %d" seed req) want
+        (Tr.request_flow_id ~seed ~req))
+    [
+      (0, 0, 3979440396003967897);
+      (2011, 1, 3633572674440420212);
+      (2011, 5, 763396454892635023);
+      (42, 100000, 4185917503036172319);
+    ];
+  (* 16 rows x 6 attributes, row-major, '1' = masked. *)
+  List.iter
+    (fun (mask_fraction, seed, want) ->
+      let q = { Mrsl.Quality.default_config with mask_fraction; seed } in
+      let got =
+        String.init 96 (fun k ->
+            if Mrsl.Quality.should_mask q ~row:(k / 6) ~attr:(k mod 6) then '1'
+            else '0')
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "mask %g %d" mask_fraction seed)
+        want got)
+    [
+      ( 0.2,
+        2011,
+        "000000000011011001010000000001000000010000010001"
+        ^ "000011001110001001000000111100001000001000000101" );
+      ( 0.5,
+        7,
+        "100100101111101011110011100100111010011010101100"
+        ^ "000010111101011010010001010010011111010111110001" );
+    ]
+
 (* A degraded conditional computed while voter drops are active must not
    outlive the fault window: a clean run after it has to equal a clean
    run on an identically learned model that never saw the fault. *)
@@ -644,6 +756,9 @@ let suite =
       test_containment_bit_identical_survivors );
     ("containment telemetry", `Quick, test_containment_counts_telemetry);
     ("fail-fast policy raises", `Quick, test_fail_fast_policy_raises);
+    ("every task failing terminates", `Quick,
+      test_every_task_failing_terminates);
+    ("keyed hashes pinned", `Quick, test_keyed_hashes_pinned);
     ("policies agree without faults", `Quick,
      test_policies_agree_without_faults);
     ( "voter drops do not leak into clean runs",

@@ -77,8 +77,6 @@ let registry_names =
     "mem.top_heap_bytes";
     "model.learn";
     "parallel.domains";
-    "parallel.queue_depth.max";
-    "parallel.steals";
     "parallel.tasks";
     "quality.brier";
     "quality.cells";
@@ -138,7 +136,7 @@ let registry_names =
 let trace_categories =
   [
     "cache"; "dag"; "gc"; "gibbs"; "io"; "kernel"; "lattice"; "learn";
-    "mine"; "quality"; "sched"; "serve"; "share"; "steal"; "voting";
+    "mine"; "quality"; "sched"; "serve"; "share"; "voting";
   ]
 
 let trace_event_names =
@@ -165,7 +163,6 @@ let trace_event_names =
     "serve.request";
     "serve.request.done";
     "share.donate";
-    "steal";
     "task.run";
     "workload.node";
     "workload.run";

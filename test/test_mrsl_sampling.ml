@@ -545,10 +545,10 @@ let test_parallel_rejects_bad_domains () =
         (Mrsl.Workload.run_contained ~domains:0 ~seed:1 model
            (small_workload ())))
 
-(* The work-stealing scheduler's core guarantee: per-task RNG streams
-   seeded by stable node identity + pull-based donation make the result a
-   pure function of (seed, workload) — the domain count and the steal
-   interleaving must not leak into a single probability. *)
+(* The scheduler's core guarantee: per-task RNG streams seeded by stable
+   node identity + pull-based donation make the result a pure function of
+   (seed, workload) — the domain count and which worker ran which task
+   must not leak into a single probability. *)
 let test_parallel_bit_identical_across_domains () =
   let model = trained_model () in
   let workload = small_workload () in
@@ -593,8 +593,8 @@ let test_parallel_bit_identical_across_domains () =
    unrelated tuple to the workload must not perturb the others'
    estimates... it does change the DAG, so instead assert the documented
    invariant directly: same seed + same workload = same estimates even
-   when the requested domain count exceeds the node count (forcing empty
-   deques, the analogue of empty buckets). *)
+   when the requested domain count exceeds the node count (workers that
+   find no ready task, the analogue of empty buckets). *)
 let test_parallel_seed_stable_under_empty_deques () =
   let model = trained_model () in
   let workload = small_workload () in

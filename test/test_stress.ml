@@ -195,60 +195,6 @@ let test_bn7_large_domain_pipeline () =
   Alcotest.(check int) "domain sizes agree" (Prob.Dist.size truth)
     (Prob.Dist.size est.joint)
 
-let test_wsdeque_length_race_free () =
-  (* Regression: [Mrsl.Wsdeque.length] used to read the size field outside
-     the mutex — an unsynchronized racy read under the OCaml 5 memory
-     model. It is now an atomic counter maintained inside the locked
-     sections. Hammer one deque from an owner domain (push/pop) and
-     thief domains (steal) while other domains poll [length]: every
-     observed snapshot must be a plausible queue size (never negative,
-     never above the total pushed), and conservation must hold exactly
-     at the end. *)
-  let d : int Mrsl.Wsdeque.t = Mrsl.Wsdeque.create () in
-  let total = 20_000 in
-  let popped = Atomic.make 0 and stolen = Atomic.make 0 in
-  let bad_snapshots = Atomic.make 0 in
-  let stop = Atomic.make false in
-  let owner () =
-    for i = 1 to total do
-      Mrsl.Wsdeque.push d i;
-      if i land 3 = 0 then
-        match Mrsl.Wsdeque.pop d with
-        | Some _ -> Atomic.incr popped
-        | None -> ()
-    done;
-    Atomic.set stop true
-  in
-  let thief () =
-    while not (Atomic.get stop) do
-      match Mrsl.Wsdeque.steal d with
-      | Some _ -> Atomic.incr stolen
-      | None -> Domain.cpu_relax ()
-    done
-  in
-  let poller () =
-    while not (Atomic.get stop) do
-      let n = Mrsl.Wsdeque.length d in
-      if n < 0 || n > total then Atomic.incr bad_snapshots;
-      Domain.cpu_relax ()
-    done
-  in
-  let domains =
-    [ Domain.spawn owner; Domain.spawn thief; Domain.spawn thief;
-      Domain.spawn poller; Domain.spawn poller ]
-  in
-  List.iter Domain.join domains;
-  (* Drain what is left and check conservation. *)
-  let rec drain acc =
-    match Mrsl.Wsdeque.steal d with Some _ -> drain (acc + 1) | None -> acc
-  in
-  let leftover = drain 0 in
-  Alcotest.(check int) "no out-of-range length snapshots" 0
-    (Atomic.get bad_snapshots);
-  Alcotest.(check int) "conservation" total
-    (Atomic.get popped + Atomic.get stolen + leftover);
-  Alcotest.(check int) "empty after drain" 0 (Mrsl.Wsdeque.length d)
-
 let test_model_many_values_smoothing () =
   (* Cardinality-10 attribute with a skewed marginal: the smoothed root
      still sums to 1 and keeps every value positive. *)
@@ -279,7 +225,6 @@ let suite =
      test_deep_subsumption_chain_workload);
     ("star tuple donates to all", `Quick, test_workload_star_tuple_donates_to_all);
     ("csv fuzz roundtrip", `Quick, test_csv_fuzz_roundtrip);
-    ("wsdeque length race-free", `Quick, test_wsdeque_length_race_free);
     ("BN7 large-domain pipeline", `Slow, test_bn7_large_domain_pipeline);
     ("high-cardinality smoothing", `Quick, test_model_many_values_smoothing);
   ]

@@ -62,7 +62,7 @@ let test_span_accumulates () =
 
 let test_json_round_trip () =
   let t = T.create () in
-  T.incr ~by:7 t "parallel.steals";
+  T.incr ~by:7 t "parallel.tasks";
   T.gauge t "parallel.domains" 4.;
   List.iter (T.observe t "gibbs.memo_hit_rate") [ 0.25; 0.5; 0.125 ];
   ignore (T.span t "parallel.run" (fun () -> ()));

@@ -33,8 +33,8 @@ let test_sink_captures_events () =
         Tr.instant ~cat:"io" "a";
         Tr.counter ~cat:"gibbs" "conv" [ ("rhat", 1.01); ("ess", 42.) ];
         ignore (Tr.complete ~cat:"mine" "slice" (fun () -> Sys.opaque_identity 1));
-        Tr.flow_start ~cat:"steal" ~id:99 "steal";
-        Tr.flow_end ~cat:"steal" ~id:99 "steal";
+        Tr.flow_start ~cat:"share" ~id:99 "share.donate";
+        Tr.flow_end ~cat:"share" ~id:99 "share.donate";
         sink)
   in
   Alcotest.(check int) "five events" 5 (Tr.event_count sink);
@@ -55,7 +55,7 @@ let test_sink_captures_events () =
   Alcotest.(check bool) "instant" true (phase_of "a" = Tr.Instant);
   Alcotest.(check bool) "counter" true (phase_of "conv" = Tr.Counter);
   let flows =
-    List.filter (fun (e : Tr.event) -> e.cat = "steal") evs
+    List.filter (fun (e : Tr.event) -> e.cat = "share") evs
     |> List.map (fun (e : Tr.event) -> (e.phase, e.id))
   in
   Alcotest.(check bool) "flow pair carries the id" true
@@ -89,8 +89,8 @@ let test_flow_ids_deterministic () =
     (a <> Tr.task_flow_id ~seed:17 ~node:4);
   Alcotest.(check bool) "seed-sensitive" true
     (a <> Tr.task_flow_id ~seed:18 ~node:3);
-  Alcotest.(check bool) "kind-sensitive (task vs steal)" true
-    (a <> Tr.steal_flow_id ~seed:17 ~node:3);
+  Alcotest.(check bool) "kind-sensitive (task vs share)" true
+    (a <> Tr.share_flow_id ~seed:17 ~parent:3 ~child:0);
   Alcotest.(check bool) "share ids distinct" true
     (Tr.share_flow_id ~seed:17 ~parent:1 ~child:2
     <> Tr.share_flow_id ~seed:17 ~parent:2 ~child:1)
@@ -101,8 +101,8 @@ let test_chrome_export_reparses () =
         Tr.instant ~cat:"io" "a";
         ignore (Tr.complete ~cat:"mine" "m" (fun () -> ()));
         Tr.counter ~cat:"gibbs" "gibbs.convergence" [ ("rhat", 1.2) ];
-        Tr.flow_start ~cat:"steal" ~id:5 "steal";
-        Tr.flow_end ~cat:"steal" ~id:5 "steal";
+        Tr.flow_start ~cat:"share" ~id:5 "share.donate";
+        Tr.flow_end ~cat:"share" ~id:5 "share.donate";
         sink)
   in
   let json = Json.of_string (Tr.chrome_string sink) in
@@ -157,8 +157,8 @@ let prop_chrome_export_reparses =
                          ~args:[ ("s", Tr.Str "x\tq"); ("n", Tr.Int i) ]
                          "slice"
                          (fun () -> ()))
-                | 3 -> Tr.flow_start ~cat:"steal" ~id:(i + 1) "steal"
-                | 4 -> Tr.flow_end ~cat:"steal" ~id:(i + 1) "steal"
+                | 3 -> Tr.flow_start ~cat:"share" ~id:(i + 1) "share.donate"
+                | 4 -> Tr.flow_end ~cat:"share" ~id:(i + 1) "share.donate"
                 | _ ->
                     Tr.complete_span ~cat:"sched"
                       ~start_ns:(Mrsl.Clock.now_ns ()) "span")
@@ -172,7 +172,7 @@ let prop_chrome_export_reparses =
 
 let test_prometheus_exposition () =
   let t = Mrsl.Telemetry.create () in
-  Mrsl.Telemetry.incr ~by:3 t "parallel.steals";
+  Mrsl.Telemetry.incr ~by:3 t "parallel.tasks";
   Mrsl.Telemetry.gauge t "parallel.domains" 4.;
   List.iter (Mrsl.Telemetry.observe t "gibbs.memo_hit_rate") [ 0.5; 0.25 ];
   ignore (Mrsl.Telemetry.span t "workload.run" (fun () -> ()));
@@ -182,8 +182,8 @@ let test_prometheus_exposition () =
       Alcotest.(check bool) needle true
         (Astring_like.contains text needle))
     [
-      "# TYPE mrsl_parallel_steals_total counter";
-      "mrsl_parallel_steals_total 3";
+      "# TYPE mrsl_parallel_tasks_total counter";
+      "mrsl_parallel_tasks_total 3";
       "mrsl_parallel_domains 4";
       "mrsl_gibbs_memo_hit_rate{quantile=\"0.5\"}";
       "mrsl_gibbs_memo_hit_rate_count 2";
