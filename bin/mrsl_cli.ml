@@ -840,8 +840,9 @@ let trace_cmd =
   in
   let run file =
     let text = In_channel.with_open_bin file In_channel.input_all in
-    match Mrsl.Telemetry.Json.of_string text with
-    | exception Failure msg ->
+    (* The repo's Chrome traces nest 4 deep (traceEvents, event, args). *)
+    match Mrsl.Telemetry.Json.of_string ~max_depth:16 text with
+    | exception Mrsl.Telemetry.Json.Parse_error msg ->
         Printf.eprintf "%s: not valid JSON: %s\n" file msg;
         exit 1
     | json -> (
@@ -1114,7 +1115,7 @@ let client_cmd =
   in
   let print_response line =
     print_endline line;
-    match Json.of_string line with
+    match Json.of_string ~max_depth:Serving.Protocol.max_depth line with
     | Json.Obj fields ->
         if List.assoc_opt "ok" fields = Some (Json.Bool false) then exit 1
     | _ | (exception Json.Parse_error _) -> exit 1
@@ -1374,7 +1375,7 @@ let client_cmd =
          (round-trip float printing), mode, samples_used, id — must be
          bit-identical. *)
       let payload line =
-        match Json.of_string line with
+        match Json.of_string ~max_depth:Serving.Protocol.max_depth line with
         | Json.Obj fields ->
             Json.to_string ~pretty:false
               (Json.Obj (List.filter (fun (k, _) -> k <> "epoch") fields))

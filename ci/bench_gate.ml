@@ -1,78 +1,67 @@
-(* Benchmark regression gate.
+(* Benchmark gate.
 
    Every ns/run, B/run and speedup it reads comes from the report's one
    "micro" array, each row measured by Mrsl.Clock.measure (or its
    interleaved-pairs form for the compiled-kernel rows).
 
-   Compares a freshly generated BENCH_*.json against the committed
-   baseline and fails (exit 1) when any micro artifact's ns/run regressed
-   by more than the tolerance (default 25%, override with
-   MRSL_BENCH_TOLERANCE, e.g. MRSL_BENCH_TOLERANCE=0.4).
+   Usage: bench_gate [--current BENCH.json CHECK...]
+                     [--pair PARENT.json CHANGE.json]...
 
-   Benchmarks faster than [min_ns] in the baseline are reported but never
-   fail the gate: at sub-microsecond scales the shared-CI jitter exceeds
-   any plausible regression signal.
+   A/B mode: --pair PARENT.json CHANGE.json (repeatable) names one pair
+   of reports from the parent and the change, run back to back on the
+   same host (ci/run.sh runs 10 pairs, alternating which side goes
+   first). Each micro row's ns_per_run and each serve row's req_per_s
+   gives one ratio per pair, oriented so that above 1 means the change
+   is worse. A row fails only when the change is worse in at least 9 of
+   every 10 pairs (ties count for neither side) AND its median per-pair
+   ratio is above 1.25; the A/B needs at least 10 pairs. Rows that are
+   not in every report of both sides are listed, not gated.
 
-   Usage: bench_gate --baseline bench/baseline/BENCH_1.json \
-                     --current BENCH_1.json
+   Every other check reads --current alone and is absolute:
 
-   Fault-injection mode: --require-counter NAME (repeatable) asserts
-   that telemetry counter NAME is present and positive in --current —
-   the CI fault pass uses this to prove the degradation/retry paths
-   actually fired. Likewise --require-span NAME (repeatable) asserts
-   that telemetry span NAME is present with calls > 0 — the trace pass
-   uses this to prove the instrumented phases actually ran. With at
-   least one requirement of either kind, --baseline becomes optional.
+   --require-counter NAME (repeatable) asserts that telemetry counter
+   NAME is present and positive — the CI fault pass uses this to prove
+   the degradation/retry paths actually fired. Likewise
+   --require-span NAME (repeatable) asserts that telemetry span NAME is
+   present with calls > 0 — the trace pass uses this to prove the
+   instrumented phases actually ran.
 
-   Serving-latency mode: --require-latency NAME CEIL_US (repeatable)
-   asserts that the current report's serve block has a row NAME whose
-   p99_us is at most CEIL_US — an absolute latency SLO, deliberately
-   not baseline-relative (a latency budget does not move just because
-   the baseline machine was fast). Counts as a requirement, so
-   --baseline is optional with it. Independently, whenever BOTH reports
-   carry a serve block, every baseline row's req_per_s is a floor:
-   current throughput must stay within the tolerance of it, mirroring
-   the micro ns/run gate in the opposite direction.
+   --require-latency NAME CEIL_US (repeatable) asserts that the serve
+   block has a row NAME whose p99_us is at most CEIL_US — a latency
+   budget does not move with the machine the change was measured on.
 
-   Histogram mode: --require-histogram NAME (repeatable) asserts that
-   telemetry histogram NAME is present with count > 0 in --current —
-   the serve pass uses this to prove the per-phase latency
-   decomposition actually observed requests. --histogram-p99 NAME
-   CEIL (repeatable) additionally bounds the histogram's p99 by an
-   absolute ceiling in the histogram's own units (seconds for the
-   serve.*_seconds family). Both count as requirements, so --baseline
-   is optional with them.
+   --require-histogram NAME (repeatable) asserts that telemetry
+   histogram NAME is present with count > 0 — the serve pass uses this
+   to prove the per-phase latency decomposition actually observed
+   requests. --histogram-p99 NAME CEIL (repeatable) additionally bounds
+   the histogram's p99 by a ceiling in the histogram's own units
+   (seconds for the serve.*_seconds family).
 
-   Shed-rate mode: --max-shed-rate FRAC asserts that the fraction of
-   serving work shed by the overload ladder —
+   --max-shed-rate FRAC asserts that the fraction of serving work shed
+   by the overload ladder —
    (serve.shed + serve.deadline_exceeded + serve.overloaded) /
    (serve.requests + serve.overloaded), absent counters reading 0 —
    stays at or below FRAC. The healthy serve pass runs it near 0 (the
    ladder must not fire under normal load); the chaos pass omits it
-   (shedding under hostile load is the point). Counts as a
-   requirement, so --baseline is optional with it.
+   (shedding under hostile load is the point).
 
-   Allocation mode: --max-alloc-bytes NAME CEIL (repeatable) asserts
-   that the current report has a micro row NAME whose exact
-   alloc_bytes_per_run is at most CEIL — an absolute allocation budget.
-   Counts as a requirement, so --baseline is optional with it.
+   --max-alloc-bytes NAME CEIL (repeatable) asserts that the micro row
+   NAME's exact alloc_bytes_per_run is at most CEIL.
 
-   Kernel-speedup mode: --min-speedup NAME RATIO (repeatable) asserts
-   that the current report has a micro row NAME whose median per-pair
-   compiled-vs-interpreted speedup is at least RATIO, AND that the row's
-   bit_identical flag is true — a speedup bought by diverging from the
-   interpreted oracle is a correctness bug, not a win. Counts as a
-   requirement, so --baseline is optional with it.
+   --min-speedup NAME RATIO (repeatable) asserts that the micro row
+   NAME's median per-pair compiled-vs-interpreted speedup is at least
+   RATIO, AND that the row's bit_identical flag is true — a speedup
+   bought by diverging from the interpreted oracle is a correctness
+   bug, not a win.
 
-   History mode: --history FILE names a BENCH_HISTORY.jsonl trajectory
-   (one JSON object per bench run: source tree, scale, micro walls and
-   allocation bytes, serve req/s). --history-append appends the current
-   report's summary to it (with --history-sha SHA recorded); with
+   --history FILE names a BENCH_HISTORY.jsonl trajectory (one JSON
+   object per bench run: source tree, scale, micro walls and allocation
+   bytes, serve req/s). --history-append appends the current report's
+   summary to it (with --history-sha SHA recorded); with
    --history-window N the gate then fails when any tracked metric
    worsened strictly monotonically across the last N runs with a
-   cumulative drift beyond 10% — slow regressions each below the
-   per-run tolerance, invisible to the single checked-in baseline.
-   Counts as a requirement.
+   cumulative drift beyond 10% — a slow regression that no single A/B
+   sees.
 
    Double-accounting guard: when the current report carries a
    "parallel" block, every run in it must have counters_start_zero =
@@ -81,32 +70,17 @@
 
 module Json = Mrsl.Telemetry.Json
 
-let min_ns = 5_000. (* floor below which timing noise dominates *)
-
-let tolerance =
-  match Sys.getenv_opt "MRSL_BENCH_TOLERANCE" with
-  | None -> 0.25
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some f when f > 0. -> f
-      | _ ->
-          Printf.eprintf "bench_gate: bad MRSL_BENCH_TOLERANCE %S\n%!" s;
-          exit 2)
-
 let usage () =
   prerr_endline
-    "usage: bench_gate [--baseline <BENCH.json>] --current <BENCH.json> \
-     [--require-counter NAME]... [--require-span NAME]... \
-     [--require-histogram NAME]... [--histogram-p99 NAME CEIL]... \
-     [--require-latency NAME CEIL_US]... [--max-shed-rate FRAC] \
-     [--max-alloc-bytes NAME CEIL]... [--min-speedup NAME RATIO]... \
-     [--history FILE] [--history-window N] [--history-append] \
-     [--history-sha SHA]";
+    "usage: bench_gate [--current <BENCH.json> [--require-counter NAME]... \
+     [--require-span NAME]... [--require-histogram NAME]... \
+     [--histogram-p99 NAME CEIL]... [--require-latency NAME CEIL_US]... \
+     [--max-shed-rate FRAC] [--max-alloc-bytes NAME CEIL]... \
+     [--min-speedup NAME RATIO]... [--history FILE] [--history-window N] \
+     [--history-append] [--history-sha SHA]] \
+     [--pair <PARENT.json> <CHANGE.json>]...";
   prerr_endline
-    "  --baseline is required unless --require-counter, --require-span, \
-     --require-histogram, --histogram-p99, --require-latency, \
-     --max-shed-rate, --max-alloc-bytes, --min-speedup, or --history is \
-     given";
+    "  --current needs at least one check; --pair needs at least 10 pairs";
   exit 2
 
 (* History settings, set by parse_args and consumed straight from main. *)
@@ -116,8 +90,7 @@ let history_append = ref false
 let history_sha = ref "unknown"
 
 let parse_args () =
-  let baseline = ref None
-  and current = ref None
+  let current = ref None
   and counters = ref []
   and spans = ref []
   and histograms = ref []
@@ -125,14 +98,15 @@ let parse_args () =
   and latencies = ref []
   and allocs = ref []
   and speedups = ref []
-  and shed = ref None in
+  and shed = ref None
+  and pairs = ref [] in
   let rec go = function
     | [] -> ()
-    | "--baseline" :: v :: rest ->
-        baseline := Some v;
-        go rest
     | "--current" :: v :: rest ->
         current := Some v;
+        go rest
+    | "--pair" :: parent :: change :: rest ->
+        pairs := (parent, change) :: !pairs;
         go rest
     | "--require-counter" :: v :: rest ->
         counters := v :: !counters;
@@ -204,18 +178,17 @@ let parse_args () =
     | _ -> usage ()
   in
   go (List.tl (Array.to_list Sys.argv));
-  match
-    (!baseline, !current, List.rev !counters, List.rev !spans,
-     List.rev !histograms, List.rev !hist_p99s, List.rev !latencies,
-     List.rev !allocs, List.rev !speedups, !shed)
-  with
-  | baseline, Some c, req_c, req_s, req_h, req_hp, req_l, req_a, req_k, shed
-    when req_c <> [] || req_s <> [] || req_h <> [] || req_hp <> []
-         || req_l <> [] || req_a <> [] || req_k <> [] || shed <> None
-         || !history_file <> None ->
-      (baseline, c, req_c, req_s, req_h, req_hp, req_l, req_a, req_k, shed)
-  | Some _, Some c, [], [], [], [], [], [], [], None ->
-      (!baseline, c, [], [], [], [], [], [], [], None)
+  let checks =
+    (List.rev !counters, List.rev !spans, List.rev !histograms,
+     List.rev !hist_p99s, List.rev !latencies, List.rev !allocs,
+     List.rev !speedups, !shed)
+  in
+  let has_check =
+    checks <> ([], [], [], [], [], [], [], None) || !history_file <> None
+  in
+  match (!current, List.rev !pairs) with
+  | Some c, pairs when has_check -> (Some c, checks, pairs)
+  | None, (_ :: _ as pairs) when not has_check -> (None, checks, pairs)
   | _ -> usage ()
 
 let load path =
@@ -384,7 +357,7 @@ let contains_substring hay needle =
 
 (* Monotone-drift detector: a metric fails when it worsened at every
    step of the window AND the cumulative drift exceeds [drift_min] —
-   the slow-regression pattern a single-baseline tolerance never sees.
+   the slow-regression pattern that no single A/B sees.
    Strict per-step monotonicity keeps ordinary run-to-run noise out. *)
 let drift_min = 0.10
 
@@ -469,12 +442,92 @@ let check_counters_start_zero json =
             0 runs
       | _ -> 0)
 
-let () =
-  let ( baseline_opt, current_path, required_counters, required_spans,
-        required_histograms, required_hist_p99s, required_latencies,
-        required_allocs, required_speedups, max_shed_rate ) =
-    parse_args ()
+(* --- same-host A/B ------------------------------------------------------ *)
+
+(* A row fails only when the change is worse in at least
+   [ab_worse_pairs] of every [ab_pairs] pairs and its median per-pair
+   ratio is above [ab_max_ratio]. On a shared 2-vCPU VM, same-code
+   pairs read per-pair ratios from about 0.5 to 2 on micro rows and up
+   to 4.8 on serve rows, yet no row was slower in more than 8 of 10
+   pairs, and no row median was above 1.19. *)
+let ab_pairs = 10
+let ab_worse_pairs = 9
+let ab_max_ratio = 1.25
+
+(* row -> value for every gated quantity of a report, oriented so that
+   a larger [ratio parent change] means the change is worse *)
+let ab_rows json =
+  List.map (fun (n, ns) -> (n, (ns, `Lower))) (micro_rows json)
+  @ List.filter_map
+      (fun (n, rps, _) ->
+        Option.map (fun r -> ("serve/" ^ n ^ " req/s", (r, `Higher))) rps)
+      (serve_rows json)
+
+let check_ab pairs =
+  let n = List.length pairs in
+  if n < ab_pairs then usage ();
+  let reports =
+    List.map (fun (p, c) -> (ab_rows (load p), ab_rows (load c))) pairs
   in
+  let everywhere name =
+    List.for_all
+      (fun (p, c) -> List.mem_assoc name p && List.mem_assoc name c)
+      reports
+  in
+  let names =
+    List.sort_uniq compare
+      (List.concat_map (fun (p, c) -> List.map fst (p @ c)) reports)
+  in
+  Printf.printf
+    "A/B gate: %d pairs, parent vs change on one host (fail: worse in >= \
+     %d/%d pairs and median ratio > %.2f)\n"
+    n ab_worse_pairs ab_pairs ab_max_ratio;
+  Printf.printf "%-40s| %12s | %11s | %s\n" "row" "median ratio"
+    "worse pairs" "verdict";
+  Printf.printf "%s\n" (String.make 80 '-');
+  let bad = ref 0 in
+  List.iter
+    (fun name ->
+      if everywhere name then begin
+        let ratios =
+          List.map
+            (fun (p, c) ->
+              match (List.assoc name p, List.assoc name c) with
+              | (pv, `Lower), (cv, _) -> cv /. pv
+              | (pv, `Higher), (cv, _) -> pv /. cv)
+            reports
+        in
+        let worse = List.length (List.filter (fun r -> r > 1.) ratios) in
+        let med = Prob.Stats.median ratios in
+        let fail =
+          worse * ab_pairs >= ab_worse_pairs * n && med > ab_max_ratio
+        in
+        if fail then incr bad;
+        Printf.printf "%-40s| %11.3fx | %6d/%-4d | %s\n" name med worse n
+          (if fail then "FAIL" else "ok")
+      end
+      else
+        let on side =
+          List.exists
+            (fun (p, c) -> List.mem_assoc name (if side then p else c))
+            reports
+        in
+        Printf.printf "%-40s| %12s | %11s | %s (not gated)\n" name "-" "-"
+          (match (on true, on false) with
+          | true, false -> "parent only"
+          | false, true -> "change only"
+          | _ -> "not in every run"))
+    names;
+  if !bad > 0 then (
+    Printf.printf "\n%d row(s) slower in the change than in the parent\n"
+      !bad;
+    exit 1);
+  Printf.printf "\nno row slower in the change than in the parent\n"
+
+let check_current current_path
+    ( required_counters, required_spans, required_histograms,
+      required_hist_p99s, required_latencies, required_allocs,
+      required_speedups, max_shed_rate ) =
   let cur_json = load current_path in
   (let bad = check_counters_start_zero cur_json in
    if bad > 0 then (
@@ -705,7 +758,7 @@ let () =
      check the last N entries for monotone drift. The append happens
      before the check (and before any exit) so the trajectory records
      every run, including the one that trips the gate. *)
-  (match !history_file with
+  match !history_file with
   | None -> ()
   | Some path ->
       let entry = history_entry_of_report cur_json !history_sha in
@@ -733,92 +786,9 @@ let () =
             Printf.printf "\n%d metric(s) drifting monotonically\n" bad;
             exit 1
           end);
-      print_newline ());
-  let baseline_path =
-    match baseline_opt with
-    | Some b -> b
-    | None ->
-        (* requirements-only invocation *)
-        Printf.printf "no baseline given: micro comparison skipped\n";
-        exit 0
-  in
-  let base = micro_rows (load baseline_path) in
-  let cur = micro_rows cur_json in
-  if base = [] then (
-    Printf.eprintf "bench_gate: no micro rows in baseline %s\n%!" baseline_path;
-    exit 2);
-  if cur = [] then (
-    Printf.eprintf "bench_gate: no micro rows in current %s\n%!" current_path;
-    exit 2);
-  Printf.printf "bench gate: %s vs %s (tolerance %.0f%%, floor %.0f ns)\n"
-    current_path baseline_path (100. *. tolerance) min_ns;
-  Printf.printf "%-38s| %12s | %12s | %8s | %s\n" "benchmark" "baseline ns"
-    "current ns" "delta" "verdict";
-  Printf.printf "%s\n" (String.make 92 '-');
-  let failures = ref 0 and missing = ref 0 in
-  List.iter
-    (fun (name, base_ns) ->
-      match List.assoc_opt name cur with
-      | None ->
-          incr missing;
-          Printf.printf "%-38s| %12.1f | %12s | %8s | MISSING\n" name base_ns
-            "-" "-"
-      | Some cur_ns ->
-          let delta = (cur_ns -. base_ns) /. base_ns in
-          let verdict =
-            if delta > tolerance && base_ns >= min_ns then (
-              incr failures;
-              "FAIL")
-            else if delta > tolerance then "noisy (below floor)"
-            else if delta < -.tolerance then "improved"
-            else "ok"
-          in
-          Printf.printf "%-38s| %12.1f | %12.1f | %+7.1f%% | %s\n" name base_ns
-            cur_ns (100. *. delta) verdict)
-    base;
-  List.iter
-    (fun (name, _) ->
-      if not (List.mem_assoc name base) then
-        Printf.printf "%-38s| %12s | %12s | %8s | new (not gated)\n" name "-"
-          "-" "-")
-    cur;
-  (* Serving throughput floor: the req/s of every baseline serve row must
-     not drop by more than the tolerance. Latency ceilings stay absolute
-     (--require-latency); throughput is relative, like the micro gate. *)
-  let base_serve = serve_rows (load baseline_path) in
-  let cur_serve = serve_rows cur_json in
-  if base_serve <> [] then begin
-    Printf.printf "\nserve gate (req/s floor, tolerance %.0f%%):\n"
-      (100. *. tolerance);
-    List.iter
-      (fun (name, base_rps, _) ->
-        match base_rps with
-        | None -> ()
-        | Some base_rps -> (
-            match List.find_opt (fun (n, _, _) -> n = name) cur_serve with
-            | Some (_, Some cur_rps, _) ->
-                let floor = base_rps *. (1. -. tolerance) in
-                if cur_rps >= floor then
-                  Printf.printf
-                    "  serve/%-27s| %10.0f rps vs baseline %10.0f | ok\n" name
-                    cur_rps base_rps
-                else begin
-                  incr failures;
-                  Printf.printf
-                    "  serve/%-27s| %10.0f rps vs baseline %10.0f | FAIL \
-                     (floor %.0f)\n"
-                    name cur_rps base_rps floor
-                end
-            | _ ->
-                incr missing;
-                Printf.printf "  serve/%-27s| %10s | MISSING\n" name "-"))
-      base_serve
-  end;
-  if !missing > 0 then (
-    Printf.printf "\n%d baseline benchmark(s) missing from current run\n"
-      !missing;
-    exit 1);
-  if !failures > 0 then (
-    Printf.printf "\n%d benchmark(s) regressed beyond tolerance\n" !failures;
-    exit 1);
-  Printf.printf "\nall benchmarks within tolerance\n"
+      print_newline ()
+
+let () =
+  let current, checks, pairs = parse_args () in
+  Option.iter (fun c -> check_current c checks) current;
+  if pairs <> [] then check_ab pairs

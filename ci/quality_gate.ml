@@ -27,9 +27,7 @@
        [--expect-fail]                           (invert: exit 0 iff the
                                                   gate would have failed
                                                   — the CI negative test)
-
-   Environment: MRSL_QUALITY_TOLERANCE / MRSL_QUALITY_TOLERANCE_ABS
-   override the defaults when the flags are absent. *)
+   *)
 
 module Json = Mrsl.Telemetry.Json
 
@@ -51,16 +49,6 @@ let gated =
     ("health.nonconverged_share", Higher_is_worse);
   ]
 
-let env_float name default =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some f when f >= 0. -> f
-      | _ ->
-          Printf.eprintf "quality_gate: bad %s %S\n%!" name s;
-          exit 2)
-
 let usage () =
   prerr_endline
     "usage: quality_gate --baseline <QUALITY.json> --current <QUALITY.json> \
@@ -81,8 +69,8 @@ type args = {
 let parse_args () =
   let baseline = ref None
   and current = ref None
-  and tolerance = ref (env_float "MRSL_QUALITY_TOLERANCE" 0.10)
-  and tolerance_abs = ref (env_float "MRSL_QUALITY_TOLERANCE_ABS" 0.02)
+  and tolerance = ref 0.10
+  and tolerance_abs = ref 0.02
   and per_metric = ref []
   and required = ref []
   and expect_fail = ref false in

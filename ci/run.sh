@@ -1,55 +1,63 @@
 #!/usr/bin/env bash
 # Local CI pipeline — the same steps .github/workflows/ci.yml runs.
 #
-#   ci/run.sh                     build + tests + benches + all gates
-#   ci/run.sh --no-gate           skip every baseline-relative gate (micro
-#                                 wall-time regression, serve req/s floor,
-#                                 quality baseline comparison and its
-#                                 negative test); absolute gates — required
-#                                 counters, spans, the serve latency ceiling
-#                                 and the healthy-traffic shed-rate ceiling —
-#                                 still run
-#   ci/run.sh --refresh-baseline  run with baseline gates off, then copy
-#                                 the fresh BENCH_1.json + QUALITY_1.json
-#                                 into bench/baseline/.  The one command to
-#                                 run after an intentional perf or quality
-#                                 change.
+#   ci/run.sh    build, tests, benches and every gate; takes no arguments
+#
+# Timing is gated by a same-host A/B against the parent tree (HEAD when
+# the working tree differs from it, else HEAD^; see "A/B timing gate"):
+# a committed timing baseline from another run does not survive the
+# shared VM's run-to-run noise.  Every other gate is absolute or, for
+# quality, against the seed-pure bench/baseline/QUALITY_1.json.
 #
 # Environment knobs:
 #   MRSL_SCALE            experiment scale preset (default here: smoke)
 #   MRSL_SEED             experiment seed (default 2011)
 #   MRSL_BENCH_OUT        where the bench writes its JSON (default BENCH_1.json)
-#   MRSL_BENCH_TOLERANCE  gate tolerance as a fraction (default 0.25)
-#   MRSL_QUALITY_TOLERANCE  quality-gate relative tolerance (default 0.10)
-#   MRSL_SERVE_P99_US     serve sequential p99 ceiling in µs (default 50000)
-#   MRSL_SERVE_QUEUE_P99_S  healthy-serve queue-wait p99 ceiling in seconds
-#                           (default 0.25)
-#   MRSL_ALLOC_INFER_CEIL   allocation ceiling (bytes/run) for the
-#                           table2 infer micro (default 215000, ~3x the
-#                           exact 71 KB/run read with the compiled
-#                           kernels on)
-#   MRSL_ALLOC_GIBBS_CEIL   allocation ceiling (bytes/run) for the
-#                           memoized fig10 gibbs micro (default 21000)
-#   MRSL_KERNEL_SPEEDUP     compiled-kernel speedup floor over the
-#                           interpreted path for the two kernel pair
-#                           rows (default 2.0; the gate also requires
-#                           each row's bit_identical flag)
-#   MRSL_BENCH_HISTORY      bench trajectory file (default
-#                           BENCH_HISTORY.jsonl); every gated run
-#                           appends one summary line, and the gate
-#                           fails on sustained monotone drift across
-#                           the trailing window
+#   MRSL_SERVE_P99_US     serve sequential p99 ceiling in µs (default 50000;
+#                         the shared GitHub runner uses 200000)
+#   MRSL_BENCH_HISTORY    bench trajectory file (default
+#                         BENCH_HISTORY.jsonl); every run appends one
+#                         summary line, and the gate fails on sustained
+#                         monotone drift across the trailing window
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-GATE=1
-REFRESH=0
-case "${1:-}" in
-  "") ;;
-  --no-gate) GATE=0 ;;
-  --refresh-baseline) GATE=0; REFRESH=1 ;;
-  *) echo "usage: ci/run.sh [--no-gate|--refresh-baseline]" >&2; exit 2 ;;
-esac
+if [ "$#" -gt 0 ]; then
+  echo "usage: ci/run.sh (takes no arguments)" >&2
+  exit 2
+fi
+
+# The tree under test, taken before anything is built or written: the
+# tree hash of HEAD, suffixed "-dirty" when the working tree differs
+# from it, untracked files included.  History lines are stamped with it
+# (CI runs before the change is committed, so a commit sha would name
+# the parent commit), and it picks the A/B's parent: HEAD for a dirty
+# tree, else HEAD^.
+GIT_SHA="$(git rev-parse 'HEAD^{tree}')"
+if ! git diff --quiet HEAD ||
+  [ -n "$(git status --porcelain --untracked-files=normal)" ]; then
+  GIT_SHA="$GIT_SHA-dirty"
+  AB_PARENT=HEAD
+else
+  AB_PARENT=HEAD^
+fi
+if ! git rev-parse --verify --quiet "$AB_PARENT^{commit}" > /dev/null; then
+  echo "ci/run.sh: the tree is clean and $AB_PARENT does not exist, so" \
+    "there is no parent to A/B against (a shallow clone needs depth 2)" >&2
+  exit 1
+fi
+
+AB_DIR=""
+SERVE_DIR=""
+SERVE_PID=""
+cleanup() {
+  if [ -n "$SERVE_PID" ] && kill -0 "$SERVE_PID" 2>/dev/null; then
+    kill "$SERVE_PID" 2>/dev/null || true
+    wait "$SERVE_PID" 2>/dev/null || true
+  fi
+  rm -rf "$AB_DIR" "$SERVE_DIR"
+}
+trap cleanup EXIT
 
 echo "== dune build =="
 dune build
@@ -67,46 +75,26 @@ MRSL_SCALE="${MRSL_SCALE:-smoke}" dune exec bench/main.exe -- \
   micro cache serve
 
 echo "== bench gate =="
-# The counter requirements prove the posterior-cache and serving hot
-# paths actually ran (real hits, real dedup fan-out, a real hot swap);
-# the latency ceiling is an absolute SLO on the serving artifact.  Both
-# hold even with baseline comparisons off.  With the baseline on, the
-# micro wall-time comparison and the serve req/s floor apply too.
-GATE_BASELINE=()
-if [ "$GATE" = 1 ]; then
-  GATE_BASELINE=(--baseline bench/baseline/BENCH_1.json)
-else
-  echo "(baseline-relative comparisons skipped)"
-fi
-# Every gated ns/run, B/run and speedup comes from the bench's one
-# `micro` array, each row timed by Mrsl.Clock.measure with an exact
-# allocation read.  The allocation ceilings gate four rows' bytes per
-# run (the compiled kernels cut the interpreted path's allocation
-# about 4-5x; these ceilings lock that in).  The kernel gate requires
-# the two kernel pair rows to run at least MRSL_KERNEL_SPEEDUP times
-# faster compiled than interpreted (median per-pair ratio) AND each
-# row's differential check to report bit-identical results, and the
-# counter requirements prove the kernel actually compiled and served
-# hits during the bench.  The fig11 tuple-DAG ceiling gates the
+# Every check here is absolute.  The counter requirements prove the
+# posterior-cache and serving hot paths actually ran (real hits, real
+# dedup fan-out, a real hot swap); the latency and queue-wait ceilings
+# are SLOs on the serving artifact.
+#
+# Every gated B/run and speedup comes from the bench's one `micro`
+# array, each row timed by Mrsl.Clock.measure with an exact allocation
+# read.  The allocation ceilings gate four rows' bytes per run (the
+# compiled kernels cut the interpreted path's allocation about 4-5x;
+# these ceilings lock that in; the table2 ceiling is about 3x its exact
+# 71 KB/run).  The kernel gate requires the two kernel pair rows to run
+# at least 2x faster compiled than interpreted (median per-pair ratio)
+# AND each row's differential check to report bit-identical results,
+# and the counter requirements prove the kernel actually compiled and
+# served hits during the bench.  The fig11 tuple-DAG ceiling gates the
 # Algorithm 3 executor's flat sample bags and allocation-free Gibbs
 # steps the same way.  The history file accumulates a one-line summary
 # (micro walls and allocation, req/s, source tree) per run and the gate
 # fails on monotone drift across the trailing window.
-#
-# History lines are stamped with the tree hash of HEAD, suffixed
-# "-dirty" when the working tree differs from it, untracked files
-# included: CI runs before the change is committed, so a commit sha
-# would name the parent commit.
-if GIT_SHA="$(git rev-parse 'HEAD^{tree}' 2>/dev/null)"; then
-  if ! git diff --quiet HEAD ||
-    [ -n "$(git status --porcelain --untracked-files=normal)" ]; then
-    GIT_SHA="$GIT_SHA-dirty"
-  fi
-else
-  GIT_SHA=unknown
-fi
 dune exec ci/bench_gate.exe -- \
-  ${GATE_BASELINE[@]+"${GATE_BASELINE[@]}"} \
   --current "${MRSL_BENCH_OUT:-BENCH_1.json}" \
   --require-counter cache.hits \
   --require-counter cache.dedup_fanout \
@@ -120,19 +108,44 @@ dune exec ci/bench_gate.exe -- \
   --require-histogram serve.queue_wait_seconds \
   --require-histogram serve.compute_seconds \
   --require-histogram serve.flush_wait_seconds \
-  --histogram-p99 serve.queue_wait_seconds "${MRSL_SERVE_QUEUE_P99_S:-0.25}" \
+  --histogram-p99 serve.queue_wait_seconds 0.25 \
   --max-shed-rate 0.01 \
-  --max-alloc-bytes mrsl/table2/infer-best-averaged \
-    "${MRSL_ALLOC_INFER_CEIL:-215000}" \
-  --max-alloc-bytes mrsl/fig10/gibbs-run "${MRSL_ALLOC_GIBBS_CEIL:-21000}" \
+  --max-alloc-bytes mrsl/table2/infer-best-averaged 215000 \
+  --max-alloc-bytes mrsl/fig10/gibbs-run 21000 \
   --max-alloc-bytes mrsl/fig11/workload-tuple-dag 640000 \
   --max-alloc-bytes mrsl/fig4/apriori-mine 700000 \
-  --min-speedup mrsl/table2/infer-best-averaged \
-    "${MRSL_KERNEL_SPEEDUP:-2.0}" \
-  --min-speedup mrsl/fig10/gibbs-run-unmemoized \
-    "${MRSL_KERNEL_SPEEDUP:-2.0}" \
+  --min-speedup mrsl/table2/infer-best-averaged 2.0 \
+  --min-speedup mrsl/fig10/gibbs-run-unmemoized 2.0 \
   --history "${MRSL_BENCH_HISTORY:-BENCH_HISTORY.jsonl}" \
   --history-window 5 --history-append --history-sha "$GIT_SHA"
+
+echo "== A/B timing gate =="
+# The parent tree is exported with `git archive` into a temp dir
+# (removed on exit) and its bench/main.exe built there.  Parent and
+# change then run `micro serve` back to back on this host, 10 pairs,
+# the side that goes first alternating, so load and thermal drift hit
+# both.  bench_gate fails a micro ns/run or serve req/s row only when
+# the change is worse in at least 9 of 10 pairs and its median per-pair
+# ratio is above 1.25.
+AB_DIR="$(mktemp -d)"
+mkdir "$AB_DIR/parent"
+git archive "$AB_PARENT" | tar -x -C "$AB_DIR/parent"
+echo "building the parent ($AB_PARENT, $(git rev-parse --short "$AB_PARENT"))"
+(cd "$AB_DIR/parent" && dune build --root . bench/main.exe)
+ab_run() { # SIDE PAIR: the parent runs in its export, the change here
+  local dir=.
+  if [ "$1" = parent ]; then dir="$AB_DIR/parent"; fi
+  (cd "$dir" &&
+    MRSL_SCALE="${MRSL_SCALE:-smoke}" MRSL_BENCH_OUT="$AB_DIR/$1-$2.json" \
+      ./_build/default/bench/main.exe micro serve > "$AB_DIR/$1-$2.log")
+}
+AB_PAIRS=()
+for i in 1 2 3 4 5 6 7 8 9 10; do
+  if [ $((i % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi
+  for side in $order; do ab_run "$side" "$i"; done
+  AB_PAIRS+=(--pair "$AB_DIR/parent-$i.json" "$AB_DIR/change-$i.json")
+done
+dune exec ci/bench_gate.exe -- "${AB_PAIRS[@]}"
 
 echo "== serve pass =="
 # Dedicated serving suite: protocol round-trips, framing limits, batch
@@ -149,15 +162,6 @@ SERVE_DIR="$(mktemp -d)"
 SERVE_SOCK="$SERVE_DIR/mrsl.sock"
 SERVE_CSV="$SERVE_DIR/serve.csv"
 SERVE_MODEL="$SERVE_DIR/model.bin"
-SERVE_PID=""
-cleanup_serve() {
-  if [ -n "$SERVE_PID" ] && kill -0 "$SERVE_PID" 2>/dev/null; then
-    kill "$SERVE_PID" 2>/dev/null || true
-    wait "$SERVE_PID" 2>/dev/null || true
-  fi
-  rm -rf "$SERVE_DIR"
-}
-trap cleanup_serve EXIT
 
 # The daemon and its clients run concurrently, so use the built binary
 # directly rather than racing several `dune exec` on the build lock.
@@ -465,36 +469,34 @@ MRSL_BENCH_OUT=BENCH_QUALITY.json \
 MRSL_QUALITY_OUT=QUALITY_1.json \
   dune exec bench/main.exe -- quality
 
-if [ "$GATE" = 1 ]; then
-  # The artifact must stay within tolerance of the committed baseline,
-  # with scores.cells pinned exactly (shadow-mask determinism).
-  dune exec ci/quality_gate.exe -- \
-    --baseline bench/baseline/QUALITY_1.json \
-    --current QUALITY_1.json \
-    --tolerance "${MRSL_QUALITY_TOLERANCE:-0.10}" \
-    --require-metric scores.brier \
-    --require-metric scores.log_loss \
-    --require-metric scores.ece \
-    --require-metric scores.mce \
-    --require-metric drift.js_max \
-    --require-metric health.nonconverged_share
+# The artifact must stay within 10% of the committed baseline, with
+# scores.cells pinned exactly (shadow-mask determinism).  The baseline
+# is a pure function of the seed; after an intentional quality change,
+# refresh it with `cp QUALITY_1.json bench/baseline/QUALITY_1.json`.
+dune exec ci/quality_gate.exe -- \
+  --baseline bench/baseline/QUALITY_1.json \
+  --current QUALITY_1.json \
+  --tolerance 0.10 \
+  --require-metric scores.brier \
+  --require-metric scores.log_loss \
+  --require-metric scores.ece \
+  --require-metric scores.mce \
+  --require-metric drift.js_max \
+  --require-metric health.nonconverged_share
 
-  # Negative test: an injected calibration regression (shadow posteriors
-  # sharpened to overconfidence — served probabilities untouched) must
-  # make the gate fail; --expect-fail inverts the exit code.
-  MRSL_SCALE="${MRSL_SCALE:-smoke}" \
-  MRSL_BENCH_OUT=BENCH_QUALITY_BAD.json \
-  MRSL_QUALITY_OUT=QUALITY_BAD.json \
-  MRSL_QUALITY_INJECT=overconfident \
-    dune exec bench/main.exe -- quality
+# Negative test: an injected calibration regression (shadow posteriors
+# sharpened to overconfidence — served probabilities untouched) must
+# make the gate fail; --expect-fail inverts the exit code.
+MRSL_SCALE="${MRSL_SCALE:-smoke}" \
+MRSL_BENCH_OUT=BENCH_QUALITY_BAD.json \
+MRSL_QUALITY_OUT=QUALITY_BAD.json \
+MRSL_QUALITY_INJECT=overconfident \
+  dune exec bench/main.exe -- quality
 
-  dune exec ci/quality_gate.exe -- \
-    --baseline bench/baseline/QUALITY_1.json \
-    --current QUALITY_BAD.json \
-    --expect-fail
-else
-  echo "== quality baseline gate skipped (no-gate) =="
-fi
+dune exec ci/quality_gate.exe -- \
+  --baseline bench/baseline/QUALITY_1.json \
+  --current QUALITY_BAD.json \
+  --expect-fail
 
 echo "== cache pass =="
 # Dedicated cache suite over the per-epoch conditional tables, the one
@@ -533,12 +535,19 @@ diff INFER_DOMAINS_DEFAULT.out INFER_DOMAINS4.out
 echo "default and 4-domain outputs identical"
 
 echo "== trace pass =="
-# End-to-end traced inference on the bundled example. The artifact must
-# parse as Chrome trace-event JSON with one track per domain, task.run
-# flow arrows that each start and end exactly once, the Gibbs
-# convergence timeline, at least one event in every instrumented phase,
-# and zero dropped events.
-dune exec bin/mrsl_cli.exe -- infer -i examples/example.csv \
+# End-to-end traced inference on a generated BN10 input (500 rows, 40%
+# masked, up to 3 missing values per tuple: about 180 tasks).  Pool
+# domains start some 14 ms after the calling domain, and the bundled
+# example's 22 tasks could all finish before one of them ran a task
+# when two traced runs shared a 2-vCPU host.  The artifact must parse
+# as Chrome trace-event JSON with one track per domain, task.run flow
+# arrows that each start and end exactly once, the Gibbs convergence
+# timeline, at least one event in every instrumented phase, and zero
+# dropped events.
+TRACE_CSV="$SERVE_DIR/trace.csv"
+"$MRSL_BIN" generate --network BN10 -n 500 \
+  --mask-fraction 0.4 --max-missing 3 --seed 2011 -o "$TRACE_CSV"
+dune exec bin/mrsl_cli.exe -- infer -i "$TRACE_CSV" \
   --samples 200 --burn-in 50 --domains 4 --seed 2011 \
   --trace TRACE_INFER.json --prometheus METRICS_INFER.prom > /dev/null
 dune exec ci/trace_check.exe -- --trace TRACE_INFER.json --min-tracks 4 \
@@ -560,12 +569,5 @@ dune exec ci/trace_check.exe -- --trace TRACE_BENCH.json \
 dune exec ci/bench_gate.exe -- --current BENCH_TRACE.json \
   --require-span model.learn \
   --require-span workload.run
-
-if [ "$REFRESH" = 1 ]; then
-  echo "== refreshing bench/baseline =="
-  cp "${MRSL_BENCH_OUT:-BENCH_1.json}" bench/baseline/BENCH_1.json
-  cp QUALITY_1.json bench/baseline/QUALITY_1.json
-  echo "baseline refreshed; review and commit bench/baseline/*.json"
-fi
 
 echo "== CI pipeline passed =="

@@ -197,7 +197,7 @@ let rpc t req =
 let stats_json t =
   let line = rpc t (Protocol.req Protocol.Stats) in
   let module Json = Mrsl.Telemetry.Json in
-  match Json.of_string (String.trim line) with
+  match Json.of_string ~max_depth:Protocol.max_depth (String.trim line) with
   | exception Json.Parse_error msg ->
       failwith (Printf.sprintf "stats response is not JSON (%s)" msg)
   | Json.Obj _ as obj when Json.member "ok" obj = Some (Json.Bool true) -> obj

@@ -81,7 +81,8 @@ val stats_json : t -> Mrsl.Telemetry.Json.t
     ["phases"] (queue-wait / compute / flush-wait / total, each with
     count and p50/p99/max in milliseconds), which backs
     [mrsl client profile]. Raises [Failure] when the response is not an
-    [ok:true] JSON object. *)
+    [ok:true] JSON object, or nests deeper than {!Protocol.max_depth}
+    (refused before the parser descends past the bound). *)
 
 val rpc_retry :
   ?attempts:int ->

@@ -146,7 +146,7 @@ let error_line ?id (e : Mrsl.Error.t) =
     | Some _ -> id
     | None -> (
         match List.assoc_opt "id" e.context with
-        | Some raw -> ( try Some (Json.of_string raw) with _ -> None)
+        | Some raw -> ( try Some (Json.of_string ~max_depth raw) with _ -> None)
         | None -> None)
   in
   let context =

@@ -95,7 +95,9 @@ val ok_line :
     newline. *)
 
 val error_line : ?id:Mrsl.Telemetry.Json.t -> Mrsl.Error.t -> string
-(** [{"id": …, "ok": false, "error": {…}}] plus trailing newline. *)
+(** [{"id": …, "ok": false, "error": {…}}] plus trailing newline. Without
+    [?id], an id kept in the error's context by {!parse_request} is
+    re-parsed under {!max_depth} and echoed. *)
 
 val is_http_get : string -> bool
 (** Whether a first line looks like an HTTP GET request line. *)

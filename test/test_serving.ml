@@ -949,6 +949,33 @@ let test_client_scrape_keeps_tail () =
   Alcotest.(check string) "body, unterminated last line included" body
     (Serving.Client.scrape_metrics ~timeout:5. endpoint)
 
+let test_client_stats_depth_bound () =
+  (* A peer that answers [stats] with 100 000 nested [\[]: the reply is
+     refused at the wire depth bound, not parsed to the bottom. *)
+  with_peer
+    (fun fd ->
+      let buf = Bytes.create 512 in
+      ignore (Unix.read fd buf 0 512);
+      write_string fd (nested_frame 100_000 ^ "\n"))
+  @@ fun endpoint ->
+  let c = Serving.Client.connect ~timeout:5. endpoint in
+  Fun.protect
+    ~finally:(fun () -> Serving.Client.close c)
+    (fun () ->
+      let t0 = Mrsl.Clock.now () in
+      match Serving.Client.stats_json c with
+      | _ -> Alcotest.fail "100 000-deep stats reply parsed"
+      | exception Failure msg ->
+          let dt = Mrsl.Clock.now () -. t0 in
+          Alcotest.(check bool)
+            (Printf.sprintf "message names the limit: %s" msg)
+            true
+            (Astring_like.contains msg
+               (Printf.sprintf "deeper than %d levels" P.max_depth));
+          Alcotest.(check bool)
+            (Printf.sprintf "refused in %.3f s" dt)
+            true (dt < 1.))
+
 let test_server_idle_kill () =
   let telemetry =
     with_server ~configure:(fun c -> { c with idle_timeout = 0.15 })
@@ -1444,6 +1471,7 @@ let suite =
     ("server refuses a deep frame", `Quick, test_server_deep_frame);
     ("client line framing", `Quick, test_client_line_framing);
     ("client scrape keeps the tail", `Quick, test_client_scrape_keeps_tail);
+    ("client stats depth bound", `Quick, test_client_stats_depth_bound);
     ("client backoff deterministic", `Quick, test_client_backoff);
     ("server half-close flushes", `Quick, test_server_half_close);
     ("server counts truncated frames", `Quick, test_server_truncated_frame);
