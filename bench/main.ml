@@ -11,6 +11,8 @@
      dune exec bench/main.exe                 -- everything
      dune exec bench/main.exe -- table2 fig11 -- selected artifacts
      dune exec bench/main.exe -- micro        -- micro-benchmarks only
+     dune exec bench/main.exe -- parallel     -- scheduler scaling and
+                                                 resource baseline
 
    MRSL_BENCH_OUT overrides the JSON output path (default BENCH_1.json). *)
 
@@ -325,7 +327,8 @@ let kernel_rows fx =
    one domain by Mrsl.Clock.measure_pair over untraced loops: its
    speedup is the median per-pair ratio, so drift on a shared host hits
    both sides; the 1-domain row is the first pair's 1-domain side.
-   Returns the 4-domain run's per-domain utilization. *)
+   Returns the rendered table and the 4-domain run's per-domain
+   utilization. *)
 let run_parallel_bench () =
   let { Mrsl.Gibbs.burn_in; samples } = Mrsl.Gibbs.default_config in
   let rng = Prob.Rng.create seed in
@@ -422,8 +425,8 @@ let run_parallel_bench () =
            ("burn_in", Json.Int burn_in);
            ("runs", Json.List (List.map run_json runs));
          ]);
-  section "parallel"
-    (Experiments.Report.render
+  let body =
+    Experiments.Report.render
        ~title:
          (Printf.sprintf
             "Fig 11 workload (%d tuples) under the workload scheduler"
@@ -442,10 +445,11 @@ let run_parallel_bench () =
                 F (m.ns_per_run /. 1e6); P m.spread; F speedup; I s.sweeps;
                 I s.shared; P rate;
               ])
-          runs));
+          runs)
+  in
   match List.rev runs with
-  | (_, _, _, _, _, util) :: _ -> util
-  | [] -> []
+  | (_, _, _, _, _, util) :: _ -> (body, util)
+  | [] -> (body, [])
 
 (* ------------------------------------------------------------------ *)
 (* Resource baseline: GC collection counts, peak heap, the parallel
@@ -527,14 +531,17 @@ let run_resources util =
                  ("accounted_per_growth", Json.Float ratio);
                ] );
          ]);
-  section "resources"
-    (Printf.sprintf
-       "peak heap %.1f MiB; tables accounted %d vs reachable growth %d bytes \
-        (x%.2f); 4-domain utilization %s\n"
-       (float_of_int (s.Gc.top_heap_words * 8) /. 1048576.)
-       accounted growth ratio
-       (String.concat " "
-          (List.map (fun (d, u) -> Printf.sprintf "%d=%.2f" d u) util)))
+  Printf.sprintf
+    "resources: peak heap %.1f MiB; tables accounted %d vs reachable growth \
+     %d bytes (x%.2f); 4-domain utilization %s\n"
+    (float_of_int (s.Gc.top_heap_words * 8) /. 1048576.)
+    accounted growth ratio
+    (String.concat " "
+       (List.map (fun (d, u) -> Printf.sprintf "%d=%.2f" d u) util))
+
+let render_parallel _rng =
+  let body, util = run_parallel_bench () in
+  body ^ run_resources util
 
 let write_bench_json () =
   let fields =
@@ -569,7 +576,7 @@ let write_bench_json () =
   close_out oc;
   Printf.printf "\n[wrote %s]\n%!" bench_out
 
-let run_micro () =
+let render_micro _rng =
   let fx = micro_fixture () in
   let plain =
     List.map
@@ -593,29 +600,27 @@ let run_micro () =
               ("bit_identical", Json.Bool identical);
             ])
         pairs;
-  section "micro"
-    (Experiments.Report.render
-       ~title:"Micro-benchmarks (Mrsl.Clock.measure, medians over loops)"
-       ~header:[ "benchmark"; "ns/run"; "B/run"; "spread" ]
-       (List.map
-          (fun (name, (m : Mrsl.Clock.measurement)) ->
-            Experiments.Report.
-              [ S name; F m.ns_per_run; F m.alloc_bytes_per_run; P m.spread ])
-          (plain
-          @ List.map (fun (name, (p : Mrsl.Clock.pair), _) -> (name, p.b)) pairs))
-    ^ Experiments.Report.render
-        ~title:"Compiled kernels vs interpreted (interleaved pairs)"
-        ~header:
-          [ "benchmark"; "interp ns"; "interp B"; "compiled ns"; "speedup"; "bit-identical" ]
-        (List.map
-           (fun (name, (p : Mrsl.Clock.pair), identical) ->
-             Experiments.Report.
-               [
-                 S name; F p.a.ns_per_run; F p.a.alloc_bytes_per_run;
-                 F p.b.ns_per_run; F p.ratio; S (string_of_bool identical);
-               ])
-           pairs));
-  run_resources (run_parallel_bench ())
+  Experiments.Report.render
+    ~title:"Micro-benchmarks (Mrsl.Clock.measure, medians over loops)"
+    ~header:[ "benchmark"; "ns/run"; "B/run"; "spread" ]
+    (List.map
+       (fun (name, (m : Mrsl.Clock.measurement)) ->
+         Experiments.Report.
+           [ S name; F m.ns_per_run; F m.alloc_bytes_per_run; P m.spread ])
+       (plain
+       @ List.map (fun (name, (p : Mrsl.Clock.pair), _) -> (name, p.b)) pairs))
+  ^ Experiments.Report.render
+      ~title:"Compiled kernels vs interpreted (interleaved pairs)"
+      ~header:
+        [ "benchmark"; "interp ns"; "interp B"; "compiled ns"; "speedup"; "bit-identical" ]
+      (List.map
+         (fun (name, (p : Mrsl.Clock.pair), identical) ->
+           Experiments.Report.
+             [
+               S name; F p.a.ns_per_run; F p.a.alloc_bytes_per_run;
+               F p.b.ns_per_run; F p.ratio; S (string_of_bool identical);
+             ])
+         pairs)
 
 (* ------------------------------------------------------------------ *)
 (* Fault-containment exercise: drives every degradation path of the
@@ -1596,14 +1601,36 @@ let artifacts =
     ( "chaos",
       "Serving chaos: overload shedding, deadlines, reaping, injection",
       render_chaos );
+    ( "micro",
+      "Micro-benchmarks: one kernel per artifact, compiled-kernel pairs",
+      render_micro );
+    ( "parallel",
+      "Workload scheduler scaling at 1, 2 and 4 domains; resource baseline",
+      render_parallel );
   ]
 
 let () =
   let requested =
     match Array.to_list Sys.argv with
     | _ :: (_ :: _ as args) -> args
-    | _ -> List.map (fun (id, _, _) -> id) artifacts @ [ "micro" ]
+    | _ -> List.map (fun (id, _, _) -> id) artifacts
   in
+  (* Every id is resolved before any section runs: a misspelt id must
+     not silently drop a section whose report block a gate reads. *)
+  let sections, unknown =
+    List.partition_map
+      (fun id ->
+        match List.find_opt (fun (i, _, _) -> i = id) artifacts with
+        | Some a -> Left a
+        | None -> Right id)
+      requested
+  in
+  if unknown <> [] then begin
+    Printf.eprintf "unknown artifact(s) %s (known: %s)\n%!"
+      (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
+      (String.concat ", " (List.map (fun (i, _, _) -> i) artifacts));
+    exit 2
+  end;
   if Mrsl.Fault_inject.install_from_env () then
     Printf.printf "fault injection active: %s\n%!"
       (Mrsl.Fault_inject.describe (Mrsl.Fault_inject.current ()));
@@ -1617,17 +1644,7 @@ let () =
         Mrsl.Trace.install s;
         Some s
   in
-  List.iter
-    (fun id ->
-      if id = "micro" then run_micro ()
-      else
-        match List.find_opt (fun (i, _, _) -> i = id) artifacts with
-        | Some (id, title, f) -> timed_section id title f
-        | None ->
-            Printf.eprintf "unknown artifact %S (known: %s, micro)\n%!"
-              id
-              (String.concat ", " (List.map (fun (i, _, _) -> i) artifacts)))
-    requested;
+  List.iter (fun (id, title, f) -> timed_section id title f) sections;
   (match (sink, trace_out) with
   | Some sink, Some path ->
       ignore (Mrsl.Trace.uninstall ());

@@ -17,6 +17,13 @@
    ratio is above 1.25; the A/B needs at least 10 pairs. Rows that are
    not in every report of both sides are listed, not gated.
 
+   The A/B is the only timing check, and it compares a change with its
+   parent only: a slowdown whose median is under 1.25x, or that is worse
+   in fewer than 9 of 10 pairs, passes, and such slowdowns can compound
+   over a series of changes. The absolute checks below still bound some
+   of that creep: the allocation ceilings, the kernel speedup floors,
+   the serve p99 and queue-wait p99 ceilings and the shed rate.
+
    Every other check reads --current alone and is absolute:
 
    --require-counter NAME (repeatable) asserts that telemetry counter
@@ -54,19 +61,12 @@
    bought by diverging from the interpreted oracle is a correctness
    bug, not a win.
 
-   --history FILE names a BENCH_HISTORY.jsonl trajectory (one JSON
-   object per bench run: source tree, scale, micro walls and allocation
-   bytes, serve req/s). --history-append appends the current report's
-   summary to it (with --history-sha SHA recorded); with
-   --history-window N the gate then fails when any tracked metric
-   worsened strictly monotonically across the last N runs with a
-   cumulative drift beyond 10% — a slow regression that no single A/B
-   sees.
-
    Double-accounting guard: when the current report carries a
-   "parallel" block, every run in it must have counters_start_zero =
-   true — per-run registries must begin empty even though the domain
-   pool (and the model's conditional tables) persists across sections. *)
+   "parallel" block (the bench's `parallel` section), every run in it
+   must have counters_start_zero = true — per-run registries must begin
+   empty even though the domain pool (and the model's conditional
+   tables) persists across sections. The gate prints how many runs it
+   checked, or that the report has no parallel block. *)
 
 module Json = Mrsl.Telemetry.Json
 
@@ -76,18 +76,11 @@ let usage () =
      [--require-span NAME]... [--require-histogram NAME]... \
      [--histogram-p99 NAME CEIL]... [--require-latency NAME CEIL_US]... \
      [--max-shed-rate FRAC] [--max-alloc-bytes NAME CEIL]... \
-     [--min-speedup NAME RATIO]... [--history FILE] [--history-window N] \
-     [--history-append] [--history-sha SHA]] \
+     [--min-speedup NAME RATIO]...] \
      [--pair <PARENT.json> <CHANGE.json>]...";
   prerr_endline
     "  --current needs at least one check; --pair needs at least 10 pairs";
   exit 2
-
-(* History settings, set by parse_args and consumed straight from main. *)
-let history_file = ref None
-let history_window = ref None
-let history_append = ref false
-let history_sha = ref "unknown"
 
 let parse_args () =
   let current = ref None
@@ -157,24 +150,6 @@ let parse_args () =
         | _ ->
             Printf.eprintf "bench_gate: bad speedup ratio %S\n%!" ratio;
             exit 2)
-    | "--history" :: v :: rest ->
-        history_file := Some v;
-        go rest
-    | "--history-window" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n when n >= 2 ->
-            history_window := Some n;
-            go rest
-        | _ ->
-            Printf.eprintf "bench_gate: bad history window %S (need >= 2)\n%!"
-              v;
-            exit 2)
-    | "--history-append" :: rest ->
-        history_append := true;
-        go rest
-    | "--history-sha" :: v :: rest ->
-        history_sha := v;
-        go rest
     | _ -> usage ()
   in
   go (List.tl (Array.to_list Sys.argv));
@@ -183,9 +158,7 @@ let parse_args () =
      List.rev !hist_p99s, List.rev !latencies, List.rev !allocs,
      List.rev !speedups, !shed)
   in
-  let has_check =
-    checks <> ([], [], [], [], [], [], [], None) || !history_file <> None
-  in
+  let has_check = checks <> ([], [], [], [], [], [], [], None) in
   match (!current, List.rev !pairs) with
   | Some c, pairs when has_check -> (Some c, checks, pairs)
   | None, (_ :: _ as pairs) when not has_check -> (None, checks, pairs)
@@ -288,159 +261,46 @@ let serve_rows json =
             rows
       | _ -> [])
 
-(* --- bench history (BENCH_HISTORY.jsonl) ------------------------------ *)
-
-let read_history_lines path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in_bin path in
-    let rec go acc =
-      match input_line ic with
-      | line ->
-          let acc =
-            if String.trim line = "" then acc
-            else
-              match Json.of_string line with
-              | j -> j :: acc
-              | exception Json.Parse_error _ -> acc
-          in
-          go acc
-      | exception End_of_file ->
-          close_in ic;
-          List.rev acc
-    in
-    go []
-  end
-
-(* One-line summary of a bench report: the trajectory's unit of record.
-   Metric keys are namespaced so the drift check can infer direction —
-   serve.*.req_per_s worsens downward, everything else upward. *)
-let history_entry_of_report json sha =
-  let metrics =
-    List.map
-      (fun (n, ns) -> ("micro." ^ n ^ ".ns_per_run", Json.Float ns))
-      (micro_rows json)
-    @ List.filter_map
-        (fun (n, rps, _) ->
-          Option.map (fun r -> ("serve." ^ n ^ ".req_per_s", Json.Float r)) rps)
-        (serve_rows json)
-    @ List.map
-        (fun (n, b) -> ("alloc." ^ n ^ ".bytes_per_run", Json.Float b))
-        (micro_field "alloc_bytes_per_run" json)
-  in
-  let carry key =
-    match Json.member key json with Some v -> v | None -> Json.Null
-  in
-  Json.Obj
-    [
-      ("sha", Json.String sha);
-      ("scale", carry "scale");
-      ("generated_unix", carry "generated_unix");
-      ("metrics", Json.Obj metrics);
-    ]
-
-let history_metrics entry =
-  match Json.member "metrics" entry with
-  | Some (Json.Obj kvs) ->
-      List.filter_map
-        (fun (k, v) ->
-          match Json.to_float v with
-          | f -> Some (k, f)
-          | exception _ -> None)
-        kvs
-  | _ -> []
-
-let contains_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-  at 0
-
-(* Monotone-drift detector: a metric fails when it worsened at every
-   step of the window AND the cumulative drift exceeds [drift_min] —
-   the slow-regression pattern that no single A/B sees.
-   Strict per-step monotonicity keeps ordinary run-to-run noise out. *)
-let drift_min = 0.10
-
-let check_history_drift entries window =
-  let n = List.length entries in
-  if n < window then begin
-    Printf.printf
-      "  %d run(s) recorded, window %d not yet filled — drift check skipped\n"
-      n window;
-    0
-  end
-  else begin
-    let tail =
-      let rec drop k l = if k <= 0 then l else drop (k - 1) (List.tl l) in
-      drop (n - window) entries
-    in
-    let series = List.map history_metrics tail in
-    let keys = match series with last :: _ -> List.map fst last | [] -> [] in
-    let keys =
-      (* tracked = present in every entry of the window *)
-      List.filter
-        (fun k -> List.for_all (fun m -> List.mem_assoc k m) series)
-        keys
-    in
-    let bad = ref 0 in
-    List.iter
-      (fun key ->
-        let vals = List.map (List.assoc key) series in
-        let worse a b =
-          if contains_substring key "req_per_s" then b < a else b > a
-        in
-        let rec monotone = function
-          | a :: (b :: _ as rest) -> worse a b && monotone rest
-          | _ -> true
-        in
-        match (vals, List.rev vals) with
-        | first :: _, last :: _ when first > 0. ->
-            let drift = abs_float (last -. first) /. first in
-            if monotone vals && drift > drift_min then begin
-              incr bad;
-              Printf.printf
-                "  %-44s %12.1f -> %12.1f (%+.1f%% over %d runs)  FAIL \
-                 (monotone drift)\n"
-                key first last
-                (100. *. (last -. first) /. first)
-                window
-            end
-        | _ -> ())
-      keys;
-    if !bad = 0 then
-      Printf.printf "  %d tracked metric(s), no monotone drift over %d runs\n"
-        (List.length keys) window;
-    !bad
-  end
-
 (* Double-accounting guard over the parallel block: the bench runs each
    domain-count configuration against a fresh registry, but the domain
    pool — and the model's conditional tables — are reused across
    sections. Every run therefore records whether its
-   per-section counters really started from zero; a [false] here means
-   some section's counts leaked into another's. *)
-let check_counters_start_zero json =
+   per-section counters really started from zero; a [false] (or a
+   missing flag) here means some section's counts leaked into
+   another's. The verdict is printed either way, so a report without
+   the block is visible as such. *)
+let check_counters_start_zero path json =
   match Json.member "parallel" json with
-  | None -> 0
-  | Some p -> (
-      match Json.member "runs" p with
-      | Some (Json.List runs) ->
-          List.fold_left
-            (fun bad run ->
-              match Json.member "counters_start_zero" run with
-              | Some (Json.Bool true) | None -> bad
-              | _ ->
-                  let domains =
-                    match Json.member "domains" run with
-                    | Some (Json.Int d) -> string_of_int d
-                    | _ -> "?"
-                  in
-                  Printf.printf
-                    "  parallel run (domains=%s): counters_start_zero FAIL\n"
-                    domains;
-                  bad + 1)
-            0 runs
-      | _ -> 0)
+  | None ->
+      Printf.printf
+        "double-accounting guard: %s has no parallel block, no run checked\n\n"
+        path
+  | Some p ->
+      let runs =
+        match Json.member "runs" p with Some (Json.List runs) -> runs | _ -> []
+      in
+      let bad =
+        List.filter
+          (fun run ->
+            Json.member "counters_start_zero" run <> Some (Json.Bool true))
+          runs
+      in
+      List.iter
+        (fun run ->
+          Printf.printf "  parallel run (domains=%s): counters_start_zero FAIL\n"
+            (match Json.member "domains" run with
+            | Some (Json.Int d) -> string_of_int d
+            | _ -> "?"))
+        bad;
+      if bad <> [] then (
+        Printf.printf
+          "%d parallel run(s) with non-zero per-section counters at start\n"
+          (List.length bad);
+        exit 1);
+      Printf.printf
+        "double-accounting guard: %d parallel run(s) in %s, counters start \
+         from zero\n\n"
+        (List.length runs) path
 
 (* --- same-host A/B ------------------------------------------------------ *)
 
@@ -529,11 +389,7 @@ let check_current current_path
       required_hist_p99s, required_latencies, required_allocs,
       required_speedups, max_shed_rate ) =
   let cur_json = load current_path in
-  (let bad = check_counters_start_zero cur_json in
-   if bad > 0 then (
-     Printf.printf
-       "%d parallel run(s) with non-zero per-section counters at start\n" bad;
-     exit 1));
+  check_counters_start_zero current_path cur_json;
   (* Fault-pass assertions: required telemetry counters must be present
      and positive in the current report. *)
   if required_counters <> [] then begin
@@ -753,40 +609,7 @@ let check_current current_path
       exit 1);
     Printf.printf "all %d kernel speedup floors met (bit-identical)\n\n"
       (List.length required_speedups)
-  end;
-  (* Bench-history trajectory: append the current run's summary, then
-     check the last N entries for monotone drift. The append happens
-     before the check (and before any exit) so the trajectory records
-     every run, including the one that trips the gate. *)
-  match !history_file with
-  | None -> ()
-  | Some path ->
-      let entry = history_entry_of_report cur_json !history_sha in
-      let existing = read_history_lines path in
-      if !history_append then begin
-        let oc =
-          open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path
-        in
-        output_string oc (Json.to_string ~pretty:false entry);
-        output_char oc '\n';
-        close_out oc;
-        Printf.printf "history: appended run %s to %s (%d run(s) recorded)\n"
-          !history_sha path
-          (List.length existing + 1)
-      end;
-      (match !history_window with
-      | None -> ()
-      | Some window ->
-          Printf.printf "history gate: %s (window %d)\n" path window;
-          let entries =
-            if !history_append then existing @ [ entry ] else existing
-          in
-          let bad = check_history_drift entries window in
-          if bad > 0 then begin
-            Printf.printf "\n%d metric(s) drifting monotonically\n" bad;
-            exit 1
-          end);
-      print_newline ()
+  end
 
 let () =
   let current, checks, pairs = parse_args () in

@@ -15,10 +15,9 @@
 #   MRSL_BENCH_OUT        where the bench writes its JSON (default BENCH_1.json)
 #   MRSL_SERVE_P99_US     serve sequential p99 ceiling in µs (default 50000;
 #                         the shared GitHub runner uses 200000)
-#   MRSL_BENCH_HISTORY    bench trajectory file (default
-#                         BENCH_HISTORY.jsonl); every run appends one
-#                         summary line, and the gate fails on sustained
-#                         monotone drift across the trailing window
+#
+# The run writes only untracked, git-ignored artifacts, so a second run
+# on the same clean commit A/Bs it against HEAD^ again.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,16 +26,12 @@ if [ "$#" -gt 0 ]; then
   exit 2
 fi
 
-# The tree under test, taken before anything is built or written: the
-# tree hash of HEAD, suffixed "-dirty" when the working tree differs
-# from it, untracked files included.  History lines are stamped with it
-# (CI runs before the change is committed, so a commit sha would name
-# the parent commit), and it picks the A/B's parent: HEAD for a dirty
-# tree, else HEAD^.
-GIT_SHA="$(git rev-parse 'HEAD^{tree}')"
+# The A/B's parent, picked before anything is built or written: HEAD
+# when the working tree differs from it (untracked files included), so
+# an uncommitted change is timed against the commit it edits, else
+# HEAD^.
 if ! git diff --quiet HEAD ||
   [ -n "$(git status --porcelain --untracked-files=normal)" ]; then
-  GIT_SHA="$GIT_SHA-dirty"
   AB_PARENT=HEAD
 else
   AB_PARENT=HEAD^
@@ -71,8 +66,10 @@ echo "== dune runtest =="
 dune runtest
 
 echo "== smoke bench =="
+# `parallel` carries the double-accounting guard's runs and the
+# resources block; the A/B below does not time it.
 MRSL_SCALE="${MRSL_SCALE:-smoke}" dune exec bench/main.exe -- \
-  micro cache serve
+  micro parallel cache serve
 
 echo "== bench gate =="
 # Every check here is absolute.  The counter requirements prove the
@@ -91,9 +88,8 @@ echo "== bench gate =="
 # and the counter requirements prove the kernel actually compiled and
 # served hits during the bench.  The fig11 tuple-DAG ceiling gates the
 # Algorithm 3 executor's flat sample bags and allocation-free Gibbs
-# steps the same way.  The history file accumulates a one-line summary
-# (micro walls and allocation, req/s, source tree) per run and the gate
-# fails on monotone drift across the trailing window.
+# steps the same way.  The gate also prints the double-accounting
+# guard's verdict over the `parallel` section's runs.
 dune exec ci/bench_gate.exe -- \
   --current "${MRSL_BENCH_OUT:-BENCH_1.json}" \
   --require-counter cache.hits \
@@ -115,9 +111,7 @@ dune exec ci/bench_gate.exe -- \
   --max-alloc-bytes mrsl/fig11/workload-tuple-dag 640000 \
   --max-alloc-bytes mrsl/fig4/apriori-mine 700000 \
   --min-speedup mrsl/table2/infer-best-averaged 2.0 \
-  --min-speedup mrsl/fig10/gibbs-run-unmemoized 2.0 \
-  --history "${MRSL_BENCH_HISTORY:-BENCH_HISTORY.jsonl}" \
-  --history-window 5 --history-append --history-sha "$GIT_SHA"
+  --min-speedup mrsl/fig10/gibbs-run-unmemoized 2.0
 
 echo "== A/B timing gate =="
 # The parent tree is exported with `git archive` into a temp dir
@@ -126,7 +120,8 @@ echo "== A/B timing gate =="
 # the side that goes first alternating, so load and thermal drift hit
 # both.  bench_gate fails a micro ns/run or serve req/s row only when
 # the change is worse in at least 9 of 10 pairs and its median per-pair
-# ratio is above 1.25.
+# ratio is above 1.25.  Only `micro serve` runs: the gate reads those
+# two sections' rows and nothing else.
 AB_DIR="$(mktemp -d)"
 mkdir "$AB_DIR/parent"
 git archive "$AB_PARENT" | tar -x -C "$AB_DIR/parent"
@@ -559,10 +554,12 @@ dune exec ci/trace_check.exe -- --trace TRACE_INFER.json --min-tracks 4 \
 # Traced smoke bench: every CI run produces a parseable trace artifact,
 # and the span gate proves the instrumented phases actually ran (plus
 # the double-accounting guard: per-section counters start from zero).
+# Micro timing loops run untraced, so most trace categories come from
+# the `parallel` section's counted runs.
 MRSL_SCALE="${MRSL_SCALE:-smoke}" \
 MRSL_BENCH_OUT=BENCH_TRACE.json \
 MRSL_TRACE_OUT=TRACE_BENCH.json \
-  dune exec bench/main.exe -- micro
+  dune exec bench/main.exe -- micro parallel
 dune exec ci/trace_check.exe -- --trace TRACE_BENCH.json \
   --require-cat gibbs --require-cat sched --require-cat dag \
   --require-cat learn

@@ -146,7 +146,9 @@ let test_capped_catalog () =
         [ 0.005; 0.01; 0.05 ])
     [ "BN7"; "BN10" ]
 
-(* Every catalog network at the paper's default θ and both caps. *)
+(* Every catalog network at both caps: the paper's 5 000 rows at its
+   default θ, and the first 1 000 and 2 000 of those rows at θ = 0.02
+   and 0.05, where other itemsets sit near the support boundary. *)
 let test_capped_every_network () =
   List.iter
     (fun (entry : Bayesnet.Catalog.entry) ->
@@ -157,15 +159,20 @@ let test_capped_every_network () =
       in
       let cards = Bayesnet.Topology.cardinalities entry.topology in
       List.iter
-        (fun max_itemsets ->
-          let config : Mining.Apriori.config =
-            { threshold = 0.01; max_itemsets }
-          in
-          check_same_result
-            (Printf.sprintf "%s cap=%d" entry.id max_itemsets)
-            (Mining.Apriori.mine ~config ~cards points)
-            (Mining.Fp_growth.mine ~config ~cards points))
-        [ 100; 1000 ])
+        (fun (rows, threshold) ->
+          let points = Array.sub points 0 rows in
+          List.iter
+            (fun max_itemsets ->
+              let config : Mining.Apriori.config =
+                { threshold; max_itemsets }
+              in
+              check_same_result
+                (Printf.sprintf "%s rows=%d θ=%g cap=%d" entry.id rows
+                   threshold max_itemsets)
+                (Mining.Apriori.mine ~config ~cards points)
+                (Mining.Fp_growth.mine ~config ~cards points))
+            [ 100; 1000 ])
+        [ (5000, 0.01); (1000, 0.02); (1000, 0.05); (2000, 0.02); (2000, 0.05) ])
     Bayesnet.Catalog.all
 
 (* Rows copied from a few prototypes with noise, so deep itemsets are
