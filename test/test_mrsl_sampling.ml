@@ -659,3 +659,160 @@ let suite =
        test_parallel_strategy_tuple_at_a_time);
       ("parallel telemetry counters", `Quick, test_parallel_telemetry_counters);
     ]
+
+(* Golden pins for every chain path outside the executor's multi-missing
+   node task, which [probdb golden: multi-missing blocks] already pins:
+   [Gibbs.run], [Diagnostics.run_with_retries] (default policy, and under
+   forced nonconvergence), [Diagnostics.diagnose], the per-stride
+   convergence readings of a traced workload and of the retry path
+   (split-R̂ and min ESS over growing row prefixes), and a capped
+   all-at-a-time run whose fallback chains fire. Each path has its own
+   digest of exact floats ([%h]), so a moved digest names the path that
+   moved. *)
+let golden_chain_fixture =
+  lazy
+    (let entry = Bayesnet.Catalog.find "BN10" in
+     let r = Prob.Rng.create 2027 in
+     let net = Bayesnet.Network.generate r entry.topology in
+     let model =
+       Mrsl.Model.learn
+         ~params:{ Mrsl.Model.default_params with support_threshold = 0.02 }
+         (Bayesnet.Network.sample_instance r net 1000)
+     in
+     let arity = Bayesnet.Topology.size entry.topology in
+     let tuples =
+       List.init 12 (fun i ->
+           let tup =
+             Relation.Tuple.of_point (Bayesnet.Network.sample_point r net)
+           in
+           List.iter
+             (fun a -> tup.(a) <- None)
+             (Prob.Rng.sample_without_replacement r (1 + (i mod 5)) arity);
+           tup)
+     in
+     (model, tuples))
+
+let digest_lines f =
+  let buf = Buffer.create 4096 in
+  f buf;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let add_estimate buf (e : Mrsl.Gibbs.estimate) =
+  List.iter (Printf.bprintf buf "%d,") e.missing;
+  Printf.bprintf buf "n%d:" e.samples_used;
+  Array.iter (Printf.bprintf buf "%h;") (e.joint :> float array);
+  Buffer.add_char buf '\n'
+
+(* Every [gibbs.convergence] counter [f] emits, in emission order. *)
+let add_convergence_counters buf f =
+  let sink = Mrsl.Trace.create () in
+  Mrsl.Trace.install sink;
+  Fun.protect ~finally:(fun () -> ignore (Mrsl.Trace.uninstall ())) f;
+  List.iter
+    (fun (e : Mrsl.Trace.event) ->
+      if e.name = "gibbs.convergence" then begin
+        List.iter
+          (fun (k, v) ->
+            match v with
+            | Mrsl.Trace.Float x -> Printf.bprintf buf "%s=%h " k x
+            | Mrsl.Trace.Int n -> Printf.bprintf buf "%s=%d " k n
+            | Mrsl.Trace.Str s -> Printf.bprintf buf "%s=%s " k s)
+          e.args;
+        Buffer.add_char buf '\n'
+      end)
+    (Mrsl.Trace.events sink)
+
+let test_golden_chain_paths () =
+  let model, tuples = Lazy.force golden_chain_fixture in
+  let sampler = Mrsl.Gibbs.sampler model in
+  let telemetry = Mrsl.Telemetry.create () in
+  let multi =
+    List.filter (fun t -> Relation.Tuple.missing_count t >= 2) tuples
+  in
+  let retries buf =
+    List.iteri
+      (fun i tup ->
+        let c =
+          Mrsl.Diagnostics.run_with_retries
+            ~config:{ burn_in = 10; samples = 40 }
+            ~telemetry (Prob.Rng.create (200 + i)) sampler tup
+        in
+        add_estimate buf c.estimate;
+        Printf.bprintf buf "rhat=%h attempts=%d sweeps=%d converged=%b\n"
+          c.rhat c.attempts c.total_sweeps c.converged)
+      tuples
+  in
+  let forced f =
+    Mrsl.Fault_inject.with_config
+      {
+        Mrsl.Fault_inject.disabled with
+        seed = 2011;
+        nonconvergence_rate = 0.5;
+      }
+      f
+  in
+  let capped = ref 0 in
+  List.iter
+    (fun (path, expected, f) ->
+      Alcotest.(check string) (path ^ " digest") expected (digest_lines f))
+    [
+      ( "Gibbs.run",
+        "dc9a1f165b5f75aeb7f4866b8a763835",
+        fun buf ->
+          List.iteri
+            (fun i tup ->
+              add_estimate buf
+                (Mrsl.Gibbs.run
+                   ~config:{ burn_in = 15; samples = 60 + (20 * i) }
+                   (Prob.Rng.create (100 + i))
+                   sampler tup))
+            tuples );
+      ( "run_with_retries default policy",
+        "67c8a8d818ccea5c4ecd78ea4cbd2e71",
+        retries );
+      ( "run_with_retries forced nonconvergence",
+        "f5864d854c057633ddae0ea0ab807223",
+        fun buf -> forced (fun () -> retries buf) );
+      ( "diagnose",
+        "d0534b8b54737c375592d0ab2e078d96",
+        fun buf ->
+          List.iteri
+            (fun i tup ->
+              let r =
+                Mrsl.Diagnostics.diagnose ~chains:3 ~draws:120 ~burn_in:10
+                  (Prob.Rng.create (300 + i))
+                  sampler tup
+              in
+              Printf.bprintf buf "psrf=%h ess=%h\n" r.psrf_max r.ess_min)
+            multi );
+      ( "convergence timeline",
+        "58f27e833df0d2f63f62fda7f04f99d3",
+        fun buf ->
+          add_convergence_counters buf (fun () ->
+              ignore
+                (Mrsl.Workload.run_contained
+                   ~config:{ burn_in = 10; samples = 80 }
+                   ~telemetry ~domains:1 ~seed:2027 model tuples));
+          add_convergence_counters buf (fun () ->
+              forced (fun () -> retries buf)) );
+      ( "all-at-a-time capped",
+        "91c5efa0daeb3596bd531691abda0003",
+        fun buf ->
+          let r =
+            Mrsl.Workload.run
+              ~config:{ burn_in = 10; samples = 50 }
+              ~strategy:Mrsl.Workload.All_at_a_time ~max_draws:200 ~telemetry
+              (Prob.Rng.create 2027) sampler tuples
+          in
+          capped := r.stats.sweeps;
+          List.iter (fun (_, e) -> add_estimate buf e) r.estimates;
+          Printf.bprintf buf "sweeps=%d recorded=%d shared=%d\n" r.stats.sweeps
+            r.stats.recorded r.stats.shared );
+    ];
+  (* The main chain stops at 10 + 200 sweeps; anything beyond is a
+     fallback chain for a tuple the main chain never matched. *)
+  if !capped <= 210 then
+    Alcotest.failf "all-at-a-time fallback did not fire (%d sweeps)" !capped
+
+let suite =
+  suite @ [ ("golden: chain paths", `Quick, test_golden_chain_paths) ]
