@@ -339,7 +339,9 @@ let infer_cmd =
     let doc =
       "Check split R-hat convergence per tuple and retry non-converged \
        chains with doubled draws (bounded by the default retry policy); \
-       tuples still unconverged after the budget are flagged."
+       tuples still unconverged after the budget are flagged. Runs one \
+       chain per distinct tuple, in order, on the calling domain, so \
+       --strategy, --domains and --on-fault are ignored."
     in
     Arg.(value & flag & info [ "retry" ] ~doc)
   in

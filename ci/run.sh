@@ -107,7 +107,7 @@ dune exec ci/bench_gate.exe -- \
   --histogram-p99 serve.queue_wait_seconds 0.25 \
   --max-shed-rate 0.01 \
   --max-alloc-bytes mrsl/table2/infer-best-averaged 215000 \
-  --max-alloc-bytes mrsl/fig10/gibbs-run 21000 \
+  --max-alloc-bytes mrsl/fig10/gibbs-run 12000 \
   --max-alloc-bytes mrsl/fig11/workload-tuple-dag 640000 \
   --max-alloc-bytes mrsl/fig4/apriori-mine 700000 \
   --min-speedup mrsl/table2/infer-best-averaged 2.0 \
@@ -513,6 +513,19 @@ dune exec bin/mrsl_cli.exe -- infer -i examples/example.csv \
   | sed -E 's/[0-9]+\.[0-9]+s/TIMEs/g' > INFER_UNCACHED.out
 diff INFER_CACHED.out INFER_UNCACHED.out
 echo "cache on/off outputs identical"
+
+# The same check on the convergence-retry path (--retry: one checked
+# chain per distinct tuple, recorded into a bag per attempt). Forced
+# nonconvergence at rate 0.5 makes 15 of the example's 22 tuples retry
+# until the budget runs out, while the other 7 compute a real split-R̂.
+for c in cache no-cache; do
+  MRSL_FAULT_SEED=2011 MRSL_FAULT_NONCONV_RATE=0.5 \
+    dune exec bin/mrsl_cli.exe -- infer -i examples/example.csv --retry \
+    --samples 100 --burn-in 20 --seed 2011 "--$c" \
+    | sed -E 's/[0-9]+\.[0-9]+s/TIMEs/g' > "INFER_RETRY_$c.out"
+done
+diff INFER_RETRY_cache.out INFER_RETRY_no-cache.out
+echo "cache on/off retry outputs identical"
 
 # Determinism: the workload scheduler's estimates depend on the seed
 # alone, so the default domain count and --domains 4 must print the same

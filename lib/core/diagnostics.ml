@@ -75,35 +75,37 @@ let effective_sample_size series =
     end
   end
 
+(* [f k v] for every (column [k], value [v]) pair of a bag's rows:
+   columns ascending, then values. *)
+let iter_pairs bag f =
+  Array.iteri
+    (fun k card ->
+      for v = 0 to card - 1 do
+        f k v
+      done)
+    (Sample_bag.cardinalities bag)
+
+(* The 0/1 series of [value = v] in column [k] over rows [lo, lo + len). *)
+let indicator bag k v ~lo ~len =
+  Array.init len (fun r ->
+      if Sample_bag.value bag (lo + r) k = v then 1. else 0.)
+
 let diagnose ?(chains = 4) ?(draws = 500) ?(burn_in = 100) rng sampler tup =
   if chains < 2 then invalid_arg "Diagnostics.diagnose: need >= 2 chains";
   if draws < 4 then invalid_arg "Diagnostics.diagnose: need >= 4 draws";
-  let missing = Relation.Tuple.missing tup in
-  if missing = [] then invalid_arg "Diagnostics.diagnose: tuple is complete";
+  if Relation.Tuple.missing tup = [] then
+    invalid_arg "Diagnostics.diagnose: tuple is complete";
   let schema = Model.schema (Gibbs.model sampler) in
-  (* Record every chain's trajectory over the missing attributes. *)
-  let trajectories =
+  let bags =
     Array.init chains (fun _ ->
-        let chain_rng = Prob.Rng.split rng in
-        let c = Gibbs.chain chain_rng sampler tup in
-        for _ = 1 to burn_in do
-          ignore (Gibbs.sweep chain_rng c)
-        done;
-        Array.init draws (fun _ -> Gibbs.sweep chain_rng c))
-  in
-  let indicators =
-    List.concat_map
-      (fun a ->
-        List.init (Relation.Schema.cardinality schema a) (fun v -> (a, v)))
-      missing
+        let bag = Sample_bag.create schema ~capacity:draws tup in
+        Gibbs.fill ~burn_in (Prob.Rng.split rng) sampler bag;
+        bag)
   in
   let psrf_max = ref 1. and ess_min = ref (float_of_int draws) in
-  List.iter
-    (fun (a, v) ->
+  iter_pairs bags.(0) (fun k v ->
       let series =
-        Array.map
-          (Array.map (fun point -> if point.(a) = v then 1. else 0.))
-          trajectories
+        Array.map (fun bag -> indicator bag k v ~lo:0 ~len:draws) bags
       in
       let r = potential_scale_reduction series in
       if r > !psrf_max then psrf_max := r;
@@ -111,8 +113,7 @@ let diagnose ?(chains = 4) ?(draws = 500) ?(burn_in = 100) rng sampler tup =
         (fun chain ->
           let ess = effective_sample_size chain in
           if ess < !ess_min then ess_min := ess)
-        series)
-    indicators;
+        series);
   { psrf_max = !psrf_max; ess_min = !ess_min; chains; draws_per_chain = draws }
 
 let converged ?(threshold = 1.1) report = report.psrf_max <= threshold
@@ -142,59 +143,41 @@ type checked = {
   total_sweeps : int;
 }
 
-(* Split-R̂ over one run's recorded points: each (missing attribute,
-   value) indicator series is split into halves treated as two chains —
-   the standard single-run proxy for the multi-chain Gelman–Rubin
-   statistic. 1.0 (trivially converged) when there are fewer than 8
-   points, where halves would be too short to diagnose. *)
-let split_rhat sampler tup points =
-  let pts = Array.of_list points in
-  let n = Array.length pts in
+(* Split-R̂ over a bag's rows: each (column, value) indicator series is
+   split into halves treated as two chains — the standard single-run
+   proxy for the multi-chain Gelman–Rubin statistic. 1.0 (trivially
+   converged) when there are fewer than 8 rows, where halves would be
+   too short to diagnose. *)
+let split_rhat bag =
+  let n = Sample_bag.count bag in
   if n < 8 then 1.0
   else begin
-    let half = n / 2 in
-    let schema = Model.schema (Gibbs.model sampler) in
-    let rmax = ref 1.0 in
-    List.iter
-      (fun a ->
-        for v = 0 to Relation.Schema.cardinality schema a - 1 do
-          let indicator i = if pts.(i).(a) = v then 1. else 0. in
-          let series =
+    let half = n / 2 and rmax = ref 1.0 in
+    iter_pairs bag (fun k v ->
+        let r =
+          potential_scale_reduction
             [|
-              Array.init half indicator;
-              Array.init half (fun i -> indicator (n - half + i));
+              indicator bag k v ~lo:0 ~len:half;
+              indicator bag k v ~lo:(n - half) ~len:half;
             |]
-          in
-          let r = potential_scale_reduction series in
-          if r > !rmax then rmax := r
-        done)
-      (Relation.Tuple.missing tup);
+        in
+        if r > !rmax then rmax := r);
     !rmax
   end
 
-(* One (split-R̂, min ESS) reading over a prefix of a chain's recorded
-   points — the payload of the trace layer's per-chain convergence
-   timeline (Trace counter events named [gibbs.convergence]). ESS is the
-   minimum initial-positive-sequence estimate over every (missing
-   attribute, value) indicator series, mirroring [diagnose]. *)
-let convergence_snapshot sampler tup points =
-  let rhat = split_rhat sampler tup points in
-  let pts = Array.of_list points in
-  let n = Array.length pts in
+(* One (split-R̂, min ESS) reading over a bag's rows so far — the payload
+   of the trace layer's per-chain convergence timeline (Trace counter
+   events named [gibbs.convergence]). ESS is the minimum
+   initial-positive-sequence estimate over every (column, value)
+   indicator series, mirroring [diagnose]. *)
+let convergence_snapshot bag =
+  let rhat = split_rhat bag and n = Sample_bag.count bag in
   if n < 2 then (rhat, float_of_int n)
   else begin
-    let schema = Model.schema (Gibbs.model sampler) in
     let ess_min = ref (float_of_int n) in
-    List.iter
-      (fun a ->
-        for v = 0 to Relation.Schema.cardinality schema a - 1 do
-          let series =
-            Array.init n (fun i -> if pts.(i).(a) = v then 1. else 0.)
-          in
-          let ess = effective_sample_size series in
-          if ess < !ess_min then ess_min := ess
-        done)
-      (Relation.Tuple.missing tup);
+    iter_pairs bag (fun k v ->
+        let ess = effective_sample_size (indicator bag k v ~lo:0 ~len:n) in
+        if ess < !ess_min then ess_min := ess);
     (rhat, !ess_min)
   end
 
@@ -209,21 +192,18 @@ let run_with_retries ?(config = Gibbs.default_config)
     invalid_arg "Diagnostics.run_with_retries: rhat_threshold must be > 0";
   let t0 = Clock.now () in
   let total_sweeps = ref 0 in
+  let schema = Model.schema (Gibbs.model sampler) in
   let draw draws =
-    let c = Gibbs.chain ~telemetry rng sampler tup in
-    for _ = 1 to config.Gibbs.burn_in do
-      ignore (Gibbs.sweep rng c)
-    done;
-    let points = List.init draws (fun _ -> Gibbs.sweep rng c) in
+    let bag = Sample_bag.create schema ~capacity:draws tup in
+    Gibbs.fill ~telemetry ~burn_in:config.Gibbs.burn_in rng sampler bag;
     total_sweeps := !total_sweeps + config.Gibbs.burn_in + draws;
-    points
+    bag
   in
   let forced =
     (* Full mixed-radix evidence code, not [Hashtbl.hash]: the latter's
        bounded traversal collapses wide tuples onto shared keys, so one
        forced-nonconvergence decision silently covered whole families of
        tuples and skewed the injected rate. *)
-    let schema = Model.schema (Gibbs.model sampler) in
     let cards =
       Array.init (Relation.Schema.arity schema)
         (Relation.Schema.cardinality schema)
@@ -235,18 +215,16 @@ let run_with_retries ?(config = Gibbs.default_config)
      [degrade.nonconverged] reads as a nonconvergence *share*. *)
   Telemetry.incr telemetry "gibbs.checked";
   let rec go attempt draws =
-    let points =
+    let bag =
       Trace.complete ~cat:"gibbs"
         ~args:[ ("attempt", Trace.Int attempt); ("draws", Trace.Int draws) ]
         "gibbs.attempt"
         (fun () -> draw draws)
     in
-    let estimate = Gibbs.estimate_of_points sampler tup points in
-    let rhat =
-      if forced then Float.infinity else split_rhat sampler tup points
-    in
+    let estimate = Gibbs.estimate_of_bag bag in
+    let rhat = if forced then Float.infinity else split_rhat bag in
     if Trace.enabled () then begin
-      let _, ess = convergence_snapshot sampler tup points in
+      let _, ess = convergence_snapshot bag in
       Trace.counter ~cat:"gibbs" "gibbs.convergence"
         [
           ("rhat", (if Float.is_finite rhat then rhat else 1e6));

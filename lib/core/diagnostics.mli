@@ -9,7 +9,11 @@
       (missing attribute, value) pair and reported as the maximum;
     - {e effective sample size} per chain from the autocorrelation of the
       same indicator series (initial-positive-sequence estimator),
-      reported as the minimum over indicators. *)
+      reported as the minimum over indicators.
+
+    Every chain here records into a {!Sample_bag} through {!Gibbs.fill},
+    and every statistic reads the bag's rows: the indicator series of
+    column [k] and value [v] is [1.] where {!Sample_bag.value} is [v]. *)
 
 type report = {
   psrf_max : float;  (** max Gelman–Rubin R̂ over all value indicators *)
@@ -31,7 +35,8 @@ val effective_sample_size : float array -> float
 val diagnose : ?chains:int -> ?draws:int -> ?burn_in:int -> Prob.Rng.t ->
   Gibbs.sampler -> Relation.Tuple.t -> report
 (** Run several independent chains (default 4 × 500 draws after a burn-in
-    of 100) for an incomplete tuple and summarize convergence. A
+    of 100), each on its own {!Prob.Rng.split} of [rng] and into its own
+    bag, for an incomplete tuple and summarize convergence. A
     well-mixed sampler has [psrf_max] close to 1 (≤ 1.1 is the customary
     threshold) and a healthy [ess_min]. *)
 
@@ -42,7 +47,7 @@ val converged : ?threshold:float -> report -> bool
 
     The fault-containment layer's answer to "the chain did not mix":
     instead of returning a silently unconverged estimate, the driver
-    measures split-R̂ on the recorded points, retries with doubled draws
+    measures split-R̂ on the recorded rows, retries with doubled draws
     while the budget lasts, and finally returns the estimate {e flagged}
     as non-converged. *)
 
@@ -64,27 +69,27 @@ type checked = {
   total_sweeps : int;  (** sweeps spent across all attempts *)
 }
 
-val split_rhat : Gibbs.sampler -> Relation.Tuple.t -> int array list -> float
-(** Max split-halves R̂ over every (missing attribute, value) indicator
-    series of one run's recorded points (oldest first). Returns 1.0 for
-    fewer than 8 points. *)
+val split_rhat : Sample_bag.t -> float
+(** Max split-halves R̂ over every (column, value) indicator series of a
+    bag's rows (oldest first): the first [count / 2] rows against the
+    last [count / 2]. Returns 1.0 for fewer than 8 rows. *)
 
-val convergence_snapshot :
-  Gibbs.sampler -> Relation.Tuple.t -> int array list -> float * float
-(** [(split-R̂, min ESS)] over one run's recorded points so far — the
-    payload of the event-tracing layer's per-chain convergence timeline
-    ({!Trace} counter events named [gibbs.convergence], emitted every few
-    recorded sweeps by {!Workload}'s executor and by
-    {!run_with_retries} when a trace sink is installed). ESS is the
-    minimum over every (missing attribute, value) indicator series. *)
+val convergence_snapshot : Sample_bag.t -> float * float
+(** [(split-R̂, min ESS)] over a bag's rows so far — the payload of the
+    event-tracing layer's per-chain convergence timeline ({!Trace}
+    counter events named [gibbs.convergence], emitted every few recorded
+    sweeps by {!Workload}'s executor and by {!run_with_retries} when a
+    trace sink is installed). ESS is the minimum over every (column,
+    value) indicator series. *)
 
 val run_with_retries : ?config:Gibbs.config -> ?policy:retry_policy ->
   ?telemetry:Telemetry.t -> Prob.Rng.t -> Gibbs.sampler ->
   Relation.Tuple.t -> checked
 (** Gibbs inference for one incomplete tuple with convergence retries:
-    run burn-in + N draws, check split-R̂; while it exceeds
-    [rhat_threshold] and the retry/sweep/wall budgets allow, run a fresh
-    chain with doubled draws. Each checked run counts [gibbs.checked] in
+    {!Gibbs.fill} a bag of N rows after B burn-in sweeps, check its
+    split-R̂; while it exceeds [rhat_threshold] and the retry/sweep/wall
+    budgets allow, fill a fresh bag of doubled capacity from a fresh
+    chain (on the same [rng]). Each checked run counts [gibbs.checked] in
     [telemetry] (default {!Telemetry.global}) — the denominator of the
     {!Quality} nonconvergence-share health metric; each retry counts
     [gibbs.retries]; budget exhaustion counts [degrade.nonconverged]

@@ -118,9 +118,19 @@ let step rng c =
 
 let current c = c.state
 
-let sweep rng c =
-  step rng c;
-  Array.copy c.state
+let start ?telemetry ~burn_in rng s tup =
+  let c = chain ?telemetry rng s tup in
+  for _ = 1 to burn_in do
+    step rng c
+  done;
+  c
+
+let fill ?telemetry ~burn_in rng s bag =
+  let c = start ?telemetry ~burn_in rng s (Sample_bag.tuple bag) in
+  while not (Sample_bag.is_full bag) do
+    step rng c;
+    Sample_bag.record bag c.state
+  done
 
 type estimate = {
   tuple : Relation.Tuple.t;
@@ -139,6 +149,13 @@ let estimate_of_counts tup missing cards counts n =
     joint = Prob.Dist.smooth freq;
     samples_used = n;
   }
+
+let estimate_of_bag bag =
+  let n = Sample_bag.count bag in
+  if n = 0 then invalid_arg "Gibbs.estimate_of_bag: no samples";
+  let tup = Sample_bag.tuple bag in
+  estimate_of_counts tup (Relation.Tuple.missing tup)
+    (Sample_bag.cardinalities bag) (Sample_bag.counts bag) n
 
 let estimate_of_points (s : sampler) tup points =
   if points = [] then invalid_arg "Gibbs.estimate_of_points: no samples";
@@ -188,10 +205,9 @@ let run ?(config = default_config) rng s tup =
     invalid_arg "Gibbs.run: bad burn-in or sample count";
   if Relation.Tuple.missing_count tup = 1 then vote s tup
   else begin
-    let c = chain rng s tup in
-    for _ = 1 to config.burn_in do
-      step rng c
-    done;
-    let points = List.init config.samples (fun _ -> sweep rng c) in
-    estimate_of_points s tup points
+    let bag =
+      Sample_bag.create (Model.schema s.model) ~capacity:config.samples tup
+    in
+    fill ~burn_in:config.burn_in rng s bag;
+    estimate_of_bag bag
   end

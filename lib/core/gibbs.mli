@@ -83,10 +83,17 @@ val current : chain -> int array
     as of the last {!step}). Not a copy: it changes on the next step and
     must not be mutated by the caller. *)
 
-val sweep : Prob.Rng.t -> chain -> int array
-(** [sweep rng c] is [step rng c] followed by a copy of [current c]: the
-    resulting complete point as a fresh array. Draws exactly the same
-    random numbers as [step]. *)
+val start : ?telemetry:Telemetry.t -> burn_in:int -> Prob.Rng.t -> sampler ->
+  Relation.Tuple.t -> chain
+(** [start ~burn_in rng s tup] is {!chain} followed by [burn_in] {!step}s:
+    a chain ready to record. The one chain start and burn-in of every
+    inference path. *)
+
+val fill : ?telemetry:Telemetry.t -> burn_in:int -> Prob.Rng.t -> sampler ->
+  Sample_bag.t -> unit
+(** [fill ~burn_in rng s bag] {!start}s a chain over the bag's tuple, then
+    {!step}s it and {!Sample_bag.record}s each resulting point until the
+    bag is full: [burn_in] + (capacity − count) sweeps. *)
 
 type estimate = {
   tuple : Relation.Tuple.t;
@@ -94,25 +101,23 @@ type estimate = {
   cards : int array;  (** their cardinalities, same order *)
   joint : Prob.Dist.t;  (** joint distribution in mixed-radix code order *)
   samples_used : int;
-      (** recorded points the joint was counted from; [0] for a {!vote}:
+      (** recorded rows the joint was counted from; [0] for a {!vote}:
           exact, nothing sampled *)
 }
 
-val estimate_of_counts : Relation.Tuple.t -> int list -> int array ->
-  float array -> int -> estimate
-(** [estimate_of_counts tup missing cards counts n] is the estimate from
-    [counts], a dense array indexed by the mixed-radix code of the values
-    of [missing] (ascending, with cardinalities [cards]) and summing to
-    [n > 0] samples: frequencies [c /. n], then {!Prob.Dist.smooth}. The
-    one estimate rule shared by {!estimate_of_points} and
-    {!Sample_bag.estimate}; the arrays are taken, not copied. *)
+val estimate_of_bag : Sample_bag.t -> estimate
+(** Empirical (smoothed) joint distribution of the bag's tuple's missing
+    attributes: the bag's {!Sample_bag.counts} over its {!Sample_bag.count}
+    rows as frequencies, then {!Prob.Dist.smooth}. The one estimate of
+    recorded samples. Raises [Invalid_argument] on an empty bag. *)
 
 val estimate_of_points : sampler -> Relation.Tuple.t -> int array list ->
   estimate
-(** Empirical (smoothed) joint distribution of the tuple's missing
-    attributes over a bag of complete points — used both by [run] and by
-    the sample-sharing tuple-DAG strategy. Raises [Invalid_argument] on an
-    empty bag. *)
+(** The same estimate over a list of complete points, counted
+    independently of the bag's row layout: the reference the tests hold
+    {!estimate_of_bag} to, and a way to build an estimate by hand. No
+    inference path calls it. Raises [Invalid_argument] on an empty
+    list. *)
 
 val marginal : estimate -> int -> Prob.Dist.t
 (** Marginal distribution of one missing attribute of an estimate. *)
@@ -133,6 +138,6 @@ val vote : sampler -> Relation.Tuple.t -> estimate
 
 val run : ?config:config -> Prob.Rng.t -> sampler -> Relation.Tuple.t ->
   estimate
-(** Tuple-at-a-time inference for one tuple: burn-in, then N recorded
-    sweeps, then the empirical joint estimate. A single-missing tuple
-    takes the {!vote} instead: no chain, no draw from the RNG. *)
+(** Tuple-at-a-time inference for one tuple: {!fill} a bag of capacity N
+    after B burn-in sweeps, then {!estimate_of_bag}. A single-missing
+    tuple takes the {!vote} instead: no chain, no draw from the RNG. *)

@@ -60,10 +60,9 @@ let take p src off b =
   done;
   b.count <- b.count + 1
 
-let sweep b rng c =
-  if is_full b then invalid_arg "Sample_bag.sweep: bag is full";
-  Gibbs.step rng c;
-  take b.point_plan (Gibbs.current c) 0 b
+let cardinalities b = Array.copy b.cards
+let value b r k = b.rows.((r * Array.length b.missing) + k)
+let record b point = take b.point_plan point 0 b
 
 (* The per-edge plan of ShareSamples(donor, child). *)
 let edge_plan donor child =
@@ -108,12 +107,11 @@ let offer b point =
   (not (is_full b))
   && accepts b.point_plan point 0
   && begin
-       take b.point_plan point 0 b;
+       record b point;
        true
      end
 
-let estimate b =
-  if b.count = 0 then invalid_arg "Sample_bag.estimate: no samples";
+let counts b =
   let cards = b.cards and rows = b.rows in
   let width = Array.length cards in
   let counts = Array.make (Relation.Domain.count cards) 0. in
@@ -125,13 +123,4 @@ let estimate b =
     done;
     counts.(!code) <- counts.(!code) +. 1.
   done;
-  Gibbs.estimate_of_counts b.tuple (Array.to_list b.missing) (Array.copy cards)
-    counts b.count
-
-let points b =
-  let base = Array.map (function Some v -> v | None -> 0) b.tuple in
-  let width = Array.length b.missing in
-  List.init b.count (fun r ->
-      let p = Array.copy base in
-      Array.iteri (fun k a -> p.(a) <- b.rows.((r * width) + k)) b.missing;
-      p)
+  counts

@@ -1,4 +1,4 @@
-(** Flat sample stores for Algorithm 3.
+(** Flat sample stores: the one place Gibbs samples are recorded.
 
     A bag holds the recorded Gibbs samples of one incomplete tuple. It
     keeps only what differs between samples: each row stores the values
@@ -9,9 +9,12 @@
     numbered in recording order, so row 0 is the oldest sample. A bag
     never grows past its capacity — the per-tuple sample target N.
 
-    Rows are written in place: {!sweep} advances the tuple's chain with
-    {!Gibbs.step} and copies the resampled values straight into the next
-    row, so a recorded sample costs no point copy and no list cell.
+    Rows are written in place: a chain step is followed by {!record},
+    which copies the resampled values of the chain's live point straight
+    into the next row, so a recorded sample costs no point copy and no
+    list cell. {!Gibbs.fill} runs a chain into a bag; {!Gibbs.estimate_of_bag}
+    turns its {!counts} into an estimate; {!Diagnostics} reads its rows
+    through {!value}.
 
     {b Donation plans.} ShareSamples(donor, child) of Algorithm 3 runs
     over rows, not points. For a DAG edge the donor's missing attributes
@@ -44,10 +47,20 @@ val count : t -> int
 val is_full : t -> bool
 (** [count = capacity]. *)
 
-val sweep : t -> Prob.Rng.t -> Gibbs.chain -> unit
-(** [sweep bag rng c] runs one {!Gibbs.step} of [c] (a chain over the
-    bag's tuple) and records the resulting missing values as the bag's
-    next row. Raises [Invalid_argument] when the bag is full. *)
+val cardinalities : t -> int array
+(** Cardinality of each column (the missing attributes', ascending), as a
+    fresh array. *)
+
+val value : t -> int -> int -> int
+(** [value bag r k] is column [k] of row [r] ([r < count]): the value of
+    the [k]-th missing attribute in the [r]-th oldest sample. *)
+
+val record : t -> int array -> unit
+(** [record bag point] writes the complete [point]'s missing values as
+    the bag's next row. Unchecked: [point] must agree with the bag's
+    evidence (a chain's {!Gibbs.current} over the bag's tuple does).
+    Recording into a full bag raises [Invalid_argument] (the row array's
+    bounds check) and records nothing. *)
 
 val share : donor:t -> t -> int
 (** [share ~donor child] — ShareSamples(donor, child): append the
@@ -62,13 +75,7 @@ val offer : t -> int array -> bool
     new row when the bag is not full and [point] agrees with the bag's
     evidence; returns whether it did. *)
 
-val estimate : t -> Gibbs.estimate
-(** Empirical (smoothed) joint distribution of the tuple's missing
-    attributes: row codes are counted straight into the dense joint,
-    which {!Gibbs.estimate_of_counts} turns into the estimate. Equal to {!Gibbs.estimate_of_points} over {!points}. Raises
-    [Invalid_argument] on an empty bag. *)
-
-val points : t -> int array list
-(** The rows as full points (evidence filled in), oldest first. Builds
-    fresh arrays; meant for diagnostics such as
-    {!Diagnostics.convergence_snapshot}, not for the sampling path. *)
+val counts : t -> float array
+(** The dense joint counts: a fresh array indexed by the mixed-radix code
+    of a row's values (column 0 most significant, radices
+    {!cardinalities}), each row adding 1. Sums to {!count}. *)

@@ -97,12 +97,6 @@ type counts = {
   mutable shared : int;
 }
 
-let burn_in config rng c counts =
-  for _ = 1 to config.Gibbs.burn_in do
-    Gibbs.step rng c;
-    counts.sweeps <- counts.sweeps + 1
-  done
-
 let vote sampler st =
   match st.work with
   | Vote v -> v.answer <- Some (Gibbs.vote sampler st.tuple)
@@ -121,8 +115,11 @@ let all_at_a_time config telemetry rng sampler max_draws nodes counts =
   in
   if bags <> [||] then begin
     let arity = Array.length (Sample_bag.tuple bags.(0)) in
-    let c = Gibbs.chain ~telemetry rng sampler (Array.make arity None) in
-    burn_in config rng c counts;
+    let burn_in = config.Gibbs.burn_in in
+    let c =
+      Gibbs.start ~telemetry ~burn_in rng sampler (Array.make arity None)
+    in
+    counts.sweeps <- counts.sweeps + burn_in;
     let remaining = ref (Array.length bags) in
     let draws = ref 0 in
     while !remaining > 0 && !draws < max_draws do
@@ -141,13 +138,9 @@ let all_at_a_time config telemetry rng sampler max_draws nodes counts =
     Array.iter
       (fun bag ->
         if Sample_bag.count bag = 0 then begin
-          let c = Gibbs.chain ~telemetry rng sampler (Sample_bag.tuple bag) in
-          burn_in config rng c counts;
-          for _ = 1 to config.Gibbs.samples do
-            Sample_bag.sweep bag rng c;
-            counts.sweeps <- counts.sweeps + 1;
-            counts.recorded <- counts.recorded + 1
-          done
+          Gibbs.fill ~telemetry ~burn_in rng sampler bag;
+          counts.sweeps <- counts.sweeps + burn_in + config.Gibbs.samples;
+          counts.recorded <- counts.recorded + config.Gibbs.samples
         end)
       bags
   end;
@@ -286,20 +279,16 @@ let schedule config strategy telemetry policy request_flow seed samplers dag
     | Chain bag when Sample_bag.is_full bag -> ()
     | Chain bag ->
         let rng = Prob.Rng.create (task_seed ~seed i) in
-        let c = Gibbs.chain ~telemetry rng sampler (Sample_bag.tuple bag) in
-        for _ = 1 to config.Gibbs.burn_in do
-          Gibbs.step rng c;
-          log.sweeps <- log.sweeps + 1
-        done;
+        let burn_in = config.Gibbs.burn_in and donated = Sample_bag.count bag in
+        let c =
+          Gibbs.start ~telemetry ~burn_in rng sampler (Sample_bag.tuple bag)
+        in
+        (* [Gibbs.fill]'s loop, plus the convergence timeline. *)
         while not (Sample_bag.is_full bag) do
-          Sample_bag.sweep bag rng c;
-          log.sweeps <- log.sweeps + 1;
-          log.recorded <- log.recorded + 1;
+          Gibbs.step rng c;
+          Sample_bag.record bag (Gibbs.current c);
           if Sample_bag.count bag mod stride = 0 && Trace.enabled () then begin
-            let rhat, ess =
-              Diagnostics.convergence_snapshot sampler (Sample_bag.tuple bag)
-                (Sample_bag.points bag)
-            in
+            let rhat, ess = Diagnostics.convergence_snapshot bag in
             Trace.counter ~id:i ~cat:"gibbs" "gibbs.convergence"
               [
                 ("rhat", if Float.is_finite rhat then rhat else 1e6);
@@ -307,7 +296,10 @@ let schedule config strategy telemetry policy request_flow seed samplers dag
                 ("node", float_of_int i);
               ]
           end
-        done
+        done;
+        let drawn = Sample_bag.count bag - donated in
+        log.sweeps <- log.sweeps + burn_in + drawn;
+        log.recorded <- log.recorded + drawn
   in
   let exec log sampler i =
     let st = nodes.(i) in
@@ -494,7 +486,7 @@ let execute ~config ~strategy ~max_draws ~telemetry ~policy ~quality
     | None ->
         let est =
           match st.work with
-          | Chain bag -> Sample_bag.estimate bag
+          | Chain bag -> Gibbs.estimate_of_bag bag
           | Vote { answer = Some est } -> est
           | Vote { answer = None } -> assert false
         in

@@ -74,3 +74,9 @@ let brute_support points s =
 let qcheck ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name gen prop)
+
+(* One Gibbs step, then a copy of the chain's complete point: how the
+   point-list reference executors record a sample. *)
+let sweep rng c =
+  Mrsl.Gibbs.step rng c;
+  Array.copy (Mrsl.Gibbs.current c)

@@ -713,13 +713,106 @@ let test_retry_policy_validation () =
     { Mrsl.Diagnostics.default_retry_policy with max_total_sweeps = 0 }
     "Diagnostics.run_with_retries: max_total_sweeps must be >= 1"
 
+(* A bag over [schema] holding [rows] (complete points), oldest first. *)
+let bag_of schema tup rows =
+  let bag =
+    Mrsl.Sample_bag.create schema ~capacity:(List.length rows) tup
+  in
+  List.iter (Mrsl.Sample_bag.record bag) rows;
+  bag
+
 let test_split_rhat_short_series_trivial () =
-  let model = trained_model () in
-  let sampler = Mrsl.Gibbs.sampler model in
   let tup : Relation.Tuple.t = [| Some 0; None; None |] in
   let points = List.init 4 (fun i -> [| 0; 0; i mod 2 |]) in
-  check_float "fewer than 8 points is trivially converged" 1.0
-    (Mrsl.Diagnostics.split_rhat sampler tup points)
+  check_float "fewer than 8 rows is trivially converged" 1.0
+    (Mrsl.Diagnostics.split_rhat (bag_of dependent_schema tup points))
+
+(* Two missing columns of different cardinalities around a known one.
+   In [shifted_rows] each half holds 7 rows of one value and 1 of
+   another: within-half variance is non-zero, so R̂ is not the
+   constant-series 1.0. A column or cardinality mix-up still sees some
+   shift there; the point reference below is what catches it. *)
+let mixed_schema = Relation.Schema.of_cardinalities [ 3; 2; 4 ]
+let mixed_tup : Relation.Tuple.t = [| None; Some 1; None |]
+
+let shifted_rows ~col ~base ~first ~second =
+  List.init 16 (fun r ->
+      let p = Array.copy base in
+      p.(col) <-
+        (if r < 8 then if r = 7 then second else first
+         else if r = 15 then first
+         else second);
+      p)
+
+let test_split_rhat_bag_halves_differ () =
+  List.iter
+    (fun (msg, rows) ->
+      let bag = bag_of mixed_schema mixed_tup rows in
+      let rhat = Mrsl.Diagnostics.split_rhat bag in
+      if not (rhat > 1.1) then
+        Alcotest.failf "%s: split-R̂ %g <= 1.1" msg rhat)
+    [
+      ( "first column shifts",
+        shifted_rows ~col:0 ~base:[| 0; 1; 2 |] ~first:0 ~second:2 );
+      ( "last column shifts",
+        shifted_rows ~col:2 ~base:[| 1; 1; 0 |] ~first:0 ~second:3 );
+    ]
+
+(* Split-R̂ and min ESS recomputed from the complete points, by attribute
+   index and the schema's cardinalities: no bag column is involved. *)
+let reference_snapshot schema tup points =
+  let pts = Array.of_list points in
+  let n = Array.length pts and half = Array.length pts / 2 in
+  let rhat = ref 1.0 and ess = ref (float_of_int n) in
+  List.iter
+    (fun a ->
+      for v = 0 to Relation.Schema.cardinality schema a - 1 do
+        let ind i = if pts.(i).(a) = v then 1. else 0. in
+        let r =
+          Mrsl.Diagnostics.potential_scale_reduction
+            [|
+              Array.init half ind;
+              Array.init half (fun i -> ind (n - half + i));
+            |]
+        in
+        if r > !rhat then rhat := r;
+        let e = Mrsl.Diagnostics.effective_sample_size (Array.init n ind) in
+        if e < !ess then ess := e
+      done)
+    (Relation.Tuple.missing tup);
+  (!rhat, !ess)
+
+let test_bag_diagnostics_match_point_reference () =
+  let r = Prob.Rng.create 11 in
+  List.iter
+    (fun n ->
+      let rows =
+        List.init n (fun i ->
+            (* The second half leans to high values in both columns. *)
+            let skew c =
+              if 2 * i >= n && Prob.Rng.bool r then c - 1
+              else Prob.Rng.int r c
+            in
+            [| skew 3; 1; skew 4 |])
+      in
+      let bag = bag_of mixed_schema mixed_tup rows in
+      let want_rhat, want_ess =
+        reference_snapshot mixed_schema mixed_tup rows
+      in
+      let rhat, ess = Mrsl.Diagnostics.convergence_snapshot bag in
+      check_float "split-R̂" want_rhat (Mrsl.Diagnostics.split_rhat bag);
+      check_float "snapshot split-R̂" want_rhat rhat;
+      check_float "snapshot ESS" want_ess ess)
+    [ 16; 40; 41 ]
+
+let test_split_rhat_constant_bag () =
+  let bag =
+    bag_of mixed_schema mixed_tup (List.init 16 (fun _ -> [| 2; 1; 3 |]))
+  in
+  check_float "constant rows" 1.0 (Mrsl.Diagnostics.split_rhat bag);
+  let rhat, ess = Mrsl.Diagnostics.convergence_snapshot bag in
+  check_float "snapshot R̂" 1.0 rhat;
+  check_float "snapshot ESS = rows" 16. ess
 
 let suite =
   [
@@ -771,4 +864,8 @@ let suite =
       test_retry_sweep_budget_caps_attempts );
     ("retry policy validation", `Quick, test_retry_policy_validation);
     ("split rhat short series trivial", `Quick, test_split_rhat_short_series_trivial);
+    ("split rhat bag halves differ", `Quick, test_split_rhat_bag_halves_differ);
+    ("split rhat constant bag", `Quick, test_split_rhat_constant_bag);
+    ("bag diagnostics = point reference", `Quick,
+     test_bag_diagnostics_match_point_reference);
   ]

@@ -56,7 +56,7 @@ let test_chain_keeps_evidence_fixed () =
   let r = rng () in
   let c = Mrsl.Gibbs.chain r s [| Some 1; None; None |] in
   for _ = 1 to 50 do
-    let point = Mrsl.Gibbs.sweep r c in
+    let point = sweep r c in
     Alcotest.(check int) "evidence fixed" 1 point.(0);
     Array.iter
       (fun v ->

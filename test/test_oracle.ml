@@ -346,7 +346,7 @@ let local_dag ~respect_evidence seed =
           Mrsl.Gibbs.step rng c
         done;
         while count.(i) < config.samples do
-          samples.(i) <- Mrsl.Gibbs.sweep rng c :: samples.(i);
+          samples.(i) <- Helpers.sweep rng c :: samples.(i);
           count.(i) <- count.(i) + 1
         done
       end;

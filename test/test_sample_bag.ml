@@ -1,7 +1,7 @@
 (* Differential suite for the flat sample bags (Sample_bag).
 
    The reference executors below keep samples the straightforward way —
-   a list of full points per tuple, filled by [Gibbs.sweep], shared by
+   a list of full points per tuple, filled by [Helpers.sweep], shared by
    scanning the donor's points oldest first through [Tuple.matches], and
    estimated with [Gibbs.estimate_of_points]. [Workload.run] and
    [Workload.run_contained] store rows in bags, donate through per-edge
@@ -132,7 +132,7 @@ let reference ~max_draws seed model tuples =
   let start tup =
     let c = Mrsl.Gibbs.chain rng sampler tup in
     for _ = 1 to config.burn_in do
-      ignore (Mrsl.Gibbs.sweep rng c);
+      Mrsl.Gibbs.step rng c;
       incr sweeps
     done;
     c
@@ -145,7 +145,7 @@ let reference ~max_draws seed model tuples =
     let c = start (Array.make arity None) in
     let remaining = ref (List.length chained) and draws = ref 0 in
     while !remaining > 0 && !draws < max_draws do
-      let point = Mrsl.Gibbs.sweep rng c in
+      let point = sweep rng c in
       incr sweeps;
       incr draws;
       List.iter
@@ -167,7 +167,7 @@ let reference ~max_draws seed model tuples =
         if st.count = 0 then begin
           let c = start st.tuple in
           for _ = 1 to target do
-            record st (Mrsl.Gibbs.sweep rng c);
+            record st (sweep rng c);
             incr sweeps;
             incr recorded
           done
@@ -216,11 +216,11 @@ let parallel_reference strategy seed model tuples =
         let rng = Prob.Rng.create (task_seed ~seed i) in
         let c = Mrsl.Gibbs.chain rng sampler st.tuple in
         for _ = 1 to config.burn_in do
-          ignore (Mrsl.Gibbs.sweep rng c);
+          Mrsl.Gibbs.step rng c;
           incr sweeps
         done;
         while st.count < target do
-          record st (Mrsl.Gibbs.sweep rng c);
+          record st (sweep rng c);
           incr sweeps;
           incr recorded
         done
@@ -356,9 +356,10 @@ let test_share_follows_plan () =
     (Mrsl.Sample_bag.share ~donor child);
   Alcotest.(check bool) "full" true (Mrsl.Sample_bag.is_full child);
   Alcotest.(check (list (array int)))
-    "oldest matching rows, evidence filled back in"
-    [ [| 1; 0; 3 |]; [| 1; 1; 0 |] ]
-    (Mrsl.Sample_bag.points child);
+    "oldest matching rows, child columns (a1, a2) only"
+    [ [| 0; 3 |]; [| 1; 0 |] ]
+    (List.init (Mrsl.Sample_bag.count child) (fun r ->
+         Array.init 2 (Mrsl.Sample_bag.value child r)));
   Alcotest.(check int) "full bag takes nothing" 0
     (Mrsl.Sample_bag.share ~donor child)
 
@@ -392,17 +393,15 @@ let test_estimate_equals_points_estimate () =
   let bag =
     Mrsl.Sample_bag.create (Mrsl.Model.schema model) ~capacity:50 tup
   in
-  let r = Prob.Rng.create 5 in
+  let r = Prob.Rng.create 5 and taken = ref [] in
   for _ = 1 to 200 do
     let p = draw r in
     p.(1) <- 1;
     p.(4) <- 0;
-    ignore (Mrsl.Sample_bag.offer bag p)
+    if Mrsl.Sample_bag.offer bag p then taken := p :: !taken
   done;
-  let a = Mrsl.Sample_bag.estimate bag in
-  let b =
-    Mrsl.Gibbs.estimate_of_points sampler tup (Mrsl.Sample_bag.points bag)
-  in
+  let a = Mrsl.Gibbs.estimate_of_bag bag in
+  let b = Mrsl.Gibbs.estimate_of_points sampler tup (List.rev !taken) in
   Alcotest.(check int) "samples" b.samples_used a.samples_used;
   Alcotest.(check bool) "bit-identical joint" true
     ((a.joint :> float array) = (b.joint :> float array))
