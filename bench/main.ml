@@ -97,6 +97,8 @@ type fixture = {
   multi_tuple : Relation.Tuple.t;  (** two missing values *)
   workload : Relation.Tuple.t list;
   cards : int array;
+  wide_model : Mrsl.Model.t;  (** BN10, as derive learns it *)
+  wide_tuple : Relation.Tuple.t;  (** five of BN10's six values missing *)
 }
 
 let micro_fixture () =
@@ -127,6 +129,25 @@ let micro_fixture () =
          (Relation.Instance.mask_uniform rng ~max_missing:3
             (Bayesnet.Network.sample_instance rng network 32)))
   in
+  (* Drawn last, so the fixtures above keep their draws. BN8 has four
+     attributes; derive's sweeps run over BN10 with up to five missing. *)
+  let wide_network =
+    Bayesnet.Network.generate rng (Bayesnet.Catalog.find "BN10").topology
+  in
+  let wide_model =
+    Mrsl.Model.learn
+      ~params:{ Mrsl.Model.default_params with support_threshold = 0.01 }
+      (Bayesnet.Network.sample_instance rng wide_network 2000)
+  in
+  let wide_tuple =
+    let t =
+      Relation.Tuple.of_point (Bayesnet.Network.sample_point rng wide_network)
+    in
+    List.iter
+      (fun a -> t.(a) <- None)
+      (Prob.Rng.sample_without_replacement rng 5 (Array.length t));
+    t
+  in
   {
     network;
     points;
@@ -135,6 +156,8 @@ let micro_fixture () =
     multi_tuple;
     workload;
     cards = Bayesnet.Topology.cardinalities entry.topology;
+    wide_model;
+    wide_tuple;
   }
 
 let infer_batch method_ fx () =
@@ -211,6 +234,20 @@ let micro_tests fx =
     (* Fig 11: the two workload strategies (Algorithm 3's executor: flat
        sample bags, in-place Gibbs steps, memo hits). *)
     ("mrsl/fig11/workload-tuple-at-a-time", workload Mrsl.Workload.Tuple_at_a_time);
+    (* Fig 11's sweep at derive's width: one chain over a 5-missing BN10
+       tuple, then 1 000 steps on tables warmed by a first run, so no
+       step computes a conditional. *)
+    ( "mrsl/fig11/gibbs-steps",
+      let sampler = Mrsl.Gibbs.sampler fx.wide_model in
+      let run () =
+        let rng = Prob.Rng.create 7 in
+        let c = Mrsl.Gibbs.chain rng sampler fx.wide_tuple in
+        for _ = 1 to 1000 do
+          Mrsl.Gibbs.step rng c
+        done
+      in
+      run ();
+      run );
     ("mrsl/fig11/workload-tuple-dag", workload Mrsl.Workload.Tuple_dag);
     (* Ablations: tuple-DAG construction. *)
     ( "mrsl/ablation/tuple-dag-build",

@@ -29,27 +29,21 @@ let infer s x a =
     (Array.mapi (fun i v -> if i = a || v < 0 then None else Some v) x)
     a
 
-(* One probe of the epoch's conditional table; a hit allocates nothing.
-   No range checks: callers guarantee [x] has the schema's arity and
-   in-range values ([conditional] checks them; a chain's evidence is
-   checked once in [chain] and its sampled values are in range by
-   construction). *)
-let conditional_unchecked s x a =
-  match
-    if s.memoize then Kernel.table ~method_:s.method_ s.model a else None
-  with
-  | None -> infer s x a
-  | Some tb -> (
-      let code = Kernel.context_code tb x in
-      match Kernel.find tb code with
-      | d ->
-          s.hits <- s.hits + 1;
-          d
-      | exception Not_found ->
-          s.misses <- s.misses + 1;
-          let d = infer s x a in
-          ignore (Kernel.store tb code d : bool);
-          d)
+(* One probe of a conditional table at a context code; a hit allocates
+   nothing. *)
+let probe s tb code x a =
+  match Kernel.find tb code with
+  | d ->
+      s.hits <- s.hits + 1;
+      d
+  | exception Not_found ->
+      s.misses <- s.misses + 1;
+      let d = infer s x a in
+      ignore (Kernel.store tb code d : bool);
+      d
+
+let table s a =
+  if s.memoize then Kernel.table ~method_:s.method_ s.model a else None
 
 let conditional s point a =
   let arity = Array.length s.cards in
@@ -62,16 +56,43 @@ let conditional s point a =
       if i <> a && (v < 0 || v >= s.cards.(i)) then
         invalid_arg "Gibbs.conditional: value out of range")
     point;
-  conditional_unchecked s point a
+  match table s a with
+  | None -> infer s point a
+  | Some tb -> probe s tb (Kernel.context_code tb point) point a
 
 let cache_stats s = (s.hits, s.misses)
 
+(* A chain's probe plan, resolved once when it starts: for missing cell
+   [k], its table ([None] = recompute every time), the evidence's share
+   [base.(k)] of its context code, and at [place.(k * m + j)] the place
+   value in that table of missing cell [j] (0 outside its context). *)
 type chain = {
   sampler : sampler;
-  tuple : Relation.Tuple.t;
   missing : int array;
   state : int array;  (* current complete point; evidence slots fixed *)
+  tables : Kernel.table option array;
+  base : int array;
+  place : int array;
 }
+
+(* The conditional of missing cell [k] at the chain's current point:
+   its code is the evidence base plus each missing cell's digit, so a
+   probe reads no evidence cell and no registry. *)
+let cell_conditional c k =
+  let state = c.state and missing = c.missing in
+  let a = Array.unsafe_get missing k in
+  match Array.unsafe_get c.tables k with
+  | None -> infer c.sampler state a
+  | Some tb ->
+      let m = Array.length missing in
+      let code = ref (Array.unsafe_get c.base k) in
+      for j = 0 to m - 1 do
+        code :=
+          !code
+          + (Array.unsafe_get state (Array.unsafe_get missing j) + 1)
+            * Array.unsafe_get c.place ((k * m) + j)
+      done;
+      probe c.sampler tb !code state a
 
 let chain ?(telemetry = Telemetry.global) rng s tup =
   (* Allocation accounting (ROADMAP item 2 baseline): one atomic load
@@ -97,23 +118,39 @@ let chain ?(telemetry = Telemetry.global) rng s tup =
      degradation counts can be read as shares of sampling activity. *)
   Telemetry.incr telemetry "gibbs.chains";
   let state = Array.map (function Some v -> v | None -> -1) tup in
+  let m = Array.length missing in
   (* Initialize each missing attribute (-1 until then) from its
      single-attribute estimate given the evidence only — a valid positive
      starting state. These are the chain's only votes with missing cells
-     in their context, so they carry the [voting] trace slice. *)
+     in their context, so they carry the [voting] trace slice, which
+     also covers resolving the chain's tables. *)
   Trace.complete ~cat:"voting"
-    ~args:[ ("missing", Trace.Int (Array.length missing)) ]
+    ~args:[ ("missing", Trace.Int m) ]
     "gibbs.chain_init"
   @@ fun () ->
-  let init = Array.map (conditional_unchecked s state) missing in
+  let tables = Array.map (table s) missing in
+  let base =
+    Array.map
+      (function Some tb -> Kernel.tuple_context_code tb tup | None -> 0)
+      tables
+  in
+  let place =
+    Array.init (m * m) (fun i ->
+        match tables.(i / m) with
+        | Some tb -> Kernel.place tb missing.(i mod m)
+        | None -> 0)
+  in
+  let c = { sampler = s; missing; state; tables; base; place } in
+  let init = Array.init m (cell_conditional c) in
   Array.iteri (fun k a -> state.(a) <- Prob.Dist.sample rng init.(k)) missing;
-  { sampler = s; tuple = tup; missing; state }
+  c
 
 let step rng c =
-  let s = c.sampler and state = c.state and missing = c.missing in
+  let state = c.state and missing = c.missing in
   for k = 0 to Array.length missing - 1 do
-    let a = missing.(k) in
-    state.(a) <- Prob.Dist.sample rng (conditional_unchecked s state a)
+    Array.unsafe_set state
+      (Array.unsafe_get missing k)
+      (Prob.Dist.sample rng (cell_conditional c k))
   done
 
 let current c = c.state

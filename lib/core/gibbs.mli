@@ -38,10 +38,13 @@ val sampler : ?method_:Voting.method_ -> ?memoize:bool -> Model.t -> sampler
     and wall time stay proportional, and ablated in the benchmarks. The
     tables are also bypassed, and every conditional recomputed, while the
     kernel is disabled, while voter-drop injection is active, and for an
-    attribute the kernel could not compile. Stored posteriors are
-    bit-identical to recomputed ones, so [memoize] never changes sampling
-    output — only wall time. Raises [Invalid_argument] when a schema
-    cardinality is [< 1]. *)
+    attribute the kernel could not compile. A {!chain} resolves its
+    tables when it starts, so [Kernel.set_enabled] and voter-drop
+    injection take effect from the next chain on, not in the middle of
+    one; {!conditional} and {!vote} read them on every call. Stored
+    posteriors are bit-identical to recomputed ones, so [memoize] never
+    changes sampling output — only wall time. Raises [Invalid_argument]
+    when a schema cardinality is [< 1]. *)
 
 val model : sampler -> Model.t
 
@@ -66,17 +69,25 @@ val chain : ?telemetry:Telemetry.t -> Prob.Rng.t -> sampler ->
   Relation.Tuple.t -> chain
 (** Start a chain for an incomplete tuple: missing attributes are
     initialized by sampling their single-attribute MRSL estimates given
-    the evidence. Raises [Invalid_argument] on a complete tuple, on an
-    arity mismatch, and on an evidence value outside its attribute's
-    domain.
+    the evidence. The chain resolves its probes here, once: each missing
+    attribute's conditional table (or none, when the sampler would
+    bypass it now), the evidence's share of its context code, and the
+    place value of every other missing attribute in that code. Raises
+    [Invalid_argument] on a complete tuple, on an arity mismatch, and on
+    an evidence value outside its attribute's domain.
     Counts [gibbs.chains] in [telemetry] (default {!Telemetry.global}) —
     the denominator the {!Quality} ensemble-health report uses to turn
     [degrade.*] counts into shares. *)
 
 val step : Prob.Rng.t -> chain -> unit
 (** Resample every missing attribute once, in attribute order, in place:
-    the chain's {!current} point is updated and nothing is copied. On a
-    table hit a step allocates nothing beyond the RNG's output. *)
+    the chain's {!current} point is updated and nothing is copied. Each
+    attribute's conditional is read from the table its chain resolved at
+    start, at the evidence code plus one digit per missing attribute
+    (and computed, then stored, on a miss); it is in hand when the
+    attribute is drawn. The draws, probe counts and stores are those of
+    {!conditional} at the same points. On a table hit a step allocates
+    nothing beyond the RNG's output. *)
 
 val current : chain -> int array
 (** The chain's live complete point (evidence slots fixed, missing slots

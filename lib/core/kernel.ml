@@ -282,6 +282,15 @@ let context_code tb x =
   done;
   !code
 
+(* A linear scan, for chain start only. *)
+let place tb attr =
+  let rec go p =
+    if p = Array.length tb.tattrs then 0
+    else if tb.tattrs.(p) = attr then tb.place.(p)
+    else go (p + 1)
+  in
+  go 0
+
 (* The same code for a tuple: a missing cell is digit 0. *)
 let tuple_context_code tb (tup : Relation.Tuple.t) =
   let code = ref 0 in

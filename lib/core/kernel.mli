@@ -150,6 +150,14 @@ val context_code : table -> int array -> int
     Unchecked: [x] must have the schema's arity and values in
     [-1 .. card - 1]. *)
 
+val place : table -> int -> int
+(** [place tb attr] — attribute [attr]'s place value in [tb]'s context
+    code: a cell holding value [v] adds [(v + 1) * place tb attr] to it.
+    [0] for an attribute outside the context, so always for the table's
+    own attribute. A linear scan of the context, meant for a {!Gibbs}
+    chain that resolves its codes once and then adds one digit per
+    missing cell. *)
+
 val tuple_context_code : table -> Relation.Tuple.t -> int
 (** The same code for a tuple: equal to {!context_code} of the point
     with [-1] for each missing cell. The tuple must have the schema's

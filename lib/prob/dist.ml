@@ -24,16 +24,37 @@ let of_probs p =
     invalid_arg "Dist.of_probs: probabilities must sum to 1 within 1e-9";
   Array.copy p
 
+(* Check and sum; pad, floor, check as [of_weights] does and sum; divide.
+   Each float operation, in value and order, is one of
+   [of_weights (floored (padded w))], so the result is that to the bit. *)
 let smooth ?(floor = smoothing_floor) w =
-  check_weights "Dist.smooth" w;
   let n = Array.length w in
-  let s = total w in
+  if n = 0 then invalid_arg "Dist.smooth: empty weight array";
+  let s = ref 0. in
+  for i = 0 to n - 1 do
+    let x = w.(i) in
+    if not (Float.is_finite x) || x < 0. then
+      invalid_arg "Dist.smooth: weights must be finite and non-negative";
+    s := !s +. x
+  done;
   (* Mass unaccounted for by the mined association rules is spread equally
      (Section III). If the rules overshoot 1 slightly we just normalize. *)
-  let leftover = Float.max 0. (1. -. s) in
-  let padded = Array.map (fun x -> x +. (leftover /. float_of_int n)) w in
-  let floored = Array.map (fun x -> Float.max floor x) padded in
-  of_weights floored
+  let pad = Float.max 0. (1. -. !s) /. float_of_int n in
+  let out = Array.make n 0. in
+  let t = ref 0. in
+  for i = 0 to n - 1 do
+    let x = Float.max floor (w.(i) +. pad) in
+    if not (Float.is_finite x) || x < 0. then
+      invalid_arg "Dist.of_weights: weights must be finite and non-negative";
+    out.(i) <- x;
+    t := !t +. x
+  done;
+  let t = !t in
+  if t <= 0. then invalid_arg "Dist.of_weights: all weights are zero";
+  for i = 0 to n - 1 do
+    out.(i) <- out.(i) /. t
+  done;
+  out
 
 let uniform n =
   if n < 1 then invalid_arg "Dist.uniform: need at least one value";
@@ -49,17 +70,21 @@ let size = Array.length
 let prob d i = d.(i)
 let to_array d = Array.copy d
 
-(* Inverse-CDF walk as a plain loop: the cumulative sum stays an unboxed
-   local and no closure is built, so a draw allocates nothing beyond the
-   RNG's own output. The accumulation runs left to right exactly as a
-   recursive walk would, and the last index is taken without a compare. *)
+(* The inverse-CDF index as a count: the number of indices [i < last]
+   whose left-to-right cumulative sum is [<= u]. Sums of non-negative
+   finite floats never decrease under round-to-nearest, so those indices
+   are a prefix and the count is exactly where a walk stopping at the
+   first sum above [u] would stop (the last index taken without a
+   compare). No branch depends on [u], and nothing is allocated beyond
+   the RNG's own output. *)
 let sample rng d =
   let u = Rng.float rng in
   let last = Array.length d - 1 in
   if last < 0 then invalid_arg "Dist.sample: empty distribution";
-  let i = ref 0 and acc = ref 0. in
-  while !i < last && (acc := !acc +. d.(!i); not (u < !acc)) do
-    incr i
+  let acc = ref 0. and i = ref 0 in
+  for k = 0 to last - 1 do
+    acc := !acc +. Array.unsafe_get d k;
+    i := !i + Bool.to_int (!acc <= u)
   done;
   !i
 

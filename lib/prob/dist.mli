@@ -30,7 +30,12 @@ val smooth : ?floor:float -> float array -> t
 (** [smooth w] implements the paper's CPD repair: treat [w] as partial
     probability mass (entries in [0, 1], summing to at most ~1), distribute
     any missing mass equally among all values, raise every entry to at least
-    [floor] (default {!smoothing_floor}), and re-normalize. *)
+    [floor] (default {!smoothing_floor}), and re-normalize as {!of_weights}
+    does; weights summing above 1 get no padding. One allocation, three
+    loops. Raises [Invalid_argument] on an empty, negative or non-finite
+    [w] (messages prefixed ["Dist.smooth"]), and with {!of_weights}'
+    messages when the floored weights are not finite or sum to zero (a
+    NaN or infinite [floor]). *)
 
 val uniform : int -> t
 (** [uniform n] is the uniform distribution on [n] values. [n >= 1]. *)
@@ -46,7 +51,11 @@ val to_array : t -> float array
 (** A fresh copy of the underlying probabilities. *)
 
 val sample : Rng.t -> t -> int
-(** Draw a value by inverse-CDF walk. *)
+(** Draw a value by inverse CDF from one {!Rng.float} [u]: the number of
+    indices [i < size - 1] whose left-to-right cumulative sum is [<= u].
+    Those sums never decrease, so the count equals, bit for bit, the
+    index where a walk stopping at the first sum above [u] stops (the
+    last index taken without a compare). No branch depends on [u]. *)
 
 val mode : t -> int
 (** Index of the largest probability (ties broken toward the smaller

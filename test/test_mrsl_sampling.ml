@@ -814,5 +814,107 @@ let test_golden_chain_paths () =
   if !capped <= 210 then
     Alcotest.failf "all-at-a-time fallback did not fire (%d sweeps)" !capped
 
+(* [Gibbs.step] reads each cell's table through the plan its chain
+   resolved at start. Beside it runs a reference chain that takes every
+   conditional from the public [Gibbs.conditional] (its start from
+   [Infer_single.infer] on the evidence alone) and draws with the
+   recursive inverse-CDF walk. The two must hold the same point after
+   every step: with warm tables, on a new epoch whose tables start cold,
+   unmemoized, and with the kernel off. *)
+let chain_plan_fixture =
+  lazy
+    (let entry = Bayesnet.Catalog.find "BN10" in
+     let r = Prob.Rng.create 2028 in
+     let net = Bayesnet.Network.generate r entry.topology in
+     let data = Bayesnet.Network.sample_instance r net 1000 in
+     let learn () =
+       Mrsl.Model.learn
+         ~params:{ Mrsl.Model.default_params with support_threshold = 0.02 }
+         data
+     in
+     let arity = Bayesnet.Topology.size entry.topology in
+     let tuples =
+       List.init 8 (fun i ->
+           let tup =
+             Relation.Tuple.of_point (Bayesnet.Network.sample_point r net)
+           in
+           List.iter
+             (fun a -> tup.(a) <- None)
+             (Prob.Rng.sample_without_replacement r (2 + (i mod 4)) arity);
+           tup)
+     in
+     (learn (), learn, tuples))
+
+let chain_plan_steps = 60
+
+(* Runs every tuple's chain beside its reference and checks the chain
+   sampler's probes: one per missing cell at start and per step, or none
+   when the tables are bypassed. Returns (hits, misses). *)
+let check_chain_plan ?memoize ?(bypassed = false) name model tuples =
+  let s = Mrsl.Gibbs.sampler ?memoize model
+  and reference = Mrsl.Gibbs.sampler ?memoize model in
+  let cells = ref 0 in
+  List.iteri
+    (fun i tup ->
+      let missing = Relation.Tuple.missing tup in
+      let r = Prob.Rng.create (400 + i) in
+      let r_ref = Prob.Rng.copy r in
+      let c = Mrsl.Gibbs.chain r s tup in
+      let point = Array.map (function Some v -> v | None -> -1) tup in
+      List.iter
+        (fun a ->
+          point.(a) <-
+            Test_prob.recursive_sample r_ref
+              (Mrsl.Infer_single.infer model tup a))
+        missing;
+      let same when_ =
+        if Mrsl.Gibbs.current c <> point then
+          Alcotest.failf "%s: tuple %d differs %s" name i when_
+      in
+      same "after chain start";
+      for k = 1 to chain_plan_steps do
+        Mrsl.Gibbs.step r c;
+        List.iter
+          (fun a ->
+            point.(a) <-
+              Test_prob.recursive_sample r_ref
+                (Mrsl.Gibbs.conditional reference point a))
+          missing;
+        same (Printf.sprintf "after step %d" k)
+      done;
+      cells := !cells + List.length missing)
+    tuples;
+  let hits, misses = Mrsl.Gibbs.cache_stats s in
+  if bypassed then
+    Alcotest.(check (pair int int)) (name ^ ": no probe") (0, 0) (hits, misses)
+  else
+    Alcotest.(check int)
+      (name ^ ": hits + misses")
+      (!cells * (chain_plan_steps + 1))
+      (hits + misses);
+  (hits, misses)
+
+let test_chain_plan_matches_conditional () =
+  let model, learn, tuples = Lazy.force chain_plan_fixture in
+  let _, cold_misses = check_chain_plan "cold" model tuples in
+  Alcotest.(check bool) "cold tables miss and store" true (cold_misses > 0);
+  let warm_hits, warm_misses = check_chain_plan "warm" model tuples in
+  Alcotest.(check bool) "warm tables hit" true (warm_hits > warm_misses);
+  let _, fresh_misses = check_chain_plan "new epoch" (learn ()) tuples in
+  Alcotest.(check bool) "a new epoch starts cold" true (fresh_misses > 0);
+  ignore
+    (check_chain_plan ~memoize:false ~bypassed:true "memoize off" model tuples);
+  let prev = Mrsl.Kernel.enabled () in
+  Mrsl.Kernel.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Mrsl.Kernel.set_enabled prev)
+    (fun () ->
+      ignore (check_chain_plan ~bypassed:true "kernel off" model tuples))
+
 let suite =
-  suite @ [ ("golden: chain paths", `Quick, test_golden_chain_paths) ]
+  suite
+  @ [
+      ("golden: chain paths", `Quick, test_golden_chain_paths);
+      ("chain plan = public conditional", `Quick,
+       test_chain_plan_matches_conditional);
+    ]

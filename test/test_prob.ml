@@ -232,6 +232,52 @@ let test_sample_edge_cases () =
       (fun _ -> 2)
   done
 
+(* [Dist.smooth] was once these closure passes (check, sum, pad, floor,
+   then [of_weights]'s check, sum and divide); the loops that replaced it
+   must return the same floats, bit for bit, and raise the same
+   messages. *)
+let multi_pass_smooth ?(floor = Prob.Dist.smoothing_floor) w =
+  if Array.length w = 0 then invalid_arg "Dist.smooth: empty weight array";
+  Array.iter
+    (fun x ->
+      if not (Float.is_finite x) || x < 0. then
+        invalid_arg "Dist.smooth: weights must be finite and non-negative")
+    w;
+  let n = Array.length w in
+  let s = Array.fold_left ( +. ) 0. w in
+  let leftover = Float.max 0. (1. -. s) in
+  let padded = Array.map (fun x -> x +. (leftover /. float_of_int n)) w in
+  let floored = Array.map (fun x -> Float.max floor x) padded in
+  Prob.Dist.of_weights floored
+
+let same_bits (a : Prob.Dist.t) (b : Prob.Dist.t) =
+  Array.for_all2
+    (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+    (a :> float array)
+    (b :> float array)
+
+let smooth_outcome ?floor f w =
+  match f ?floor w with
+  | d -> Ok (Prob.Dist.to_array d)
+  | exception Invalid_argument m -> Error m
+
+let test_smooth_errors_match_multi_pass () =
+  List.iter
+    (fun (msg, floor, w) ->
+      let expected = smooth_outcome ?floor multi_pass_smooth w in
+      Alcotest.(check bool) (msg ^ " raises") true (Result.is_error expected);
+      Alcotest.(check (result (array (float 0.)) string))
+        msg expected
+        (smooth_outcome ?floor Prob.Dist.smooth w))
+    [
+      ("empty", None, [||]);
+      ("negative", None, [| 0.5; -0.1 |]);
+      ("NaN", None, [| 0.5; Float.nan |]);
+      ("infinite", None, [| Float.infinity; 0. |]);
+      ("NaN floor", Some Float.nan, [| 0.5; 0.5 |]);
+      ("infinite floor", Some Float.infinity, [| 0.5; 0.5 |]);
+    ]
+
 let test_of_probs () =
   let p = [| 0.25; 0.5; 0.25 |] in
   Alcotest.(check bool) "adopted unchanged" true
@@ -480,6 +526,40 @@ let prop_smooth_positive =
       let d = Prob.Dist.smooth arr in
       Array.for_all (fun p -> p > 0.) (Prob.Dist.to_array d))
 
+(* Weights as smoothing meets them: zeros, partial mass, sums above 1,
+   one dominant cell, under the default floor or a custom one. *)
+let prop_smooth_matches_multi_pass =
+  let weight =
+    QCheck2.Gen.(
+      frequency
+        [
+          (2, return 0.);
+          (3, float_range 0. 1.);
+          (1, float_range 0. 3.);
+          (1, float_range 0. 1e-6);
+        ])
+  in
+  let weights =
+    QCheck2.Gen.(
+      oneof
+        [
+          array_size (int_range 1 8) weight;
+          map2
+            (fun n k ->
+              Array.init n (fun i ->
+                  if i = k mod n then 0.97 else 0.03 /. float_of_int n))
+            (int_range 1 8) nat;
+        ])
+  in
+  let floor =
+    QCheck2.Gen.(
+      oneofl [ None; Some 0.; Some 1e-9; Some 0.001; Some 0.2; Some 1. ])
+  in
+  qcheck "smooth = multi-pass reference"
+    QCheck2.Gen.(pair weights floor)
+    (fun (w, floor) ->
+      same_bits (Prob.Dist.smooth ?floor w) (multi_pass_smooth ?floor w))
+
 let suite =
   [
     ("rng deterministic", `Quick, test_rng_deterministic);
@@ -503,6 +583,7 @@ let suite =
     ("smooth fills missing mass", `Quick, test_smooth_fills_missing_mass);
     ("smooth positive and normalized", `Quick, test_smooth_positive_and_normal);
     ("smooth of zeros is uniform", `Quick, test_smooth_all_zero_is_uniform);
+    ("smooth errors = multi-pass", `Quick, test_smooth_errors_match_multi_pass);
     ("uniform", `Quick, test_uniform);
     ("point distribution", `Quick, test_point_dist);
     ("sample matches distribution", `Quick, test_sample_distribution);
@@ -534,4 +615,5 @@ let suite =
     prop_kl_nonneg;
     prop_tv_bounded;
     prop_smooth_positive;
+    prop_smooth_matches_multi_pass;
   ]
