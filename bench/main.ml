@@ -692,7 +692,7 @@ let render_faults rng =
   in
   let retry_tuple =
     (Relation.Instance.tuples
-       (Relation.Instance.mask_exact rng ~missing:1
+       (Relation.Instance.mask_exact rng ~missing:2
           (Bayesnet.Network.sample_instance rng network 1))).(0)
   in
   let cfg =
@@ -744,19 +744,25 @@ let render_faults rng =
       in
       out "scheduler (rate 1.0): %d/3 tuples skipped"
         (List.length pinned.faults);
-      (* 3. Forced non-convergence: retries with doubled draws until the
-         budget runs out, then a flagged degraded estimate. *)
-      let checked =
+      (* 3. Forced non-convergence: the executor retries the tuple's
+         chain with doubled draws until the budget runs out, then keeps
+         a flagged degraded estimate. Task faults are off here so the
+         one node always runs. *)
+      let retried =
         Mrsl.Fault_inject.with_config
-          { cfg with nonconvergence_rate = 1.0 }
+          { cfg with nonconvergence_rate = 1.0; task_failure_rate = 0. }
           (fun () ->
-            let sampler = Mrsl.Gibbs.sampler model in
-            Mrsl.Diagnostics.run_with_retries
+            Mrsl.Workload.run_contained
               ~config:{ Mrsl.Gibbs.burn_in = 10; samples = 50 }
-              (Prob.Rng.create seed) sampler retry_tuple)
+              ~strategy:Mrsl.Workload.Tuple_at_a_time ~domains:1
+              ~retry:Mrsl.Diagnostics.default_retry_policy ~seed model
+              [ retry_tuple ])
       in
-      out "retries: %d attempts, %d sweeps, converged=%b" checked.attempts
-        checked.total_sweeps checked.converged;
+      List.iter
+        (fun (_, (c : Mrsl.Workload.check)) ->
+          out "retries: %d attempts, %d sweeps, converged=%b" c.attempts
+            c.sweeps c.converged)
+        retried.checks;
       (* 4. The degradation ladder's lower rungs, exercised directly and
          via dropped voter sets. *)
       let card = Relation.Schema.cardinality (Mrsl.Model.schema model) 0 in
@@ -839,35 +845,30 @@ let render_quality rng =
     (Mrsl.Workload.run_contained
        ~config:{ Mrsl.Gibbs.burn_in = 10; samples = 50 }
        ~domains:2 ~telemetry:registry ~quality:monitor ~seed model workload);
-  (* Convergence-checked inference: a few checked runs, the first with a
-     forced non-convergence so the health share is exercised. *)
-  let sampler = Mrsl.Gibbs.sampler model in
-  (match workload with
-  | first :: rest ->
-      Mrsl.Fault_inject.with_config
-        {
-          Mrsl.Fault_inject.disabled with
-          seed;
-          nonconvergence_rate = 1.0;
-        }
-        (fun () ->
-          ignore
-            (Mrsl.Diagnostics.run_with_retries
-               ~config:{ Mrsl.Gibbs.burn_in = 10; samples = 50 }
-               ~policy:
-                 { Mrsl.Diagnostics.default_retry_policy with max_retries = 1 }
-               ~telemetry:registry (Prob.Rng.create seed) sampler first));
-      List.iteri
-        (fun i tup ->
-          if i < 3 then
-            ignore
-              (Mrsl.Diagnostics.run_with_retries
-                 ~config:{ Mrsl.Gibbs.burn_in = 10; samples = 50 }
-                 ~telemetry:registry
-                 (Prob.Rng.create (seed + i + 1))
-                 sampler tup))
-        rest
-  | [] -> ());
+  (* Convergence-checked inference: four checked chains over the first
+     four multi-missing tuples (a single-missing tuple is voted, not
+     checked), the first with a forced non-convergence so the health
+     share is exercised. *)
+  let checked tup ~retry ~seed =
+    ignore
+      (Mrsl.Workload.run_contained
+         ~config:{ Mrsl.Gibbs.burn_in = 10; samples = 50 }
+         ~strategy:Mrsl.Workload.Tuple_at_a_time ~domains:1
+         ~telemetry:registry ~retry ~seed model [ tup ])
+  in
+  List.iteri
+    (fun i tup ->
+      if i = 0 then
+        Mrsl.Fault_inject.with_config
+          { Mrsl.Fault_inject.disabled with seed; nonconvergence_rate = 1.0 }
+          (fun () ->
+            checked tup ~seed
+              ~retry:
+                { Mrsl.Diagnostics.default_retry_policy with max_retries = 1 })
+      else if i < 4 then
+        checked tup ~seed:(seed + i)
+          ~retry:Mrsl.Diagnostics.default_retry_policy)
+    (List.filter (fun t -> Relation.Tuple.missing_count t >= 2) workload);
   Mrsl.Quality.publish ~registry monitor;
   let oc = open_out quality_out in
   output_string oc (Json.to_string (Mrsl.Quality.to_json ~registry monitor));

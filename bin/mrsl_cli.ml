@@ -337,13 +337,26 @@ let infer_cmd =
   in
   let retry_arg =
     let doc =
-      "Check split R-hat convergence per tuple and retry non-converged \
-       chains with doubled draws (bounded by the default retry policy); \
-       tuples still unconverged after the budget are flagged. Runs one \
-       chain per distinct tuple, in order, on the calling domain, so \
-       --strategy, --domains and --on-fault are ignored."
+      "Check the split R-hat convergence of every tuple that runs its own \
+       chain and retry non-converged chains with doubled draws (bounded by \
+       the default retry policy); tuples still unconverged after the \
+       budget are flagged. Single-missing tuples (exact votes) and \
+       tuple-DAG subsumees filled by donations alone run no chain and \
+       are not checked. Honours --strategy (tuple-dag or \
+       tuple-at-a-time; all-at-a-time is a usage error), --domains and \
+       --on-fault."
     in
     Arg.(value & flag & info [ "retry" ] ~doc)
+  in
+  (* All-at-a-time runs one shared chain, so there is no per-tuple chain
+     to check: a usage error, raised before any work. *)
+  let strategy_retry =
+    let check strategy retry =
+      if retry && strategy = Mrsl.Workload.All_at_a_time then
+        `Error (true, "--retry needs --strategy tuple-dag or tuple-at-a-time")
+      else `Ok (strategy, retry)
+    in
+    Term.(ret (const check $ strategy_arg $ retry_arg))
   in
   let cache_arg =
     let on =
@@ -377,8 +390,8 @@ let infer_cmd =
       Format.printf "  … (%d more completions)@."
         (Probdb.Block.alternative_count block - top)
   in
-  let run input support max_itemsets method_ strategy samples burn_in top
-      model_path lenient domains on_fault retry memoize use_kernel trace
+  let run input support max_itemsets method_ (strategy, retry) samples burn_in
+      top model_path lenient domains on_fault memoize use_kernel trace
       prometheus seed =
     Mrsl.Kernel.set_enabled use_kernel;
     with_trace trace @@ fun () ->
@@ -420,59 +433,48 @@ let infer_cmd =
     if incomplete = [] then print_endline "no incomplete tuples to infer"
     else begin
       let config = { Mrsl.Gibbs.burn_in; samples } in
-      if retry then begin
-        (* Convergence-checked sequential path: one chain per distinct
-           tuple, retried with doubled draws while split R-hat exceeds
-           the threshold and the budget lasts. *)
-        let sampler = Mrsl.Gibbs.sampler ~method_ ~memoize model in
-        let rng = Prob.Rng.create seed in
-        let distinct = List.sort_uniq compare incomplete in
-        Printf.printf
-          "inferring %d distinct incomplete tuples with convergence \
-           retries\n\n"
-          (List.length distinct);
-        List.iter
-          (fun tup ->
-            let checked =
-              Mrsl.Diagnostics.run_with_retries ~config rng sampler tup
-            in
-            print_estimate schema top (tup, checked.estimate);
-            Format.printf "  R-hat %.4f after %d attempt%s (%d sweeps)%s@."
-              checked.rhat checked.attempts
-              (if checked.attempts = 1 then "" else "s")
-              checked.total_sweeps
-              (if checked.converged then ""
-               else "  ** NOT converged: budget exhausted **"))
-          distinct
-      end
-      else begin
-        let policy =
-          match on_fault with
-          | `Fail -> Mrsl.Workload.Fail_fast
-          | `Skip -> Mrsl.Workload.Skip_and_report
-        in
-        let contained =
-          Mrsl.Workload.run_contained ~config ~strategy ~method_ ~memoize
-            ~domains ~policy ~seed model incomplete
-        in
-        let result = contained.result in
-        Printf.printf
-          "inferred %d distinct incomplete tuples (%d sweeps, %.3fs, %s, %d \
-           domains)\n\n"
-          (List.length result.estimates)
-          result.stats.sweeps result.stats.wall_seconds
-          (Mrsl.Workload.strategy_name strategy)
-          domains;
-        List.iter (print_estimate schema top) result.estimates;
-        List.iter
-          (fun (f : Mrsl.Workload.tuple_fault) ->
-            Format.eprintf "fault: tuple %a skipped: %a@."
-              (Relation.Tuple.pp schema) f.tuple Mrsl.Error.pp f.error)
-          contained.faults;
-        if contained.faults <> [] then
-          Printf.eprintf "%d tuples skipped by fault containment\n"
-            (List.length contained.faults)
-      end
+      let policy =
+        match on_fault with
+        | `Fail -> Mrsl.Workload.Fail_fast
+        | `Skip -> Mrsl.Workload.Skip_and_report
+      in
+      let retry =
+        if retry then Some Mrsl.Diagnostics.default_retry_policy else None
+      in
+      let contained =
+        Mrsl.Workload.run_contained ~config ~strategy ~method_ ~memoize
+          ~domains ~policy ?retry ~seed model incomplete
+      in
+      let result = contained.result in
+      Printf.printf
+        "inferred %d distinct incomplete tuples (%d sweeps, %.3fs, %s, %d \
+         domains)\n\n"
+        (List.length result.estimates)
+        result.stats.sweeps result.stats.wall_seconds
+        (Mrsl.Workload.strategy_name strategy)
+        domains;
+      let checks = Relation.Tuple.Table.of_seq (List.to_seq contained.checks) in
+      List.iter
+        (fun ((tup, _) as estimate) ->
+          print_estimate schema top estimate;
+          match Relation.Tuple.Table.find_opt checks tup with
+          | None -> ()
+          | Some (c : Mrsl.Workload.check) ->
+              Format.printf "  R-hat %.4f after %d attempt%s (%d sweeps)%s@."
+                c.rhat c.attempts
+                (if c.attempts = 1 then "" else "s")
+                c.sweeps
+                (if c.converged then ""
+                 else "  ** NOT converged: budget exhausted **"))
+        result.estimates;
+      List.iter
+        (fun (f : Mrsl.Workload.tuple_fault) ->
+          Format.eprintf "fault: tuple %a skipped: %a@."
+            (Relation.Tuple.pp schema) f.tuple Mrsl.Error.pp f.error)
+        contained.faults;
+      if contained.faults <> [] then
+        Printf.eprintf "%d tuples skipped by fault containment\n"
+          (List.length contained.faults)
     end
   in
   let info =
@@ -483,9 +485,9 @@ let infer_cmd =
   Cmd.v info
     Term.(
       const run $ input_arg $ support_arg $ max_itemsets_arg $ method_arg
-      $ strategy_arg $ samples_arg $ burn_in_arg $ top_arg $ model_arg
-      $ lenient_arg $ domains_arg $ on_fault_arg $ retry_arg $ cache_arg
-      $ kernel_arg $ trace_arg $ prometheus_arg $ seed_arg)
+      $ strategy_retry $ samples_arg $ burn_in_arg $ top_arg $ model_arg
+      $ lenient_arg $ domains_arg $ on_fault_arg $ cache_arg $ kernel_arg
+      $ trace_arg $ prometheus_arg $ seed_arg)
 
 (* ---------------- profile ---------------- *)
 
@@ -644,7 +646,11 @@ let diagnose_cmd =
         chains samples burn_in;
       Array.iteri
         (fun i tup ->
-          if i < 10 then begin
+          if i < 10 && Relation.Tuple.missing_count tup = 1 then
+            (* Every inference path votes such a tuple: no chain. *)
+            Format.printf "  %a  exact vote, no chain to diagnose@."
+              (Relation.Tuple.pp schema) tup
+          else if i < 10 then begin
             let report =
               Mrsl.Diagnostics.diagnose ~chains ~draws:samples ~burn_in rng
                 sampler tup

@@ -522,10 +522,12 @@ dune exec bin/mrsl_cli.exe -- infer -i examples/example.csv \
 diff INFER_CACHED.out INFER_UNCACHED.out
 echo "cache on/off outputs identical"
 
-# The same check on the convergence-retry path (--retry: one checked
-# chain per distinct tuple, recorded into a bag per attempt). Forced
-# nonconvergence at rate 0.5 makes 15 of the example's 22 tuples retry
-# until the budget runs out, while the other 7 compute a real split-R̂.
+# The same check on the convergence-retry path (--retry: the executor
+# checks each chain node's bag and refills a doubled bag per retry).
+# Forced nonconvergence at rate 0.5 makes 8 of the example's 12
+# multi-missing tuples retry until the budget runs out, while the other
+# 4 compute a real split-R̂ and pass on their first attempt; its 10
+# single-missing tuples are voted and not checked.
 for c in cache no-cache; do
   MRSL_FAULT_SEED=2011 MRSL_FAULT_NONCONV_RATE=0.5 \
     dune exec bin/mrsl_cli.exe -- infer -i examples/example.csv --retry \
@@ -549,6 +551,22 @@ dune exec bin/mrsl_cli.exe -- infer -i examples/example.csv \
   > INFER_DOMAINS4.out
 diff INFER_DOMAINS_DEFAULT.out INFER_DOMAINS4.out
 echo "default and 4-domain outputs identical"
+
+# The same determinism on the convergence-retry path: checks and
+# retries run inside each node's task, so R-hat, attempts and sweeps
+# must not depend on the domain count either.
+MRSL_FAULT_SEED=2011 MRSL_FAULT_NONCONV_RATE=0.5 \
+  dune exec bin/mrsl_cli.exe -- infer -i examples/example.csv --retry \
+  --samples 100 --burn-in 20 --seed 2011 \
+  | sed -E 's/[0-9]+\.[0-9]+s/TIMEs/g; s/[0-9]+ domains/N domains/' \
+  > INFER_RETRY_DOMAINS_DEFAULT.out
+MRSL_FAULT_SEED=2011 MRSL_FAULT_NONCONV_RATE=0.5 \
+  dune exec bin/mrsl_cli.exe -- infer -i examples/example.csv --retry \
+  --samples 100 --burn-in 20 --seed 2011 --domains 4 \
+  | sed -E 's/[0-9]+\.[0-9]+s/TIMEs/g; s/[0-9]+ domains/N domains/' \
+  > INFER_RETRY_DOMAINS4.out
+diff INFER_RETRY_DOMAINS_DEFAULT.out INFER_RETRY_DOMAINS4.out
+echo "default and 4-domain retry outputs identical"
 
 echo "== trace pass =="
 # End-to-end traced inference on a generated BN10 input (500 rows, 40%

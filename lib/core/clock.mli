@@ -2,12 +2,11 @@
     measurement primitive.
 
     [Unix.gettimeofday] is a wall clock; NTP steps can move it backwards,
-    which made {!Telemetry.span} durations and the wall budgets of
-    {!Workload} and {!Diagnostics.run_with_retries} occasionally
-    negative. This module reads [CLOCK_MONOTONIC] via a tiny
-    C stub (with a guarded realtime fallback on exotic hosts) and is the
-    single time source for spans, trace events, wall budgets and bench
-    timings. *)
+    which made {!Telemetry.span} durations and {!Workload}'s wall
+    readings occasionally negative. This module reads [CLOCK_MONOTONIC]
+    via a tiny C stub (with a guarded realtime fallback on exotic hosts)
+    and is the single time source for spans, trace events, wall
+    readings and bench timings. *)
 
 val now_ns : unit -> int
 (** Nanoseconds since an unspecified (boot-relative) epoch. Monotonic:

@@ -116,32 +116,11 @@ let diagnose ?(chains = 4) ?(draws = 500) ?(burn_in = 100) rng sampler tup =
         series);
   { psrf_max = !psrf_max; ess_min = !ess_min; chains; draws_per_chain = draws }
 
-let converged ?(threshold = 1.1) report = report.psrf_max <= threshold
+let converged report = report.psrf_max <= 1.1
 
-(* --- convergence-driven retry (fault-contained inference) ------------- *)
+type retry_policy = { max_retries : int; max_total_sweeps : int }
 
-type retry_policy = {
-  rhat_threshold : float;
-  max_retries : int;
-  max_total_sweeps : int;
-  max_wall_seconds : float;
-}
-
-let default_retry_policy =
-  {
-    rhat_threshold = 1.1;
-    max_retries = 2;
-    max_total_sweeps = 200_000;
-    max_wall_seconds = Float.infinity;
-  }
-
-type checked = {
-  estimate : Gibbs.estimate;
-  rhat : float;
-  converged : bool;
-  attempts : int;
-  total_sweeps : int;
-}
+let default_retry_policy = { max_retries = 2; max_total_sweeps = 200_000 }
 
 (* Split-R̂ over a bag's rows: each (column, value) indicator series is
    split into halves treated as two chains — the standard single-run
@@ -180,81 +159,3 @@ let convergence_snapshot bag =
         if ess < !ess_min then ess_min := ess);
     (rhat, !ess_min)
   end
-
-let run_with_retries ?(config = Gibbs.default_config)
-    ?(policy = default_retry_policy) ?(telemetry = Telemetry.global) rng
-    sampler tup =
-  if policy.max_retries < 0 then
-    invalid_arg "Diagnostics.run_with_retries: max_retries must be >= 0";
-  if policy.max_total_sweeps < 1 then
-    invalid_arg "Diagnostics.run_with_retries: max_total_sweeps must be >= 1";
-  if not (policy.rhat_threshold > 0.) then
-    invalid_arg "Diagnostics.run_with_retries: rhat_threshold must be > 0";
-  let t0 = Clock.now () in
-  let total_sweeps = ref 0 in
-  let schema = Model.schema (Gibbs.model sampler) in
-  let draw draws =
-    let bag = Sample_bag.create schema ~capacity:draws tup in
-    Gibbs.fill ~telemetry ~burn_in:config.Gibbs.burn_in rng sampler bag;
-    total_sweeps := !total_sweeps + config.Gibbs.burn_in + draws;
-    bag
-  in
-  let forced =
-    (* Full mixed-radix evidence code, not [Hashtbl.hash]: the latter's
-       bounded traversal collapses wide tuples onto shared keys, so one
-       forced-nonconvergence decision silently covered whole families of
-       tuples and skewed the injected rate. *)
-    let cards =
-      Array.init (Relation.Schema.arity schema)
-        (Relation.Schema.cardinality schema)
-    in
-    Fault_inject.should_force_nonconvergence
-      ~key:(Fault_inject.tuple_code ~cards tup)
-  in
-  (* Ensemble-health denominator: convergence-checked runs, so
-     [degrade.nonconverged] reads as a nonconvergence *share*. *)
-  Telemetry.incr telemetry "gibbs.checked";
-  let rec go attempt draws =
-    let bag =
-      Trace.complete ~cat:"gibbs"
-        ~args:[ ("attempt", Trace.Int attempt); ("draws", Trace.Int draws) ]
-        "gibbs.attempt"
-        (fun () -> draw draws)
-    in
-    let estimate = Gibbs.estimate_of_bag bag in
-    let rhat = if forced then Float.infinity else split_rhat bag in
-    if Trace.enabled () then begin
-      let _, ess = convergence_snapshot bag in
-      Trace.counter ~cat:"gibbs" "gibbs.convergence"
-        [
-          ("rhat", (if Float.is_finite rhat then rhat else 1e6));
-          ("ess", ess);
-          ("attempt", float_of_int attempt);
-        ]
-    end;
-    if rhat <= policy.rhat_threshold then
-      { estimate; rhat; converged = true; attempts = attempt;
-        total_sweeps = !total_sweeps }
-    else begin
-      let next = 2 * draws in
-      let within_budget =
-        attempt <= policy.max_retries
-        && !total_sweeps + config.Gibbs.burn_in + next
-           <= policy.max_total_sweeps
-        && Clock.duration ~start:t0 ~stop:(Clock.now ())
-           < policy.max_wall_seconds
-      in
-      if within_budget then begin
-        Telemetry.incr telemetry "gibbs.retries";
-        go (attempt + 1) next
-      end
-      else begin
-        (* Budget exhausted: return the best estimate we have, flagged —
-           never silently. *)
-        Telemetry.incr telemetry "degrade.nonconverged";
-        { estimate; rhat; converged = false; attempts = attempt;
-          total_sweeps = !total_sweeps }
-      end
-    end
-  in
-  go 1 config.Gibbs.samples

@@ -40,34 +40,26 @@ val diagnose : ?chains:int -> ?draws:int -> ?burn_in:int -> Prob.Rng.t ->
     well-mixed sampler has [psrf_max] close to 1 (≤ 1.1 is the customary
     threshold) and a healthy [ess_min]. *)
 
-val converged : ?threshold:float -> report -> bool
-(** [psrf_max <= threshold] (default 1.1). *)
+val converged : report -> bool
+(** [psrf_max <= 1.1], the customary threshold. *)
 
 (** {1 Convergence-driven retry}
 
     The fault-containment layer's answer to "the chain did not mix":
-    instead of returning a silently unconverged estimate, the driver
-    measures split-R̂ on the recorded rows, retries with doubled draws
-    while the budget lasts, and finally returns the estimate {e flagged}
-    as non-converged. *)
+    {!Workload.run_contained}[ ~retry] measures {!split_rhat} on the bag
+    each chain node filled, retries with doubled draws while R̂ > 1.1
+    and the policy's budget lasts, and finally returns the estimate
+    {e flagged} as non-converged. This module only holds the policy and
+    the statistics; the executor runs the chains. *)
 
 type retry_policy = {
-  rhat_threshold : float;  (** retry while split-R̂ exceeds this (1.1) *)
   max_retries : int;  (** additional attempts after the first (2) *)
   max_total_sweeps : int;
-      (** sweep budget across all attempts, burn-ins included (200 000) *)
-  max_wall_seconds : float;  (** wall-clock budget (infinite) *)
+      (** sweep budget across one node's attempts, burn-ins included
+          (200 000) *)
 }
 
 val default_retry_policy : retry_policy
-
-type checked = {
-  estimate : Gibbs.estimate;  (** the final attempt's estimate *)
-  rhat : float;  (** its split-R̂ (1.0 when too short to diagnose) *)
-  converged : bool;  (** false ⇒ degraded: budget ran out unconverged *)
-  attempts : int;  (** >= 1 *)
-  total_sweeps : int;  (** sweeps spent across all attempts *)
-}
 
 val split_rhat : Sample_bag.t -> float
 (** Max split-halves R̂ over every (column, value) indicator series of a
@@ -78,29 +70,6 @@ val convergence_snapshot : Sample_bag.t -> float * float
 (** [(split-R̂, min ESS)] over a bag's rows so far — the payload of the
     event-tracing layer's per-chain convergence timeline ({!Trace}
     counter events named [gibbs.convergence], emitted every few recorded
-    sweeps by {!Workload}'s executor and by {!run_with_retries} when a
-    trace sink is installed). ESS is the minimum over every (column,
+    sweeps and after each convergence check by {!Workload}'s executor
+    when a trace sink is installed). ESS is the minimum over every (column,
     value) indicator series. *)
-
-val run_with_retries : ?config:Gibbs.config -> ?policy:retry_policy ->
-  ?telemetry:Telemetry.t -> Prob.Rng.t -> Gibbs.sampler ->
-  Relation.Tuple.t -> checked
-(** Gibbs inference for one incomplete tuple with convergence retries:
-    {!Gibbs.fill} a bag of N rows after B burn-in sweeps, check its
-    split-R̂; while it exceeds [rhat_threshold] and the retry/sweep/wall
-    budgets allow, fill a fresh bag of doubled capacity from a fresh
-    chain (on the same [rng]). Each checked run counts [gibbs.checked] in
-    [telemetry] (default {!Telemetry.global}) — the denominator of the
-    {!Quality} nonconvergence-share health metric; each retry counts
-    [gibbs.retries]; budget exhaustion counts [degrade.nonconverged]
-    and returns [converged = false].
-    {!Fault_inject.should_force_nonconvergence} (keyed by the tuple) can
-    force the check to fail, exercising the retry and degradation paths
-    deterministically. Raises [Invalid_argument] on a complete tuple or
-    a non-positive budget.
-
-    This stays a chain path for single-missing tuples too: [mrsl infer
-    --retry] checks the convergence of a chain, and a single-missing
-    tuple's chain, whose stationary distribution is the {!Gibbs.vote}
-    answer, is what it checks. Every other inference path votes such a
-    tuple. *)

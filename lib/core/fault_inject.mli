@@ -4,7 +4,8 @@
     rate-configurable injection of (1) task exceptions inside the
     workload scheduler ({!Workload}), (2) corrupted CSV rows
     ({!corrupt_csv}, consumed by the lenient reader), (3) forced Gibbs
-    non-convergence ({!Diagnostics.run_with_retries}), and (4) dropped
+    non-convergence (the convergence check of
+    {!Workload.run_contained}[ ~retry]), and (4) dropped
     voter sets (the {!Infer_single} degradation ladder).
 
     {b Determinism.} Every decision is a pure function of

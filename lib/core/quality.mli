@@ -22,7 +22,9 @@
     - {b ensemble-health counters} per MRSL stratum: voters per task,
       voter-specificity strata, root-only tasks, degradation-ladder rung
       shares ({!Infer_single}'s [degrade.*] path), and the Gibbs
-      nonconvergence share ([degrade.nonconverged] / [gibbs.checked]).
+      nonconvergence share ([degrade.nonconverged] / [gibbs.checked]):
+      of the chain nodes {!Workload.run_contained}[ ~retry] checked, the
+      share that ran out of retry budget unconverged.
 
     {b Observation only.} A monitor never feeds back into inference: it
     consumes no inference RNG, shares no sampler state, and all hooks
@@ -185,7 +187,9 @@ type health = {
       (** rung-2 tasks / observed tasks (shadow-observed rungs) *)
   degrade_uniform_share : float;  (** rung-3 tasks / observed tasks *)
   chains : int;  (** [gibbs.chains] read from [registry] *)
-  checked_runs : int;  (** [gibbs.checked] read from [registry] *)
+  checked_runs : int;
+      (** [gibbs.checked] read from [registry]: chain nodes checked by
+          {!Workload.run_contained}[ ~retry] *)
   nonconverged_share : float;
       (** [degrade.nonconverged] / [gibbs.checked]; 0 when unchecked *)
 }

@@ -94,9 +94,9 @@ val counter : t -> string -> int
 
 val snapshot_counters : t -> (string * int) list
 (** Every counter of the registry with its current value, sorted by
-    name — the bulk read behind ratio-style derived metrics (the
-    {!Quality} health report computes degradation-rung and
-    nonconvergence shares from it) and the quality CLI. *)
+    name: a bulk read for callers that list or diff a whole registry
+    (tests, tools). {!Quality}'s health report and the quality CLI read
+    single counters with {!counter}. *)
 
 (** {1 Gauges} *)
 

@@ -6,7 +6,10 @@
    order, and whenever a node completes, subsumees whose parents are all
    done either finish outright on donated samples or are pushed for any
    idle worker to pop. A node whose tuple misses one cell runs
-   Algorithm 2's vote instead of a chain.
+   Algorithm 2's vote instead of a chain. Under a retry policy a chain
+   node checks its bag's convergence inside its own task, refilling a
+   doubled bag while the check fails, so its children only ever see the
+   final bag.
 
    Determinism: every node draws from its own RNG stream seeded by the
    node's index in the (deterministic) tuple DAG — a stable task
@@ -47,7 +50,13 @@ type tuple_fault = {
   upstream : int option;
 }
 
-type contained = { result : result; faults : tuple_fault list }
+type check = { rhat : float; converged : bool; attempts : int; sweeps : int }
+
+type contained = {
+  result : result;
+  faults : tuple_fault list;
+  checks : (Relation.Tuple.t * check) list;
+}
 
 let task_seed ~seed node =
   (* Odd multiplier => injective in [node] modulo the native int width;
@@ -58,9 +67,10 @@ let task_seed ~seed node =
 (* What a node computes. A tuple with one missing cell takes Algorithm
    2's vote ({!Gibbs.vote}): it subsumes no other tuple, so it is a DAG
    leaf, takes no donations and runs no chain. Every other node fills a
-   sample bag. *)
+   sample bag; under a retry policy a failed convergence check replaces
+   the bag, and [check] holds the node's final reading. *)
 type work =
-  | Chain of Sample_bag.t
+  | Chain of { mutable bag : Sample_bag.t; mutable check : check option }
   | Vote of { mutable answer : Gibbs.estimate option }
 
 type node = {
@@ -83,7 +93,12 @@ let fresh_nodes config model dag =
           (if Relation.Tuple.missing_count tuple = 1 then Vote { answer = None }
            else
              Chain
-               (Sample_bag.create schema ~capacity:config.Gibbs.samples tuple));
+               {
+                 bag =
+                   Sample_bag.create schema ~capacity:config.Gibbs.samples
+                     tuple;
+                 check = None;
+               });
         pending = 0;
         completed = false;
         failed = None;
@@ -110,7 +125,8 @@ let all_at_a_time config telemetry rng sampler max_draws nodes counts =
   let bags =
     Array.of_list
       (List.filter_map
-         (fun st -> match st.work with Chain bag -> Some bag | Vote _ -> None)
+         (fun st ->
+           match st.work with Chain { bag; _ } -> Some bag | Vote _ -> None)
          (Array.to_list nodes))
   in
   if bags <> [||] then begin
@@ -162,8 +178,8 @@ let fresh_log () =
   { sweeps = 0; recorded = 0; tasks = 0; busy_ns = 0; wall_ns = 0 }
 
 (* The scheduler: [samplers.(w)] is worker [w]'s. *)
-let schedule config strategy telemetry policy request_flow seed samplers dag
-    nodes counts =
+let schedule config strategy telemetry policy retry seed samplers dag nodes
+    counts =
   let n = Array.length nodes and workers = Array.length samplers in
   Telemetry.gauge telemetry "parallel.domains" (float_of_int workers);
   let use_dag = strategy = Tuple_dag in
@@ -214,13 +230,14 @@ let schedule config strategy telemetry policy request_flow seed samplers dag
           else
             match cj.work with
             | Vote _ -> j :: newly
-            | Chain bag ->
+            | Chain { bag; _ } ->
                 List.iter
                   (fun p ->
-                    (* A voting node is a leaf, never a donor. *)
+                    (* A voting node is a leaf, never a donor; a chain
+                       node donates from its final bag. *)
                     match nodes.(p).work with
                     | Vote _ -> ()
-                    | Chain donor ->
+                    | Chain { bag = donor; _ } ->
                         let given = Sample_bag.share ~donor bag in
                         counts.shared <- counts.shared + given;
                         if given > 0 then begin
@@ -268,6 +285,16 @@ let schedule config strategy telemetry policy request_flow seed samplers dag
      of the node's chain. Guarded by [Trace.enabled] so untraced runs
      never pay the O(n · cardinality) snapshot. *)
   let stride = max 8 (target / 8) in
+  let convergence i bag extra =
+    let rhat, ess = Diagnostics.convergence_snapshot bag in
+    Trace.counter ~id:i ~cat:"gibbs" "gibbs.convergence"
+      ([
+         ("rhat", if Float.is_finite rhat then rhat else 1e6);
+         ("ess", ess);
+         ("node", float_of_int i);
+       ]
+      @ extra)
+  in
   let sample_task st i sampler log =
     if Fault_inject.should_fail_task ~node:i then
       Error.raise_
@@ -276,41 +303,89 @@ let schedule config strategy telemetry policy request_flow seed samplers dag
            "injected task fault");
     match st.work with
     | Vote _ -> vote sampler st
-    | Chain bag when Sample_bag.is_full bag -> ()
-    | Chain bag ->
+    | Chain c when Sample_bag.is_full c.bag -> ()
+    | Chain c -> (
         let rng = Prob.Rng.create (task_seed ~seed i) in
-        let burn_in = config.Gibbs.burn_in and donated = Sample_bag.count bag in
-        let c =
-          Gibbs.start ~telemetry ~burn_in rng sampler (Sample_bag.tuple bag)
+        let burn_in = config.Gibbs.burn_in in
+        (* One chain from [rng] fills [bag] past its donations
+           ([Gibbs.fill]'s loop, plus the convergence timeline); returns
+           the sweeps it ran. *)
+        let fill bag =
+          let donated = Sample_bag.count bag in
+          let chain =
+            Gibbs.start ~telemetry ~burn_in rng sampler (Sample_bag.tuple bag)
+          in
+          while not (Sample_bag.is_full bag) do
+            Gibbs.step rng chain;
+            Sample_bag.record bag (Gibbs.current chain);
+            if Sample_bag.count bag mod stride = 0 && Trace.enabled () then
+              convergence i bag []
+          done;
+          let drawn = Sample_bag.count bag - donated in
+          log.sweeps <- log.sweeps + burn_in + drawn;
+          log.recorded <- log.recorded + drawn;
+          burn_in + drawn
         in
-        (* [Gibbs.fill]'s loop, plus the convergence timeline. *)
-        while not (Sample_bag.is_full bag) do
-          Gibbs.step rng c;
-          Sample_bag.record bag (Gibbs.current c);
-          if Sample_bag.count bag mod stride = 0 && Trace.enabled () then begin
-            let rhat, ess = Diagnostics.convergence_snapshot bag in
-            Trace.counter ~id:i ~cat:"gibbs" "gibbs.convergence"
-              [
-                ("rhat", if Float.is_finite rhat then rhat else 1e6);
-                ("ess", ess);
-                ("node", float_of_int i);
-              ]
-          end
-        done;
-        let drawn = Sample_bag.count bag - donated in
-        log.sweeps <- log.sweeps + burn_in + drawn;
-        log.recorded <- log.recorded + drawn
+        match retry with
+        | None -> ignore (fill c.bag)
+        | Some (policy : Diagnostics.retry_policy) ->
+            (* Split-R̂ over the whole bag, or a failure forced by the
+               tuple's fault-injection key. While it exceeds 1.1 and the
+               budget allows, a fresh chain from the same [rng] fills a
+               fresh bag of twice the capacity; donations are not
+               re-taken. *)
+            let schema = Model.schema (Gibbs.model sampler) in
+            let forced =
+              Fault_inject.should_force_nonconvergence
+                ~key:
+                  (Fault_inject.tuple_code
+                     ~cards:
+                       (Array.init (Relation.Schema.arity schema)
+                          (Relation.Schema.cardinality schema))
+                     st.tuple)
+            in
+            Telemetry.incr telemetry "gibbs.checked";
+            let rec go attempt capacity sweeps =
+              let sweeps =
+                sweeps
+                + Trace.complete ~cat:"gibbs"
+                    ~args:
+                      [
+                        ("node", Trace.Int i);
+                        ("attempt", Trace.Int attempt);
+                        ("draws", Trace.Int capacity);
+                      ]
+                    "gibbs.attempt"
+                    (fun () -> fill c.bag)
+              in
+              let rhat =
+                if forced then Float.infinity else Diagnostics.split_rhat c.bag
+              in
+              if Trace.enabled () then
+                convergence i c.bag [ ("attempt", float_of_int attempt) ];
+              let next = 2 * capacity in
+              if rhat <= 1.1 then
+                { rhat; converged = true; attempts = attempt; sweeps }
+              else if
+                attempt <= policy.max_retries
+                && sweeps + burn_in + next <= policy.max_total_sweeps
+              then begin
+                Telemetry.incr telemetry "gibbs.retries";
+                c.bag <- Sample_bag.create schema ~capacity:next st.tuple;
+                go (attempt + 1) next sweeps
+              end
+              else begin
+                (* Budget exhausted: keep the last estimate, flagged. *)
+                Telemetry.incr telemetry "degrade.nonconverged";
+                { rhat; converged = false; attempts = attempt; sweeps }
+              end
+            in
+            c.check <- Some (go 1 target 0))
   in
   let exec log sampler i =
     let st = nodes.(i) in
     Trace.flow_end ~cat:"sched" ~id:(Trace.task_flow_id ~seed ~node:i)
       "task.run";
-    (* A serving request's flow arrow terminates on the worker that
-       actually runs its tuple — node 0 of the single-tuple workload the
-       engine submits per distinct request tuple. *)
-    (match request_flow with
-    | Some id when i = 0 -> Trace.flow_end ~cat:"serve" ~id "serve.request"
-    | _ -> ());
     end_share_flows i;
     let outcome =
       match
@@ -416,8 +491,8 @@ let schedule config strategy telemetry policy request_flow seed samplers dag
 (* [source] is the run's randomness: a caller's RNG ([run]) or a seed
    ([run_contained]). The scheduled strategies take one seed from it;
    all-at-a-time's single chain draws from it directly. *)
-let execute ~config ~strategy ~max_draws ~telemetry ~policy ~quality
-    ~request_flow ~domains ~source sampler workload =
+let execute ~config ~strategy ~max_draws ~telemetry ~policy ~retry ~quality
+    ~domains ~source sampler workload =
   if config.Gibbs.burn_in < 0 || config.Gibbs.samples < 1 then
     invalid_arg "Workload.run: bad burn-in or sample count";
   Telemetry.span telemetry "workload.run" @@ fun () ->
@@ -448,8 +523,8 @@ let execute ~config ~strategy ~max_draws ~telemetry ~policy ~quality
             if w = 0 then first else sampler ())
       in
       if n > 0 then
-        schedule config strategy telemetry policy request_flow seed samplers
-          dag nodes counts);
+        schedule config strategy telemetry policy retry seed samplers dag nodes
+          counts);
   let wall = Clock.duration ~start:t0 ~stop:(Clock.now ()) in
   Telemetry.add telemetry "workload.sweeps" counts.sweeps;
   Telemetry.add telemetry "workload.recorded" counts.recorded;
@@ -470,7 +545,7 @@ let execute ~config ~strategy ~max_draws ~telemetry ~policy ~quality
         counts.shared wall);
   (* Node order is first-seen workload order. Failed and skipped nodes
      are reported in [faults] instead of the estimates. *)
-  let estimates = ref [] and faults = ref [] in
+  let estimates = ref [] and faults = ref [] and checks = ref [] in
   for i = n - 1 downto 0 do
     let st = nodes.(i) in
     match st.failed with
@@ -486,7 +561,9 @@ let execute ~config ~strategy ~max_draws ~telemetry ~policy ~quality
     | None ->
         let est =
           match st.work with
-          | Chain bag -> Gibbs.estimate_of_bag bag
+          | Chain { bag; check } ->
+              Option.iter (fun c -> checks := (st.tuple, c) :: !checks) check;
+              Gibbs.estimate_of_bag bag
           | Vote { answer = Some est } -> est
           | Vote { answer = None } -> assert false
         in
@@ -518,11 +595,12 @@ let execute ~config ~strategy ~max_draws ~telemetry ~policy ~quality
           };
       };
     faults;
+    checks = !checks;
   }
 
 let run_contained ?(config = Gibbs.default_config) ?(strategy = Tuple_dag)
     ?method_ ?memoize ?domains ?(telemetry = Telemetry.global)
-    ?(policy = Fail_fast) ?quality ?request_flow ~seed model workload =
+    ?(policy = Fail_fast) ?retry ?quality ~seed model workload =
   let domains =
     match domains with
     | Some d when d < 1 ->
@@ -530,8 +608,18 @@ let run_contained ?(config = Gibbs.default_config) ?(strategy = Tuple_dag)
     | Some d -> d
     | None -> Domain.recommended_domain_count ()
   in
-  execute ~config ~strategy ~max_draws:10_000_000 ~telemetry ~policy ~quality
-    ~request_flow ~domains ~source:(`Seed seed)
+  (match retry with
+  | None -> ()
+  | Some (p : Diagnostics.retry_policy) ->
+      if strategy = All_at_a_time then
+        invalid_arg
+          "Workload.run_contained: retry needs tuple-at-a-time or tuple-DAG";
+      if p.max_retries < 0 then
+        invalid_arg "Workload.run_contained: max_retries must be >= 0";
+      if p.max_total_sweeps < 1 then
+        invalid_arg "Workload.run_contained: max_total_sweeps must be >= 1");
+  execute ~config ~strategy ~max_draws:10_000_000 ~telemetry ~policy ~retry
+    ~quality ~domains ~source:(`Seed seed)
     (fun () -> Gibbs.sampler ?method_ ?memoize model)
     workload
 
@@ -539,8 +627,8 @@ let run ?(config = Gibbs.default_config) ?(strategy = Tuple_dag)
     ?(max_draws = 10_000_000) ?(telemetry = Telemetry.global) ?quality rng
     sampler workload =
   if max_draws < 1 then invalid_arg "Workload.run: max_draws must be positive";
-  (execute ~config ~strategy ~max_draws ~telemetry ~policy:Fail_fast ~quality
-     ~request_flow:None ~domains:1 ~source:(`Rng rng)
+  (execute ~config ~strategy ~max_draws ~telemetry ~policy:Fail_fast
+     ~retry:None ~quality ~domains:1 ~source:(`Rng rng)
      (fun () -> sampler)
      workload)
     .result

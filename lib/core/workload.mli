@@ -85,16 +85,29 @@ type tuple_fault = {
           the task itself raised *)
 }
 
+type check = {
+  rhat : float;
+      (** the final bag's split-R̂ ({!Diagnostics.split_rhat});
+          [infinity] when fault injection forced the check to fail *)
+  converged : bool;  (** false ⇒ degraded: budget ran out unconverged *)
+  attempts : int;  (** >= 1 *)
+  sweeps : int;  (** the node's sweeps across all attempts, burn-ins included *)
+}
+(** One node's convergence check under [run_contained ~retry]. *)
+
 type contained = {
   result : result;  (** estimates for the surviving tuples *)
   faults : tuple_fault list;  (** skipped tuples, in node order *)
+  checks : (Relation.Tuple.t * check) list;
+      (** under [~retry], one entry per surviving node that ran its own
+          chain, in node order; [[]] otherwise *)
 }
 
 val run_contained : ?config:Gibbs.config -> ?strategy:strategy ->
   ?method_:Voting.method_ -> ?memoize:bool -> ?domains:int ->
-  ?telemetry:Telemetry.t -> ?policy:fault_policy -> ?quality:Quality.t ->
-  ?request_flow:int -> seed:int -> Model.t -> Relation.Tuple.t list ->
-  contained
+  ?telemetry:Telemetry.t -> ?policy:fault_policy ->
+  ?retry:Diagnostics.retry_policy -> ?quality:Quality.t -> seed:int ->
+  Model.t -> Relation.Tuple.t list -> contained
 (** The executor. [run_contained ~seed model workload] infers the joint
     distribution of the missing values of every distinct incomplete
     tuple in [workload] with [min domains (distinct tuples)] workers (at
@@ -133,11 +146,30 @@ val run_contained : ?config:Gibbs.config -> ?strategy:strategy ->
     on the calling domain only. The monitor consumes no inference RNG,
     so a monitored run is bit-identical to an unmonitored one.
 
-    [request_flow], when given, is a serving-request flow id
-    ({!Trace.request_flow_id}): the worker that executes node 0 emits a
-    [serve]/[serve.request] {!Trace.flow_end} on its own track just
-    before the task slice, terminating the daemon's admission → batch →
-    task arrow. Pure observation.
+    {b Convergence retries.} Under [retry] (default: none), every node
+    that runs its own chain is checked once its bag is full: split-R̂
+    over the whole bag ({!Diagnostics.split_rhat}), or a failure forced
+    by {!Fault_inject.should_force_nonconvergence} keyed by
+    {!Fault_inject.tuple_code} of its tuple. Each check counts
+    [gibbs.checked]. While R̂ > 1.1 and the policy allows another attempt
+    (at most [max_retries] more, and the node's sweeps, burn-ins
+    included, within [max_total_sweeps]), the node counts
+    [gibbs.retries] and replaces its bag with a fresh one of twice the
+    capacity, filled by a fresh chain (burn-in included) that continues
+    the node's own task RNG stream; donations are not re-taken. A node
+    that exhausts the budget counts [degrade.nonconverged] and keeps its
+    last estimate, flagged [converged = false] in [checks]. Voting nodes
+    and nodes filled by donations alone run no chain and are not
+    checked. All of this happens inside the node's task, before its
+    children take donations from the final bag, so the determinism
+    contract above holds with [retry] too. [workload.sweeps] and
+    [workload.recorded] count every attempt. With tuple-at-a-time, a
+    node's estimate and check are those of a sequential retry loop
+    seeded with the node's task seed. Traced, each attempt is a
+    [gibbs.attempt] slice followed by a [gibbs.convergence] counter.
+    Raises [Invalid_argument] when [retry] is given with
+    [All_at_a_time], or when [max_retries < 0] or
+    [max_total_sweeps < 1].
 
     The samplers' conditionals, votes and chain initialisations read and
     fill the model epoch's conditional tables (see {!Gibbs.sampler}), so a

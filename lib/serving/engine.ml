@@ -314,13 +314,11 @@ let stats_line t ?id () =
 
 type pressure = Normal | Cache_only
 
-(* One decoded infer task, positioned in the response array. [flow] is
-   the request's serve-flow id (0 = untracked). *)
+(* One decoded infer task, positioned in the response array. *)
 type infer_task = {
   slot : int;
   req_id : Json.t option;
   tuple : Relation.Tuple.t;
-  flow : int;
 }
 
 let shed_error =
@@ -389,23 +387,15 @@ let run_multi t ~pressure responses tasks =
          asked for exactly one. *)
       let distinct = Relation.Tuple.Table.create 8 in
       List.iter
-        (fun { tuple; flow; _ } ->
+        (fun { tuple; _ } ->
           if not (Relation.Tuple.Table.mem distinct tuple) then
-            (* Only the first request of a deduped tuple threads its flow
-               into the executor — one arrow per computation, and the
-               per-id start/finish counts stay balanced. *)
-            let request_flow = if flow <> 0 then Some flow else None in
             Relation.Tuple.Table.add distinct tuple
               (lazy
-                ((match request_flow with
-                 | Some id ->
-                     Mrsl.Trace.flow_start ~cat:"serve" ~id "serve.request"
-                 | None -> ());
-                 let contained =
+                (let contained =
                    Mrsl.Workload.run_contained ~config:gibbs ~method_
                      ~domains:1 ~telemetry:t.telemetry
-                     ~policy:Mrsl.Workload.Skip_and_report ?request_flow
-                     ~seed model [ tuple ]
+                     ~policy:Mrsl.Workload.Skip_and_report ~seed model
+                     [ tuple ]
                  in
                  match contained.faults with
                  | fault :: _ -> Error fault.error
@@ -428,7 +418,7 @@ let run_multi t ~pressure responses tasks =
 
 (* A segment is a maximal run of requests with no reload between them:
    everything in it is answered by one model generation. *)
-let run_segment t ~pressure ~flow_of responses segment =
+let run_segment t ~pressure responses segment =
   let singles = ref [] and multis = ref [] in
   List.iter
     (fun (slot, (req : Protocol.request)) ->
@@ -447,7 +437,7 @@ let run_segment t ~pressure ~flow_of responses segment =
           match decode_tuple t.model labels with
           | Error e -> responses.(slot) <- error_response t ?id e
           | Ok tuple -> (
-              let task = { slot; req_id = id; tuple; flow = flow_of slot } in
+              let task = { slot; req_id = id; tuple } in
               match Relation.Tuple.missing_count tuple with
               | 0 ->
                   responses.(slot) <-
@@ -493,7 +483,7 @@ let handle_batch ?(pressure = Normal) ?(flows = [||]) t reqs =
                 (fun slot (req : Protocol.request) ->
                   match req.op with
                   | Protocol.Reload path ->
-                      run_segment t ~pressure ~flow_of responses !segment;
+                      run_segment t ~pressure responses !segment;
                       segment := [];
                       responses.(slot) <-
                         (match reload ?path t with
@@ -509,7 +499,7 @@ let handle_batch ?(pressure = Normal) ?(flows = [||]) t reqs =
                         | Error e -> error_response t ?id:req.id e)
                   | _ -> segment := (slot, req) :: !segment)
                 reqs;
-              run_segment t ~pressure ~flow_of responses !segment;
+              run_segment t ~pressure responses !segment;
               Array.to_list responses))
 
 let handle_request t req =

@@ -153,10 +153,9 @@ val handle_batch :
     [flows], when given, carries each slot's serve-request flow id
     ({!Mrsl.Trace.request_flow_id}; [0] or out-of-range = untracked):
     the batch slice emits a [serve.request] {!Mrsl.Trace.flow_end} per
-    tracked slot (terminating the admission arrow {!Server} started),
-    and a multi-missing request restarts the flow into
-    {!Mrsl.Workload.run_contained} so the arrow continues onto the
-    worker's task slice — one arrow per distinct deduped tuple.
+    tracked slot, terminating the admission arrow {!Server} started. A
+    multi-missing request's one-tuple workload runs on this domain,
+    inside the same slice, so the arrow needs no continuation.
     Flow emission is observation-only; answers are bit-identical with
     or without it.
 

@@ -71,10 +71,10 @@
     [serve.latency_seconds.<outcome>] ({!Engine.outcome_label}). Each
     request also gets a deterministic trace flow
     ({!Mrsl.Trace.request_flow_id}): started on the server-loop track
-    at admission, terminated inside the answering [serve.batch] slice,
-    and — for multi-missing inference — continued onto the worker
-    domain's task slice. A [serve.request.done] trace instant carries
-    the phase breakdown and outcome. With [access_log] set, finalized
+    at admission and terminated inside the answering [serve.batch] slice
+    on the same track: one start and one end per request. A
+    [serve.request.done] trace instant carries the phase breakdown and
+    outcome. With [access_log] set, finalized
     requests are written as JSON lines under the deterministic sampling
     policy described at {!type-config}. All of it is observation-only:
     served bytes are bit-identical with tracing and logging on or off.

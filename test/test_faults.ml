@@ -636,29 +636,38 @@ let test_voter_drop_does_not_leak_into_clean_runs () =
 (* ------------------------------------------------------------------ *)
 (* Convergence-driven retries *)
 
+(* One convergence-checked tuple-at-a-time run over [tup]: its estimate
+   and its check. *)
+let checked_run ?(config = { Mrsl.Gibbs.burn_in = 10; samples = 200 })
+    ?policy ?telemetry model tup =
+  let retry =
+    Option.value policy ~default:Mrsl.Diagnostics.default_retry_policy
+  in
+  let c =
+    Mrsl.Workload.run_contained ~config ~strategy:Mrsl.Workload.Tuple_at_a_time
+      ~domains:1 ?telemetry ~retry ~seed:3 model [ tup ]
+  in
+  match (c.result.estimates, c.checks) with
+  | [ (_, est) ], [ (_, check) ] -> (est, check)
+  | _ -> Alcotest.fail "expected one estimate and one check"
+
 let test_retry_success_single_attempt () =
-  let model = trained_model () in
-  let sampler = Mrsl.Gibbs.sampler model in
-  let checked =
-    Mrsl.Diagnostics.run_with_retries
-      ~config:{ Mrsl.Gibbs.burn_in = 10; samples = 200 }
-      (Prob.Rng.create 3) sampler [| Some 0; None; None |]
+  let est, (checked : Mrsl.Workload.check) =
+    checked_run (trained_model ()) [| Some 0; None; None |]
   in
   Alcotest.(check bool) "converged" true checked.converged;
   Alcotest.(check int) "single attempt" 1 checked.attempts;
-  Alcotest.(check int) "sweeps accounted" 210 checked.total_sweeps;
+  Alcotest.(check int) "sweeps accounted" 210 checked.sweeps;
   Alcotest.(check bool) "rhat sane" true (checked.rhat <= 1.1);
-  check_dist_sums_to_one "estimate normalized" checked.estimate.joint
+  check_dist_sums_to_one "estimate normalized" est.joint
 
 let test_retry_budget_exhaustion () =
-  let model = trained_model () in
-  let sampler = Mrsl.Gibbs.sampler model in
   let t = Mrsl.Telemetry.create () in
-  let checked =
+  let est, (checked : Mrsl.Workload.check) =
     Mrsl.Fault_inject.with_config (cfg ~nonconv:1.0 ()) (fun () ->
-        Mrsl.Diagnostics.run_with_retries
+        checked_run
           ~config:{ Mrsl.Gibbs.burn_in = 10; samples = 20 }
-          ~telemetry:t (Prob.Rng.create 3) sampler [| Some 0; None; None |])
+          ~telemetry:t (trained_model ()) [| Some 0; None; None |])
   in
   Alcotest.(check bool) "flagged, not raised" false checked.converged;
   (* 1 initial attempt + default max_retries with doubled draws:
@@ -666,52 +675,49 @@ let test_retry_budget_exhaustion () =
   Alcotest.(check int) "attempts"
     (1 + Mrsl.Diagnostics.default_retry_policy.max_retries)
     checked.attempts;
-  Alcotest.(check int) "sweeps accounted" 170 checked.total_sweeps;
+  Alcotest.(check int) "sweeps accounted" 170 checked.sweeps;
+  Alcotest.(check int) "workload.sweeps counts every attempt" 170
+    (Mrsl.Telemetry.counter t "workload.sweeps");
   Alcotest.(check int) "retries counted" 2
     (Mrsl.Telemetry.counter t "gibbs.retries");
   Alcotest.(check int) "degradation counted" 1
     (Mrsl.Telemetry.counter t "degrade.nonconverged");
-  check_dist_sums_to_one "degraded estimate still usable"
-    checked.estimate.joint
+  check_dist_sums_to_one "degraded estimate still usable" est.joint
 
 let test_retry_sweep_budget_caps_attempts () =
-  let model = trained_model () in
-  let sampler = Mrsl.Gibbs.sampler model in
   let policy =
-    {
-      Mrsl.Diagnostics.default_retry_policy with
-      max_retries = 10;
-      max_total_sweeps = 100;
-    }
+    { Mrsl.Diagnostics.max_retries = 10; max_total_sweeps = 100 }
   in
-  let checked =
+  let _, (checked : Mrsl.Workload.check) =
     Mrsl.Fault_inject.with_config (cfg ~nonconv:1.0 ()) (fun () ->
-        Mrsl.Diagnostics.run_with_retries
+        checked_run
           ~config:{ Mrsl.Gibbs.burn_in = 10; samples = 20 }
-          ~policy (Prob.Rng.create 3) sampler [| Some 0; None; None |])
+          ~policy (trained_model ()) [| Some 0; None; None |])
   in
   (* Attempt 1 costs 30 sweeps; attempt 2 would bring the total to 80,
      attempt 3 would exceed 100 — so exactly two attempts run. *)
   Alcotest.(check int) "sweep budget stops retries" 2 checked.attempts;
-  Alcotest.(check bool) "within budget" true (checked.total_sweeps <= 100);
+  Alcotest.(check bool) "within budget" true (checked.sweeps <= 100);
   Alcotest.(check bool) "flagged" false checked.converged
 
 let test_retry_policy_validation () =
   let model = trained_model () in
-  let sampler = Mrsl.Gibbs.sampler model in
-  let bad policy msg =
+  let bad ?(strategy = Mrsl.Workload.Tuple_dag) policy msg =
     Alcotest.check_raises "policy validated" (Invalid_argument msg)
       (fun () ->
         ignore
-          (Mrsl.Diagnostics.run_with_retries ~policy (Prob.Rng.create 1)
-             sampler [| Some 0; None; None |]))
+          (Mrsl.Workload.run_contained ~strategy ~retry:policy ~domains:1
+             ~seed:1 model [ [| Some 0; None; None |] ]))
   in
   bad
     { Mrsl.Diagnostics.default_retry_policy with max_retries = -1 }
-    "Diagnostics.run_with_retries: max_retries must be >= 0";
+    "Workload.run_contained: max_retries must be >= 0";
   bad
     { Mrsl.Diagnostics.default_retry_policy with max_total_sweeps = 0 }
-    "Diagnostics.run_with_retries: max_total_sweeps must be >= 1"
+    "Workload.run_contained: max_total_sweeps must be >= 1";
+  bad ~strategy:Mrsl.Workload.All_at_a_time
+    Mrsl.Diagnostics.default_retry_policy
+    "Workload.run_contained: retry needs tuple-at-a-time or tuple-DAG"
 
 (* A bag over [schema] holding [rows] (complete points), oldest first. *)
 let bag_of schema tup rows =

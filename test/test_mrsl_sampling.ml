@@ -660,15 +660,108 @@ let suite =
       ("parallel telemetry counters", `Quick, test_parallel_telemetry_counters);
     ]
 
+(* The sequential convergence-retry loop the executor's [~retry] node
+   task must reproduce, kept here as its reference: fill a bag of N rows
+   after B burn-in sweeps, check its split-R̂ (or a failure forced by the
+   tuple's fault-injection key); while R̂ > 1.1 and the budget allows,
+   fill a fresh bag of twice the capacity from a fresh chain on the same
+   [rng]. Counts [gibbs.checked] once, [gibbs.retries] per retry and
+   [degrade.nonconverged] on exhaustion; traced, each attempt is a
+   [gibbs.attempt] slice followed by a [gibbs.convergence] counter. *)
+type retried = {
+  estimate : Mrsl.Gibbs.estimate;
+  rhat : float;
+  converged : bool;
+  attempts : int;
+  total_sweeps : int;
+}
+
+let run_with_retries ?(config = Mrsl.Gibbs.default_config)
+    ?(policy = Mrsl.Diagnostics.default_retry_policy)
+    ?(telemetry = Mrsl.Telemetry.global) rng sampler tup =
+  let total_sweeps = ref 0 in
+  let schema = Mrsl.Model.schema (Mrsl.Gibbs.model sampler) in
+  let draw draws =
+    let bag = Mrsl.Sample_bag.create schema ~capacity:draws tup in
+    Mrsl.Gibbs.fill ~telemetry ~burn_in:config.Mrsl.Gibbs.burn_in rng sampler
+      bag;
+    total_sweeps := !total_sweeps + config.Mrsl.Gibbs.burn_in + draws;
+    bag
+  in
+  let forced =
+    let cards =
+      Array.init (Relation.Schema.arity schema)
+        (Relation.Schema.cardinality schema)
+    in
+    Mrsl.Fault_inject.should_force_nonconvergence
+      ~key:(Mrsl.Fault_inject.tuple_code ~cards tup)
+  in
+  Mrsl.Telemetry.incr telemetry "gibbs.checked";
+  let rec go attempt draws =
+    let bag =
+      Mrsl.Trace.complete ~cat:"gibbs"
+        ~args:
+          [
+            ("attempt", Mrsl.Trace.Int attempt);
+            ("draws", Mrsl.Trace.Int draws);
+          ]
+        "gibbs.attempt"
+        (fun () -> draw draws)
+    in
+    let estimate = Mrsl.Gibbs.estimate_of_bag bag in
+    let rhat =
+      if forced then Float.infinity else Mrsl.Diagnostics.split_rhat bag
+    in
+    if Mrsl.Trace.enabled () then begin
+      let _, ess = Mrsl.Diagnostics.convergence_snapshot bag in
+      Mrsl.Trace.counter ~cat:"gibbs" "gibbs.convergence"
+        [
+          ("rhat", if Float.is_finite rhat then rhat else 1e6);
+          ("ess", ess);
+          ("attempt", float_of_int attempt);
+        ]
+    end;
+    if rhat <= 1.1 then
+      {
+        estimate;
+        rhat;
+        converged = true;
+        attempts = attempt;
+        total_sweeps = !total_sweeps;
+      }
+    else begin
+      let next = 2 * draws in
+      if
+        attempt <= policy.Mrsl.Diagnostics.max_retries
+        && !total_sweeps + config.Mrsl.Gibbs.burn_in + next
+           <= policy.max_total_sweeps
+      then begin
+        Mrsl.Telemetry.incr telemetry "gibbs.retries";
+        go (attempt + 1) next
+      end
+      else begin
+        Mrsl.Telemetry.incr telemetry "degrade.nonconverged";
+        {
+          estimate;
+          rhat;
+          converged = false;
+          attempts = attempt;
+          total_sweeps = !total_sweeps;
+        }
+      end
+    end
+  in
+  go 1 config.Mrsl.Gibbs.samples
+
 (* Golden pins for every chain path outside the executor's multi-missing
    node task, which [probdb golden: multi-missing blocks] already pins:
-   [Gibbs.run], [Diagnostics.run_with_retries] (default policy, and under
-   forced nonconvergence), [Diagnostics.diagnose], the per-stride
-   convergence readings of a traced workload and of the retry path
-   (split-R̂ and min ESS over growing row prefixes), and a capped
-   all-at-a-time run whose fallback chains fire. Each path has its own
-   digest of exact floats ([%h]), so a moved digest names the path that
-   moved. *)
+   [Gibbs.run], the reference [run_with_retries] above (default policy,
+   and under forced nonconvergence), [Diagnostics.diagnose], the
+   per-stride convergence readings of a traced workload and of the retry
+   reference (split-R̂ and min ESS over growing row prefixes), and a
+   capped all-at-a-time run whose fallback chains fire. Each path has its
+   own digest of exact floats ([%h]), so a moved digest names the path
+   that moved. *)
 let golden_chain_fixture =
   lazy
     (let entry = Bayesnet.Catalog.find "BN10" in
@@ -733,7 +826,7 @@ let test_golden_chain_paths () =
     List.iteri
       (fun i tup ->
         let c =
-          Mrsl.Diagnostics.run_with_retries
+          run_with_retries
             ~config:{ burn_in = 10; samples = 40 }
             ~telemetry (Prob.Rng.create (200 + i)) sampler tup
         in
@@ -911,10 +1004,220 @@ let test_chain_plan_matches_conditional () =
     (fun () ->
       ignore (check_chain_plan ~bypassed:true "kernel off" model tuples))
 
+(* [run_contained ~retry] folds the retry loop into the executor's node
+   task. Its fixture adds, for every multi-missing golden tuple, the same
+   tuple with one more cell masked, so the tuple DAG has donation edges. *)
+let retry_workload ?(max_missing = 5) () =
+  let model, tuples = Lazy.force golden_chain_fixture in
+  let tuples =
+    List.filter (fun t -> Relation.Tuple.missing_count t <= max_missing) tuples
+  in
+  let wider =
+    List.filter_map
+      (fun t ->
+        match Relation.Tuple.known t with
+        | (a, _) :: _ when Relation.Tuple.missing_count t >= 2 ->
+            let w = Array.copy t in
+            w.(a) <- None;
+            Some w
+        | _ -> None)
+      tuples
+  in
+  (model, tuples @ wider)
+
+let retry_config = { Mrsl.Gibbs.burn_in = 10; samples = 40 }
+let retry_seed = 2027
+
+let forced_half f =
+  Mrsl.Fault_inject.with_config
+    { Mrsl.Fault_inject.disabled with seed = 2011; nonconvergence_rate = 0.5 }
+    f
+
+let run_retry ?(domains = 1) ?(telemetry = Mrsl.Telemetry.create ()) strategy
+    model tuples =
+  Mrsl.Workload.run_contained ~config:retry_config ~strategy ~domains
+    ~telemetry ~retry:Mrsl.Diagnostics.default_retry_policy ~seed:retry_seed
+    model tuples
+
+let same_estimate what (a : Mrsl.Gibbs.estimate) (b : Mrsl.Gibbs.estimate) =
+  if
+    a.samples_used <> b.samples_used
+    || Prob.Dist.to_array a.joint <> Prob.Dist.to_array b.joint
+  then Alcotest.failf "%s: estimates differ" what
+
+let same_check what (a : Mrsl.Workload.check) (b : Mrsl.Workload.check) =
+  if
+    Int64.bits_of_float a.rhat <> Int64.bits_of_float b.rhat
+    || a.converged <> b.converged || a.attempts <> b.attempts
+    || a.sweeps <> b.sweeps
+  then Alcotest.failf "%s: checks differ" what
+
+(* Tuple-at-a-time under [~retry] is the reference loop seeded with each
+   node's task seed, bit for bit: estimate, R̂, attempts, sweeps and
+   verdict, and the same check/retry/degrade counts. *)
+let test_retry_matches_reference () =
+  let model, tuples = retry_workload () in
+  let dag = Mrsl.Tuple_dag.build tuples in
+  let sampler = Mrsl.Gibbs.sampler model in
+  let compare_run label =
+    let telemetry = Mrsl.Telemetry.create ()
+    and reference = Mrsl.Telemetry.create () in
+    let c = run_retry ~telemetry Mrsl.Workload.Tuple_at_a_time model tuples in
+    let retried = ref 0 in
+    List.iter
+      (fun (tup, est) ->
+        let node = Option.get (Mrsl.Tuple_dag.index_of dag tup) in
+        let what = Printf.sprintf "%s, node %d" label node in
+        match List.assoc_opt tup c.checks with
+        | None ->
+            if Relation.Tuple.missing_count tup >= 2 then
+              Alcotest.failf "%s: a chain node went unchecked" what
+        | Some check ->
+            let rng =
+              Prob.Rng.create (Test_sample_bag.task_seed ~seed:retry_seed node)
+            in
+            let r =
+              run_with_retries ~config:retry_config ~telemetry:reference rng
+                sampler tup
+            in
+            if r.attempts > 1 then incr retried;
+            same_estimate what r.estimate est;
+            same_check what
+              {
+                rhat = r.rhat;
+                converged = r.converged;
+                attempts = r.attempts;
+                sweeps = r.total_sweeps;
+              }
+              check)
+      c.result.estimates;
+    List.iter
+      (fun key ->
+        Alcotest.(check int)
+          (label ^ ": " ^ key)
+          (Mrsl.Telemetry.counter reference key)
+          (Mrsl.Telemetry.counter telemetry key))
+      [ "gibbs.checked"; "gibbs.retries"; "degrade.nonconverged" ];
+    Alcotest.(check bool) (label ^ ": some node retried") true (!retried > 0)
+  in
+  compare_run "default policy";
+  forced_half (fun () -> compare_run "forced rate 0.5")
+
+(* The determinism contract holds with [~retry]: both scheduled
+   strategies give identical estimates, checks and counters at 1, 2 and
+   4 domains under forced nonconvergence. *)
+let test_retry_across_domains () =
+  let model, tuples = retry_workload () in
+  forced_half (fun () ->
+      List.iter
+        (fun strategy ->
+          let name = Mrsl.Workload.strategy_name strategy in
+          let base = run_retry strategy model tuples in
+          List.iter
+            (fun domains ->
+              let c = run_retry ~domains strategy model tuples in
+              let what = Printf.sprintf "%s, %d domains" name domains in
+              List.iter2
+                (fun (_, a) (_, b) -> same_estimate what a b)
+                base.result.estimates c.result.estimates;
+              List.iter2
+                (fun (_, a) (_, b) -> same_check what a b)
+                base.checks c.checks;
+              Alcotest.(check (list int))
+                (what ^ ": sweeps, recorded, shared")
+                [
+                  base.result.stats.sweeps;
+                  base.result.stats.recorded;
+                  base.result.stats.shared;
+                ]
+                [
+                  c.result.stats.sweeps;
+                  c.result.stats.recorded;
+                  c.result.stats.shared;
+                ])
+            [ 2; 4 ];
+          Alcotest.(check bool) (name ^ ": some node checked") true
+            (base.checks <> []))
+        Mrsl.Workload.[ Tuple_at_a_time; Tuple_dag ])
+
+(* A node whose check passed on its first attempt, with no retried
+   ancestor, is exactly what the run without [~retry] computes: the check
+   reads the bag and draws nothing. Tuples with at most three missing
+   cells keep the DAG shallow enough that some checked node has no
+   retried ancestor. *)
+let test_retry_first_attempt_unchanged () =
+  let model, tuples = retry_workload ~max_missing:3 () in
+  let dag = Mrsl.Tuple_dag.build tuples in
+  forced_half (fun () ->
+      List.iter
+        (fun strategy ->
+          let name = Mrsl.Workload.strategy_name strategy in
+          let c = run_retry strategy model tuples in
+          let plain =
+            Mrsl.Workload.run_contained ~config:retry_config ~strategy
+              ~domains:1 ~telemetry:(Mrsl.Telemetry.create ())
+              ~seed:retry_seed model tuples
+          in
+          let attempts tup =
+            match List.assoc_opt tup c.checks with
+            | Some (k : Mrsl.Workload.check) -> k.attempts
+            | None -> 1
+          in
+          let rec retried_above i =
+            strategy = Mrsl.Workload.Tuple_dag
+            && List.exists
+                 (fun p ->
+                   attempts (Mrsl.Tuple_dag.tuple dag p) > 1 || retried_above p)
+                 (Mrsl.Tuple_dag.parents dag i)
+          in
+          let unchanged = ref 0 and retried = ref 0 in
+          List.iter2
+            (fun (tup, a) (_, b) ->
+              let i = Option.get (Mrsl.Tuple_dag.index_of dag tup) in
+              if attempts tup > 1 then incr retried
+              else if not (retried_above i) then begin
+                same_estimate (Printf.sprintf "%s, node %d" name i) b a;
+                if List.mem_assoc tup c.checks then incr unchanged
+              end)
+            c.result.estimates plain.result.estimates;
+          Alcotest.(check bool) (name ^ ": both kinds of node") true
+            (!unchanged > 0 && !retried > 0))
+        Mrsl.Workload.[ Tuple_at_a_time; Tuple_dag ])
+
+(* A single-missing tuple is voted under [~retry] too: no chain, no
+   check, the vote's exact answer. *)
+let test_retry_votes_single_missing () =
+  let model, tuples = Lazy.force golden_chain_fixture in
+  let single =
+    List.find (fun t -> Relation.Tuple.missing_count t = 1) tuples
+  in
+  let telemetry = Mrsl.Telemetry.create () in
+  let c =
+    forced_half (fun () ->
+        run_retry ~telemetry Mrsl.Workload.Tuple_at_a_time model [ single ])
+  in
+  Alcotest.(check int) "no check" 0 (List.length c.checks);
+  Alcotest.(check int) "no gibbs.checked" 0
+    (Mrsl.Telemetry.counter telemetry "gibbs.checked");
+  Alcotest.(check int) "no chain" 0
+    (Mrsl.Telemetry.counter telemetry "gibbs.chains");
+  match c.result.estimates with
+  | [ (_, est) ] ->
+      same_estimate "vote" (Mrsl.Gibbs.vote (Mrsl.Gibbs.sampler model) single)
+        est
+  | _ -> Alcotest.fail "expected one estimate"
+
 let suite =
   suite
   @ [
       ("golden: chain paths", `Quick, test_golden_chain_paths);
+      ("retry = reference loop at task seeds", `Quick,
+       test_retry_matches_reference);
+      ("retry identical at 1/2/4 domains", `Quick, test_retry_across_domains);
+      ("retry first attempt = no retry", `Quick,
+       test_retry_first_attempt_unchanged);
+      ("retry votes single-missing tuples", `Quick,
+       test_retry_votes_single_missing);
       ("chain plan = public conditional", `Quick,
        test_chain_plan_matches_conditional);
     ]

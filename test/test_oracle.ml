@@ -34,10 +34,14 @@
    with the bound set by tuple-at-a-time's own seed-to-seed spread.
    Tuple-at-a-time and tuple-DAG run through [Workload.run] and through
    [Workload.run_contained] at 1, 2 and 4 domains, with the conditional
-   tables on and off. All-at-a-time runs one chain on the calling domain
-   whatever the domain count; its statistical check runs with the tables
-   on, and with them off its estimates must equal the tables-on ones bit
-   for bit (one tables-off run of its chain costs about 0.8 s).
+   tables on and off, and at 2 domains under a convergence-retry policy
+   (as it stands, and with nonconvergence forced at rate 0.5, so that
+   retried nodes estimate from 2N or 4N points and their subsumees take
+   donations from those bags). All-at-a-time runs one chain on the
+   calling domain whatever the domain count; its statistical check runs
+   with the tables on, and with them off its estimates must equal the
+   tables-on ones bit for bit (one tables-off run of its chain costs
+   about 0.8 s).
 
    Controls. A test-local executor replays the tuple-DAG schedule with a
    list-based donation: honouring the subsumee's evidence it must pass
@@ -269,11 +273,12 @@ let joints dag (result : Mrsl.Workload.result) =
 type executor = {
   name : string;
   all_at_a_time : bool;  (** whether this executor's runs cover it *)
+  scheduled_only : bool;  (** whether it runs no all-at-a-time at all *)
   run : Mrsl.Workload.strategy -> int -> Prob.Dist.t array;
 }
 
 (* Runs are kept per (strategy, seed): the checks below share them. *)
-let executor ?(all_at_a_time = true) name f =
+let executor ?(all_at_a_time = true) ?(scheduled_only = false) name f =
   let runs = Hashtbl.create 64 in
   let run strategy seed =
     match Hashtbl.find_opt runs (strategy, seed) with
@@ -283,7 +288,7 @@ let executor ?(all_at_a_time = true) name f =
         Hashtbl.replace runs (strategy, seed) est;
         est
   in
-  { name; all_at_a_time; run }
+  { name; all_at_a_time; scheduled_only; run }
 
 let executors =
   lazy
@@ -308,7 +313,26 @@ let executors =
                          ~domains ~seed model tuples)
                         .result))
               [ 1; 2; 4 ])
-       [ true; false ])
+       [ true; false ]
+     @ List.map
+         (fun (label, nonconvergence_rate) ->
+           executor ~all_at_a_time:false ~scheduled_only:true
+             ("run_contained ~retry 2 domains, " ^ label)
+             (fun strategy seed ->
+               Mrsl.Fault_inject.with_config
+                 {
+                   Mrsl.Fault_inject.disabled with
+                   seed;
+                   nonconvergence_rate;
+                 }
+                 (fun () ->
+                   joints dag
+                     (Mrsl.Workload.run_contained ~config ~strategy
+                        ~domains:2
+                        ~retry:Mrsl.Diagnostics.default_retry_policy ~seed
+                        model tuples)
+                       .result)))
+         [ ("default policy", 0.); ("forced rate 0.5", 0.5) ])
 
 (* The tuple-DAG schedule with a list-based donation, replayed
    sequentially: a node pulls from its parents (ascending, oldest first)
@@ -552,7 +576,8 @@ let test_single_missing_leaves () =
                   (Mrsl.Workload.strategy_name strategy)
                   i)
             leaves)
-        Mrsl.Workload.[ Tuple_at_a_time; Tuple_dag; All_at_a_time ])
+        (if ex.scheduled_only then Mrsl.Workload.[ Tuple_at_a_time; Tuple_dag ]
+         else Mrsl.Workload.[ Tuple_at_a_time; Tuple_dag; All_at_a_time ]))
     (Lazy.force executors)
 
 let test_negative_control () =

@@ -1227,9 +1227,8 @@ let test_server_phase_histograms () =
 
 let test_server_request_flows () =
   (* Every admitted request becomes a trace flow that balances: one
-     admission-time start (server-loop track) matched by a finish on the
-     batch that served it — plus, for multi-missing work, a second arrow
-     into the executor worker that ran the tuple. *)
+     admission-time start (server-loop track) matched by one finish on
+     the batch that served it, multi-missing work included. *)
   let (_ : T.t), sink =
     Mrsl.Trace.with_sink (fun () ->
         with_server @@ fun endpoint ->
@@ -1272,14 +1271,14 @@ let test_server_request_flows () =
       Alcotest.(check bool)
         (Printf.sprintf "flow %d balanced (%d starts, %d ends)" id s f)
         true
-        (s = f && s >= 1))
+        (s = 1 && f = 1))
     flows
 
 let test_server_observation_only () =
   (* Tracing plus access logging must be pure observation: the exact
      same request stream yields bit-identical response lines with and
-     without them. The multi-missing request routes the flow through
-     Workload.run_contained, so this also pins the worker-side hook. *)
+     without them. The multi-missing requests run Workload.run_contained
+     inside the traced batch. *)
   let workload endpoint =
     let c = Serving.Client.connect_retry ~timeout:5. endpoint in
     Fun.protect

@@ -296,14 +296,15 @@ let test_traced_run_has_scheduler_events () =
 
 let test_retry_emits_convergence_counters () =
   let model = trace_model () in
-  let sampler = Mrsl.Gibbs.sampler model in
-  let tup = [| None; Some 0; Some 0 |] in
+  let tup = [| None; None; Some 0 |] in
   let sink =
     with_fresh_sink (fun sink ->
         ignore
-          (Mrsl.Diagnostics.run_with_retries
+          (Mrsl.Workload.run_contained
              ~config:{ burn_in = 10; samples = 64 }
-             (Prob.Rng.create 3) sampler tup);
+             ~strategy:Mrsl.Workload.Tuple_at_a_time ~domains:1
+             ~retry:Mrsl.Diagnostics.default_retry_policy ~seed:3 model
+             [ tup ]);
         sink)
   in
   let evs = Tr.events sink in
@@ -311,11 +312,12 @@ let test_retry_emits_convergence_counters () =
     (List.exists
        (fun (e : Tr.event) -> e.cat = "gibbs" && e.name = "gibbs.attempt")
        evs);
-  Alcotest.(check bool) "rhat counter present" true
+  Alcotest.(check bool) "rhat counter of the check present" true
     (List.exists
        (fun (e : Tr.event) ->
          e.name = "gibbs.convergence"
-         && List.mem_assoc "rhat" e.args)
+         && List.mem_assoc "rhat" e.args
+         && List.mem_assoc "attempt" e.args)
        evs)
 
 let suite =
